@@ -23,9 +23,7 @@ from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
-    InsufficientAnalogs,
     SchemaError,
-    WindowUnavailable,
 )
 from .metric import MetricConfig
 from .network import ModelCheckpoint, embed_block, load_checkpoint, save_checkpoint
@@ -164,13 +162,7 @@ def run_predictions(
                     else:
                         ranked = search_classic(query, fcst, obs, metric_cfg)
                     ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
-                except WindowUnavailable as err:
-                    skipped.append((station, c, lead, str(err)))
-                    continue
-                except InsufficientAnalogs as err:
-                    skipped.append((station, c, lead, str(err)))
-                    continue
-                except DataError as err:
+                except DataError as err:  # includes WindowUnavailable, InsufficientAnalogs
                     skipped.append((station, c, lead, str(err)))
                     continue
                 rows.append(PredictionRow(station, c, lead, ensemble))
@@ -380,25 +372,35 @@ def read_predictions(path):
     groups: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
     order: list[tuple[str, str, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
+        lines = [
+            (number, l)
+            for number, l in enumerate(fh.read().splitlines(), start=1)
+            if l and not l.startswith("#")
+        ]
     if not lines:
         raise SchemaError(f"{path}: no records")
     header = "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score"
-    if lines[0] != header:
+    if lines[0][1] != header:
         raise SchemaError(f"{path}: bad prediction header")
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 7:
-            raise SchemaError(f"{path}: bad prediction row {line!r}")
-        station, cycle_time, lead_s, rank, value = (
-            fields[0],
-            fields[1],
-            int(fields[2]),
-            int(fields[3]),
-            float(fields[4]),
-        )
+            raise SchemaError(f"{path}: line {number}: bad prediction row {line!r}")
+        station, cycle_time = fields[0], fields[1]
+        try:
+            lead_s, rank, value = int(fields[2]), int(fields[3]), float(fields[4])
+        except ValueError:
+            raise SchemaError(
+                f"{path}: line {number}: lead_s, member_rank or member_value is not a number"
+            ) from None
+        if not np.isfinite(value):
+            raise SchemaError(f"{path}: line {number}: member_value is not finite")
         key = (station, cycle_time, lead_s)
         if key not in groups:
+            try:
+                ar.parse_time(cycle_time)
+            except ValueError:
+                raise SchemaError(f"{path}: line {number}: bad cycle_time {cycle_time!r}") from None
             groups[key] = []
             order.append(key)
         groups[key].append((rank, value))

@@ -17,9 +17,6 @@ import numpy as np
 
 from .archive import ForecastWindow
 
-ZERO_SIGMA_SKIP = "skip_variable"
-
-
 @dataclass(frozen=True)
 class MetricConfig:
     """Weights, climatological sigmas, and window half-width for the metric."""
@@ -27,7 +24,6 @@ class MetricConfig:
     weights: np.ndarray  # dimensionless, >= 0, at least one > 0
     sigma: np.ndarray  # same physical units as each variable
     t_half: int
-    zero_sigma_policy: str = ZERO_SIGMA_SKIP
     coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -45,8 +41,6 @@ class MetricConfig:
             raise ValueError("at least one weight must be positive")
         if self.t_half < 0:
             raise ValueError("t_half must be nonnegative")
-        if self.zero_sigma_policy != ZERO_SIGMA_SKIP:
-            raise ValueError(f"unknown zero_sigma_policy {self.zero_sigma_policy!r}")
         coef = np.where(sigma > 0, weights / np.where(sigma > 0, sigma, 1.0), 0.0)
         object.__setattr__(self, "coefficients", coef)
 

@@ -14,6 +14,16 @@ Layers are stacked in depth: layer k consumes layer k-1's activation at
 each timestep. The top layer's activation at the final timestep feeds a
 linear head, whose output is the embedding. Inputs are standardized per
 variable with statistics stored on the checkpoint; initial states are zero.
+
+Every pass is batched over rows, one row per window. A pass takes raw
+windows [B, n_variables, T] and runs step t of all B rows at once, so the
+cell works on z [B, hidden + input] and states [B, hidden];
+``lstm_cell_step`` is the one-row case. The tape of a pass holds, per
+layer, its values stacked over time as [T, B, ...], and BPTT runs back over
+the same layout. A training batch of B triplets is 3B rows: anchors in rows
+[0, B), positives in [B, 2B) and negatives in [2B, 3B), with each triplet's
+dropout masks repeated on its three rows. Inference runs in chunks of 256
+rows.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .archive import ForecastArchive, ForecastWindow, format_float, window_block
-from .errors import SchemaError, WindowUnavailable
+from .errors import DataError, SchemaError, WindowUnavailable
 
 
 @dataclass
@@ -195,6 +205,17 @@ def init_model(
     )
 
 
+def _cell(layer: LstmLayerParams, z: np.ndarray, c_prev: np.ndarray):
+    """The cell equations on rows: z [B, hidden + input] is [a_prev; x] per
+    row, c_prev [B, hidden]. Returns ((g_u, g_f, g_o, c_tilde), c, a)."""
+    g_u = expit(z @ layer.w_u.T + layer.b_u)
+    g_f = expit(z @ layer.w_f.T + layer.b_f)
+    g_o = expit(z @ layer.w_o.T + layer.b_o)
+    c_tilde = np.tanh(z @ layer.w_c.T + layer.b_c)
+    c = g_u * c_tilde + g_f * c_prev
+    return (g_u, g_f, g_o, c_tilde), c, g_o * np.tanh(c)
+
+
 def lstm_cell_step(layer: LstmLayerParams, x: np.ndarray, prev: LstmState) -> LstmState:
     """One cell step; concatenation order is [a_prev; x]."""
     x = np.asarray(x, dtype=float)
@@ -204,154 +225,116 @@ def lstm_cell_step(layer: LstmLayerParams, x: np.ndarray, prev: LstmState) -> Ls
         raise ValueError(
             f"state length {prev.a.shape[0]}, layer expects {layer.hidden_size}"
         )
-    z = np.concatenate([prev.a, x])
-    g_u = expit(layer.w_u @ z + layer.b_u)
-    g_f = expit(layer.w_f @ z + layer.b_f)
-    g_o = expit(layer.w_o @ z + layer.b_o)
-    c_tilde = np.tanh(layer.w_c @ z + layer.b_c)
-    c = g_u * c_tilde + g_f * prev.c
-    a = g_o * np.tanh(c)
-    return LstmState(a=a, c=c)
+    _, c, a = _cell(layer, np.concatenate([prev.a, x])[None, :], prev.c[None, :])
+    return LstmState(a=a[0], c=c[0])
 
 
 def standardize(model: ModelCheckpoint, data: np.ndarray) -> np.ndarray:
-    """Per-variable (x - mean) / sigma; variables with sigma 0 map to 0."""
+    """Per-variable (x - mean) / sigma over [..., n_variables, T]; variables
+    with sigma 0 map to 0."""
     safe = np.where(model.norm_sigma > 0, model.norm_sigma, 1.0)
     z = (data - model.norm_mean[:, None]) / safe[:, None]
-    z[model.norm_sigma <= 0, :] = 0.0
+    z[..., model.norm_sigma <= 0, :] = 0.0
     return z
 
 
-class _Cache:
-    """Intermediate values of one sequence pass, kept for backpropagation."""
+@dataclass
+class LayerTape:
+    """One layer's values over a batched pass, stacked over time [T, B, ...]."""
 
-    __slots__ = ("x", "a", "c", "g_u", "g_f", "g_o", "c_tilde", "h_in", "masks", "keep")
+    z: np.ndarray  # [T, B, hidden + input]: cell input [a_prev; x]
+    gates: np.ndarray  # [4, T, B, hidden]: g_u, g_f, g_o, c_tilde
+    c: np.ndarray  # [T + 1, B, hidden]; c[0] is the zero initial state
+    a: np.ndarray  # [T + 1, B, hidden]; a[0] is the zero initial state
+    mask: np.ndarray | None  # [B, hidden] dropout on the output, scaled by 1/keep
 
-    def __init__(self):
-        self.x = []  # [layer][t] input actually fed (post-dropout)
-        self.a = []  # [layer][t] with index 0 = initial zero state
-        self.c = []
-        self.g_u = []
-        self.g_f = []
-        self.g_o = []
-        self.c_tilde = []
-        self.h_in = None  # head input (post-dropout)
-        self.masks = None
-        self.keep = 1.0
+    def output(self) -> np.ndarray:
+        """Activations [T, B, hidden] as passed on, after dropout."""
+        return self.a[1:] if self.mask is None else self.a[1:] * self.mask
 
 
-def _run_sequence(
-    model: ModelCheckpoint,
-    seq: np.ndarray,
-    masks: list[np.ndarray] | None = None,
-    keep: float = 1.0,
-) -> tuple[np.ndarray, _Cache]:
-    """Run a standardized sequence [T, n_variables] through the stack.
+def run_stack(
+    model: ModelCheckpoint, windows: np.ndarray, masks: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[LayerTape]]:
+    """Embeddings [B, embed_dim] of raw windows [B, n_variables, T], with the tape.
 
-    ``masks`` holds one dropout mask per layer boundary: masks[k] scales the
-    output of layer k before it feeds layer k+1 (or the head for the top
-    layer). Masked activations are rescaled by 1/keep (inverted dropout).
+    ``masks[k]`` [B, hidden_k] multiplies layer k's output before it feeds
+    layer k+1 (or the head, for the top layer): zero for dropped units and
+    1/keep for kept ones (inverted dropout).
     """
-    cache = _Cache()
-    cache.masks = masks
-    cache.keep = keep
-    T = seq.shape[0]
-    inputs = [seq[t] for t in range(T)]
+    x = standardize(model, windows).transpose(2, 0, 1)  # [T, B, n_variables]
+    T, B = x.shape[:2]
+    tape = []
     for k, layer in enumerate(model.layers):
         h = layer.hidden_size
-        a = [np.zeros(h)]
-        c = [np.zeros(h)]
-        g_u, g_f, g_o, c_tilde = [], [], [], []
+        lt = LayerTape(
+            z=np.empty((T, B, h + layer.input_size)),
+            gates=np.empty((4, T, B, h)),
+            c=np.zeros((T + 1, B, h)),
+            a=np.zeros((T + 1, B, h)),
+            mask=None if masks is None else masks[k],
+        )
         for t in range(T):
-            z = np.concatenate([a[t], inputs[t]])
-            gu = expit(layer.w_u @ z + layer.b_u)
-            gf = expit(layer.w_f @ z + layer.b_f)
-            go = expit(layer.w_o @ z + layer.b_o)
-            ct = np.tanh(layer.w_c @ z + layer.b_c)
-            c.append(gu * ct + gf * c[t])
-            a.append(go * np.tanh(c[t + 1]))
-            g_u.append(gu)
-            g_f.append(gf)
-            g_o.append(go)
-            c_tilde.append(ct)
-        cache.x.append(inputs)
-        cache.a.append(a)
-        cache.c.append(c)
-        cache.g_u.append(g_u)
-        cache.g_f.append(g_f)
-        cache.g_o.append(g_o)
-        cache.c_tilde.append(c_tilde)
-        outputs = a[1:]
-        if masks is not None and k < len(model.layers) - 1:
-            inputs = [o * masks[k] / keep for o in outputs]
-        else:
-            inputs = outputs
-    h_top = cache.a[-1][-1]
-    if masks is not None:
-        h_top = h_top * masks[-1] / keep
-    cache.h_in = h_top
-    embedding = model.head_w @ h_top + model.head_b
-    return embedding, cache
+            lt.z[t, :, :h] = lt.a[t]
+            lt.z[t, :, h:] = x[t]
+            lt.gates[:, t], lt.c[t + 1], lt.a[t + 1] = _cell(layer, lt.z[t], lt.c[t])
+        tape.append(lt)
+        x = lt.output()
+    return x[-1] @ model.head_w.T + model.head_b, tape
 
 
-def _backprop_sequence(
+def backprop_stack(
     model: ModelCheckpoint,
-    cache: _Cache,
-    d_embedding: np.ndarray,
+    tape: list[LayerTape],
+    d_embeddings: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Accumulate gradients of (d_embedding . embedding) into ``grads``."""
-    masks, keep = cache.masks, cache.keep
-    T = len(cache.x[0])
-    L = len(model.layers)
-    grads["head.w"] += np.outer(d_embedding, cache.h_in)
-    grads["head.b"] += d_embedding
-    dh = model.head_w.T @ d_embedding
-    if masks is not None:
-        dh = dh * masks[-1] / keep
-    # d_above[t]: gradient flowing into the current layer's activation a[t]
-    # from layers above (or the head, for the top layer at the last step).
-    d_above = [np.zeros(model.layers[-1].hidden_size) for _ in range(T)]
-    d_above[T - 1] = dh
-    for k in range(L - 1, -1, -1):
-        layer = model.layers[k]
+    """Accumulate gradients of sum(d_embeddings * embeddings) into ``grads``."""
+    grads["head.w"] += d_embeddings.T @ tape[-1].output()[-1]
+    grads["head.b"] += d_embeddings.sum(axis=0)
+    # d_out[t]: gradient reaching the layer's output at step t from the layer
+    # above, or from the head for the top layer's last step.
+    d_out = np.zeros_like(tape[-1].a[1:])
+    d_out[-1] = d_embeddings @ model.head_w
+    for k in range(len(model.layers) - 1, -1, -1):
+        layer, lt = model.layers[k], tape[k]
         h = layer.hidden_size
-        da_rec = np.zeros(h)
-        dc_next = np.zeros(h)
-        dx = [None] * T
-        for t in range(T - 1, -1, -1):
+        d_above = d_out if lt.mask is None else d_out * lt.mask
+        d_gates = np.empty_like(lt.gates)  # pre-activation gradients [4, T, B, h]
+        d_out = np.empty(lt.z.shape[:2] + (layer.input_size,))  # to the layer below
+        da_rec = np.zeros_like(d_above[0])
+        dc_next = np.zeros_like(d_above[0])
+        for t in range(len(d_above) - 1, -1, -1):
+            gu, gf, go, ct = lt.gates[:, t]
             da = d_above[t] + da_rec
-            tc = np.tanh(cache.c[k][t + 1])
-            gu, gf, go = cache.g_u[k][t], cache.g_f[k][t], cache.g_o[k][t]
-            ct = cache.c_tilde[k][t]
+            tc = np.tanh(lt.c[t + 1])
             dz_o = da * tc * go * (1.0 - go)
             dc = da * go * (1.0 - tc * tc) + dc_next
             dz_u = dc * ct * gu * (1.0 - gu)
             dz_c = dc * gu * (1.0 - ct * ct)
-            dz_f = dc * cache.c[k][t] * gf * (1.0 - gf)
+            dz_f = dc * lt.c[t] * gf * (1.0 - gf)
             dc_next = dc * gf
-            z = np.concatenate([cache.a[k][t], cache.x[k][t]])
-            grads[f"layer{k}.w_u"] += np.outer(dz_u, z)
-            grads[f"layer{k}.b_u"] += dz_u
-            grads[f"layer{k}.w_f"] += np.outer(dz_f, z)
-            grads[f"layer{k}.b_f"] += dz_f
-            grads[f"layer{k}.w_o"] += np.outer(dz_o, z)
-            grads[f"layer{k}.b_o"] += dz_o
-            grads[f"layer{k}.w_c"] += np.outer(dz_c, z)
-            grads[f"layer{k}.b_c"] += dz_c
-            dz = (
-                layer.w_u.T @ dz_u
-                + layer.w_f.T @ dz_f
-                + layer.w_o.T @ dz_o
-                + layer.w_c.T @ dz_c
-            )
-            da_rec = dz[:h]
-            dx[t] = dz[h:]
-        if k > 0:
-            if masks is not None:
-                d_above = [dx[t] * masks[k - 1] / keep for t in range(T)]
-            else:
-                d_above = dx
+            d_gates[:, t] = dz_u, dz_f, dz_o, dz_c
+            dz = dz_u @ layer.w_u + dz_f @ layer.w_f + dz_o @ layer.w_o + dz_c @ layer.w_c
+            da_rec = dz[:, :h]
+            d_out[t] = dz[:, h:]
+        z_rows = lt.z.reshape(-1, lt.z.shape[-1])
+        for i, g in enumerate(GATES):
+            grads[f"layer{k}.w_{g}"] += d_gates[i].reshape(-1, h).T @ z_rows
+            grads[f"layer{k}.b_{g}"] += d_gates[i].sum(axis=(0, 1))
+
+
+# Inference runs in fixed-size row chunks so that the tape of a large block
+# never has to be held at once (this bounds peak memory, it is not a knob).
+_INFERENCE_ROWS = 256
+
+
+def embed_windows(model: ModelCheckpoint, windows: np.ndarray) -> np.ndarray:
+    """Embeddings [B, embed_dim] of raw windows [B, n_variables, T], dropout inactive."""
+    out = np.empty((len(windows), model.embed_dim))
+    for i in range(0, len(windows), _INFERENCE_ROWS):
+        out[i : i + _INFERENCE_ROWS] = run_stack(model, windows[i : i + _INFERENCE_ROWS])[0]
+    return out
 
 
 def forward(model: ModelCheckpoint, window: ForecastWindow) -> np.ndarray:
@@ -364,9 +347,7 @@ def forward(model: ModelCheckpoint, window: ForecastWindow) -> np.ndarray:
         raise ValueError(
             f"window width {window.width}, model expects {2 * model.t_half + 1}"
         )
-    seq = standardize(model, window.data).T  # [T, n_variables]
-    embedding, _ = _run_sequence(model, seq)
-    return embedding
+    return embed_windows(model, window.data[None])[0]
 
 
 @dataclass(frozen=True)
@@ -396,7 +377,10 @@ def embed_block(
 ) -> EmbeddingBlock:
     """Embeddings for every cycle in the range; unavailable windows are masked."""
     if list(archive.variables) != list(model.variables):
-        raise ValueError("archive variables do not match model variables")
+        raise DataError(
+            f"archive variables {','.join(archive.variables)} do not match "
+            f"model variables {','.join(model.variables)}"
+        )
     cycles = np.asarray(sorted(set(int(c) for c in np.asarray(cycles, dtype=int))), dtype=int)
     n = len(cycles)
     vectors = np.zeros((n, model.embed_dim))
@@ -405,9 +389,8 @@ def embed_block(
     except WindowUnavailable:
         # lead too close to the axis edge: no cycle has a window
         data, available = None, np.zeros(n, dtype=bool)
-    for i in np.nonzero(available)[0]:
-        seq = standardize(model, data[i]).T
-        vectors[i], _ = _run_sequence(model, seq)
+    if available.any():
+        vectors[available] = embed_windows(model, data[available])
     return EmbeddingBlock(
         station=archive.stations[station],
         lead_s=int(archive.leads[lead]),
@@ -452,25 +435,25 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a checkpoint; any malformed content raises :class:`SchemaError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not a checkpoint file") from None
     if not lines or lines[0] != _MAGIC:
         raise SchemaError(f"{path}: not a checkpoint file")
     meta: dict[str, str] = {}
-    arrays: dict[str, np.ndarray] = {}
+    arrays: dict[str, tuple[str, str]] = {}  # name -> (dims, values) as read
     i = 1
     while i < len(lines):
         line = lines[i]
         if line.startswith("@array "):
-            parts = line.split()
-            name = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
+            name, _, dims = line[len("@array "):].partition(" ")
+            if i + 1 >= len(lines):
+                raise SchemaError(f"{path}: array {name} has no value line")
+            arrays[name] = (dims, lines[i + 1])
             i += 1
-            flat = np.array([float(v) for v in lines[i].split()], dtype=float)
-            if flat.size != int(np.prod(shape)):
-                raise SchemaError(f"{path}: array {name} has {flat.size} values, "
-                                  f"expected {np.prod(shape)}")
-            arrays[name] = flat.reshape(shape)
         elif "=" in line:
             key, _, value = line.partition("=")
             meta[key] = value
@@ -483,24 +466,28 @@ def load_checkpoint(path) -> ModelCheckpoint:
         seed = int(meta["seed"])
         iterations = int(meta["iterations"])
         hidden_sizes = tuple(int(h) for h in meta["hidden_sizes"].split(","))
+        embed_dim = int(meta["embed_dim"])
     except KeyError as missing:
         raise SchemaError(f"{path}: missing metadata key {missing}") from None
-    layers = []
-    for k in range(len(hidden_sizes)):
-        fields = []
-        for g in GATES:
-            fields.append(arrays[f"layer{k}.w_{g}"])
-        for g in GATES:
-            fields.append(arrays[f"layer{k}.b_{g}"])
-        layers.append(LstmLayerParams(*fields))
-    return ModelCheckpoint(
-        layers=layers,
-        head_w=arrays["head.w"],
-        head_b=arrays["head.b"],
-        norm_mean=arrays["norm.mean"],
-        norm_sigma=arrays["norm.sigma"],
-        variables=variables,
-        t_half=t_half,
-        seed=seed,
-        iterations=iterations,
-    )
+    except ValueError:
+        raise SchemaError(f"{path}: non-integer metadata value") from None
+    if t_half < 0 or seed < 0 or min(hidden_sizes) < 1 or embed_dim < 1:
+        raise SchemaError(f"{path}: metadata value out of range")
+    # The metadata fixes every array's name and shape; fill a model built from it.
+    model = init_model(variables, t_half, hidden_sizes, embed_dim, seed)
+    model.iterations = iterations
+    expected = [("norm.mean", model.norm_mean), ("norm.sigma", model.norm_sigma)]
+    for name, target in expected + named_parameters(model):
+        if name not in arrays:
+            raise SchemaError(f"{path}: missing array {name}")
+        dims, values = arrays[name]
+        try:
+            shape = tuple(int(d) for d in dims.split())
+            flat = np.array([float(v) for v in values.split()], dtype=float)
+        except ValueError:
+            raise SchemaError(f"{path}: array {name} has a non-numeric dimension or value") from None
+        if shape != target.shape or flat.size != target.size:
+            raise SchemaError(f"{path}: array {name} has shape {shape} and {flat.size} values, "
+                              f"expected {target.shape}")
+        target[...] = flat.reshape(shape)
+    return model

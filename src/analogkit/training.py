@@ -19,12 +19,12 @@ from .archive import ForecastArchive, ForecastWindow, ObservationArchive, format
 from .errors import DataError, DivergenceError
 from .network import (
     ModelCheckpoint,
-    _backprop_sequence,
-    _run_sequence,
+    backprop_stack,
+    embed_windows,
     init_model,
     named_parameters,
+    run_stack,
     save_checkpoint,
-    standardize,
     zero_gradients,
 )
 
@@ -208,13 +208,39 @@ def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float
     return max(0.0, d_ap - d_an + alpha)
 
 
-def _draw_masks(model: ModelCheckpoint, rate: float, rng: np.random.Generator):
-    """One mask per layer boundary (inter-layer plus pre-head)."""
+def _triplet_rows(batch: list[Triplet]) -> np.ndarray:
+    """Raw windows of a batch as 3B rows: anchors, then positives, then negatives."""
+    return np.stack(
+        [t.anchor.data for t in batch]
+        + [t.positive.data for t in batch]
+        + [t.negative.data for t in batch]
+    )
+
+
+def _draw_masks(model: ModelCheckpoint, n: int, rate: float, rng: np.random.Generator):
+    """Per-triplet dropout masks for every layer's output (inter-layer plus
+    pre-head), scaled by 1/keep and repeated on the triplet's three rows:
+    [3n, hidden_k] per layer.
+
+    One [n, sum(hidden)] draw consumes ``rng`` exactly like n successive
+    per-triplet, per-layer draws.
+    """
     if rate <= 0:
         return None
-    return [
-        (rng.random(layer.hidden_size) >= rate).astype(float) for layer in model.layers
-    ]
+    kept = (rng.random((n, sum(model.hidden_sizes))) >= rate) / (1.0 - rate)
+    bounds = np.cumsum(model.hidden_sizes)[:-1]
+    return [np.tile(m, (3, 1)) for m in np.split(kept, bounds, axis=1)]
+
+
+def _hinges(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-row hinge arguments ||e_a - e_p|| - ||e_a - e_n|| + alpha."""
+    return np.linalg.norm(e_a - e_p, axis=1) - np.linalg.norm(e_a - e_n, axis=1) + alpha
+
+
+def _unit(diff: np.ndarray) -> np.ndarray:
+    """Rows of diff scaled to unit length; zero rows stay zero."""
+    norm = np.linalg.norm(diff, axis=1, keepdims=True)
+    return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0)
 
 
 def backward(
@@ -232,31 +258,17 @@ def backward(
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    grads = zero_gradients(model)
-    total = 0.0
     inv_n = 1.0 / len(batch)
-    keep = 1.0 - cfg.dropout_rate
-    for triplet in batch:
-        masks = _draw_masks(model, cfg.dropout_rate, rng)
-        seqs = [
-            standardize(model, w.data).T
-            for w in (triplet.anchor, triplet.positive, triplet.negative)
-        ]
-        (e_a, cache_a) = _run_sequence(model, seqs[0], masks, keep)
-        (e_p, cache_p) = _run_sequence(model, seqs[1], masks, keep)
-        (e_n, cache_n) = _run_sequence(model, seqs[2], masks, keep)
-        d_ap = np.linalg.norm(e_a - e_p)
-        d_an = np.linalg.norm(e_a - e_n)
-        hinge = d_ap - d_an + cfg.alpha
-        if hinge <= 0:
-            continue
-        total += hinge
-        u_ap = (e_a - e_p) / d_ap if d_ap > 0 else np.zeros_like(e_a)
-        u_an = (e_a - e_n) / d_an if d_an > 0 else np.zeros_like(e_a)
-        _backprop_sequence(model, cache_a, (u_ap - u_an) * inv_n, grads)
-        _backprop_sequence(model, cache_p, -u_ap * inv_n, grads)
-        _backprop_sequence(model, cache_n, u_an * inv_n, grads)
-    loss = total * inv_n
+    masks = _draw_masks(model, len(batch), cfg.dropout_rate, rng)
+    embeddings, tape = run_stack(model, _triplet_rows(batch), masks)
+    e_a, e_p, e_n = np.split(embeddings, 3)
+    hinge = _hinges(e_a, e_p, e_n, cfg.alpha)
+    active = ~(hinge <= 0)  # a NaN hinge stays in, so divergence is caught below
+    loss = float(np.sum(hinge[active])) * inv_n
+    u_ap = _unit(e_a - e_p) * active[:, None]
+    u_an = _unit(e_a - e_n) * active[:, None]
+    grads = zero_gradients(model)
+    backprop_stack(model, tape, np.concatenate([u_ap - u_an, -u_ap, u_an]) * inv_n, grads)
     if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
         raise DivergenceError(iteration=-1)
     return grads, loss
@@ -266,14 +278,8 @@ def evaluate_loss(model: ModelCheckpoint, triplets: list[Triplet], alpha: float)
     """Mean hinge loss without dropout (evaluation mode)."""
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    total = 0.0
-    for t in triplets:
-        embeddings = [
-            _run_sequence(model, standardize(model, w.data).T)[0]
-            for w in (t.anchor, t.positive, t.negative)
-        ]
-        total += triplet_loss(*embeddings, alpha)
-    return total / len(triplets)
+    hinge = _hinges(*np.split(embed_windows(model, _triplet_rows(triplets)), 3), alpha)
+    return float(np.sum(np.maximum(hinge, 0.0))) / len(triplets)
 
 
 def adam_step(

@@ -8,7 +8,7 @@ computations can run per lead in parallel with deterministic aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class VerificationSet:
     members: np.ndarray  # [n_pairs, m]
     observations: np.ndarray  # [n_pairs]
     lead_s: np.ndarray  # [n_pairs] second offsets
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.members.ndim != 2:
@@ -50,7 +49,6 @@ class VerificationSet:
             members=self.members[mask],
             observations=self.observations[mask],
             lead_s=self.lead_s[mask],
-            metadata=self.metadata,
         )
 
     def leads(self) -> np.ndarray:

@@ -337,3 +337,80 @@ class TestDeterminism:
                 )
             )
         assert blobs[0] == blobs[1]
+
+
+def _drop_array(lines, name):
+    i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
+    return lines[:i] + lines[i + 2 :]
+
+
+def _non_numeric_value(lines, name):
+    i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
+    return lines[: i + 1] + ["abc " + lines[i + 1].split(" ", 1)[1]] + lines[i + 2 :]
+
+
+def _head_bias_of_three(lines):
+    i = next(k for k, l in enumerate(lines) if l.startswith("@array head.b "))
+    return lines[:i] + ["@array head.b 3", "0.5 0.5 0.5"] + lines[i + 2 :]
+
+
+class TestMalformedInputs:
+    """Malformed checkpoints and predictions end in exit 2 and one stderr line."""
+
+    def _run(self, capsys, argv, *expected):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        for text in expected:
+            assert text in err
+
+    @pytest.mark.parametrize("corrupt,names", [
+        (lambda lines: lines[:-1], ("head.b", "no value line")),  # truncated
+        (lambda lines: _non_numeric_value(lines, "layer0.w_u"), ("layer0.w_u",)),
+        (_head_bias_of_three, ("head.b", "shape")),
+        (lambda lines: _drop_array(lines, "head.b"), ("missing array head.b",)),
+        (lambda lines: [l.replace("t_half=0", "t_half=zero") for l in lines], ("metadata",)),
+    ], ids=["truncated", "non_numeric", "mis_shaped", "missing_array", "bad_metadata"])
+    def test_bad_checkpoint(self, pipeline, capsys, corrupt, names):
+        from analogkit.network import init_model, save_checkpoint
+
+        path = pipeline / "train" / "checkpoint.txt"
+        path.parent.mkdir()
+        save_checkpoint(init_model(["v1", "v2", "v3"], 0, (8,), 4, seed=1), path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        cfg = write_config(pipeline, method="deep_anen")
+        argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
+        self._run(capsys, argv, str(path), *names)
+
+    def test_checkpoint_variables_differ_from_archive(self, pipeline, capsys):
+        from analogkit.network import init_model, save_checkpoint
+
+        path = pipeline / "train" / "checkpoint.txt"
+        path.parent.mkdir()
+        save_checkpoint(init_model(["a", "b", "c"], 0, (8,), 4, seed=1), path)
+        cfg = write_config(pipeline, method="deep_anen")
+        argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
+        self._run(capsys, argv, "do not match model variables")
+
+    @pytest.mark.parametrize("row", [
+        "PSU,2011-01-02T00:00:00Z,0,1,abc,2010-01-01T00:00:00Z,0.1",
+        "PSU,2011-01-02T00:00:00Z,zero,1,5.0,2010-01-01T00:00:00Z,0.1",
+        "PSU,2011-01-02T00:00:00Z,0,first,5.0,2010-01-01T00:00:00Z,0.1",
+        "PSU,2011-01-02T00:00:00Z,0,1,nan,2010-01-01T00:00:00Z,0.1",
+        "PSU,2011-01-32T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1",
+    ], ids=["member_value", "lead_s", "member_rank", "nan_member", "cycle_time"])
+    def test_bad_prediction_row(self, tmp_path, capsys, row):
+        (tmp_path / "observations.csv").write_text(
+            "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n")
+        pred = tmp_path / "predictions.csv"
+        pred.write_text(
+            "# analogkit predict\n"
+            "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score\n"
+            "PSU,2011-01-01T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1\n"
+            f"{row}\n")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"observation_csv={tmp_path}/observations.csv\n")
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--predictions", str(pred)]
+        self._run(capsys, argv, str(pred), "line 4")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from analogkit.archive import ForecastWindow
+from analogkit.errors import DataError
 from analogkit.network import (
     LstmLayerParams,
     LstmState,
@@ -14,6 +15,7 @@ from analogkit.network import (
     load_checkpoint,
     lstm_cell_step,
     named_parameters,
+    run_stack,
     save_checkpoint,
 )
 
@@ -158,16 +160,14 @@ class TestInvariants:
             )
             width = 2 * model.t_half + 1
             w = ForecastWindow(data=3 * rng.standard_normal((n_var, width)), origin=(0, 0, 0))
-            seq = w.data.T
-            from analogkit.network import _run_sequence
-
-            _, cache = _run_sequence(model, seq)
-            for k in range(len(model.layers)):
+            _, tape = run_stack(model, w.data[None])
+            for lt in tape:
+                g_u, g_f, g_o, _ = lt.gates
                 for t in range(width):
-                    assert np.all(cache.g_u[k][t] > 0) and np.all(cache.g_u[k][t] < 1)
-                    assert np.all(cache.g_f[k][t] > 0) and np.all(cache.g_f[k][t] < 1)
-                    assert np.all(cache.g_o[k][t] > 0) and np.all(cache.g_o[k][t] < 1)
-                    assert np.all(np.abs(cache.a[k][t + 1]) < 1)
+                    assert np.all(g_u[t] > 0) and np.all(g_u[t] < 1)
+                    assert np.all(g_f[t] > 0) and np.all(g_f[t] < 1)
+                    assert np.all(g_o[t] > 0) and np.all(g_o[t] < 1)
+                    assert np.all(np.abs(lt.a[t + 1]) < 1)
 
     def test_variable_permutation_equivariance(self, rng):
         """Permuting variables plus the matching model columns is a no-op."""
@@ -226,7 +226,7 @@ class TestEmbedBlock:
     def test_variable_mismatch_rejected(self, rng):
         fcst = make_forecasts(rng.standard_normal((1, 2, 3, 3)))
         model = init_model(["other", "names"], t_half=1, hidden_sizes=(4,), embed_dim=2, seed=5)
-        with pytest.raises(ValueError, match="variables"):
+        with pytest.raises(DataError, match="variables"):
             embed_block(model, fcst, 0, 1, [0])
 
 
