@@ -11,18 +11,29 @@ Archives are dense: every combination of the index lists owns a cell, and
 cells without a value (absent rows or empty values) hold NaN. Index lists
 are the sorted distinct values found in the file. Archives are treated as
 immutable after load and are safe to read concurrently.
+
+Loader contract: a malformed file raises :class:`SchemaError` naming the
+file and the line of the first offending record in file order; within a
+record the column count, timestamp, lead, duplicate key and value are
+checked in that order. Blank and ``#`` lines are skipped. Each distinct
+key string is parsed once, so the cost grows with the rows but the
+timestamp parsing only with the distinct times. A timestamp is accepted
+exactly when :func:`parse_time` accepts it, and ``lead_s`` must fit int64.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from itertools import islice, repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, WindowUnavailable
+from .errors import DataError, SchemaError, WindowUnavailable
 
 TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
@@ -34,6 +45,32 @@ def parse_time(text: str) -> int:
     """Parse an ISO-8601 UTC timestamp to integer seconds since epoch."""
     dt = datetime.strptime(text, TIME_FORMAT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+_CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def parse_times(texts: Sequence[str]) -> np.ndarray:
+    """:func:`parse_time` over many strings, as int64 seconds since epoch.
+
+    Canonical ``YYYY-MM-DDTHH:MM:SSZ`` strings are parsed in one
+    ``datetime64[s]`` pass, every other string by :func:`parse_time`. The
+    result equals :func:`parse_time` element by element, and a string it
+    rejects raises ValueError here too.
+    """
+    texts = list(texts)
+    # numpy accepts year 0000, which strptime rejects
+    fast = np.array(
+        [_CANONICAL_TIME.fullmatch(t) is not None and t[:4] != "0000" for t in texts], dtype=bool
+    )
+    out = np.empty(len(texts), dtype=np.int64)
+    try:
+        stamps = [t[:19] for t, f in zip(texts, fast) if f]
+        out[fast] = np.array(stamps, dtype="datetime64[s]").astype(np.int64)
+    except ValueError:  # a date numpy rejects: leave every string to parse_time
+        fast[:] = False
+    out[~fast] = [parse_time(t) for t, f in zip(texts, fast) if not f]
+    return out
 
 
 def format_time(seconds: int) -> str:
@@ -187,48 +224,183 @@ class ClimatologyStats:
             raise ValueError("sigma must be nonnegative")
 
 
-def _read_rows(path, header: list[str]):
-    """Yield (line_number, fields) for a CSV file, validating the header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+def read_csv_text(path) -> str:
+    """The whole text of a CSV file, decoded as UTF-8.
+
+    A file that cannot be read is a :class:`DataError` and a byte that is
+    not UTF-8 a :class:`SchemaError`, both naming the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise DataError(f"{path}: cannot read: {err.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise SchemaError(
+            f"{path}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})"
+        ) from None
+
+
+def _line_number(path, record: int) -> int:
+    """File line number of a record (0-based, blank and '#' lines skipped)."""
+    lines = read_csv_text(path).splitlines()
+    numbers = [n for n, line in enumerate(lines[1:], 2) if line.strip() and line[0] != "#"]
+    return numbers[record]
+
+
+class _Key(NamedTuple):
+    label: str  # field name in "unparsable" messages
+    parse: Callable[[list[str]], list]  # distinct strings -> keys, ValueError if one fails
+    as_written: bool  # a duplicate-key message shows the text, not the parsed key
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _lead(text: str) -> int:
+    lead = int(text)
+    if not _INT64.min <= lead <= _INT64.max:
+        raise ValueError(f"lead_s {text!r} out of the int64 range")
+    return lead
+
+
+_NAME = _Key("name", list, True)
+_TIME = _Key("timestamp", lambda texts: parse_times(texts).tolist(), True)
+_LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _codes(column: list[str], parse) -> tuple[list, np.ndarray, int | None]:
+    """Code a key column on the sorted axis of its distinct parsed keys.
+
+    Only the distinct strings are parsed. Returns ``(axis, codes, bad)``:
+    ``bad`` is the first row whose string does not parse (None when all
+    do), and ``codes`` covers the rows before it.
+    """
+    distinct = list(dict.fromkeys(column))  # in order of first row
+    bad = None
+    try:
+        keys = parse(distinct)
+    except ValueError:
+        # every row before the first row of the first failing distinct
+        # string holds one of the distinct strings before it
+        j = next(j for j, text in enumerate(distinct) if not _parses(parse, text))
+        bad, distinct = distinct[j], distinct[:j]
+        keys = parse(distinct)
+    axis = sorted(set(keys))
+    position = {key: i for i, key in enumerate(axis)}
+    code = {text: position[key] for text, key in zip(distinct, keys)}
+    n = len(column) if bad is None else column.index(bad)
+    codes = np.fromiter(map(code.__getitem__, islice(column, n)), np.intp, n)
+    return axis, codes, None if bad is None else n
+
+
+def _value(text: str) -> float:
+    return float(text) if text else math.nan
+
+
+def _value_problem(text: str) -> str:
+    """Why a value field is rejected, or '' when it is empty or a finite decimal."""
+    if text == "":
+        return ""
+    try:
+        value = float(text)
+    except ValueError:
+        return "unparsable value"
+    return "" if math.isfinite(value) else "non-finite value"
+
+
+def _values(column: list[str]) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """Parse value fields: empty is missing (NaN), anything else a finite decimal.
+
+    Returns ``(values, None)``, or ``(None, (row, message))`` for the first
+    field that is neither.
+    """
+    try:
+        values = np.fromiter(map(_value, column), float, len(column))
+        # empty fields are the only NaNs allowed, and no infinity is
+        if np.count_nonzero(np.isfinite(values)) == len(column) - column.count(""):
+            return values, None
+    except ValueError:
+        pass
+    text = next(t for t in dict.fromkeys(column) if _value_problem(t))  # in order of first row
+    return None, (column.index(text), f"{_value_problem(text)} {text!r}")
+
+
+def _read_archive(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[list], np.ndarray]:
+    """Columnar read of a CSV of key columns followed by one value column.
+
+    Returns the sorted axis of each key column and the dense values over
+    them, NaN where a cell has no row or an empty value. Raises the
+    :class:`SchemaError` of the first offending record in file order.
+    """
+    lines = read_csv_text(path).splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-    got = lines[0].split(",")
-    if got != header:
+    if lines[0].split(",") != header:
         raise SchemaError(f"{path}: line 1: bad header {lines[0]!r}")
-    n_records = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise SchemaError(
-                f"{path}: line {lineno}: expected {len(header)} columns, got {len(fields)}"
-            )
-        n_records += 1
-        yield lineno, fields
-    if n_records == 0:
+    body = [line for line in islice(lines, 1, None) if line.strip() and line[0] != "#"]
+    del lines
+    if not body:
         raise SchemaError(f"{path}: no records")
+    # (record, message) per failed check, in the order one record's fields
+    # are checked: the first minimal record names the offence
+    offences = []
+    commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body))
+    wrong = np.flatnonzero(commas != len(header) - 1)
+    if wrong.size:
+        record = int(wrong[0])
+        offences.append((record, f"expected {len(header)} columns, got {commas[record] + 1}"))
+        del body[record:]
+    joined = ",".join(body)
+    del body  # the line strings go before the field strings arrive
+    fields = joined.split(",") if joined else []
+    del joined
+    columns = [fields[i :: len(header)] for i in range(len(header))]
+    del fields
 
+    axes, codes = [], []
+    for key, column in zip(keys, columns):
+        axis, code, bad = _codes(column, key.parse)
+        if bad is not None:
+            offences.append((bad, f"unparsable {key.label} {column[bad]!r}"))
+        axes.append(axis)
+        codes.append(code)
 
-def _parse_value(text: str, path, lineno: int) -> float:
-    """Parse a value field: empty means missing, otherwise a finite decimal."""
-    if text == "":
-        return float("nan")
-    try:
-        v = float(text)
-    except ValueError:
-        raise SchemaError(f"{path}: line {lineno}: unparsable value {text!r}") from None
-    if not np.isfinite(v):
-        raise SchemaError(f"{path}: line {lineno}: non-finite value {text!r}")
-    return v
+    n = min((record for record, _ in offences), default=len(columns[0]))  # clean before n
+    shape = tuple(map(len, axes))
+    flat = np.ravel_multi_index([code[:n] for code in codes], shape)
+    _, firsts = np.unique(flat, return_index=True)
+    if firsts.size < n:
+        repeated = np.ones(n, dtype=bool)
+        repeated[firsts] = False
+        record = int(np.argmax(repeated))
+        shown = [
+            column[record] if key.as_written else str(axis[code[record]])
+            for key, column, axis, code in zip(keys, columns, axes, codes)
+        ]
+        offences.append((record, f"duplicate key ({','.join(shown)})"))
 
+    values, offence = _values(columns[-1][:n])
+    if offence is not None:
+        offences.append(offence)
+    if offences:
+        record, message = min(offences, key=lambda offence: offence[0])
+        raise SchemaError(f"{path}: line {_line_number(path, record)}: {message}")
 
-def _parse_time_field(text: str, path, lineno: int) -> int:
-    try:
-        return parse_time(text)
-    except ValueError:
-        raise SchemaError(f"{path}: line {lineno}: unparsable timestamp {text!r}") from None
+    dense = np.full(shape, np.nan)
+    dense.reshape(-1)[flat] = values
+    return axes, dense
 
 
 def load_forecasts(path) -> ForecastArchive:
@@ -238,83 +410,53 @@ def load_forecasts(path) -> ForecastArchive:
     present in the file are missing. Duplicate (station, variable, cycle,
     lead) keys and malformed rows are errors naming the offending line.
     """
-    records = []
-    seen = set()
-    for lineno, (station, variable, cycle_text, lead_text, value_text) in _read_rows(
-        path, FORECAST_HEADER
-    ):
-        cycle = _parse_time_field(cycle_text, path, lineno)
-        try:
-            lead = int(lead_text)
-        except ValueError:
-            raise SchemaError(f"{path}: line {lineno}: unparsable lead_s {lead_text!r}") from None
-        key = (station, variable, cycle, lead)
-        if key in seen:
-            raise SchemaError(
-                f"{path}: line {lineno}: duplicate key "
-                f"({station},{variable},{cycle_text},{lead})"
-            )
-        seen.add(key)
-        records.append((key, _parse_value(value_text, path, lineno)))
+    (stations, variables, cycles, leads), values = _read_archive(
+        path, FORECAST_HEADER, (_NAME, _NAME, _TIME, _LEAD)
+    )
+    return ForecastArchive(
+        stations,
+        variables,
+        np.array(cycles, dtype=np.int64),
+        np.array(leads, dtype=np.int64),
+        values,
+    )
 
-    stations = sorted({k[0] for k, _ in records})
-    variables = sorted({k[1] for k, _ in records})
-    cycles = np.array(sorted({k[2] for k, _ in records}), dtype=np.int64)
-    leads = np.array(sorted({k[3] for k, _ in records}), dtype=np.int64)
-    s_idx = {s: i for i, s in enumerate(stations)}
-    v_idx = {v: i for i, v in enumerate(variables)}
-    c_idx = {c: i for i, c in enumerate(cycles.tolist())}
-    l_idx = {l: i for i, l in enumerate(leads.tolist())}
 
-    values = np.full((len(stations), len(variables), len(cycles), len(leads)), np.nan)
-    for (station, variable, cycle, lead), v in records:
-        values[s_idx[station], v_idx[variable], c_idx[cycle], l_idx[lead]] = v
-    return ForecastArchive(stations, variables, cycles, leads, values)
+def _value_text(v: float) -> str:
+    return "" if v != v else format_float(v)
 
 
 def write_forecasts(archive: ForecastArchive, path) -> None:
     """Write a forecast archive back to the CSV format (all cells, missing as empty)."""
+    times = [format_time(c) for c in archive.cycles.tolist()]
+    leads = archive.leads.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FORECAST_HEADER) + "\n")
         for si, station in enumerate(archive.stations):
             for vi, variable in enumerate(archive.variables):
-                for ci, cycle in enumerate(archive.cycles.tolist()):
-                    for li, lead in enumerate(archive.leads.tolist()):
-                        v = archive.values[si, vi, ci, li]
-                        text = "" if np.isnan(v) else format_float(v)
-                        fh.write(f"{station},{variable},{format_time(cycle)},{lead},{text}\n")
+                for time, row in zip(times, archive.values[si, vi].tolist()):
+                    head = f"{station},{variable},{time},"
+                    fh.write(
+                        "".join(
+                            f"{head}{lead},{_value_text(v)}\n" for lead, v in zip(leads, row)
+                        )
+                    )
 
 
 def load_observations(path) -> ObservationArchive:
     """Load an observation CSV into a dense (station, time) archive."""
-    records = []
-    seen = set()
-    for lineno, (station, time_text, value_text) in _read_rows(path, OBSERVATION_HEADER):
-        t = _parse_time_field(time_text, path, lineno)
-        key = (station, t)
-        if key in seen:
-            raise SchemaError(f"{path}: line {lineno}: duplicate key ({station},{time_text})")
-        seen.add(key)
-        records.append((key, _parse_value(value_text, path, lineno)))
-
-    stations = sorted({k[0] for k, _ in records})
-    times = np.array(sorted({k[1] for k, _ in records}), dtype=np.int64)
-    s_idx = {s: i for i, s in enumerate(stations)}
-    t_idx = {t: i for i, t in enumerate(times.tolist())}
-    values = np.full((len(stations), len(times)), np.nan)
-    for (station, t), v in records:
-        values[s_idx[station], t_idx[t]] = v
-    return ObservationArchive(stations, times, values)
+    (stations, times), values = _read_archive(path, OBSERVATION_HEADER, (_NAME, _TIME))
+    return ObservationArchive(stations, np.array(times, dtype=np.int64), values)
 
 
 def write_observations(obs: ObservationArchive, path) -> None:
+    times = [format_time(t) for t in obs.times.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(OBSERVATION_HEADER) + "\n")
-        for si, station in enumerate(obs.stations):
-            for ti, t in enumerate(obs.times.tolist()):
-                v = obs.values[si, ti]
-                text = "" if np.isnan(v) else format_float(v)
-                fh.write(f"{station},{format_time(t)},{text}\n")
+        for station, row in zip(obs.stations, obs.values.tolist()):
+            fh.write(
+                "".join(f"{station},{time},{_value_text(v)}\n" for time, v in zip(times, row))
+            )
 
 
 def valid_time(archive: ForecastArchive, cycle: int, lead: int) -> int:

@@ -366,26 +366,34 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
 def read_predictions(path):
     """Parse a predictions CSV into per-target member lists.
 
-    Returns (groups, short_groups) where groups is an ordered dict-like
-    list of ((station, cycle_time, lead_s), members ordered by rank).
+    Returns a list of ((station, cycle seconds, lead_s), members ordered by
+    rank), targets in order of first appearance.
     """
-    groups: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
-    order: list[tuple[str, str, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (number, l)
-            for number, l in enumerate(fh.read().splitlines(), start=1)
-            if l and not l.startswith("#")
-        ]
+    lines = [
+        (number, l)
+        for number, l in enumerate(ar.read_csv_text(path).splitlines(), start=1)
+        if l and not l.startswith("#")
+    ]
     if not lines:
         raise SchemaError(f"{path}: no records")
     header = "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score"
     if lines[0][1] != header:
         raise SchemaError(f"{path}: bad prediction header")
-    for number, line in lines[1:]:
-        fields = line.split(",")
+    rows = [(number, line.split(",")) for number, line in lines[1:]]
+    cycle_texts = list(dict.fromkeys(fields[1] for _, fields in rows if len(fields) > 1))
+    try:
+        cycle_seconds = dict(zip(cycle_texts, ar.parse_times(cycle_texts).tolist()))
+    except ValueError:  # the loop below names the first row whose cycle_time fails
+        cycle_seconds = {}
+        for text in cycle_texts:
+            try:
+                cycle_seconds[text] = ar.parse_time(text)
+            except ValueError:
+                pass
+    groups: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
+    for number, fields in rows:
         if len(fields) != 7:
-            raise SchemaError(f"{path}: line {number}: bad prediction row {line!r}")
+            raise SchemaError(f"{path}: line {number}: bad prediction row {','.join(fields)!r}")
         station, cycle_time = fields[0], fields[1]
         try:
             lead_s, rank, value = int(fields[2]), int(fields[3]), float(fields[4])
@@ -397,14 +405,14 @@ def read_predictions(path):
             raise SchemaError(f"{path}: line {number}: member_value is not finite")
         key = (station, cycle_time, lead_s)
         if key not in groups:
-            try:
-                ar.parse_time(cycle_time)
-            except ValueError:
-                raise SchemaError(f"{path}: line {number}: bad cycle_time {cycle_time!r}") from None
+            if cycle_time not in cycle_seconds:
+                raise SchemaError(f"{path}: line {number}: bad cycle_time {cycle_time!r}")
             groups[key] = []
-            order.append(key)
         groups[key].append((rank, value))
-    return [(key, [v for _, v in sorted(groups[key])]) for key in order]
+    return [
+        ((station, cycle_seconds[cycle_time], lead_s), [v for _, v in sorted(members)])
+        for (station, cycle_time, lead_s), members in groups.items()
+    ]
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
@@ -416,28 +424,30 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
 
     m = max(len(members) for _, members in groups)
     members_rows, obs_rows, lead_rows = [], [], []
+    accepted = []  # (station, cycle seconds, lead_s) of each verified pair
     excluded_missing_obs = 0
     excluded_short = 0
     stations_seen: list[str] = []
-    for (station, cycle_time, lead_s), members in groups:
+    for key, members in groups:
+        station, cycle, lead_s = key
         if station not in stations_seen:
             stations_seen.append(station)
         if len(members) < m:
             excluded_short += 1
             continue
-        valid = ar.parse_time(cycle_time) + lead_s
         try:
             o = obs.station_index(station)
         except KeyError:
             excluded_missing_obs += 1
             continue
-        y = obs.value_at(o, valid)
+        y = obs.value_at(o, cycle + lead_s)
         if not np.isfinite(y):
             excluded_missing_obs += 1
             continue
         members_rows.append(members)
         obs_rows.append(y)
         lead_rows.append(lead_s)
+        accepted.append(key)
     if not members_rows:
         raise DataError("no verifiable prediction/observation pairs")
     vset = VerificationSet(
@@ -475,7 +485,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
                 f"all,spread_error_mean_spread,{ar.format_float(b.mean_spread)},{i},,,{b.count}\n"
             )
         if cfg.error_intervals is not None and cfg.baseline_variable is not None:
-            intervals, excluded = _baseline_intervals(cfg, vset, groups, m)
+            intervals, excluded = _baseline_intervals(cfg, vset, accepted)
             fh.write(f"all,interval_excluded,{excluded},,,,\n")
             for i, stat in enumerate(intervals):
                 value = "" if stat.rmse is None else ar.format_float(stat.rmse)
@@ -491,30 +501,22 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
     return 0
 
 
-def _baseline_intervals(cfg: ExperimentConfig, vset: VerificationSet, groups, m: int):
-    """Group verified pairs by the baseline forecast's own error magnitude."""
+def _baseline_intervals(cfg: ExperimentConfig, vset: VerificationSet, keys):
+    """Group verified pairs by the baseline forecast's own error magnitude.
+
+    ``keys`` holds the (station, cycle seconds, lead_s) of each pair in
+    ``vset``, whose observations the baseline forecast is compared against.
+    """
     cfg.require("forecast_csv")
     fcst = ar.load_forecasts(cfg.forecast_csv)
-    obs = ar.load_observations(cfg.observation_csv)
     vi = fcst.variable_index(cfg.baseline_variable)
-    lead_list = fcst.leads.tolist()
-    cycle_list = fcst.cycles.tolist()
+    cycle_index = {c: i for i, c in enumerate(fcst.cycles.tolist())}
+    lead_index = {l: i for i, l in enumerate(fcst.leads.tolist())}
     baseline = []
-    for (station, cycle_time, lead_s), members in groups:
-        if len(members) < m:
-            continue
-        valid = ar.parse_time(cycle_time) + lead_s
-        try:
-            o = obs.station_index(station)
-        except KeyError:
-            continue
-        y = obs.value_at(o, valid)
-        if not np.isfinite(y):
-            continue
-        cycle = ar.parse_time(cycle_time)
-        if cycle in cycle_list and lead_s in lead_list:
+    for (station, cycle, lead_s), y in zip(keys, vset.observations):
+        if cycle in cycle_index and lead_s in lead_index:
             f = fcst.values[
-                fcst.station_index(station), vi, cycle_list.index(cycle), lead_list.index(lead_s)
+                fcst.station_index(station), vi, cycle_index[cycle], lead_index[lead_s]
             ]
             baseline.append(f - y if np.isfinite(f) else np.nan)
         else:

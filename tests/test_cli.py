@@ -414,3 +414,26 @@ class TestMalformedInputs:
         argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
                 "--predictions", str(pred)]
         self._run(capsys, argv, str(pred), "line 4")
+
+    def test_non_utf8_byte_in_csv(self, pipeline, capsys):
+        path = pipeline / "data" / "forecasts.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[3] = b"\xff" + lines[3]
+        path.write_bytes(b"".join(lines))
+        argv = ["ingest", "--config", str(write_config(pipeline)), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, str(path), "line 4", "UTF-8")
+
+    def test_directory_as_csv(self, pipeline, capsys):
+        cfg = write_config(pipeline, drop=("forecast_csv",), extra=f"forecast_csv={pipeline}\n")
+        argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, str(pipeline), "cannot read")
+
+    def test_lead_beyond_int64(self, pipeline, capsys):
+        path = pipeline / "data" / "forecasts.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = "99999999999999999999999"
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["ingest", "--config", str(write_config(pipeline)), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, str(path), "line 2", "lead_s")
