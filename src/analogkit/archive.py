@@ -224,8 +224,8 @@ class ClimatologyStats:
             raise ValueError("sigma must be nonnegative")
 
 
-def read_csv_text(path) -> str:
-    """The whole text of a CSV file, decoded as UTF-8.
+def read_text(path) -> str:
+    """The whole text of an input file (CSV, config, checkpoint), decoded as UTF-8.
 
     A file that cannot be read is a :class:`DataError` and a byte that is
     not UTF-8 a :class:`SchemaError`, both naming the file.
@@ -246,7 +246,7 @@ def read_csv_text(path) -> str:
 
 def _line_number(path, record: int) -> int:
     """File line number of a record (0-based, blank and '#' lines skipped)."""
-    lines = read_csv_text(path).splitlines()
+    lines = read_text(path).splitlines()
     numbers = [n for n, line in enumerate(lines[1:], 2) if line.strip() and line[0] != "#"]
     return numbers[record]
 
@@ -344,7 +344,7 @@ def _read_archive(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[l
     them, NaN where a cell has no row or an empty value. Raises the
     :class:`SchemaError` of the first offending record in file order.
     """
-    lines = read_csv_text(path).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
     if lines[0].split(",") != header:

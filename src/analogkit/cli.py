@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,9 +159,9 @@ def run_predictions(
                 )
                 try:
                     if cfg.method == "deep_anen":
-                        ranked = search_latent(query, block, obs)
+                        ranked = search_latent(query, block, obs, limit=cfg.m)
                     else:
-                        ranked = search_classic(query, fcst, obs, metric_cfg)
+                        ranked = search_classic(query, fcst, obs, metric_cfg, limit=cfg.m)
                     ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
                 except DataError as err:  # includes WindowUnavailable, InsufficientAnalogs
                     skipped.append((station, c, lead, str(err)))
@@ -189,43 +190,59 @@ def write_predictions(
                 )
 
 
+class Pairing(NamedTuple):
+    """Verification pairs plus what was left out of them."""
+
+    vset: VerificationSet
+    keys: list  # (station, cycle seconds, lead_s) of each pair
+    excluded_short: int  # ensembles with fewer members than the longest
+    excluded_missing_obs: int  # unknown station or missing observation
+
+
+def pair_targets(targets, obs: ar.ObservationArchive) -> Pairing:
+    """Pair each target's members with the observation at its valid time.
+
+    ``targets`` is a list of ((station, cycle seconds, lead_s), members).
+    Short ensembles (under allow_short) are excluded, because the set
+    needs one member count, as are targets without an observation.
+    """
+    full_m = max((len(members) for _, members in targets), default=0)
+    members_rows, obs_rows, keys = [], [], []
+    excluded_short = excluded_missing_obs = 0
+    for key, members in targets:
+        station, cycle, lead_s = key
+        if len(members) < full_m:
+            excluded_short += 1
+            continue
+        try:
+            o = obs.station_index(station)
+        except KeyError:
+            excluded_missing_obs += 1
+            continue
+        y = obs.value_at(o, cycle + lead_s)
+        if not np.isfinite(y):
+            excluded_missing_obs += 1
+            continue
+        members_rows.append(members)
+        obs_rows.append(y)
+        keys.append(key)
+    if not members_rows:
+        raise DataError("no verifiable prediction/observation pairs")
+    vset = VerificationSet(
+        members=np.array(members_rows),
+        observations=np.array(obs_rows),
+        lead_s=np.array([lead_s for _, _, lead_s in keys], dtype=np.int64),
+    )
+    return Pairing(vset, keys, excluded_short, excluded_missing_obs)
+
+
 def pairs_from_rows(
     rows: list[PredictionRow], fcst: ar.ForecastArchive, obs: ar.ObservationArchive
-) -> tuple[VerificationSet, int]:
-    """Verification pairs for in-memory prediction rows.
-
-    Counts rows excluded for a missing observation or (under allow_short)
-    an incomplete ensemble, which the set's shared member count forbids.
-    """
-    full_m = max((row.ensemble.m for row in rows), default=0)
-    members, observations, lead_s = [], [], []
-    excluded = 0
-    for row in rows:
-        if row.ensemble.m < full_m:
-            excluded += 1
-            continue
-        t = ar.valid_time(fcst, row.cycle, row.lead)
-        try:
-            o = obs.station_index(row.station)
-        except KeyError:
-            excluded += 1
-            continue
-        y = obs.value_at(o, t)
-        if not np.isfinite(y):
-            excluded += 1
-            continue
-        members.append(row.ensemble.members)
-        observations.append(y)
-        lead_s.append(int(fcst.leads[row.lead]))
-    if not members:
-        raise DataError("no verifiable prediction/observation pairs")
-    return (
-        VerificationSet(
-            members=np.array(members),
-            observations=np.array(observations),
-            lead_s=np.array(lead_s, dtype=np.int64),
-        ),
-        excluded,
+) -> Pairing:
+    """Verification pairs for in-memory prediction rows."""
+    cycles, leads = fcst.cycles.tolist(), fcst.leads.tolist()
+    return pair_targets(
+        [((r.station, cycles[r.cycle], leads[r.lead]), r.ensemble.members) for r in rows], obs
     )
 
 
@@ -338,8 +355,6 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
     extra = []
     if cfg.method == "deep_anen":
         cfg.require("checkpoint")
-        if not Path(cfg.checkpoint).exists():
-            raise DataError(f"checkpoint not found: {cfg.checkpoint}")
         model = load_checkpoint(cfg.checkpoint)
     else:
         weights = _effective_weights(cfg, fcst)
@@ -371,7 +386,7 @@ def read_predictions(path):
     """
     lines = [
         (number, l)
-        for number, l in enumerate(ar.read_csv_text(path).splitlines(), start=1)
+        for number, l in enumerate(ar.read_text(path).splitlines(), start=1)
         if l and not l.startswith("#")
     ]
     if not lines:
@@ -421,40 +436,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
     if predictions_path is None:
         predictions_path = cfg.predictions_csv or (out / "predictions.csv")
     groups = read_predictions(predictions_path)
-
-    m = max(len(members) for _, members in groups)
-    members_rows, obs_rows, lead_rows = [], [], []
-    accepted = []  # (station, cycle seconds, lead_s) of each verified pair
-    excluded_missing_obs = 0
-    excluded_short = 0
-    stations_seen: list[str] = []
-    for key, members in groups:
-        station, cycle, lead_s = key
-        if station not in stations_seen:
-            stations_seen.append(station)
-        if len(members) < m:
-            excluded_short += 1
-            continue
-        try:
-            o = obs.station_index(station)
-        except KeyError:
-            excluded_missing_obs += 1
-            continue
-        y = obs.value_at(o, cycle + lead_s)
-        if not np.isfinite(y):
-            excluded_missing_obs += 1
-            continue
-        members_rows.append(members)
-        obs_rows.append(y)
-        lead_rows.append(lead_s)
-        accepted.append(key)
-    if not members_rows:
-        raise DataError("no verifiable prediction/observation pairs")
-    vset = VerificationSet(
-        members=np.array(members_rows),
-        observations=np.array(obs_rows),
-        lead_s=np.array(lead_rows, dtype=np.int64),
-    )
+    vset, accepted, excluded_short, excluded_missing_obs = pair_targets(groups, obs)
+    stations_seen = list(dict.fromkeys(station for (station, _, _), _ in groups))
     threshold = _brier_threshold(cfg, obs, stations_seen)
     report = build_report(
         vset, brier_threshold=threshold, n_spread_bins=cfg.spread_bins, seed=cfg.seed
@@ -588,7 +571,7 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
             )
             if not rows:
                 raise DataError(f"split {split}: all prediction targets failed")
-            vset, _excluded = pairs_from_rows(rows, fcst, obs)
+            vset = pairs_from_rows(rows, fcst, obs).vset
             results.append(
                 (
                     method,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .archive import parse_time
-from .errors import ConfigError
+from .archive import parse_time, read_text
+from .errors import ConfigError, DataError, SchemaError
 from .training import TrainConfig
 
 METHODS = ("anen_equal", "anen_weighted", "deep_anen")
@@ -150,8 +150,10 @@ def _ranges_overlap(a_start, a_end, b_start, b_end) -> bool:
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate a key=value config file."""
     cfg = ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = read_text(path).splitlines()
+    except (DataError, SchemaError) as err:  # unreadable path or a non-UTF-8 byte
+        raise ConfigError(str(err)) from None
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):

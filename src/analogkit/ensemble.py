@@ -71,12 +71,26 @@ class EnsembleForecast:
         return float(np.mean(self.members))
 
 
-def _rank(scores: np.ndarray, eligible: np.ndarray) -> np.ndarray:
-    """Ascending order of eligible positions; ties broken by earlier cycle."""
+def _rank(scores: np.ndarray, eligible: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Ascending order of eligible positions; ties broken by earlier cycle.
+
+    With ``limit`` only the first ``limit`` positions of that order are
+    returned. Every eligible score not above the limit-th smallest one is
+    kept before the stable sort, so ties at the cut still go to the earlier
+    cycle. The test ``~(s > kth)`` keeps NaN scores too, so they take the
+    same last places as in the full ranking.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     pos = np.nonzero(eligible)[0]
+    s = scores[pos]
+    if limit is not None and limit < len(pos):
+        kth = np.partition(s, limit - 1)[limit - 1]
+        keep = ~(s > kth)
+        pos, s = pos[keep], s[keep]
     # pos is in ascending cycle order already, so a stable sort on score
     # resolves ties in favor of the earlier cycle.
-    return pos[np.argsort(scores[pos], kind="stable")]
+    return pos[np.argsort(s, kind="stable")][:limit]
 
 
 def search_classic(
@@ -84,12 +98,14 @@ def search_classic(
     fcst: ForecastArchive,
     obs: ObservationArchive,
     cfg: MetricConfig,
+    limit: int | None = None,
 ) -> list[Candidate]:
     """Rank search-range cycles by window dissimilarity against the target.
 
     Candidates need a complete window and a non-missing observation at the
     member valid time. Raises when the target window is unavailable or no
-    candidate survives.
+    candidate survives. With ``limit`` the result is the first ``limit``
+    candidates of the full ranking.
     """
     target = extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
     block, avail = window_block(fcst, query.station, query.lead, query.search_cycles, query.t_half)
@@ -98,27 +114,31 @@ def search_classic(
     if not eligible.any():
         raise DataError("no analog candidates available for this target")
     scores = block_dissimilarity(target.data, block, cfg)
-    order = _rank(scores, eligible)
-    return [
-        Candidate(int(query.search_cycles[i]), float(scores[i]), float(obs_vals[i]))
-        for i in order
-    ]
+    return _candidates(query, scores, obs_vals, _rank(scores, eligible, limit))
 
 
 def search_latent(
     query: AnalogQuery,
     embeddings: EmbeddingBlock,
     obs: ObservationArchive,
+    limit: int | None = None,
 ) -> list[Candidate]:
     """Rank search-range cycles by Euclidean distance in embedding space.
 
-    Same eligibility, ordering, and tie rules as :func:`search_classic`;
-    candidates with a masked embedding row are excluded.
+    Same eligibility, ordering, tie and ``limit`` rules as
+    :func:`search_classic`; candidates with a masked embedding row are
+    excluded. A target or search cycle the block does not cover raises
+    ``KeyError``.
     """
     t_pos = embeddings.position(query.target_cycle)
     if not embeddings.available[t_pos]:
         raise DataError("target window unavailable: no embedding for the target cycle")
-    positions = np.array([embeddings.position(int(c)) for c in query.search_cycles], dtype=int)
+    cycles = embeddings.cycles  # not empty: it holds the target
+    positions = np.searchsorted(cycles, query.search_cycles).clip(max=len(cycles) - 1)
+    uncovered = cycles[positions] != query.search_cycles
+    if uncovered.any():
+        missing = int(query.search_cycles[np.argmax(uncovered)])
+        raise KeyError(f"cycle index {missing} not covered by this block")
     try:
         station = obs.station_index(embeddings.station)
     except KeyError:
@@ -127,12 +147,22 @@ def search_latent(
     eligible = embeddings.available[positions] & np.isfinite(obs_vals)
     if not eligible.any():
         raise DataError("no analog candidates available for this target")
-    diff = embeddings.vectors[positions] - embeddings.vectors[t_pos][None, :]
-    scores = np.sqrt(np.sum(diff * diff, axis=1))
-    order = _rank(scores, eligible)
+    diff = np.take(embeddings.vectors, positions, axis=0)
+    diff -= embeddings.vectors[t_pos]
+    diff *= diff
+    scores = np.sqrt(np.sum(diff, axis=1))
+    return _candidates(query, scores, obs_vals, _rank(scores, eligible, limit))
+
+
+def _candidates(
+    query: AnalogQuery, scores: np.ndarray, obs_vals: np.ndarray, order: np.ndarray
+) -> list[Candidate]:
+    """Candidates for the ranked search-range positions ``order``."""
     return [
-        Candidate(int(query.search_cycles[i]), float(scores[i]), float(obs_vals[i]))
-        for i in order
+        Candidate(int(c), float(s), float(v))
+        for c, s, v in zip(
+            query.search_cycles[order].tolist(), scores[order].tolist(), obs_vals[order].tolist()
+        )
     ]
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .archive import ForecastArchive, ForecastWindow, format_float, window_block
+from .archive import ForecastArchive, ForecastWindow, format_float, read_text, window_block
 from .errors import DataError, SchemaError, WindowUnavailable
 
 
@@ -435,12 +435,11 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """Read a checkpoint; any malformed content raises :class:`SchemaError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise SchemaError(f"{path}: not a checkpoint file") from None
+    """Read a checkpoint; any malformed content raises :class:`SchemaError`.
+
+    A path that cannot be read raises :class:`DataError`.
+    """
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != _MAGIC:
         raise SchemaError(f"{path}: not a checkpoint file")
     meta: dict[str, str] = {}

@@ -153,10 +153,10 @@ def spread_error(
     for chunk in np.array_split(order, n_bins):
         e = err[chunk]
         point = float(np.sqrt(np.mean(e * e)))
-        boot = np.empty(n_boot)
-        for b in range(n_boot):
-            pick = rng.integers(len(e), size=len(e))
-            boot[b] = np.sqrt(np.mean(e[pick] * e[pick]))
+        # one row per draw: the same stream as n_boot draws of len(e) each
+        boot = e[rng.integers(len(e), size=(n_boot, len(e)))]
+        boot *= boot
+        boot = np.sqrt(np.mean(boot, axis=1))
         bins.append(
             SpreadErrorBin(
                 mean_spread=float(np.mean(spread[chunk])),

@@ -355,11 +355,12 @@ def _head_bias_of_three(lines):
 
 
 class TestMalformedInputs:
-    """Malformed checkpoints and predictions end in exit 2 and one stderr line."""
+    """Malformed configs end in exit 1, malformed checkpoints and predictions
+    in exit 2, each with one stderr line."""
 
-    def _run(self, capsys, argv, *expected):
+    def _run(self, capsys, argv, *expected, code=2):
         capsys.readouterr()
-        assert main(argv) == 2
+        assert main(argv) == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         for text in expected:
@@ -415,6 +416,18 @@ class TestMalformedInputs:
                 "--predictions", str(pred)]
         self._run(capsys, argv, str(pred), "line 4")
 
+    def test_predictions_without_rows(self, tmp_path, capsys):
+        (tmp_path / "observations.csv").write_text(
+            "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n")
+        pred = tmp_path / "predictions.csv"
+        pred.write_text(
+            "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score\n")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"observation_csv={tmp_path}/observations.csv\n")
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--predictions", str(pred)]
+        self._run(capsys, argv, "no verifiable prediction/observation pairs")
+
     def test_non_utf8_byte_in_csv(self, pipeline, capsys):
         path = pipeline / "data" / "forecasts.csv"
         lines = path.read_bytes().splitlines(keepends=True)
@@ -437,3 +450,23 @@ class TestMalformedInputs:
         path.write_text("\n".join(lines) + "\n")
         argv = ["ingest", "--config", str(write_config(pipeline)), "--out", str(pipeline / "i")]
         self._run(capsys, argv, str(path), "line 2", "lead_s")
+
+    def test_non_utf8_byte_in_config(self, pipeline, capsys):
+        path = write_config(pipeline)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        argv = ["ingest", "--config", str(path), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, "config error", str(path), "line 3", "UTF-8", code=1)
+
+    @pytest.mark.parametrize("name", ["missing.txt", "data"], ids=["missing", "directory"])
+    def test_unreadable_config(self, pipeline, capsys, name):
+        path = pipeline / name
+        argv = ["ingest", "--config", str(path), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, "config error", str(path), "cannot read", code=1)
+
+    def test_directory_as_checkpoint(self, pipeline, capsys):
+        cfg = write_config(pipeline, method="deep_anen", drop=("checkpoint",),
+                           extra=f"checkpoint={pipeline / 'data'}\n")
+        argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
+        self._run(capsys, argv, str(pipeline / "data"), "cannot read")

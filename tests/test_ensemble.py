@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from analogkit.archive import valid_time
+from analogkit.archive import ObservationArchive, valid_time
 from analogkit.ensemble import (
     AnalogQuery,
     Candidate,
@@ -224,6 +225,8 @@ class TestSearchProperties:
             for search in (
                 lambda q: search_classic(q, fcst, obs, cfg),
                 lambda q: search_latent(q, block, obs),
+                lambda q: search_classic(q, fcst, obs, cfg, limit=m),
+                lambda q: search_latent(q, block, obs, limit=m),
             ):
                 s_small = [c.score for c in search(q_small)]
                 s_large = [c.score for c in search(q_large)]
@@ -242,3 +245,99 @@ class TestSearchProperties:
         mutated[1] = rng.standard_normal((2, 20, 3))  # other station
         after = search_classic(query, make_forecasts(mutated), obs, cfg)
         assert before == after
+
+
+TOP_M = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _ranking(ranked):
+    """Cycles, scores (NaN kept) and members of a ranked list, comparable with ==."""
+    return ([c.cycle for c in ranked], np.array([c.score for c in ranked]).tobytes(),
+            [c.member for c in ranked])
+
+
+def _assert_limits_truncate(search):
+    """search(limit=k) is the first k of the full ranking, for k at and past the edges."""
+    try:
+        full = search(None)
+    except DataError:
+        with pytest.raises(DataError):
+            search(1)
+        return
+    n = len(full)
+    for k in sorted({1, 2, max(1, n // 2), max(1, n - 1), n, n + 1, n + 7}):
+        assert _ranking(search(k)) == _ranking(full[:k])
+
+
+def _grid(draw, shape, missing):
+    """Integer-valued floats in 0..2 (so scores tie often), NaN where drawn."""
+    values = np.array(draw(st.lists(st.integers(0, 2), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+    holes = draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+    values[np.array(holes).reshape(shape) & missing] = np.nan
+    return values
+
+
+class TestTopM:
+    """Searches with a limit return the head of the full ranking, ties included."""
+
+    @TOP_M
+    @given(data=st.data())
+    def test_classic_limit_truncates_full_ranking(self, data):
+        n_cycles = data.draw(st.integers(2, 30))
+        n_var = data.draw(st.integers(1, 3))
+        t_half = data.draw(st.integers(0, 1))
+        n_leads = 2 * t_half + 1
+        values = _grid(data.draw, (1, n_var, n_cycles, n_leads),
+                       data.draw(st.sampled_from([False, True])))
+        values[0, :, -1] = np.nan_to_num(values[0, :, -1])  # the target window is complete
+        fcst = make_forecasts(values)
+        obs = obs_matching(fcst, _grid(data.draw, (1, n_cycles, n_leads), True))
+        weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                              min_size=n_var, max_size=n_var)))
+        weights[0] += 0.0 if weights.any() else 1.0  # the metric needs one positive weight
+        cfg = MetricConfig(weights=weights, sigma=np.ones(n_var), t_half=t_half)
+        query = AnalogQuery(station=0, target_cycle=n_cycles - 1, lead=t_half, t_half=t_half,
+                            search_cycles=np.arange(n_cycles - 1), m=1)
+        _assert_limits_truncate(lambda k: search_classic(query, fcst, obs, cfg, limit=k))
+
+    @TOP_M
+    @given(data=st.data())
+    def test_latent_limit_truncates_full_ranking(self, data):
+        n = data.draw(st.integers(2, 30))
+        dim = data.draw(st.integers(1, 3))
+        vectors = _grid(data.draw, (n, dim), False)
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        vectors = vectors[rows]  # duplicated rows give exact ties
+        nan_rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        vectors[nan_rows] = np.nan
+        available = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        target = data.draw(st.integers(0, n - 1))
+        available[target] = True
+        cycles = np.cumsum(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        block = EmbeddingBlock(station="S00", lead_s=0, cycles=cycles, valid_times=86400 * cycles,
+                               vectors=vectors, available=available)
+        obs_values = _grid(data.draw, (1, n), True)
+        obs = ObservationArchive(["S00"], 86400 * cycles, obs_values)
+        search = np.delete(cycles, target)
+        search = search[np.array(data.draw(st.lists(st.booleans(), min_size=n - 1,
+                                                    max_size=n - 1)), dtype=bool)]
+        query = AnalogQuery(station=0, target_cycle=int(cycles[target]), lead=0, t_half=0,
+                            search_cycles=search, m=1)
+        _assert_limits_truncate(lambda k: search_latent(query, block, obs, limit=k))
+
+    def test_limit_below_one_rejected(self):
+        fcst, obs, cfg, query = three_candidate_setup()
+        with pytest.raises(ValueError):
+            search_classic(query, fcst, obs, cfg, limit=0)
+
+    def test_uncovered_search_cycle_raises_key_error(self):
+        cycles = np.array([0, 2, 4, 6])
+        block = EmbeddingBlock(station="S00", lead_s=0, cycles=cycles, valid_times=86400 * cycles,
+                               vectors=np.zeros((4, 2)), available=np.ones(4, dtype=bool))
+        obs = ObservationArchive(["S00"], 86400 * cycles, np.ones((1, 4)))
+        for missing in (3, 7, -1):
+            query = AnalogQuery(station=0, target_cycle=0, lead=0, t_half=0,
+                                search_cycles=np.array([2, missing, 4]), m=1)
+            with pytest.raises(KeyError, match=str(missing)):
+                search_latent(query, block, obs, limit=1)

@@ -13,6 +13,7 @@ from analogkit.verification import (
     rank_histogram,
     rmse,
     spread_error,
+    SpreadErrorBin,
 )
 
 
@@ -194,6 +195,22 @@ class TestSpreadError:
             # and near the generator's analytic noise scale
             assert b.rmse == pytest.approx(sigma * np.sqrt(1.0 + 1.0 / m), rel=0.25)
 
+    @pytest.mark.parametrize("n", [1, 7, 60, 300, 1000])
+    def test_block_draw_equals_loop_of_draws(self, n):
+        """One [n_boot, n] draw gives the loop's indices and leaves the same state."""
+        loop_rng, block_rng = np.random.default_rng(3), np.random.default_rng(3)
+        loop = np.array([loop_rng.integers(n, size=n) for _ in range(1000)])
+        assert np.array_equal(block_rng.integers(n, size=(1000, n)), loop)
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_pairs,m,n_bins,seed", [
+        (1, 3, 1, 0), (7, 1, 2, 4), (60, 11, 5, 7), (301, 5, 3, 11), (1000, 11, 1, 2),
+    ])
+    def test_equals_loop_oracle(self, n_pairs, m, n_bins, seed):
+        gen = np.random.default_rng(seed)
+        vs = vset(gen.standard_normal((n_pairs, m)), gen.standard_normal(n_pairs))
+        assert spread_error(vs, n_bins, seed=seed) == spread_error_loop(vs, n_bins, seed=seed)
+
     def test_more_bins_than_pairs_rejected(self, rng):
         with pytest.raises(DataError):
             spread_error(vset(rng.standard_normal((3, 4)), rng.standard_normal(3)), 4)
@@ -264,3 +281,26 @@ class TestReport:
         for scores in report.per_lead.values():
             assert set(scores) == {"bias", "rmse", "crps", "mre", "brier"}
             assert all(np.isfinite(v) for v in scores.values())
+
+
+def spread_error_loop(vs, n_bins, seed=0, n_boot=1000):
+    """The bootstrap as one draw per iteration: the reference for spread_error."""
+    rng = np.random.default_rng(seed)
+    spread = np.std(vs.members, axis=1, ddof=1) if vs.m > 1 else np.zeros(vs.n_pairs)
+    err = vs.members.mean(axis=1) - vs.observations
+    order = np.argsort(spread, kind="stable")
+    bins = []
+    for chunk in np.array_split(order, n_bins):
+        e = err[chunk]
+        boot = np.empty(n_boot)
+        for b in range(n_boot):
+            pick = rng.integers(len(e), size=len(e))
+            boot[b] = np.sqrt(np.mean(e[pick] * e[pick]))
+        bins.append(SpreadErrorBin(
+            mean_spread=float(np.mean(spread[chunk])),
+            rmse=float(np.sqrt(np.mean(e * e))),
+            rmse_lo=float(np.percentile(boot, 5.0)),
+            rmse_hi=float(np.percentile(boot, 95.0)),
+            count=len(chunk),
+        ))
+    return bins
