@@ -71,9 +71,11 @@ class EnsembleForecast:
         return float(np.mean(self.members))
 
 
-def _rank(scores: np.ndarray, eligible: np.ndarray, limit: int | None = None) -> np.ndarray:
+def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None = None) -> np.ndarray:
     """Ascending order of eligible positions; ties broken by earlier cycle.
 
+    The one ranking routine: analog search orders candidates by score with
+    it, and triplet sampling finds each anchor's ``k_pos`` nearest with it.
     With ``limit`` only the first ``limit`` positions of that order are
     returned. Every eligible score not above the limit-th smallest one is
     kept before the stable sort, so ties at the cut still go to the earlier
@@ -82,15 +84,18 @@ def _rank(scores: np.ndarray, eligible: np.ndarray, limit: int | None = None) ->
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    pos = np.nonzero(eligible)[0]
+    # Method forms rather than np.nonzero/np.partition/np.argsort: triplet
+    # sampling calls this once per anchor, where the dispatch cost shows.
+    pos = eligible.nonzero()[0]
     s = scores[pos]
     if limit is not None and limit < len(pos):
-        kth = np.partition(s, limit - 1)[limit - 1]
-        keep = ~(s > kth)
+        part = s.copy()
+        part.partition(limit - 1)
+        keep = ~(s > part[limit - 1])
         pos, s = pos[keep], s[keep]
     # pos is in ascending cycle order already, so a stable sort on score
     # resolves ties in favor of the earlier cycle.
-    return pos[np.argsort(s, kind="stable")][:limit]
+    return pos[s.argsort(kind="stable")][:limit]
 
 
 def search_classic(
@@ -114,7 +119,7 @@ def search_classic(
     if not eligible.any():
         raise DataError("no analog candidates available for this target")
     scores = block_dissimilarity(target.data, block, cfg)
-    return _candidates(query, scores, obs_vals, _rank(scores, eligible, limit))
+    return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
 
 
 def search_latent(
@@ -151,7 +156,7 @@ def search_latent(
     diff -= embeddings.vectors[t_pos]
     diff *= diff
     scores = np.sqrt(np.sum(diff, axis=1))
-    return _candidates(query, scores, obs_vals, _rank(scores, eligible, limit))
+    return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
 
 
 def _candidates(

@@ -11,11 +11,13 @@ a hinged triplet loss, backpropagation through time, and ADAM updates.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .archive import ForecastArchive, ForecastWindow, ObservationArchive, format_float, window_block
+from .ensemble import rank_positions
 from .errors import DataError, DivergenceError
 from .network import (
     ModelCheckpoint,
@@ -68,6 +70,19 @@ class TrainConfig:
             raise ValueError("t_half must be nonnegative")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be >= 1")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must be one or more positive sizes")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.adam_epsilon > 0:
+            raise ValueError("adam_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,24 +138,26 @@ def sample_triplets(
     """One triplet per eligible anchor at (station, lead) over a cycle range.
 
     For each anchor cycle with a complete window and a non-missing
-    observation, all other eligible cycles are ranked by the absolute
-    difference between their observation and the anchor's. The positive is
-    chosen by roulette over the ``k_pos`` closest with fitness 1/rank, the
-    negative uniformly over the ranks beyond ``k_pos`` (restricted to
-    strictly larger observation distances, so the gap is always positive).
-    Anchors with fewer than ``k_pos + 1`` candidates are skipped and
-    counted. Consumes ``rng`` deterministically.
+    observation, all other eligible cycles are ordered by the absolute
+    difference between their observation and the anchor's, ties going to
+    the earlier cycle. The positive is chosen by roulette over the
+    ``k_pos`` closest with fitness 1/rank, the negative uniformly over the
+    places beyond ``k_pos`` (restricted to strictly larger observation
+    distances, so the gap is always positive). Neither needs the full
+    order: the positives come from :func:`~analogkit.ensemble.rank_positions`
+    and the negative's place from one partition, so each anchor costs time
+    linear in the candidates. Anchors with fewer than ``k_pos + 1``
+    candidates are skipped and counted. Consumes ``rng`` deterministically.
 
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
     candidate pool always spans the full range.
     """
     cycles = np.asarray(sorted(set(int(c) for c in np.asarray(cycles, dtype=int))), dtype=int)
-    if anchor_cycles is None:
-        anchor_set = None
-    else:
-        anchor_set = set(int(c) for c in np.asarray(anchor_cycles, dtype=int))
     if stats is None:
         stats = SamplingStats()
+    k = cfg.k_pos
+    fitness = 1.0 / np.arange(1, k + 1)
+    edges = np.cumsum(fitness / fitness.sum()).tolist()  # roulette over the k nearest
     triplets: list[Triplet] = []
     for station in stations:
         s = fcst.station_index(station)
@@ -151,52 +168,52 @@ def sample_triplets(
         data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
         times = fcst.cycles[cycles] + int(fcst.leads[lead])
         obs_vals = obs.values_at(o, times)
-        eligible = avail & np.isfinite(obs_vals)
-        elig_pos = np.nonzero(eligible)[0]
-        for ai in elig_pos:
-            if anchor_set is not None and int(cycles[ai]) not in anchor_set:
-                continue
-            stats.anchors_seen += 1
-            cand = elig_pos[elig_pos != ai]
-            if cand.size < cfg.k_pos + 1:
+        elig_pos = np.nonzero(avail & np.isfinite(obs_vals))[0]
+        elig_obs = obs_vals[elig_pos]
+        if anchor_cycles is None:
+            anchors = range(elig_pos.size)
+        else:
+            wanted = np.asarray(anchor_cycles, dtype=int)
+            anchors = np.nonzero(np.isin(cycles[elig_pos], wanted))[0].tolist()
+        stats.anchors_seen += len(anchors)
+        n_cand = elig_pos.size - 1  # every eligible cycle but the anchor
+        if n_cand < k + 1:
+            stats.anchors_skipped += len(anchors)
+            continue
+        # One window per eligible cycle, shared by every triplet that uses it.
+        windows = [
+            ForecastWindow(data=data[r].copy(), origin=(s, c, lead))
+            for r, c in zip(elig_pos, cycles[elig_pos].tolist())
+        ]
+        others = np.ones(elig_pos.size, dtype=bool)
+        for a in anchors:
+            dists = np.abs(elig_obs - elig_obs[a])  # the anchor's own entry is 0
+            others[a] = False
+            top = rank_positions(dists, others, k)
+            others[a] = True
+            pos = top[min(bisect_right(edges, rng.random() * edges[-1]), k - 1)]
+            pos_dist = dists[pos]
+            # Place of the first allowed negative in the candidates' (distance,
+            # cycle) order; the count includes the anchor, hence the - 1.
+            first = max(k, int(np.count_nonzero(dists <= pos_dist)) - 1)
+            if first == n_cand:
                 stats.anchors_skipped += 1
                 continue
-            dists = np.abs(obs_vals[cand] - obs_vals[ai])
-            order = np.argsort(dists, kind="stable")  # ties -> earlier cycle
-            top = order[: cfg.k_pos]
-            fitness = 1.0 / np.arange(1, cfg.k_pos + 1)
-            probs = fitness / fitness.sum()
-            pos_pick = top[_roulette(probs, rng)]
-            pos_dist = dists[pos_pick]
-            rest = order[cfg.k_pos :]
-            rest = rest[dists[rest] > pos_dist]  # keeps obs_gap strictly positive
-            if rest.size == 0:
-                stats.anchors_skipped += 1
-                continue
-            neg_pick = rest[int(rng.integers(rest.size))]
+            # The anchor (distance 0) precedes every negative, hence the + 1.
+            neg = _nth_smallest(dists, first + int(rng.integers(n_cand - first)) + 1)
             triplets.append(
-                Triplet(
-                    anchor=ForecastWindow(
-                        data=data[ai].copy(), origin=(s, int(cycles[ai]), lead)
-                    ),
-                    positive=ForecastWindow(
-                        data=data[cand[pos_pick]].copy(),
-                        origin=(s, int(cycles[cand[pos_pick]]), lead),
-                    ),
-                    negative=ForecastWindow(
-                        data=data[cand[neg_pick]].copy(),
-                        origin=(s, int(cycles[cand[neg_pick]]), lead),
-                    ),
-                    obs_gap=float(dists[neg_pick] - pos_dist),
-                )
+                Triplet(windows[a], windows[pos], windows[neg], float(dists[neg] - pos_dist))
             )
     return triplets
 
 
-def _roulette(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Fitness-proportionate draw from normalized probabilities."""
-    edges = np.cumsum(probs)
-    return int(np.searchsorted(edges, rng.random() * edges[-1], side="right").clip(0, len(probs) - 1))
+def _nth_smallest(values: np.ndarray, n: int) -> int:
+    """Position of entry ``n`` of ``values`` in ascending order, ties going
+    to the earlier position, found without sorting."""
+    part = values.copy()
+    part.partition(n)
+    kth = part[n]
+    return int((values == kth).nonzero()[0][n - np.count_nonzero(values < kth)])
 
 
 def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float) -> float:

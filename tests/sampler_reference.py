@@ -1,0 +1,89 @@
+"""Reference triplet sampler: one stable argsort of all candidates per anchor.
+
+This is the sampler ``training.sample_triplets`` replaced. It is kept as the
+oracle the selection-based sampler must match triplet for triplet, count for
+count and draw for draw.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from analogkit.archive import ForecastWindow, window_block
+from analogkit.training import SamplingStats, Triplet
+
+
+def sample_triplets(
+    fcst,
+    obs,
+    stations,
+    lead,
+    cycles,
+    cfg,
+    rng,
+    anchor_cycles=None,
+    stats=None,
+):
+    cycles = np.asarray(sorted(set(int(c) for c in np.asarray(cycles, dtype=int))), dtype=int)
+    if anchor_cycles is None:
+        anchor_set = None
+    else:
+        anchor_set = set(int(c) for c in np.asarray(anchor_cycles, dtype=int))
+    if stats is None:
+        stats = SamplingStats()
+    triplets = []
+    for station in stations:
+        s = fcst.station_index(station)
+        try:
+            o = obs.station_index(station)
+        except KeyError:
+            continue
+        data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
+        times = fcst.cycles[cycles] + int(fcst.leads[lead])
+        obs_vals = obs.values_at(o, times)
+        eligible = avail & np.isfinite(obs_vals)
+        elig_pos = np.nonzero(eligible)[0]
+        for ai in elig_pos:
+            if anchor_set is not None and int(cycles[ai]) not in anchor_set:
+                continue
+            stats.anchors_seen += 1
+            cand = elig_pos[elig_pos != ai]
+            if cand.size < cfg.k_pos + 1:
+                stats.anchors_skipped += 1
+                continue
+            dists = np.abs(obs_vals[cand] - obs_vals[ai])
+            order = np.argsort(dists, kind="stable")  # ties -> earlier cycle
+            top = order[: cfg.k_pos]
+            fitness = 1.0 / np.arange(1, cfg.k_pos + 1)
+            probs = fitness / fitness.sum()
+            pos_pick = top[_roulette(probs, rng)]
+            pos_dist = dists[pos_pick]
+            rest = order[cfg.k_pos :]
+            rest = rest[dists[rest] > pos_dist]  # keeps obs_gap strictly positive
+            if rest.size == 0:
+                stats.anchors_skipped += 1
+                continue
+            neg_pick = rest[int(rng.integers(rest.size))]
+            triplets.append(
+                Triplet(
+                    anchor=ForecastWindow(
+                        data=data[ai].copy(), origin=(s, int(cycles[ai]), lead)
+                    ),
+                    positive=ForecastWindow(
+                        data=data[cand[pos_pick]].copy(),
+                        origin=(s, int(cycles[cand[pos_pick]]), lead),
+                    ),
+                    negative=ForecastWindow(
+                        data=data[cand[neg_pick]].copy(),
+                        origin=(s, int(cycles[cand[neg_pick]]), lead),
+                    ),
+                    obs_gap=float(dists[neg_pick] - pos_dist),
+                )
+            )
+    return triplets
+
+
+def _roulette(probs, rng):
+    """Fitness-proportionate draw from normalized probabilities."""
+    edges = np.cumsum(probs)
+    return int(np.searchsorted(edges, rng.random() * edges[-1], side="right").clip(0, len(probs) - 1))

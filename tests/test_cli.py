@@ -470,3 +470,31 @@ class TestMalformedInputs:
                            extra=f"checkpoint={pipeline / 'data'}\n")
         argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
         self._run(capsys, argv, str(pipeline / "data"), "cannot read")
+
+    @pytest.mark.parametrize("key,value", [
+        ("eval_interval", "0"),
+        ("eval_interval", "-5"),
+        ("early_stop_patience", "0"),
+        ("hidden_sizes", ""),
+        ("hidden_sizes", "0"),
+        ("hidden_sizes", "8,-1"),
+        ("embed_dim", "0"),
+        ("adam_beta1", "1.5"),
+        ("adam_beta2", "1"),
+        ("adam_epsilon", "0"),
+    ])
+    def test_bad_train_setting(self, pipeline, capsys, key, value):
+        cfg = write_config(pipeline, drop=(key,), extra=f"{key}={value}\n")
+        argv = ["train", "--config", str(cfg), "--out", str(pipeline / "train")]
+        self._run(capsys, argv, "config error", key, code=1)
+
+    @pytest.mark.parametrize("setting,drop,message", [
+        ("synth_variables=2", ("synth_variables", "synth_hidden"), "hidden subset"),
+        ("synth_cycles=0", ("synth_cycles",), "dimensions must be positive"),
+        ("synth_g=bogus", ("synth_g",), "unknown g"),
+        ("synth_sigma_noise=-1", ("synth_sigma_noise",), "sigma_noise"),
+    ], ids=["hidden_beyond_variables", "no_cycles", "unknown_g", "negative_noise"])
+    def test_bad_synth_setting(self, tmp_path, capsys, setting, drop, message):
+        cfg = write_config(tmp_path, drop=drop, extra=f"{setting}\n")
+        argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]
+        self._run(capsys, argv, "config error", message, code=1)

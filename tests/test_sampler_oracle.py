@@ -1,0 +1,115 @@
+"""The selection-based triplet sampler against the argsort oracle.
+
+Both samplers must produce the same triplets (origins, windows and
+``obs_gap`` bits), the same ``SamplingStats`` counts and leave the generator
+in the same state, on ties, missing values and every ``k_pos`` edge.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sampler_reference
+from analogkit import training
+from analogkit.network import save_checkpoint
+from analogkit.synthetic import SynthSpec, generate
+from analogkit.training import SamplingStats, TrainConfig, sample_triplets, write_train_log
+
+from conftest import make_forecasts, obs_matching
+
+ORACLE = settings(derandomize=True, max_examples=500, deadline=None)
+
+
+def _run(sampler, fcst, obs, stations, lead, cycles, cfg, seed, anchor_cycles):
+    """Everything a sampler call decides, comparable with ==."""
+    rng = np.random.default_rng(seed)
+    stats = SamplingStats(anchors_seen=3, anchors_skipped=1)  # counts accumulate
+    triplets = sampler(fcst, obs, stations, lead, cycles, cfg, rng,
+                       anchor_cycles=anchor_cycles, stats=stats)
+    picks = [(t.anchor.origin, t.positive.origin, t.negative.origin,
+              np.float64(t.obs_gap).tobytes(),
+              t.anchor.data.tobytes(), t.positive.data.tobytes(), t.negative.data.tobytes())
+             for t in triplets]
+    return picks, (stats.anchors_seen, stats.anchors_skipped), rng.random()
+
+
+def _assert_same(*args):
+    expected = _run(sampler_reference.sample_triplets, *args)
+    assert _run(sample_triplets, *args) == expected
+    return expected
+
+
+def _values(gen, shape, spread, holes):
+    """Integers in [-spread, spread] as floats (heavy ties), or continuous
+    floats when ``spread`` is None; about one cell in eight NaN when ``holes``."""
+    if spread is not None:
+        values = gen.integers(-spread, spread + 1, size=shape).astype(float)
+    else:
+        values = gen.uniform(-1e3, 1e3, size=shape)
+    if holes:
+        values[gen.random(shape) < 0.125] = np.nan
+    return values
+
+
+class TestSamplerOracle:
+    @ORACLE
+    @given(data=st.data())
+    def test_matches_argsort_oracle(self, data):
+        draw = data.draw
+        n_cycles = draw(st.integers(1, 40))
+        t_half = draw(st.integers(0, 1))
+        n_leads = 2 * t_half + draw(st.integers(1, 2))
+        lead = draw(st.integers(t_half, n_leads - 1 - t_half))
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        fcst = make_forecasts(_values(gen, (2, 2, n_cycles, n_leads), None,
+                                      draw(st.booleans())))  # holes: incomplete windows
+        obs = obs_matching(fcst, _values(gen, (2, n_cycles, n_leads),
+                                         draw(st.sampled_from([None, 1, 2])),
+                                         draw(st.booleans())))
+        if draw(st.booleans()):  # S01 has no observations
+            obs = type(obs)(obs.stations[:1], obs.times, obs.values[:1])
+        stations = draw(st.sampled_from([["S00"], ["S01"], ["S00", "S01"], ["S01", "S00"]]))
+        # unsorted cycle indices, a few left out and a few repeated
+        dropped = draw(st.lists(st.integers(0, n_cycles - 1), max_size=3))
+        cycles = [c for c in draw(st.permutations(range(n_cycles))) if c not in dropped]
+        cycles += draw(st.lists(st.integers(0, n_cycles - 1), max_size=5))
+        anchor_cycles = None
+        if draw(st.booleans()):  # a subset, with indices outside the range too
+            chosen = draw(st.lists(st.booleans(), min_size=n_cycles + 2, max_size=n_cycles + 2))
+            anchor_cycles = [c for c, keep in zip(range(-1, n_cycles + 1), chosen) if keep]
+        n = len(set(cycles))
+        k_pos = max(1, draw(st.sampled_from([1, n - 2, n - 1, n, draw(st.integers(1, 6))])))
+        cfg = TrainConfig(k_pos=k_pos, t_half=t_half)
+        _assert_same(fcst, obs, stations, lead, cycles, cfg,
+                     draw(st.integers(0, 2**32 - 1)), anchor_cycles)
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_oracle_on_long_history(self, decimals, seed):
+        """600 cycles, k_pos 11: the sizes the training pool uses, with
+        continuous observations and with ties from rounding."""
+        fcst, obs, _ = generate(SynthSpec(n_cycles=600, n_variables=3, seed=seed))
+        if decimals is not None:
+            obs = type(obs)(obs.stations, obs.times, np.round(obs.values, decimals))
+        cfg = TrainConfig(t_half=0, k_pos=11)
+        picks, _, _ = _assert_same(fcst, obs, ["S00"], 0, np.arange(600), cfg, seed, None)
+        assert picks
+
+
+def test_train_with_oracle_sampler_is_byte_identical(tmp_path, monkeypatch):
+    """Checkpoint and train log equal those of the argsort sampler, over
+    several pool resamples, with dropout and tied observations."""
+    fcst, obs, _ = generate(SynthSpec(n_cycles=200, n_variables=3, seed=6))
+    obs = type(obs)(obs.stations, obs.times, np.round(obs.values, 1))
+    cfg = TrainConfig(t_half=0, k_pos=5, batch_size=16, max_iterations=40, eval_interval=10,
+                      seed=3, dropout_rate=0.1, hidden_sizes=(4,), embed_dim=3)
+    outputs = []
+    for sampler in (training.sample_triplets, sampler_reference.sample_triplets):
+        monkeypatch.setattr(training, "sample_triplets", sampler)
+        model, log = training.train(fcst, obs, ["S00"], [0], np.arange(200), cfg)
+        save_checkpoint(model, tmp_path / "checkpoint.txt")
+        write_train_log(log, tmp_path / "train_log.csv")
+        outputs.append([(tmp_path / name).read_bytes()
+                        for name in ("checkpoint.txt", "train_log.csv")])
+    assert outputs[0] == outputs[1]
