@@ -41,10 +41,11 @@ cfg = TrainConfig(alpha=1.0, learning_rate=0.005, dropout_rate=0.015,
 # the negative one whose observation is farther away.
 rng = np.random.default_rng(0)
 triplets = sample_triplets(fcst, obs, ["S00"], 0, search_cycles, cfg, rng)
-t = triplets[0]
-print(f"sampled {len(triplets)} triplets; first anchor cycle {t.anchor.origin[1]}, "
-      f"positive {t.positive.origin[1]}, negative {t.negative.origin[1]}, "
-      f"observation gap {t.obs_gap:.3f}")
+# Each triplet indexes three window rows: anchor, positive and negative.
+anchor, positive, negative = triplets.origins[triplets.index[0], 1]
+print(f"sampled {len(triplets)} triplets; first anchor cycle {anchor}, "
+      f"positive {positive}, negative {negative}, "
+      f"observation gap {triplets.obs_gap[0]:.3f}")
 
 # --- training ----------------------------------------------------------------
 model, log = train(fcst, obs, ["S00"], [0], search_cycles, cfg)

@@ -56,7 +56,7 @@ from .synthetic import SynthSpec, SynthManifest, generate
 from .training import (
     AdamState,
     TrainConfig,
-    Triplet,
+    Triplets,
     adam_step,
     backward,
     init_adam_state,

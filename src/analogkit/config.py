@@ -9,6 +9,7 @@ ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .archive import parse_time, read_text
@@ -169,8 +170,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 w = float(raw)
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno}: bad weight {raw!r}") from None
-            if w < 0:
-                raise ConfigError(f"{path}: line {lineno}: weights must be nonnegative")
+            if not 0 <= w < math.inf:  # NaN fails too
+                raise ConfigError(f"{path}: line {lineno}: weights must be finite and nonnegative")
             cfg.weights[variable] = w
         elif key in _SCHEMA:
             if key in cfg.values:
@@ -197,6 +198,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("t_half must be nonnegative")
     if cfg.m < 1:
         raise ConfigError("m must be >= 1")
+    if not 0 <= cfg.brier_quantile <= 1:  # NaN fails too
+        raise ConfigError(f"brier_quantile must be in [0, 1], got {cfg.brier_quantile}")
     for start_key, end_key in (
         ("search_start", "search_end"),
         ("train_start", "train_end"),

@@ -35,8 +35,8 @@ class MetricConfig:
             raise ValueError(
                 f"weights {weights.shape} and sigma {sigma.shape} must be equal-length vectors"
             )
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((weights >= 0) & (weights < np.inf)):  # NaN fails too
+            raise ValueError("weights must be finite and nonnegative")
         if not np.any(weights > 0):
             raise ValueError("at least one weight must be positive")
         if self.t_half < 0:

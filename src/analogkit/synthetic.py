@@ -53,8 +53,8 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.n_stations, self.n_cycles, self.n_leads, self.n_variables) < 1:
             raise ValueError("all dimensions must be positive")
-        if self.sigma_noise < 0:
-            raise ValueError("sigma_noise must be nonnegative")
+        if not 0 <= self.sigma_noise < np.inf:  # NaN fails too
+            raise ValueError("sigma_noise must be finite and nonnegative")
         if self.g_name not in G_FUNCTIONS:
             raise ValueError(f"unknown g {self.g_name!r}; known: {sorted(G_FUNCTIONS)}")
         if any(h < 0 or h >= self.n_variables for h in self.hidden):

@@ -10,13 +10,14 @@ a hinged triplet loss, backpropagation through time, and ADAM updates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ForecastArchive, ForecastWindow, ObservationArchive, format_float, window_block
+from .archive import ForecastArchive, ObservationArchive, format_float, window_block
 from .ensemble import rank_positions
 from .errors import DataError, DivergenceError
 from .network import (
@@ -54,10 +55,13 @@ class TrainConfig:
     embed_dim: int = 20
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # Written as `not <range>` so that NaN fails every check.
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0 <= self.early_stop_min_improvement < 1:
+            raise ValueError("early_stop_min_improvement must be in [0, 1)")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.max_iterations < 0:
@@ -86,17 +90,46 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class Triplet:
-    """Anchor/positive/negative windows with the observation-space gap."""
+class Triplets:
+    """Reverse-analog triplets as indices into one window row per eligible cycle.
 
-    anchor: ForecastWindow
-    positive: ForecastWindow
-    negative: ForecastWindow
-    obs_gap: float  # |O_a - O_n| - |O_a - O_p|, strictly positive
+    Row ``index[i]`` holds the ``windows`` (and ``origins``) rows of the
+    anchor, positive and negative of triplet ``i``, and ``obs_gap[i]`` is
+    its ``|O_a - O_n| - |O_a - O_p|``, strictly positive.
+    """
+
+    windows: np.ndarray  # float64 [n_rows, n_variables, 2*t_half + 1]
+    origins: np.ndarray  # int [n_rows, 3]: (station index, cycle index, lead index)
+    index: np.ndarray  # int [n, 3]: anchor, positive and negative rows
+    obs_gap: np.ndarray  # float64 [n]
 
     def __post_init__(self):
-        if not self.obs_gap > 0:
-            raise ValueError(f"obs_gap must be positive, got {self.obs_gap}")
+        bad = ~(self.obs_gap > 0)
+        if bad.any():
+            raise ValueError(f"obs_gap must be positive, got {self.obs_gap[bad][0]}")
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def rows(self, picks=slice(None)) -> np.ndarray:
+        """Windows of the picked triplets as 3B rows: anchors, then positives,
+        then negatives."""
+        return self.roles(picks).reshape(-1, *self.windows.shape[1:])
+
+    def roles(self, picks) -> np.ndarray:
+        """Windows of the picked triplets as [3, B, n_variables, width]."""
+        return self.windows[self.index[picks].T]
+
+    @staticmethod
+    def concat(parts: list[Triplets]) -> Triplets:
+        """One set holding every part's rows and triplets, in order."""
+        offsets = np.cumsum([0] + [len(p.windows) for p in parts[:-1]])
+        return Triplets(
+            np.concatenate([p.windows for p in parts]),
+            np.concatenate([p.origins for p in parts]),
+            np.concatenate([p.index + off for p, off in zip(parts, offsets)]),
+            np.concatenate([p.obs_gap for p in parts]),
+        )
 
 
 @dataclass
@@ -134,7 +167,7 @@ def sample_triplets(
     rng: np.random.Generator,
     anchor_cycles=None,
     stats: SamplingStats | None = None,
-) -> list[Triplet]:
+) -> Triplets:
     """One triplet per eligible anchor at (station, lead) over a cycle range.
 
     For each anchor cycle with a complete window and a non-missing
@@ -143,22 +176,26 @@ def sample_triplets(
     the earlier cycle. The positive is chosen by roulette over the
     ``k_pos`` closest with fitness 1/rank, the negative uniformly over the
     places beyond ``k_pos`` (restricted to strictly larger observation
-    distances, so the gap is always positive). Neither needs the full
-    order: the positives come from :func:`~analogkit.ensemble.rank_positions`
-    and the negative's place from one partition, so each anchor costs time
-    linear in the candidates. Anchors with fewer than ``k_pos + 1``
-    candidates are skipped and counted. Consumes ``rng`` deterministically.
+    distances, so the gap is always positive). Anchors with fewer than
+    ``k_pos + 1`` candidates, or with no candidate farther than their
+    positive, are skipped and counted. Consumes ``rng`` deterministically:
+    per anchor one ``random()`` and, unless it is skipped, one
+    ``integers()``. :func:`_select` finds the order without sorting per
+    anchor.
 
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
-    candidate pool always spans the full range.
+    candidate pool always spans the full range. The result holds one
+    window row per eligible cycle of each station.
     """
-    cycles = np.asarray(sorted(set(int(c) for c in np.asarray(cycles, dtype=int))), dtype=int)
+    cycles = np.unique(np.asarray(cycles, dtype=int))
     if stats is None:
         stats = SamplingStats()
     k = cfg.k_pos
     fitness = 1.0 / np.arange(1, k + 1)
     edges = np.cumsum(fitness / fitness.sum()).tolist()  # roulette over the k nearest
-    triplets: list[Triplet] = []
+    empty = np.empty((0, 3), dtype=int)
+    blocks = [Triplets(np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1)), empty, empty,
+                       np.empty(0))]
     for station in stations:
         s = fcst.station_index(station)
         try:
@@ -169,51 +206,191 @@ def sample_triplets(
         times = fcst.cycles[cycles] + int(fcst.leads[lead])
         obs_vals = obs.values_at(o, times)
         elig_pos = np.nonzero(avail & np.isfinite(obs_vals))[0]
-        elig_obs = obs_vals[elig_pos]
         if anchor_cycles is None:
-            anchors = range(elig_pos.size)
+            anchors = np.arange(elig_pos.size)
         else:
             wanted = np.asarray(anchor_cycles, dtype=int)
-            anchors = np.nonzero(np.isin(cycles[elig_pos], wanted))[0].tolist()
-        stats.anchors_seen += len(anchors)
-        n_cand = elig_pos.size - 1  # every eligible cycle but the anchor
-        if n_cand < k + 1:
-            stats.anchors_skipped += len(anchors)
+            anchors = np.nonzero(np.isin(cycles[elig_pos], wanted))[0]
+        stats.anchors_seen += anchors.size
+        if elig_pos.size - 1 < k + 1:  # every eligible cycle but the anchor is a candidate
+            stats.anchors_skipped += anchors.size
             continue
-        # One window per eligible cycle, shared by every triplet that uses it.
-        windows = [
-            ForecastWindow(data=data[r].copy(), origin=(s, c, lead))
-            for r, c in zip(elig_pos, cycles[elig_pos].tolist())
-        ]
-        others = np.ones(elig_pos.size, dtype=bool)
-        for a in anchors:
-            dists = np.abs(elig_obs - elig_obs[a])  # the anchor's own entry is 0
-            others[a] = False
-            top = rank_positions(dists, others, k)
-            others[a] = True
-            pos = top[min(bisect_right(edges, rng.random() * edges[-1]), k - 1)]
-            pos_dist = dists[pos]
-            # Place of the first allowed negative in the candidates' (distance,
-            # cycle) order; the count includes the anchor, hence the - 1.
-            first = max(k, int(np.count_nonzero(dists <= pos_dist)) - 1)
-            if first == n_cand:
-                stats.anchors_skipped += 1
-                continue
-            # The anchor (distance 0) precedes every negative, hence the + 1.
-            neg = _nth_smallest(dists, first + int(rng.integers(n_cand - first)) + 1)
-            triplets.append(
-                Triplet(windows[a], windows[pos], windows[neg], float(dists[neg] - pos_dist))
-            )
-    return triplets
+        picked, gap = _select(obs_vals[elig_pos], anchors, k, edges, rng)
+        stats.anchors_skipped += anchors.size - len(picked)
+        origins = np.column_stack(
+            [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]
+        )
+        blocks.append(Triplets(data[elig_pos], origins, picked, gap))
+    return Triplets.concat(blocks)
 
 
-def _nth_smallest(values: np.ndarray, n: int) -> int:
-    """Position of entry ``n`` of ``values`` in ascending order, ties going
-    to the earlier position, found without sorting."""
-    part = values.copy()
-    part.partition(n)
-    kth = part[n]
-    return int((values == kth).nonzero()[0][n - np.count_nonzero(values < kth)])
+_CHUNK = 256  # anchors gathered at a time, to keep the temporaries small
+
+
+def _select(
+    v: np.ndarray, anchors: np.ndarray, k: int, edges: list[float], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative of each anchor of one (station, lead) block.
+
+    ``v`` holds the eligible cycles' observations in cycle order and
+    ``anchors`` index it. Returns the [n, 3] (anchor, positive, negative)
+    positions of the anchors that keep a triplet, and their obs_gaps.
+
+    Two stable sorts fix every anchor's order. In ``up``, the (obs, cycle)
+    order, the observations equal to the anchor's are one run in cycle
+    order, and the candidates above it follow, nearest first. In ``down``,
+    the (-obs, cycle) order, the candidates below it end the array, nearest
+    first. The rounded distance fl(|x - v_a|) never decreases along either
+    side, so the anchor's (distance, cycle) order is the equal run followed
+    by a merge of the two sides, unless two distinct observations on one
+    side round to the same distance. Anchors where that may happen (see
+    :func:`_rounding_may_tie`) are ranked with
+    :func:`~analogkit.ensemble.rank_positions` instead.
+    """
+    n = v.size
+    n_cand = n - 1
+    up = v.argsort(kind="stable")
+    down = (-v).argsort(kind="stable")
+    sv, dv = v[up], v[down]
+    centre = v[anchors]
+    lo = sv.searchsorted(centre, "left")  # candidates below: down[n - lo:]
+    hi = sv.searchsorted(centre, "right")  # candidates above: up[hi:]
+    n_equal = hi - lo - 1  # the anchor left out
+    rank = np.empty(n, dtype=int)
+    rank[up] = np.arange(n)
+    top = np.empty((len(anchors), k + 1), dtype=int)
+    top_dist = np.empty((len(anchors), k + 1))
+    for start in range(0, len(anchors), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        top[rows], top_dist[rows] = _nearest(
+            v, up, down, lo[rows], hi[rows], centre[rows], rank[anchors[rows]] - lo[rows], k)
+    # Where the (k+1)-th ties the k-th, count(dist <= top_dist[k]) runs past
+    # the cut: count it on each side.
+    count = np.zeros(len(anchors), dtype=int)
+    tied = np.flatnonzero(top_dist[:, k - 1] == top_dist[:, k])
+    cut, c = top_dist[tied, k], centre[tied]
+    count[tied] = (n_equal[tied] + _within(sv, hi[tied], n - hi[tied], c, cut)
+                   + _within(dv, n - lo[tied], lo[tied], c, cut))
+    others = np.ones(n, dtype=bool)
+    unsafe = np.flatnonzero(_rounding_may_tie(sv, lo, hi, centre))
+    for i in unsafe:
+        a = anchors[i]
+        dists = np.abs(v - v[a])
+        others[a] = False
+        top[i] = rank_positions(dists, others, k + 1)
+        others[a] = True
+        top_dist[i] = dists[top[i]]
+        count[i] = np.count_nonzero(dists <= top_dist[i, k]) - 1  # the anchor is within too
+    # The first allowed negative is at place k for a positive nearer than the
+    # (k+1)-th candidate, and past every candidate as near for the others:
+    # those from rank ``ties`` on.
+    ties = np.count_nonzero(top_dist[:, :k] < top_dist[:, k:], axis=1)
+    kept, picks, places = [], [], []
+    random, integers, scale = rng.random, rng.integers, edges[-1]
+    for i, (tie, past) in enumerate(zip(ties.tolist(), count.tolist())):
+        r = min(bisect_right(edges, random() * scale), k - 1)
+        first = k if r < tie else past
+        if first == n_cand:
+            continue
+        kept.append(i)
+        picks.append(r)
+        places.append(first + int(integers(n_cand - first)))
+    kept, picks, places = (np.array(x, dtype=int) for x in (kept, picks, places))
+    pos = top[kept, picks]
+    neg = _merged_entry(v, up, down, lo[kept], hi[kept], centre[kept], places - n_equal[kept])
+    for j in np.flatnonzero(np.isin(kept, unsafe)):
+        a = anchors[kept[j]]
+        others[a] = False
+        neg[j] = rank_positions(np.abs(v - v[a]), others, places[j] + 1)[places[j]]
+        others[a] = True
+    a = anchors[kept]
+    gap = np.abs(v[neg] - v[a]) - np.abs(v[pos] - v[a])
+    return np.column_stack([a, pos, neg]), gap
+
+
+def _nearest(v, up, down, lo, hi, centre, skip, k):
+    """The k + 1 nearest candidates of each anchor, in (distance, cycle)
+    order, and their distances. They are among the first k + 1 of the equal
+    run ``up[lo:hi]`` (the anchor, entry ``skip`` of it, left out), of the
+    side above and of the side below."""
+    n = v.size
+    t = np.arange(k + 1)
+    gathered = np.concatenate([
+        up.take(lo[:, None] + t + (t >= skip[:, None]), mode="clip"),
+        up.take(hi[:, None] + t, mode="clip"),
+        down.take((n - lo)[:, None] + t, mode="clip"),
+    ], axis=1)
+    real = np.concatenate([t < (hi - lo - 1)[:, None], t < (n - hi)[:, None], t < lo[:, None]],
+                          axis=1)
+    dist = np.where(real, np.abs(v[gathered] - centre[:, None]), np.inf)
+    gathered = np.where(real, gathered, n)
+    order = np.lexsort((gathered, dist), axis=1)[:, : k + 1]
+    return np.take_along_axis(gathered, order, axis=1), np.take_along_axis(dist, order, axis=1)
+
+
+def _rounding_may_tie(sv: np.ndarray, lo: np.ndarray, hi: np.ndarray, centre: np.ndarray):
+    """Per anchor, whether two distinct observations on one side of it may
+    round to the same distance, so that (obs, cycle) order is not
+    (distance, cycle) order there.
+
+    ``sv`` is sorted and each anchor's side below is ``sv[:lo]``, its side
+    above ``sv[hi:]``. Each rounding errs by at most 2**-53 of its result
+    (a subnormal difference is exact), so fl(x - c) == fl(y - c) for
+    c < x < y needs y - x <= 2**-52 (y - c), which is below 2**-51 times the
+    side's largest rounded distance, its span. A side whose distinct
+    neighbours are all more than 2**-48 span apart is therefore safe. Spans
+    under 2**-970 are raised to it, which keeps the bound a normal number,
+    and an infinite span is never safe.
+    """
+    gaps = np.diff(sv)
+    gaps[gaps == 0] = np.inf  # equal observations tie exactly, already in cycle order
+    pad = np.full(2, np.inf)
+    gap_above = np.concatenate([np.minimum.accumulate(gaps[::-1])[::-1], pad])[hi]
+    gap_below = np.concatenate([pad, np.minimum.accumulate(gaps)])[lo]
+    span_above = np.maximum(np.abs(sv[-1] - centre), 2.0**-970)
+    span_below = np.maximum(np.abs(sv[0] - centre), 2.0**-970)
+    return ~((gap_above > span_above * 2.0**-48) & (gap_below > span_below * 2.0**-48))
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, past) -> np.ndarray:
+    """Per row, the least x in [lo, hi) with ``past(x)`` true, else hi.
+    ``past`` must be monotone in x; rows search together, one step a pass."""
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) >> 1
+        left = active & past(mid)
+        hi = np.where(left, mid, hi)
+        lo = np.where(active & ~left, mid + 1, lo)
+
+
+def _within(run: np.ndarray, start, size, centre, x) -> np.ndarray:
+    """Per row, how many of ``run[start : start + size]`` lie within ``x`` of
+    ``centre``. Each run leads away from its centre, so fl(|r - centre|) <= x
+    holds on a prefix of it, and a binary search counts it exactly."""
+    return _bisect(np.zeros_like(start), size,
+                   lambda t: np.abs(run.take(start + t, mode="clip") - centre) > x)
+
+
+def _merged_entry(v, up, down, lo, hi, centre, q) -> np.ndarray:
+    """Per anchor, the position at place ``q`` (from 0) of the merge of its
+    side above, ``up[hi:]``, and its side below, ``down[n - lo:]``, in
+    (distance, cycle) order: the k-th smallest of two sorted runs, found by
+    a binary search on how many of the first q + 1 come from above."""
+    below = v.size - lo
+
+    def later(i, j):  # (distance, cycle) of position i comes after that of j
+        di, dj = np.abs(v[i] - centre), np.abs(v[j] - centre)
+        return (di > dj) | ((di == dj) & (i > j))
+
+    # The least m whose m-th above comes after the (q - m)-th below.
+    m = _bisect(np.maximum(0, q + 1 - lo), np.minimum(q + 1, v.size - hi), lambda x: later(
+        up.take(hi + x, mode="clip"), down.take(below + q - x, mode="clip")))
+    last_above = up.take(hi + m - 1, mode="clip")
+    last_below = down.take(below + q - m, mode="clip")
+    from_above = (m == q + 1) | ((m > 0) & later(last_above, last_below))
+    return np.where(from_above, last_above, last_below)
 
 
 def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float) -> float:
@@ -223,15 +400,6 @@ def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float
     d_ap = float(np.linalg.norm(e_a - e_p))
     d_an = float(np.linalg.norm(e_a - e_n))
     return max(0.0, d_ap - d_an + alpha)
-
-
-def _triplet_rows(batch: list[Triplet]) -> np.ndarray:
-    """Raw windows of a batch as 3B rows: anchors, then positives, then negatives."""
-    return np.stack(
-        [t.anchor.data for t in batch]
-        + [t.positive.data for t in batch]
-        + [t.negative.data for t in batch]
-    )
 
 
 def _draw_masks(model: ModelCheckpoint, n: int, rate: float, rng: np.random.Generator):
@@ -260,24 +428,31 @@ def _unit(diff: np.ndarray) -> np.ndarray:
     return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0)
 
 
+def _batch_size(rows: np.ndarray) -> int:
+    if len(rows) == 0 or len(rows) % 3:
+        raise ValueError("need the anchors, positives and negatives of one or more triplets")
+    return len(rows) // 3
+
+
 def backward(
     model: ModelCheckpoint,
-    batch: list[Triplet],
+    rows: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Mean hinge loss over a batch and its exact parameter gradients.
 
-    The three passes of each triplet share the model parameters and, when
-    dropout is active, the same per-triplet masks. Triplets whose hinge is
-    zero contribute zero gradient. Raises :class:`DivergenceError` when any
-    loss or gradient comes out non-finite.
+    ``rows`` are the batch's raw windows, [3B, n_variables, width]: the B
+    anchors, then the positives, then the negatives (see
+    :meth:`Triplets.rows`). The three passes of each triplet share the
+    model parameters and, when dropout is active, the same per-triplet
+    masks. Triplets whose hinge is zero contribute zero gradient. Raises
+    :class:`DivergenceError` when any loss or gradient comes out non-finite.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    inv_n = 1.0 / len(batch)
-    masks = _draw_masks(model, len(batch), cfg.dropout_rate, rng)
-    embeddings, tape = run_stack(model, _triplet_rows(batch), masks)
+    n = _batch_size(rows)
+    inv_n = 1.0 / n
+    masks = _draw_masks(model, n, cfg.dropout_rate, rng)
+    embeddings, tape = run_stack(model, rows, masks)
     e_a, e_p, e_n = np.split(embeddings, 3)
     hinge = _hinges(e_a, e_p, e_n, cfg.alpha)
     active = ~(hinge <= 0)  # a NaN hinge stays in, so divergence is caught below
@@ -291,12 +466,12 @@ def backward(
     return grads, loss
 
 
-def evaluate_loss(model: ModelCheckpoint, triplets: list[Triplet], alpha: float) -> float:
-    """Mean hinge loss without dropout (evaluation mode)."""
-    if not triplets:
-        raise ValueError("no triplets to evaluate")
-    hinge = _hinges(*np.split(embed_windows(model, _triplet_rows(triplets)), 3), alpha)
-    return float(np.sum(np.maximum(hinge, 0.0))) / len(triplets)
+def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> float:
+    """Mean hinge loss without dropout (evaluation mode), over triplet rows
+    laid out as for :func:`backward`."""
+    n = _batch_size(rows)
+    hinge = _hinges(*np.split(embed_windows(model, rows), 3), alpha)
+    return float(np.sum(np.maximum(hinge, 0.0))) / n
 
 
 def adam_step(
@@ -371,44 +546,48 @@ def train(
     train_cycles = cycles[:-n_val]
     val_cycles = cycles[-n_val:]
 
-    def sample_training_pool():
-        pool = []
-        for lead in leads:
-            pool.extend(sample_triplets(fcst, obs, stations, lead, train_cycles, cfg, rng))
-        return pool
+    def sample_pool(pool_cycles, anchor_cycles=None):
+        return Triplets.concat([
+            sample_triplets(fcst, obs, stations, lead, pool_cycles, cfg, rng, anchor_cycles)
+            for lead in leads
+        ])
 
-    val_triplets = []
-    for lead in leads:
-        val_triplets.extend(
-            sample_triplets(fcst, obs, stations, lead, cycles, cfg, rng, anchor_cycles=val_cycles)
-        )
-    pool = sample_training_pool()
+    if not leads:
+        raise DataError("no training triplets could be sampled")
+    val_triplets = sample_pool(cycles, val_cycles)
+    pool = sample_pool(train_cycles)
     if not pool:
         raise DataError("no training triplets could be sampled")
     if not val_triplets:
         raise DataError("no validation triplets could be sampled")
+    val_rows = val_triplets.rows()
 
     order = rng.permutation(len(pool))
     cursor = 0
 
     def next_batch():
+        """Rows of the next batch_size triplets in ``order``, sampling a new
+        pool whenever the current one is used up."""
         nonlocal pool, order, cursor
-        batch = []
-        while len(batch) < cfg.batch_size:
+        parts, need = [], cfg.batch_size
+        while need:
             if cursor >= len(order):
-                pool = sample_training_pool()
+                pool = sample_pool(train_cycles)
                 if not pool:
                     raise DataError("triplet pool dried up during training")
                 order = rng.permutation(len(pool))
                 cursor = 0
-            batch.append(pool[order[cursor]])
-            cursor += 1
-        return batch
+            take = order[cursor : cursor + need]
+            parts.append(pool.roles(take))
+            cursor += len(take)
+            need -= len(take)
+        batch = np.concatenate(parts, axis=1)
+        return batch.reshape(-1, *batch.shape[2:])
 
     adam = init_adam_state(model)
     log: list[TrainLogRow] = []
-    init_train_loss = evaluate_loss(model, pool[: cfg.batch_size], cfg.alpha)
-    best_val = evaluate_loss(model, val_triplets, cfg.alpha)
+    init_train_loss = evaluate_loss(model, pool.rows(slice(cfg.batch_size)), cfg.alpha)
+    best_val = evaluate_loss(model, val_rows, cfg.alpha)
     best_model = model.clone()
     best_iteration = 0
     last_improved = 0
@@ -424,7 +603,7 @@ def train(
             model, adam = adam_step(model, grads, adam, cfg)
             interval_losses.append(loss)
             if iteration % cfg.eval_interval == 0 or iteration == cfg.max_iterations:
-                val_loss = evaluate_loss(model, val_triplets, cfg.alpha)
+                val_loss = evaluate_loss(model, val_rows, cfg.alpha)
                 if not np.isfinite(val_loss):
                     raise DivergenceError(iteration=iteration)
                 log.append(TrainLogRow(iteration, float(np.mean(interval_losses)), val_loss))

@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from analogkit.errors import DivergenceError
 from analogkit.network import ModelCheckpoint, zero_gradients
-from analogkit.training import TrainConfig, Triplet, triplet_loss
+from analogkit.training import TrainConfig, triplet_loss
 
 
 def standardize(model: ModelCheckpoint, data: np.ndarray) -> np.ndarray:
@@ -166,9 +166,15 @@ def draw_masks(model: ModelCheckpoint, rate: float, rng: np.random.Generator):
     ]
 
 
+def _triplets(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(anchor, positive, negative) windows from rows laid out as the
+    batched ``backward`` takes them: anchors, then positives, then negatives."""
+    return list(zip(*np.split(rows, 3)))
+
+
 def backward(
     model: ModelCheckpoint,
-    batch: list[Triplet],
+    rows: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[dict[str, np.ndarray], float]:
@@ -179,6 +185,7 @@ def backward(
     zero contribute zero gradient. Raises :class:`DivergenceError` when any
     loss or gradient comes out non-finite.
     """
+    batch = _triplets(rows)
     if not batch:
         raise ValueError("batch must be non-empty")
     grads = zero_gradients(model)
@@ -187,10 +194,7 @@ def backward(
     keep = 1.0 - cfg.dropout_rate
     for triplet in batch:
         masks = draw_masks(model, cfg.dropout_rate, rng)
-        seqs = [
-            standardize(model, w.data).T
-            for w in (triplet.anchor, triplet.positive, triplet.negative)
-        ]
+        seqs = [standardize(model, data).T for data in triplet]
         (e_a, cache_a) = run_sequence(model, seqs[0], masks, keep)
         (e_p, cache_p) = run_sequence(model, seqs[1], masks, keep)
         (e_n, cache_n) = run_sequence(model, seqs[2], masks, keep)
@@ -216,12 +220,13 @@ def embed(model: ModelCheckpoint, data: np.ndarray) -> np.ndarray:
     return run_sequence(model, standardize(model, data).T)[0]
 
 
-def evaluate_loss(model: ModelCheckpoint, triplets: list[Triplet], alpha: float) -> float:
+def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> float:
     """Mean hinge loss without dropout (evaluation mode)."""
+    triplets = _triplets(rows)
     if not triplets:
         raise ValueError("no triplets to evaluate")
     total = 0.0
     for t in triplets:
-        embeddings = [embed(model, w.data) for w in (t.anchor, t.positive, t.negative)]
+        embeddings = [embed(model, data) for data in t]
         total += triplet_loss(*embeddings, alpha)
     return total / len(triplets)

@@ -1,16 +1,28 @@
 """Reference triplet sampler: one stable argsort of all candidates per anchor.
 
 This is the sampler ``training.sample_triplets`` replaced. It is kept as the
-oracle the selection-based sampler must match triplet for triplet, count for
-count and draw for draw.
+oracle the sort-once sampler must match triplet for triplet, count for count
+and draw for draw. It returns a list of :class:`Triplet` tuples, three
+window copies each, where the sampler returns index triplets.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from analogkit.archive import ForecastWindow, window_block
-from analogkit.training import SamplingStats, Triplet
+from analogkit.training import SamplingStats
+
+
+class Triplet(NamedTuple):
+    """Anchor/positive/negative windows with the observation-space gap."""
+
+    anchor: ForecastWindow
+    positive: ForecastWindow
+    negative: ForecastWindow
+    obs_gap: float
 
 
 def sample_triplets(

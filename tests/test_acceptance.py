@@ -26,7 +26,6 @@ from analogkit.network import (
 )
 from analogkit.training import (
     TrainConfig,
-    Triplet,
     adam_step,
     backward,
     evaluate_loss,
@@ -204,9 +203,11 @@ def test_criterion_03_gradient_check():
                            seed=trial)
 
         def window():
-            return ForecastWindow(rng.standard_normal((2, 3)), (0, 0, 1))
+            return rng.standard_normal((2, 3))
 
-        batch = [Triplet(window(), window(), window(), 1.0) for _ in range(3)]
+        # drawn anchor, positive, negative per triplet; rows grouped by role
+        triplets = [(window(), window(), window()) for _ in range(3)]
+        batch = np.stack([t[role] for role in range(3) for t in triplets])
         cfg = TrainConfig(alpha=6.0, dropout_rate=0.0, t_half=1,
                           hidden_sizes=(3,), embed_dim=2)
         grads, _ = backward(model, batch, cfg, np.random.default_rng(0))

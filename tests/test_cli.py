@@ -482,6 +482,10 @@ class TestMalformedInputs:
         ("adam_beta1", "1.5"),
         ("adam_beta2", "1"),
         ("adam_epsilon", "0"),
+        ("alpha", "nan"),
+        ("learning_rate", "nan"),
+        ("learning_rate", "inf"),
+        ("early_stop_min_improvement", "nan"),
     ])
     def test_bad_train_setting(self, pipeline, capsys, key, value):
         cfg = write_config(pipeline, drop=(key,), extra=f"{key}={value}\n")
@@ -493,8 +497,20 @@ class TestMalformedInputs:
         ("synth_cycles=0", ("synth_cycles",), "dimensions must be positive"),
         ("synth_g=bogus", ("synth_g",), "unknown g"),
         ("synth_sigma_noise=-1", ("synth_sigma_noise",), "sigma_noise"),
-    ], ids=["hidden_beyond_variables", "no_cycles", "unknown_g", "negative_noise"])
+        ("synth_sigma_noise=nan", ("synth_sigma_noise",), "sigma_noise"),
+    ], ids=["hidden_beyond_variables", "no_cycles", "unknown_g", "negative_noise", "nan_noise"])
     def test_bad_synth_setting(self, tmp_path, capsys, setting, drop, message):
         cfg = write_config(tmp_path, drop=drop, extra=f"{setting}\n")
         argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]
         self._run(capsys, argv, "config error", message, code=1)
+
+    def test_nan_weight(self, pipeline, capsys):
+        cfg = write_config(pipeline, extra="weight.v1=nan\n")
+        argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, "config error", "weights must be finite", code=1)
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_brier_quantile_outside_unit_interval(self, pipeline, capsys, value):
+        cfg = write_config(pipeline, extra=f"brier_quantile={value}\n")
+        argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, "config error", "brier_quantile", code=1)

@@ -29,6 +29,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonnegative"):
             MetricConfig(weights=np.array([1.0, -0.5]), sigma=np.ones(2), t_half=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_infinite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MetricConfig(weights=np.array([1.0, bad]), sigma=np.ones(2), t_half=0)
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             MetricConfig(weights=np.zeros(2), sigma=np.ones(2), t_half=0)

@@ -10,7 +10,7 @@ import pytest
 import lstm_reference as ref
 from analogkit.archive import ForecastWindow
 from analogkit.network import embed_block, forward, init_model
-from analogkit.training import TrainConfig, Triplet, backward, evaluate_loss
+from analogkit.training import TrainConfig, backward, evaluate_loss
 
 from conftest import make_forecasts
 
@@ -31,18 +31,20 @@ def random_model(rng, n_layers, t_half, n_var=3):
 
 
 def random_batch(rng, model, n):
+    """n triplets drawn anchor, positive, negative in turn, as backward's
+    rows: the anchors, then the positives, then the negatives."""
     def window():
-        return ForecastWindow(2 * rng.standard_normal((model.n_variables, 2 * model.t_half + 1)),
-                              (0, 0, 0))
+        return 2 * rng.standard_normal((model.n_variables, 2 * model.t_half + 1))
 
-    return [Triplet(window(), window(), window(), 1.0) for _ in range(n)]
+    triplets = [(window(), window(), window()) for _ in range(n)]
+    return np.stack([t[role] for role in range(3) for t in triplets])
 
 
 @pytest.mark.parametrize("n_layers,t_half", CASES)
 def test_forward_matches_reference(rng, n_layers, t_half):
     model = random_model(rng, n_layers, t_half)
-    for triplet in random_batch(rng, model, 4):
-        w = triplet.anchor
+    for data in random_batch(rng, model, 4)[:4]:  # the anchors
+        w = ForecastWindow(data, (0, 0, 0))
         np.testing.assert_allclose(forward(model, w), ref.embed(model, w.data), rtol=0, atol=TOL)
 
 

@@ -1,8 +1,9 @@
-"""The selection-based triplet sampler against the argsort oracle.
+"""The sort-once triplet sampler against the argsort oracle.
 
 Both samplers must produce the same triplets (origins, windows and
 ``obs_gap`` bits), the same ``SamplingStats`` counts and leave the generator
-in the same state, on ties, missing values and every ``k_pos`` edge.
+in the same state, on ties, missing values, every ``k_pos`` edge and
+distinct observations whose rounded distances tie.
 """
 
 import numpy as np
@@ -14,11 +15,56 @@ import sampler_reference
 from analogkit import training
 from analogkit.network import save_checkpoint
 from analogkit.synthetic import SynthSpec, generate
-from analogkit.training import SamplingStats, TrainConfig, sample_triplets, write_train_log
+from analogkit.training import (
+    SamplingStats,
+    TrainConfig,
+    Triplets,
+    sample_triplets,
+    write_train_log,
+)
 
 from conftest import make_forecasts, obs_matching
 
 ORACLE = settings(derandomize=True, max_examples=500, deadline=None)
+
+# Observations of mixed magnitude: distinct values on one side of an anchor
+# round to the same distance (1 - 1e-17 == 1 - 2e-17, and 2 + 2**-52 == 2).
+MIXED = [0.0, -0.0, 1e-17, -1e-17, 2e-17, 3e-17, 1.0, -1.0, 1.0 + 2**-52, 1.0 + 2**-51, 1e16]
+
+
+def _tuples(result):
+    """Either sampler's triplets as (origins, obs_gap bits, window bytes) tuples."""
+    if isinstance(result, Triplets):
+        origins = [tuple(o) for o in result.origins.tolist()]
+        return [(origins[a], origins[p], origins[n], np.float64(gap).tobytes(),
+                 result.windows[a].tobytes(), result.windows[p].tobytes(),
+                 result.windows[n].tobytes())
+                for (a, p, n), gap in zip(result.index.tolist(), result.obs_gap)]
+    return [(t.anchor.origin, t.positive.origin, t.negative.origin,
+             np.float64(t.obs_gap).tobytes(),
+             t.anchor.data.tobytes(), t.positive.data.tobytes(), t.negative.data.tobytes())
+            for t in result]
+
+
+def _oracle_as_index(fcst, obs, stations, lead, cycles, cfg, rng, anchor_cycles=None,
+                     stats=None):
+    """The oracle behind ``sample_triplets``' signature and result type: one
+    window row per distinct origin."""
+    triplets = sampler_reference.sample_triplets(fcst, obs, stations, lead, cycles, cfg, rng,
+                                                 anchor_cycles, stats)
+    rows = {}
+    for t in triplets:
+        for w in t[:3]:
+            rows.setdefault(w.origin, w.data)
+    place = {origin: i for i, origin in enumerate(rows)}
+    width = 2 * cfg.t_half + 1
+    return Triplets(
+        windows=np.array(list(rows.values())).reshape(-1, fcst.n_variables, width),
+        origins=np.array(list(rows), dtype=int).reshape(-1, 3),
+        index=np.array([[place[w.origin] for w in t[:3]] for t in triplets],
+                       dtype=int).reshape(-1, 3),
+        obs_gap=np.array([t.obs_gap for t in triplets], dtype=float),
+    )
 
 
 def _run(sampler, fcst, obs, stations, lead, cycles, cfg, seed, anchor_cycles):
@@ -27,11 +73,7 @@ def _run(sampler, fcst, obs, stations, lead, cycles, cfg, seed, anchor_cycles):
     stats = SamplingStats(anchors_seen=3, anchors_skipped=1)  # counts accumulate
     triplets = sampler(fcst, obs, stations, lead, cycles, cfg, rng,
                        anchor_cycles=anchor_cycles, stats=stats)
-    picks = [(t.anchor.origin, t.positive.origin, t.negative.origin,
-              np.float64(t.obs_gap).tobytes(),
-              t.anchor.data.tobytes(), t.positive.data.tobytes(), t.negative.data.tobytes())
-             for t in triplets]
-    return picks, (stats.anchors_seen, stats.anchors_skipped), rng.random()
+    return _tuples(triplets), (stats.anchors_seen, stats.anchors_skipped), rng.random()
 
 
 def _assert_same(*args):
@@ -41,9 +83,12 @@ def _assert_same(*args):
 
 
 def _values(gen, shape, spread, holes):
-    """Integers in [-spread, spread] as floats (heavy ties), or continuous
-    floats when ``spread`` is None; about one cell in eight NaN when ``holes``."""
-    if spread is not None:
+    """Integers in [-spread, spread] as floats (heavy ties), draws from
+    ``MIXED`` when ``spread`` is "mixed", or continuous floats when it is
+    None; about one cell in eight NaN when ``holes``."""
+    if spread == "mixed":
+        values = gen.choice(MIXED, size=shape)
+    elif spread is not None:
         values = gen.integers(-spread, spread + 1, size=shape).astype(float)
     else:
         values = gen.uniform(-1e3, 1e3, size=shape)
@@ -65,7 +110,7 @@ class TestSamplerOracle:
         fcst = make_forecasts(_values(gen, (2, 2, n_cycles, n_leads), None,
                                       draw(st.booleans())))  # holes: incomplete windows
         obs = obs_matching(fcst, _values(gen, (2, n_cycles, n_leads),
-                                         draw(st.sampled_from([None, 1, 2])),
+                                         draw(st.sampled_from([None, 1, 2, "mixed"])),
                                          draw(st.booleans())))
         if draw(st.booleans()):  # S01 has no observations
             obs = type(obs)(obs.stations[:1], obs.times, obs.values[:1])
@@ -105,7 +150,7 @@ def test_train_with_oracle_sampler_is_byte_identical(tmp_path, monkeypatch):
     cfg = TrainConfig(t_half=0, k_pos=5, batch_size=16, max_iterations=40, eval_interval=10,
                       seed=3, dropout_rate=0.1, hidden_sizes=(4,), embed_dim=3)
     outputs = []
-    for sampler in (training.sample_triplets, sampler_reference.sample_triplets):
+    for sampler in (training.sample_triplets, _oracle_as_index):
         monkeypatch.setattr(training, "sample_triplets", sampler)
         model, log = training.train(fcst, obs, ["S00"], [0], np.arange(200), cfg)
         save_checkpoint(model, tmp_path / "checkpoint.txt")

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from analogkit.archive import ForecastWindow
 from analogkit.errors import DataError
 from analogkit.network import init_model, named_parameters, save_checkpoint
 from analogkit.synthetic import SynthSpec, generate
 from analogkit.training import (
     TrainConfig,
-    Triplet,
     adam_step,
     backward,
     evaluate_loss,
@@ -28,10 +26,18 @@ def small_cfg(**overrides):
 
 
 def triplet_from(rng, n_var=2, width=3):
-    def w():
-        return ForecastWindow(data=rng.standard_normal((n_var, width)), origin=(0, 0, 1))
+    """Anchor, positive and negative windows, drawn in that order."""
+    return tuple(rng.standard_normal((n_var, width)) for _ in range(3))
 
-    return Triplet(anchor=w(), positive=w(), negative=w(), obs_gap=1.0)
+
+def rows(batch):
+    """Triplet windows as backward takes them: anchors, positives, negatives."""
+    return np.stack([t[role] for role in range(3) for t in batch])
+
+
+def origin_cycles(trips):
+    """[n, 3] cycle indices of each triplet's anchor, positive and negative."""
+    return trips.origins[trips.index][:, :, 1]
 
 
 class TestSampleTriplets:
@@ -53,11 +59,11 @@ class TestSampleTriplets:
                 np.random.default_rng(seed), anchor_cycles=[0],
             )
             assert len(trips) == 1
-            t = trips[0]
-            assert t.positive.origin[1] == 2  # the obs-3 cycle
-            assert t.negative.origin[1] in (1, 3)
-            assert t.obs_gap > 0
-            negatives.add(t.negative.origin[1])
+            _, positive, negative = origin_cycles(trips)[0]
+            assert positive == 2  # the obs-3 cycle
+            assert negative in (1, 3)
+            assert trips.obs_gap[0] > 0
+            negatives.add(negative)
         assert negatives == {1, 3}  # both negatives actually reachable
 
     def test_missing_observation_anchor_skipped(self):
@@ -69,13 +75,13 @@ class TestSampleTriplets:
         obs2 = ObservationArchive(obs.stations, obs.times, values)
         trips = sample_triplets(fcst, obs2, ["S00"], 0, np.arange(4), small_cfg(),
                                 np.random.default_rng(0), anchor_cycles=[0])
-        assert trips == []
+        assert len(trips) == 0
 
     def test_too_few_candidates_skips_anchor(self):
         fcst, obs = self._archive([1.0, 2.0])
         trips = sample_triplets(fcst, obs, ["S00"], 0, np.arange(2),
                                 small_cfg(k_pos=1), np.random.default_rng(0))
-        assert trips == []  # every anchor has 1 candidate < k_pos + 1
+        assert len(trips) == 0  # every anchor has 1 candidate < k_pos + 1
 
     def test_same_seed_same_triplets(self):
         fcst, obs = self._archive(list(np.random.default_rng(5).standard_normal(30)))
@@ -84,7 +90,7 @@ class TestSampleTriplets:
                             np.random.default_rng(123))
         b = sample_triplets(fcst, obs, ["S00"], 0, np.arange(30), cfg,
                             np.random.default_rng(123))
-        key = lambda ts: [(t.anchor.origin, t.positive.origin, t.negative.origin) for t in ts]
+        key = lambda ts: ts.origins[ts.index].tolist()
         assert key(a) == key(b)
         assert len(a) == 30
 
@@ -95,7 +101,7 @@ class TestSampleTriplets:
         trips = sample_triplets(fcst, obs, ["S00"], 0, np.arange(40),
                                 small_cfg(k_pos=5), rng)
         assert trips  # something must survive
-        assert all(t.obs_gap > 0 for t in trips)
+        assert all(trips.obs_gap > 0)
 
 
 class TestTripletLoss:
@@ -122,10 +128,10 @@ class TestTripletLoss:
 class TestBackward:
     def test_all_clamped_batch_has_zero_gradients(self, rng):
         model = init_model(["a", "b"], t_half=1, hidden_sizes=(3,), embed_dim=2, seed=1)
-        shared = ForecastWindow(data=rng.standard_normal((2, 3)), origin=(0, 0, 1))
-        far = ForecastWindow(data=shared.data + 5.0, origin=(0, 1, 1))
+        shared = rng.standard_normal((2, 3))
+        far = shared + 5.0
         # anchor == positive, negative far away, margin 0: hinge is negative
-        batch = [Triplet(shared, ForecastWindow(shared.data.copy(), (0, 2, 1)), far, 1.0)]
+        batch = rows([(shared, shared.copy(), far)])
         cfg = small_cfg(alpha=0.0, t_half=1)
         grads, loss = backward(model, batch, cfg, np.random.default_rng(0))
         assert loss == 0.0
@@ -136,7 +142,7 @@ class TestBackward:
         """Central finite differences at h=1e-5, 1e-4 relative tolerance."""
         model = init_model(["a", "b"], t_half=1, hidden_sizes=hidden_sizes,
                            embed_dim=2, seed=11)
-        batch = [triplet_from(rng) for _ in range(3)]
+        batch = rows([triplet_from(rng) for _ in range(3)])
         cfg = small_cfg(alpha=5.0, t_half=1, hidden_sizes=hidden_sizes)  # keep hinges active
         grads, _ = backward(model, batch, cfg, np.random.default_rng(0))
         h = 1e-5
@@ -156,7 +162,7 @@ class TestBackward:
 
     def test_no_dropout_is_deterministic(self, rng):
         model = init_model(["a", "b"], t_half=1, hidden_sizes=(3,), embed_dim=2, seed=2)
-        batch = [triplet_from(rng) for _ in range(4)]
+        batch = rows([triplet_from(rng) for _ in range(4)])
         cfg = small_cfg(alpha=3.0, t_half=1, dropout_rate=0.0)
         g1, l1 = backward(model, batch, cfg, np.random.default_rng(1))
         g2, l2 = backward(model, batch, cfg, np.random.default_rng(999))
@@ -169,17 +175,17 @@ class TestBackward:
         and the triplet's dropout masks."""
         model = init_model(["a", "b"], t_half=1, hidden_sizes=(4,), embed_dim=3, seed=4)
         t = triplet_from(rng)
-        swapped = Triplet(t.anchor, t.negative, t.positive, t.obs_gap)
+        swapped = (t[0], t[2], t[1])
         cfg = small_cfg(alpha=10.0, t_half=1, dropout_rate=0.25, hidden_sizes=(4,), embed_dim=3)
-        g1, _ = backward(model, [t], cfg, np.random.default_rng(7))
-        g2, _ = backward(model, [swapped], cfg, np.random.default_rng(7))
+        g1, _ = backward(model, rows([t]), cfg, np.random.default_rng(7))
+        g2, _ = backward(model, rows([swapped]), cfg, np.random.default_rng(7))
         for k in g1:
             np.testing.assert_allclose(g1[k], -g2[k], atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model = init_model(["a"], t_half=0, hidden_sizes=(2,), embed_dim=2, seed=0)
         with pytest.raises(ValueError):
-            backward(model, [], small_cfg(), np.random.default_rng(0))
+            backward(model, np.empty((0, 1, 1)), small_cfg(), np.random.default_rng(0))
 
 
 class TestAdam:
