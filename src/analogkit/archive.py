@@ -468,6 +468,19 @@ def valid_time(archive: ForecastArchive, cycle: int, lead: int) -> int:
     return int(archive.cycles[cycle]) + int(archive.leads[lead])
 
 
+def window_fits(archive: ForecastArchive, lead: int, t_half: int) -> bool:
+    """Whether the window of 2*t_half+1 leads centered on ``lead`` fits the lead axis."""
+    return lead - t_half >= 0 and lead + t_half < archive.n_leads
+
+
+def _require_window_fits(archive: ForecastArchive, lead: int, t_half: int) -> None:
+    if not window_fits(archive, lead, t_half):
+        raise WindowUnavailable(
+            f"window out of bounds: lead {lead} with t_half {t_half} "
+            f"exceeds lead axis [0, {archive.n_leads})"
+        )
+
+
 def extract_window(
     archive: ForecastArchive, station: int, cycle: int, lead: int, t_half: int
 ) -> ForecastWindow:
@@ -484,11 +497,7 @@ def extract_window(
         raise IndexError(f"cycle index {cycle} out of range")
     if not 0 <= lead < archive.n_leads:
         raise IndexError(f"lead index {lead} out of range")
-    if lead - t_half < 0 or lead + t_half >= archive.n_leads:
-        raise WindowUnavailable(
-            f"window out of bounds: lead {lead} with t_half {t_half} "
-            f"exceeds lead axis [0, {archive.n_leads})"
-        )
+    _require_window_fits(archive, lead, t_half)
     data = archive.values[station, :, cycle, lead - t_half : lead + t_half + 1].copy()
     return ForecastWindow(data=data, origin=(station, cycle, lead))
 
@@ -508,11 +517,7 @@ def window_block(
     slice itself is out of bounds (then no cycle has a window).
     """
     cycles = np.asarray(cycles, dtype=int)
-    if lead - t_half < 0 or lead + t_half >= archive.n_leads:
-        raise WindowUnavailable(
-            f"window out of bounds: lead {lead} with t_half {t_half} "
-            f"exceeds lead axis [0, {archive.n_leads})"
-        )
+    _require_window_fits(archive, lead, t_half)
     # [n_var, n_cycles, width] -> [n_cycles, n_var, width]
     data = archive.values[station, :, :, lead - t_half : lead + t_half + 1][:, cycles, :]
     data = np.transpose(data, (1, 0, 2))

@@ -323,11 +323,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
         if not leads:
             raise ConfigError("train_leads matched no leads in the archive")
     else:
-        leads = [
-            l
-            for l in range(fcst.n_leads)
-            if l - cfg.t_half >= 0 and l + cfg.t_half < fcst.n_leads
-        ]
+        leads = [l for l in range(fcst.n_leads) if ar.window_fits(fcst, l, cfg.t_half)]
     checkpoint_path = out / "checkpoint.txt"
     model, log = train(
         fcst,
@@ -536,11 +532,7 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
         else:
             cfg.require("train_start", "train_end")
             train_cycles = _cycle_indices(fcst, cfg.train_start, cfg.train_end)
-            lead_choices = [
-                l
-                for l in leads
-                if l - cfg.t_half >= 0 and l + cfg.t_half < fcst.n_leads
-            ]
+            lead_choices = [l for l in leads if ar.window_fits(fcst, l, cfg.t_half)]
             model, log = train(
                 fcst, obs, stations, lead_choices, train_cycles, cfg.train_config()
             )

@@ -24,11 +24,19 @@ the same layout. A training batch of B triplets is 3B rows: anchors in rows
 [0, B), positives in [B, 2B) and negatives in [2B, 3B), with each triplet's
 dropout masks repeated on its three rows. Inference runs in chunks of 256
 rows.
+
+All trained parameters live in one float64 vector, ``ModelCheckpoint.theta``,
+in the order of ``named_parameters`` and of the checkpoint file. The gate
+matrices and biases of each ``LstmLayerParams`` and ``head_w``/``head_b`` are
+views of its slices, so each gate keeps its own matmul. Gradients and ADAM
+moments are vectors of the same layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit
@@ -94,6 +102,7 @@ class ModelCheckpoint:
     t_half: int
     seed: int
     iterations: int
+    theta: np.ndarray = field(init=False, repr=False)  # every parameter, in one vector
 
     def __post_init__(self):
         if not self.layers:
@@ -112,6 +121,7 @@ class ModelCheckpoint:
             len(self.variables),
         ):
             raise ValueError("normalization statistics must cover every variable")
+        self._bind(np.concatenate([p.ravel() for _, p in named_parameters(self)], dtype=float))
 
     @property
     def n_variables(self) -> int:
@@ -131,42 +141,46 @@ class ModelCheckpoint:
         return [v for v, s in zip(self.variables, self.norm_sigma) if s <= 0]
 
     def clone(self) -> "ModelCheckpoint":
-        return ModelCheckpoint(
-            layers=[
-                LstmLayerParams(
-                    *(getattr(l, f).copy() for f in ("w_u", "w_f", "w_o", "w_c",
-                                                     "b_u", "b_f", "b_o", "b_c"))
-                )
-                for l in self.layers
-            ],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-            norm_mean=self.norm_mean.copy(),
-            norm_sigma=self.norm_sigma.copy(),
-            variables=list(self.variables),
-            t_half=self.t_half,
-            seed=self.seed,
-            iterations=self.iterations,
-        )
+        """A copy sharing no memory with this model; ``theta`` is copied once."""
+        new = copy.copy(self)
+        new._bind(self.theta.copy())
+        new.norm_mean = self.norm_mean.copy()
+        new.norm_sigma = self.norm_sigma.copy()
+        new.variables = list(self.variables)
+        return new
+
+    def _bind(self, theta: np.ndarray) -> None:
+        """Rebind every parameter, on fresh layer objects, to a view of ``theta``."""
+        self.theta = theta
+        views = (view for _, view in named_parameters(self, theta))
+        self.layers = [copy.copy(layer) for layer in self.layers]
+        for layer in self.layers:
+            for f in _LAYER_FIELDS:
+                setattr(layer, f, next(views))
+        self.head_w, self.head_b = views
 
 
 GATES = ("u", "f", "o", "c")
+_LAYER_FIELDS = tuple(f"{kind}_{g}" for g in GATES for kind in "wb")  # w_u, b_u, w_f, ...
 
 
-def named_parameters(model: ModelCheckpoint) -> list[tuple[str, np.ndarray]]:
-    """Canonical (name, array) pairs; arrays are live views into the model."""
-    out = []
-    for k, layer in enumerate(model.layers):
-        for g in GATES:
-            out.append((f"layer{k}.w_{g}", getattr(layer, f"w_{g}")))
-            out.append((f"layer{k}.b_{g}", getattr(layer, f"b_{g}")))
-    out.append(("head.w", model.head_w))
-    out.append(("head.b", model.head_b))
-    return out
-
-
-def zero_gradients(model: ModelCheckpoint) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(p) for name, p in named_parameters(model)}
+def named_parameters(
+    model: ModelCheckpoint, vector: np.ndarray | None = None
+) -> list[tuple[str, np.ndarray]]:
+    """Canonical (name, array) pairs, in ``theta`` order: the model's own
+    parameters, which are views into ``model.theta``, or, given a ``vector``
+    of the same layout (a gradient, say), the matching views into it."""
+    pairs = [(f"layer{k}.{f}", getattr(layer, f))
+             for k, layer in enumerate(model.layers) for f in _LAYER_FIELDS]
+    pairs += [("head.w", model.head_w), ("head.b", model.head_b)]
+    if vector is None:
+        return pairs
+    if np.shape(vector) != model.theta.shape:
+        raise ValueError(f"parameter vector has shape {np.shape(vector)}, "
+                         f"the model has {model.theta.size} parameters")
+    ends = accumulate(p.size for _, p in pairs)
+    return [(name, vector[end - p.size : end].reshape(p.shape))
+            for (name, p), end in zip(pairs, ends)]
 
 
 def init_model(
@@ -287,11 +301,12 @@ def backprop_stack(
     model: ModelCheckpoint,
     tape: list[LayerTape],
     d_embeddings: np.ndarray,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
 ) -> None:
-    """Accumulate gradients of sum(d_embeddings * embeddings) into ``grads``."""
-    grads["head.w"] += d_embeddings.T @ tape[-1].output()[-1]
-    grads["head.b"] += d_embeddings.sum(axis=0)
+    """Accumulate gradients of sum(d_embeddings * embeddings) into the vector ``grad``."""
+    views = dict(named_parameters(model, grad))
+    views["head.w"] += d_embeddings.T @ tape[-1].output()[-1]
+    views["head.b"] += d_embeddings.sum(axis=0)
     # d_out[t]: gradient reaching the layer's output at step t from the layer
     # above, or from the head for the top layer's last step.
     d_out = np.zeros_like(tape[-1].a[1:])
@@ -320,8 +335,8 @@ def backprop_stack(
             d_out[t] = dz[:, h:]
         z_rows = lt.z.reshape(-1, lt.z.shape[-1])
         for i, g in enumerate(GATES):
-            grads[f"layer{k}.w_{g}"] += d_gates[i].reshape(-1, h).T @ z_rows
-            grads[f"layer{k}.b_{g}"] += d_gates[i].sum(axis=(0, 1))
+            views[f"layer{k}.w_{g}"] += d_gates[i].reshape(-1, h).T @ z_rows
+            views[f"layer{k}.b_{g}"] += d_gates[i].sum(axis=(0, 1))
 
 
 # Inference runs in fixed-size row chunks so that the tape of a large block

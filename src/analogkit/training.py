@@ -25,10 +25,8 @@ from .network import (
     backprop_stack,
     embed_windows,
     init_model,
-    named_parameters,
     run_stack,
     save_checkpoint,
-    zero_gradients,
 )
 
 
@@ -134,19 +132,15 @@ class Triplets:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the model parameters."""
+    """First/second moment vectors, laid out as the model's ``theta``."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_adam_state(model: ModelCheckpoint) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(p) for name, p in named_parameters(model)},
-        v={name: np.zeros_like(p) for name, p in named_parameters(model)},
-        step=0,
-    )
+    return AdamState(m=np.zeros_like(model.theta), v=np.zeros_like(model.theta), step=0)
 
 
 @dataclass
@@ -439,8 +433,8 @@ def backward(
     rows: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[dict[str, np.ndarray], float]:
-    """Mean hinge loss over a batch and its exact parameter gradients.
+) -> tuple[np.ndarray, float]:
+    """Mean hinge loss over a batch and its exact gradient, laid out as ``model.theta``.
 
     ``rows`` are the batch's raw windows, [3B, n_variables, width]: the B
     anchors, then the positives, then the negatives (see
@@ -459,11 +453,11 @@ def backward(
     loss = float(np.sum(hinge[active])) * inv_n
     u_ap = _unit(e_a - e_p) * active[:, None]
     u_an = _unit(e_a - e_n) * active[:, None]
-    grads = zero_gradients(model)
-    backprop_stack(model, tape, np.concatenate([u_ap - u_an, -u_ap, u_an]) * inv_n, grads)
-    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+    grad = np.zeros_like(model.theta)
+    backprop_stack(model, tape, np.concatenate([u_ap - u_an, -u_ap, u_an]) * inv_n, grad)
+    if not np.isfinite(loss) or not np.isfinite(grad).all():
         raise DivergenceError(iteration=-1)
-    return grads, loss
+    return grad, loss
 
 
 def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> float:
@@ -476,27 +470,23 @@ def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> flo
 
 def adam_step(
     model: ModelCheckpoint,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[ModelCheckpoint, AdamState]:
-    """One ADAM update; returns a new model and state, inputs untouched."""
-    new_model = model.clone()
+    """One ADAM update of ``theta``; returns a new model and state, inputs untouched."""
+    if np.shape(grad) != model.theta.shape:
+        raise ValueError(f"gradient has shape {np.shape(grad)}, "
+                         f"the model has {model.theta.size} parameters")
     t = state.step + 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
-    new_m, new_v = {}, {}
-    for name, p in named_parameters(new_model):
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_model, AdamState(m=new_m, v=new_v, step=t)
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * (grad * grad)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    new_model = model.clone()
+    new_model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return new_model, AdamState(m=m, v=v, step=t)
 
 
 @dataclass
@@ -589,7 +579,6 @@ def train(
     init_train_loss = evaluate_loss(model, pool.rows(slice(cfg.batch_size)), cfg.alpha)
     best_val = evaluate_loss(model, val_rows, cfg.alpha)
     best_model = model.clone()
-    best_iteration = 0
     last_improved = 0
     log.append(TrainLogRow(0, init_train_loss, best_val))
 
@@ -599,8 +588,8 @@ def train(
         while iteration < cfg.max_iterations:
             iteration += 1
             batch = next_batch()
-            grads, loss = backward(model, batch, cfg, rng)
-            model, adam = adam_step(model, grads, adam, cfg)
+            grad, loss = backward(model, batch, cfg, rng)
+            model, adam = adam_step(model, grad, adam, cfg)
             interval_losses.append(loss)
             if iteration % cfg.eval_interval == 0 or iteration == cfg.max_iterations:
                 val_loss = evaluate_loss(model, val_rows, cfg.alpha)
@@ -613,21 +602,17 @@ def train(
                 if val_loss < best_val:
                     best_val = val_loss
                     best_model = model.clone()
-                    best_iteration = iteration
+                    best_model.iterations = iteration
                 if iteration - last_improved >= cfg.early_stop_patience:
                     break
     except DivergenceError as err:
-        path = None
         if on_divergence_save is not None:
-            best_model.iterations = best_iteration
             save_checkpoint(best_model, on_divergence_save)
-            path = on_divergence_save
         raise DivergenceError(
             iteration=err.iteration if err.iteration >= 0 else iteration,
-            checkpoint_path=path,
+            checkpoint_path=on_divergence_save,
         ) from None
 
-    best_model.iterations = best_iteration
     return best_model, log
 
 

@@ -1,4 +1,5 @@
-"""Per-sequence LSTM forward pass and BPTT, kept as a test oracle.
+"""Per-sequence LSTM forward pass and BPTT, and per-name ADAM, kept as test
+oracles.
 
 This is the list-of-vectors implementation that the batched kernel in
 ``analogkit.network`` replaced: one sequence at a time, one timestep at a
@@ -6,14 +7,18 @@ time, with every intermediate value held in Python lists. It runs the
 anchor, positive and negative of each triplet as three separate passes and
 draws each triplet's dropout masks layer by layer. Tests compare the
 batched ``forward``, ``embed_block``, ``evaluate_loss`` and ``backward``
-against it.
+against it. ``adam_step`` is the update that walked the named parameter
+arrays one by one, with a moment array per name; the flat ``adam_step`` in
+``analogkit.training`` must match it bit for bit.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from analogkit.errors import DivergenceError
-from analogkit.network import ModelCheckpoint, zero_gradients
+from analogkit.network import ModelCheckpoint, named_parameters
 from analogkit.training import TrainConfig, triplet_loss
 
 
@@ -188,7 +193,7 @@ def backward(
     batch = _triplets(rows)
     if not batch:
         raise ValueError("batch must be non-empty")
-    grads = zero_gradients(model)
+    grads = {name: np.zeros_like(p) for name, p in named_parameters(model)}
     total = 0.0
     inv_n = 1.0 / len(batch)
     keep = 1.0 - cfg.dropout_rate
@@ -230,3 +235,45 @@ def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> flo
         embeddings = [embed(model, data) for data in t]
         total += triplet_loss(*embeddings, alpha)
     return total / len(triplets)
+
+
+@dataclass
+class AdamState:
+    """First/second moment accumulators, one array per named parameter."""
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    step: int = 0
+
+
+def init_adam_state(model: ModelCheckpoint) -> AdamState:
+    return AdamState(
+        m={name: np.zeros_like(p) for name, p in named_parameters(model)},
+        v={name: np.zeros_like(p) for name, p in named_parameters(model)},
+        step=0,
+    )
+
+
+def adam_step(
+    model: ModelCheckpoint,
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    cfg: TrainConfig,
+) -> tuple[ModelCheckpoint, AdamState]:
+    """One ADAM update; returns a new model and state, inputs untouched."""
+    new_model = model.clone()
+    t = state.step + 1
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    new_m, new_v = {}, {}
+    for name, p in named_parameters(new_model):
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        m = b1 * state.m[name] + (1.0 - b1) * g
+        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        new_m[name] = m
+        new_v[name] = v
+    return new_model, AdamState(m=new_m, v=new_v, step=t)

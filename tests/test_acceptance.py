@@ -210,7 +210,8 @@ def test_criterion_03_gradient_check():
         batch = np.stack([t[role] for role in range(3) for t in triplets])
         cfg = TrainConfig(alpha=6.0, dropout_rate=0.0, t_half=1,
                           hidden_sizes=(3,), embed_dim=2)
-        grads, _ = backward(model, batch, cfg, np.random.default_rng(0))
+        grad, _ = backward(model, batch, cfg, np.random.default_rng(0))
+        grads = dict(named_parameters(model, grad))
         for name, p in named_parameters(model):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
@@ -235,8 +236,7 @@ def test_criterion_04_adam_single_step():
     """Unit gradient from fresh state: delta = -lr/(1+eps), exact to 1e-12."""
     model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
     cfg = TrainConfig(learning_rate=0.005, t_half=0, hidden_sizes=(3,), embed_dim=2)
-    grads = {k: np.ones_like(p) for k, p in named_parameters(model)}
-    new_model, state = adam_step(model, grads, init_adam_state(model), cfg)
+    new_model, state = adam_step(model, np.ones_like(model.theta), init_adam_state(model), cfg)
     expected = -cfg.learning_rate / (1.0 + cfg.adam_epsilon)
     worst = max(
         float(np.max(np.abs((p1 - p0) - expected)))

@@ -197,6 +197,7 @@ LOADERS = {
 def test_random_archives_load_as_the_oracle_does(tmp_path, kind, data):
     load, oracle, same = LOADERS[kind]
     path = tmp_path / "archive.csv"
+    path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
     path.write_text(data.draw(archive_text(kind)), encoding="utf-8", newline="")
     same(load(path), oracle(path))
 
@@ -207,6 +208,7 @@ def test_random_archives_load_as_the_oracle_does(tmp_path, kind, data):
 def test_mutated_files_fail_as_the_oracle_does(tmp_path, kind, data):
     load, oracle, same = LOADERS[kind]
     path = tmp_path / "archive.csv"
+    path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
     path.write_text(data.draw(mutated_text(kind)), encoding="utf-8", newline="")
     got, want = outcome(load, path), outcome(oracle, path)
     assert got[0] == want[0]

@@ -251,6 +251,52 @@ class TestCheckpointValidation:
             )
 
 
+class TestParameterVector:
+    def model(self):
+        return init_model(["a", "b"], t_half=1, hidden_sizes=(4, 3), embed_dim=2, seed=6)
+
+    def test_named_views_alias_theta(self):
+        model = self.model()
+        named = named_parameters(model)
+        np.testing.assert_array_equal(model.theta, np.concatenate([p.ravel() for _, p in named]))
+        dict(named)["layer1.w_o"][2, 1] = 7.5
+        assert np.count_nonzero(model.theta == 7.5) == 1
+        model.theta[:] = np.arange(model.theta.size)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for _, p in named]),
+                                      np.arange(model.theta.size))
+        assert model.layers[1].w_o is dict(named)["layer1.w_o"]
+        assert model.head_b[-1] == model.theta.size - 1
+
+    def test_views_of_another_vector(self):
+        model = self.model()
+        vector = np.arange(model.theta.size, dtype=float)
+        for (name, p), (other, view) in zip(named_parameters(model), named_parameters(model, vector)):
+            assert name == other and view.shape == p.shape
+            assert np.shares_memory(view, vector)
+        with pytest.raises(ValueError, match="parameter vector"):
+            named_parameters(model, vector[1:])
+
+    def test_clone_shares_no_memory(self):
+        model = self.model()
+        twin = model.clone()
+        originals = [model.theta, model.norm_mean, model.norm_sigma]
+        for p in [twin.theta, twin.norm_mean, twin.norm_sigma] + [p for _, p in named_parameters(twin)]:
+            assert not any(np.shares_memory(p, q) for q in originals)
+        twin.theta[:] = 0.0
+        assert all(not p.any() for _, p in named_parameters(twin))
+        assert all(p.any() for _, p in named_parameters(model))
+
+    def test_theta_writes_round_trip_through_a_checkpoint(self, tmp_path):
+        model = self.model()
+        model.theta *= -3.0
+        p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
+        save_checkpoint(model, p1)
+        again = load_checkpoint(p1)
+        np.testing.assert_array_equal(again.theta, model.theta)
+        save_checkpoint(again, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
 class TestCheckpointIO:
     def test_round_trip_exact(self, tmp_path, rng):
         model = init_model(["ghi", "ws", "t2m"], t_half=1, hidden_sizes=(4, 3),

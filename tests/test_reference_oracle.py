@@ -2,15 +2,16 @@
 ``lstm_reference``: forward, embed_block, evaluate_loss and backward agree
 to 1e-12 on random models of 1-3 layers and sequence lengths 1-5, with and
 without dropout, and training draws its dropout masks from the same
-random stream."""
+random stream. The flat ADAM update equals the per-name reference bit for
+bit."""
 
 import numpy as np
 import pytest
 
 import lstm_reference as ref
 from analogkit.archive import ForecastWindow
-from analogkit.network import embed_block, forward, init_model
-from analogkit.training import TrainConfig, backward, evaluate_loss
+from analogkit.network import embed_block, forward, init_model, named_parameters
+from analogkit.training import TrainConfig, adam_step, backward, evaluate_loss, init_adam_state
 
 from conftest import make_forecasts
 
@@ -84,10 +85,35 @@ def test_backward_matches_reference(rng, n_layers, t_half, dropout_rate):
     cfg = TrainConfig(alpha=0.01, dropout_rate=dropout_rate, t_half=t_half,
                       hidden_sizes=model.hidden_sizes, embed_dim=model.embed_dim)
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    grads, loss = backward(model, batch, cfg, rng_new)
+    grad, loss = backward(model, batch, cfg, rng_new)
+    grads = dict(named_parameters(model, grad))
     want_grads, want_loss = ref.backward(model, batch, cfg, rng_ref)
     assert 0 < want_loss and abs(loss - want_loss) <= TOL
     assert grads.keys() == want_grads.keys()
     for name in grads:
         np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=TOL, err_msg=name)
     assert rng_new.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_adam_step_matches_reference(rng, n_layers):
+    """Parameters, m and v after each of 5 steps with random gradients of
+    mixed magnitude (some far below epsilon) are bit-identical."""
+    model = random_model(rng, n_layers, 1)
+    cfg = TrainConfig(learning_rate=0.01, t_half=1, hidden_sizes=model.hidden_sizes,
+                      embed_dim=model.embed_dim)
+    flat, state = model, init_adam_state(model)
+    named, want = model, ref.init_adam_state(model)
+
+    def packed(arrays):
+        return np.concatenate([arrays[name].ravel() for name, _ in named_parameters(model)])
+
+    for _ in range(5):
+        grad = rng.standard_normal(model.theta.size) * 10.0 ** rng.integers(-12, 3, model.theta.size)
+        flat, state = adam_step(flat, grad, state, cfg)
+        named, want = ref.adam_step(named, dict(named_parameters(model, grad)), want, cfg)
+        np.testing.assert_array_equal(flat.theta, named.theta)
+        np.testing.assert_array_equal(state.m, packed(want.m))
+        np.testing.assert_array_equal(state.v, packed(want.v))
+        assert state.step == want.step
+    assert not np.array_equal(flat.theta, model.theta)

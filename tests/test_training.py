@@ -133,9 +133,9 @@ class TestBackward:
         # anchor == positive, negative far away, margin 0: hinge is negative
         batch = rows([(shared, shared.copy(), far)])
         cfg = small_cfg(alpha=0.0, t_half=1)
-        grads, loss = backward(model, batch, cfg, np.random.default_rng(0))
+        grad, loss = backward(model, batch, cfg, np.random.default_rng(0))
         assert loss == 0.0
-        assert all(np.all(g == 0) for g in grads.values())
+        assert all(np.all(g == 0) for _, g in named_parameters(model, grad))
 
     @pytest.mark.parametrize("hidden_sizes", [(3,), (3, 4)])
     def test_gradients_match_finite_differences(self, rng, hidden_sizes):
@@ -144,7 +144,8 @@ class TestBackward:
                            embed_dim=2, seed=11)
         batch = rows([triplet_from(rng) for _ in range(3)])
         cfg = small_cfg(alpha=5.0, t_half=1, hidden_sizes=hidden_sizes)  # keep hinges active
-        grads, _ = backward(model, batch, cfg, np.random.default_rng(0))
+        grad, _ = backward(model, batch, cfg, np.random.default_rng(0))
+        grads = dict(named_parameters(model, grad))
         h = 1e-5
         for name, p in named_parameters(model):
             it = np.nditer(p, flags=["multi_index"])
@@ -167,7 +168,7 @@ class TestBackward:
         g1, l1 = backward(model, batch, cfg, np.random.default_rng(1))
         g2, l2 = backward(model, batch, cfg, np.random.default_rng(999))
         assert l1 == l2
-        assert all(np.array_equal(g1[k], g2[k]) for k in g1)
+        assert np.array_equal(g1, g2)
 
     def test_dropout_masks_shared_across_passes(self, rng):
         """Swapping positive and negative negates the gradient when both
@@ -179,8 +180,7 @@ class TestBackward:
         cfg = small_cfg(alpha=10.0, t_half=1, dropout_rate=0.25, hidden_sizes=(4,), embed_dim=3)
         g1, _ = backward(model, rows([t]), cfg, np.random.default_rng(7))
         g2, _ = backward(model, rows([swapped]), cfg, np.random.default_rng(7))
-        for k in g1:
-            np.testing.assert_allclose(g1[k], -g2[k], atol=1e-12)
+        np.testing.assert_allclose(g1, -g2, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model = init_model(["a"], t_half=0, hidden_sizes=(2,), embed_dim=2, seed=0)
@@ -194,8 +194,7 @@ class TestAdam:
         -lr / (1 + eps), exactly."""
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
         cfg = small_cfg(learning_rate=0.005)
-        grads = {k: np.ones_like(p) for k, p in named_parameters(model)}
-        new_model, state = adam_step(model, grads, init_adam_state(model), cfg)
+        new_model, state = adam_step(model, np.ones_like(model.theta), init_adam_state(model), cfg)
         expected = -0.005 / (1.0 + cfg.adam_epsilon)
         for (k, p0), (_, p1) in zip(named_parameters(model), named_parameters(new_model)):
             np.testing.assert_allclose(p1 - p0, expected, rtol=0, atol=1e-12)
@@ -203,8 +202,8 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
-        grads = {k: np.zeros_like(p) for k, p in named_parameters(model)}
-        new_model, state = adam_step(model, grads, init_adam_state(model), small_cfg())
+        new_model, state = adam_step(model, np.zeros_like(model.theta), init_adam_state(model),
+                                     small_cfg())
         for (k, p0), (_, p1) in zip(named_parameters(model), named_parameters(new_model)):
             np.testing.assert_array_equal(p0, p1)
         assert state.step == 1
@@ -213,8 +212,8 @@ class TestAdam:
         """Two successive calls from saved state equal one two-step run."""
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
         cfg = small_cfg()
-        g1 = {k: rng.standard_normal(p.shape) for k, p in named_parameters(model)}
-        g2 = {k: rng.standard_normal(p.shape) for k, p in named_parameters(model)}
+        g1 = rng.standard_normal(model.theta.size)
+        g2 = rng.standard_normal(model.theta.size)
         m_a, s_a = adam_step(model, g1, init_adam_state(model), cfg)
         m_a, s_a = adam_step(m_a, g2, s_a, cfg)
 
@@ -224,12 +223,20 @@ class TestAdam:
             np.testing.assert_array_equal(pa, pb)
         assert s_a.step == s_b.step == 2
 
+    @pytest.mark.parametrize("shape", ["short", "long", "2-D"])
+    def test_wrong_gradient_length_rejected(self, shape):
+        model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
+        n = model.theta.size
+        grad = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-D": np.ones((1, n))}[shape]
+        with pytest.raises(ValueError, match="gradient"):
+            adam_step(model, grad, init_adam_state(model), small_cfg())
+
     def test_inputs_not_mutated(self, rng):
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
         before = [p.copy() for _, p in named_parameters(model)]
-        grads = {k: rng.standard_normal(p.shape) for k, p in named_parameters(model)}
+        grad = rng.standard_normal(model.theta.size)
         state = init_adam_state(model)
-        adam_step(model, grads, state, small_cfg())
+        adam_step(model, grad, state, small_cfg())
         for (k, p), b in zip(named_parameters(model), before):
             np.testing.assert_array_equal(p, b)
         assert state.step == 0
