@@ -177,6 +177,16 @@ class ObservationArchive:
         out = np.where(hit, self.values[station, idx_clip], np.nan)
         return out.astype(float)
 
+    def values_for(self, station: str, times) -> np.ndarray:
+        """Observations of a station, by id, at valid times (an array or one time).
+
+        NaN where the station or the time is absent or the value is missing:
+        the one rule for pairing a forecast with its observation.
+        """
+        if station not in self.stations:
+            return np.full(np.shape(times), np.nan)
+        return self.values_at(self.stations.index(station), times)
+
 
 @dataclass(frozen=True)
 class ForecastWindow:
@@ -525,6 +535,21 @@ def window_block(
     return data, available
 
 
+def variable_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row sample count, mean and population sigma of a [n_variables, n]
+    block, over its non-missing values.
+
+    A row with fewer than two samples gets sigma 0, and one with none mean NaN.
+    """
+    counts = np.sum(~np.isnan(block), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
+        mean = np.nanmean(block, axis=1)
+        var = np.nanmean((block - mean[:, None]) ** 2, axis=1)
+    var = np.where(np.isnan(var), 0.0, var)
+    return counts, mean, np.sqrt(np.where(counts >= 2, var, 0.0))
+
+
 def climatology_stats(
     archive: ForecastArchive, station: int, lead: int, cycles: Sequence[int] | np.ndarray
 ) -> ClimatologyStats:
@@ -537,18 +562,10 @@ def climatology_stats(
     cycles = np.asarray(cycles, dtype=int)
     if cycles.size == 0:
         raise ValueError("empty cycle range")
-    block = archive.values[station, :, :, lead][:, cycles]  # [n_var, n_cycles]
-    counts = np.sum(~np.isnan(block), axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
-        mean = np.nanmean(block, axis=1)
-        var = np.nanmean((block - mean[:, None]) ** 2, axis=1)
-    var = np.where(np.isnan(var), 0.0, var)
-    sigma = np.sqrt(np.where(counts >= 2, var, 0.0))
-    flagged = (sigma == 0) | (counts < 2)
+    counts, mean, sigma = variable_stats(archive.values[station, :, :, lead][:, cycles])
     return ClimatologyStats(
         mean=mean,
         sigma=sigma,
         population=int(counts.min()),
-        flagged=flagged,
+        flagged=(sigma == 0) | (counts < 2),
     )

@@ -70,13 +70,13 @@ def _selected_leads(cfg: ExperimentConfig, fcst: ar.ForecastArchive) -> list[int
     return out
 
 
-def _effective_weights(cfg: ExperimentConfig, fcst: ar.ForecastArchive) -> np.ndarray:
-    """Per-variable metric weights for the classic methods.
+def _effective_weights(cfg: ExperimentConfig, method: str, fcst: ar.ForecastArchive) -> np.ndarray:
+    """Per-variable metric weights for a classic method.
 
     anen_equal gives every variable weight 1; anen_weighted takes the
     ``weight.<variable>`` config keys, with unlisted variables at 0.
     """
-    if cfg.method == "anen_equal":
+    if method == "anen_equal":
         return np.ones(fcst.n_variables)
     weights = np.zeros(fcst.n_variables)
     for variable, w in cfg.weights.items():
@@ -120,6 +120,7 @@ class PredictionRow:
 
 def run_predictions(
     cfg: ExperimentConfig,
+    method: str,
     fcst: ar.ForecastArchive,
     obs: ar.ObservationArchive,
     stations: list[str],
@@ -128,25 +129,26 @@ def run_predictions(
     test_cycles: np.ndarray,
     model: ModelCheckpoint | None,
 ) -> tuple[list[PredictionRow], list[tuple[str, int, int, str]]]:
-    """Ensembles for every (station, test cycle, lead) with a target window.
+    """Ensembles of ``method`` for every (station, test cycle, lead) with a
+    target window; ``model`` is used by deep_anen only.
 
     Iteration order is fixed (stations as given, leads ascending, cycles
     ascending), so output is deterministic. Returns the prediction rows and
     the skipped targets with reasons.
     """
-    t_half = model.t_half if model is not None else cfg.t_half
+    t_half = model.t_half if method == "deep_anen" else cfg.t_half
     rows: list[PredictionRow] = []
     skipped: list[tuple[str, int, int, str]] = []
     for station in stations:
         s = fcst.station_index(station)
         for lead in sorted(leads):
-            if cfg.method == "deep_anen":
+            if method == "deep_anen":
                 all_cycles = np.union1d(search_cycles, test_cycles)
                 block = embed_block(model, fcst, s, lead, all_cycles)
             else:
                 stats = ar.climatology_stats(fcst, s, lead, search_cycles)
                 metric_cfg = MetricConfig(
-                    weights=_effective_weights(cfg, fcst), sigma=stats.sigma, t_half=t_half
+                    weights=_effective_weights(cfg, method, fcst), sigma=stats.sigma, t_half=t_half
                 )
             for c in sorted(int(x) for x in test_cycles):
                 query = AnalogQuery(
@@ -158,7 +160,7 @@ def run_predictions(
                     m=cfg.m,
                 )
                 try:
-                    if cfg.method == "deep_anen":
+                    if method == "deep_anen":
                         ranked = search_latent(query, block, obs, limit=cfg.m)
                     else:
                         ranked = search_classic(query, fcst, obs, metric_cfg, limit=cfg.m)
@@ -214,12 +216,7 @@ def pair_targets(targets, obs: ar.ObservationArchive) -> Pairing:
         if len(members) < full_m:
             excluded_short += 1
             continue
-        try:
-            o = obs.station_index(station)
-        except KeyError:
-            excluded_missing_obs += 1
-            continue
-        y = obs.value_at(o, cycle + lead_s)
+        y = float(obs.values_for(station, cycle + lead_s))
         if not np.isfinite(y):
             excluded_missing_obs += 1
             continue
@@ -248,18 +245,11 @@ def pairs_from_rows(
 
 def _brier_threshold(cfg: ExperimentConfig, obs: ar.ObservationArchive, stations: list[str]) -> float:
     """Configured quantile of the observed distribution (linear interpolation)."""
-    rows = []
-    for station in stations:
-        try:
-            o = obs.station_index(station)
-        except KeyError:
-            continue
-        values = obs.values[o]
-        if cfg.test_start is not None:
-            mask = (obs.times >= cfg.test_start) & (obs.times < cfg.test_end)
-            values = values[mask]
-        rows.append(values[np.isfinite(values)])
-    pooled = np.concatenate(rows) if rows else np.array([])
+    times = obs.times
+    if cfg.test_start is not None:
+        times = times[(times >= cfg.test_start) & (times < cfg.test_end)]
+    pooled = np.concatenate([np.empty(0)] + [obs.values_for(s, times) for s in stations])
+    pooled = pooled[np.isfinite(pooled)]
     if pooled.size == 0:
         raise DataError("no observations available to compute the Brier threshold")
     return float(np.quantile(pooled, cfg.brier_quantile))
@@ -356,13 +346,13 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
         cfg.require("checkpoint")
         model = load_checkpoint(cfg.checkpoint)
     else:
-        weights = _effective_weights(cfg, fcst)
+        weights = _effective_weights(cfg, cfg.method, fcst)
         extra = [
             f"effective_weight.{v}={ar.format_float(w)}"
             for v, w in zip(fcst.variables, weights)
         ]
     rows, skipped = run_predictions(
-        cfg, fcst, obs, stations, leads, search_cycles, test_cycles, model
+        cfg, cfg.method, fcst, obs, stations, leads, search_cycles, test_cycles, model
     )
     write_predictions(rows, fcst, out / "predictions.csv", _provenance(cfg, "predict", extra))
     with open(out / "skipped.csv", "w", encoding="utf-8", newline="") as fh:
@@ -404,7 +394,7 @@ def read_predictions(path):
                 cycle_seconds[text] = ar.parse_time(text)
             except ValueError:
                 pass
-    groups: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
+    groups: dict[tuple[str, str, int], dict[int, float]] = {}
     for number, fields in rows:
         if len(fields) != 7:
             raise SchemaError(f"{path}: line {number}: bad prediction row {','.join(fields)!r}")
@@ -421,10 +411,12 @@ def read_predictions(path):
         if key not in groups:
             if cycle_time not in cycle_seconds:
                 raise SchemaError(f"{path}: line {number}: bad cycle_time {cycle_time!r}")
-            groups[key] = []
-        groups[key].append((rank, value))
+            groups[key] = {}
+        if rank in groups[key]:
+            raise SchemaError(f"{path}: line {number}: repeated member ({','.join(fields[:4])})")
+        groups[key][rank] = value
     return [
-        ((station, cycle_seconds[cycle_time], lead_s), [v for _, v in sorted(members)])
+        ((station, cycle_seconds[cycle_time], lead_s), [v for _, v in sorted(members.items())])
         for (station, cycle_time, lead_s), members in groups.items()
     ]
 
@@ -544,25 +536,13 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     max_split = splits[-1]
     results = []
     for method in methods:
-        run_cfg = ExperimentConfig(
-            values={**cfg.values, "method": method},
-            weights=cfg.weights,
-            raw_lines=cfg.raw_lines,
-        )
         for split in splits:
             start = cfg.search_end - span * split // max_split
             search_cycles = _cycle_indices(fcst, start, cfg.search_end)
             if search_cycles.size == 0:
                 raise DataError(f"split {split}: empty search range")
             rows, _skipped = run_predictions(
-                run_cfg,
-                fcst,
-                obs,
-                stations,
-                leads,
-                search_cycles,
-                test_cycles,
-                model if method == "deep_anen" else None,
+                cfg, method, fcst, obs, stations, leads, search_cycles, test_cycles, model
             )
             if not rows:
                 raise DataError(f"split {split}: all prediction targets failed")

@@ -10,7 +10,7 @@ ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .archive import parse_time, read_text
 from .errors import ConfigError, DataError, SchemaError
@@ -26,7 +26,6 @@ _SCHEMA = {
     "predictions_csv": ("path", None),
     "method": ("str", "anen_equal"),
     "methods": ("str_list", None),
-    "t_half": ("int", 1),
     "m": ("int", 11),
     "allow_short": ("bool", False),
     "stations": ("str_list", None),
@@ -40,22 +39,6 @@ _SCHEMA = {
     "test_start": ("time", None),
     "test_end": ("time", None),
     "search_splits": ("int_list", [1, 2, 4, 8]),
-    "alpha": ("float", 1.0),
-    "learning_rate": ("float", 0.005),
-    "dropout_rate": ("float", 0.015),
-    "max_iterations": ("int", 200_000),
-    "batch_size": ("int", 32),
-    "k_pos": ("int", 11),
-    "seed": ("int", 0),
-    "early_stop_patience": ("int", 2000),
-    "early_stop_min_improvement": ("float", 1e-3),
-    "adam_beta1": ("float", 0.9),
-    "adam_beta2": ("float", 0.999),
-    "adam_epsilon": ("float", 1e-8),
-    "eval_interval": ("int", 200),
-    "val_fraction": ("float", 0.10),
-    "hidden_sizes": ("int_list", [20, 20, 20]),
-    "embed_dim": ("int", 20),
     "brier_quantile": ("float", 0.75),
     "spread_bins": ("int", 5),
     "error_intervals": ("float_list", None),
@@ -68,6 +51,12 @@ _SCHEMA = {
     "synth_g": ("str", "product_sin"),
     "synth_sigma_noise": ("float", 0.1),
 }
+# Every TrainConfig field is a key of the same name and default.
+_KINDS = {int: "int", float: "float", tuple: "int_list"}
+_SCHEMA.update(
+    (f.name, (_KINDS[type(f.default)], list(f.default) if type(f.default) is tuple else f.default))
+    for f in fields(TrainConfig)
+)
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -117,26 +106,10 @@ class ExperimentConfig:
             raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
     def train_config(self) -> TrainConfig:
+        settings = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        settings["hidden_sizes"] = tuple(settings["hidden_sizes"])
         try:
-            return TrainConfig(
-                alpha=self.alpha,
-                learning_rate=self.learning_rate,
-                dropout_rate=self.dropout_rate,
-                max_iterations=self.max_iterations,
-                batch_size=self.batch_size,
-                k_pos=self.k_pos,
-                seed=self.seed,
-                t_half=self.t_half,
-                early_stop_patience=self.early_stop_patience,
-                early_stop_min_improvement=self.early_stop_min_improvement,
-                adam_beta1=self.adam_beta1,
-                adam_beta2=self.adam_beta2,
-                adam_epsilon=self.adam_epsilon,
-                eval_interval=self.eval_interval,
-                val_fraction=self.val_fraction,
-                hidden_sizes=tuple(self.hidden_sizes),
-                embed_dim=self.embed_dim,
-            )
+            return TrainConfig(**settings)
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
@@ -200,6 +173,15 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("m must be >= 1")
     if not 0 <= cfg.brier_quantile <= 1:  # NaN fails too
         raise ConfigError(f"brier_quantile must be in [0, 1], got {cfg.brier_quantile}")
+    if cfg.spread_bins < 1:
+        raise ConfigError(f"spread_bins must be >= 1, got {cfg.spread_bins}")
+    edges = cfg.error_intervals
+    if edges is not None and not (
+        edges and all(map(math.isfinite, edges)) and all(a < b for a, b in zip(edges, edges[1:]))
+    ):
+        raise ConfigError(
+            f"error_intervals must be one or more finite, strictly increasing edges, got {edges}"
+        )
     for start_key, end_key in (
         ("search_start", "search_end"),
         ("train_start", "train_end"),

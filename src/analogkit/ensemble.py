@@ -114,7 +114,8 @@ def search_classic(
     """
     target = extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
     block, avail = window_block(fcst, query.station, query.lead, query.search_cycles, query.t_half)
-    obs_vals = _member_values(query, fcst, obs)
+    times = fcst.cycles[query.search_cycles] + int(fcst.leads[query.lead])
+    obs_vals = obs.values_for(fcst.stations[query.station], times)
     eligible = avail & np.isfinite(obs_vals)
     if not eligible.any():
         raise DataError("no analog candidates available for this target")
@@ -144,11 +145,7 @@ def search_latent(
     if uncovered.any():
         missing = int(query.search_cycles[np.argmax(uncovered)])
         raise KeyError(f"cycle index {missing} not covered by this block")
-    try:
-        station = obs.station_index(embeddings.station)
-    except KeyError:
-        raise DataError("no analog candidates available for this target") from None
-    obs_vals = obs.values_at(station, embeddings.valid_times[positions])
+    obs_vals = obs.values_for(embeddings.station, embeddings.valid_times[positions])
     eligible = embeddings.available[positions] & np.isfinite(obs_vals)
     if not eligible.any():
         raise DataError("no analog candidates available for this target")
@@ -188,13 +185,3 @@ def build_ensemble(
         sources=[(c.cycle, c.score) for c in chosen],
         short=len(chosen) < query.m,
     )
-
-
-def _member_values(query: AnalogQuery, fcst: ForecastArchive, obs: ObservationArchive) -> np.ndarray:
-    """Observations at the candidates' valid times for the query lead."""
-    times = fcst.cycles[query.search_cycles] + int(fcst.leads[query.lead])
-    try:
-        station = obs.station_index(fcst.stations[query.station])
-    except KeyError:
-        return np.full(len(times), np.nan)
-    return obs.values_at(station, times)

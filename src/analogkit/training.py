@@ -11,13 +11,18 @@ a hinged triplet loss, backpropagation through time, and ADAM updates.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ForecastArchive, ObservationArchive, format_float, window_block
+from .archive import (
+    ForecastArchive,
+    ObservationArchive,
+    format_float,
+    variable_stats,
+    window_block,
+)
 from .ensemble import rank_positions
 from .errors import DataError, DivergenceError
 from .network import (
@@ -190,15 +195,11 @@ def sample_triplets(
     empty = np.empty((0, 3), dtype=int)
     blocks = [Triplets(np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1)), empty, empty,
                        np.empty(0))]
+    times = fcst.cycles[cycles] + int(fcst.leads[lead])
     for station in stations:
         s = fcst.station_index(station)
-        try:
-            o = obs.station_index(station)
-        except KeyError:
-            continue
         data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
-        times = fcst.cycles[cycles] + int(fcst.leads[lead])
-        obs_vals = obs.values_at(o, times)
+        obs_vals = obs.values_for(station, times)
         elig_pos = np.nonzero(avail & np.isfinite(obs_vals))[0]
         if anchor_cycles is None:
             anchors = np.arange(elig_pos.size)
@@ -617,17 +618,12 @@ def train(
 
 
 def _pooled_norm(fcst, station_indices, cycles):
-    """Per-variable mean/sigma pooled over stations, cycles, and leads."""
+    """Per-variable mean/sigma pooled over stations, cycles, and leads; a
+    variable without samples gets mean 0."""
     block = fcst.values[np.asarray(station_indices)][:, :, cycles, :]
-    flat = np.transpose(block, (1, 0, 2, 3)).reshape(fcst.n_variables, -1)
-    counts = np.sum(~np.isnan(flat), axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean = np.nanmean(flat, axis=1)
-        var = np.nanmean((flat - mean[:, None]) ** 2, axis=1)
-    mean = np.where(counts > 0, mean, 0.0)
-    sigma = np.sqrt(np.where(counts >= 2, np.where(np.isnan(var), 0.0, var), 0.0))
-    return mean, sigma
+    counts, mean, sigma = variable_stats(
+        np.transpose(block, (1, 0, 2, 3)).reshape(fcst.n_variables, -1))
+    return np.where(counts > 0, mean, 0.0), sigma
 
 
 def write_train_log(log: list[TrainLogRow], path) -> None:

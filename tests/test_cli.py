@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from analogkit.cli import main
 from analogkit.config import load_config
+from analogkit.training import TrainConfig
 
 BASE_CONFIG = """
 forecast_csv={d}/data/forecasts.csv
@@ -89,6 +92,30 @@ class TestConfigValidation:
     def test_missing_file_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 2
+
+    def test_no_training_keys_give_the_train_config_defaults(self, tmp_path):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("m=3\n")
+        assert load_config(cfg).train_config() == TrainConfig()
+
+    def test_every_training_key_reaches_train_config(self, tmp_path):
+        """A non-default value for each TrainConfig field, written as a config key."""
+        settings = {}
+        for f in fields(TrainConfig):
+            if isinstance(f.default, tuple):
+                settings[f.name] = (7, 5)
+            elif isinstance(f.default, float):
+                settings[f.name] = f.default / 2
+            else:
+                settings[f.name] = f.default + 1
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("".join(
+            f"{name}={','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for name, v in settings.items()
+        ))
+        got = load_config(cfg).train_config()
+        assert got == TrainConfig(**settings)
+        assert all(getattr(got, name) != getattr(TrainConfig(), name) for name in settings)
 
 
 class TestTrain:
@@ -269,6 +296,7 @@ class TestVerify:
             "PSU,2011-01-01T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1",
             "PSU,2011-01-02T00:00:00Z,0,1,6.0,2010-01-01T00:00:00Z,0.1",  # obs missing
             "PSU,2011-01-03T00:00:00Z,0,1,7.0,2010-01-01T00:00:00Z,0.1",  # obs absent
+            "XYZ,2011-01-01T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1",  # station absent
         ]
         (data_dir / "observations.csv").write_text("\n".join(obs_rows) + "\n")
         pred = tmp_path / "predictions.csv"
@@ -279,7 +307,7 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--predictions", str(pred)]) == 0
         text = (out / "report.csv").read_text()
-        assert "# excluded_missing_obs=2" in text
+        assert "# excluded_missing_obs=3" in text
         assert "# pairs=1" in text
 
     def test_verify_after_predict(self, pipeline):
@@ -400,7 +428,9 @@ class TestMalformedInputs:
         "PSU,2011-01-02T00:00:00Z,0,first,5.0,2010-01-01T00:00:00Z,0.1",
         "PSU,2011-01-02T00:00:00Z,0,1,nan,2010-01-01T00:00:00Z,0.1",
         "PSU,2011-01-32T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1",
-    ], ids=["member_value", "lead_s", "member_rank", "nan_member", "cycle_time"])
+        "PSU,2011-01-01T00:00:00Z,0,1,6.0,2010-01-01T00:00:00Z,0.1",
+    ], ids=["member_value", "lead_s", "member_rank", "nan_member", "cycle_time",
+            "repeated_member_rank"])
     def test_bad_prediction_row(self, tmp_path, capsys, row):
         (tmp_path / "observations.csv").write_text(
             "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n")
@@ -508,6 +538,20 @@ class TestMalformedInputs:
         cfg = write_config(pipeline, extra="weight.v1=nan\n")
         argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
         self._run(capsys, argv, "config error", "weights must be finite", code=1)
+
+    @pytest.mark.parametrize("setting", [
+        "spread_bins=0",
+        "spread_bins=-2",
+        "error_intervals=",
+        "error_intervals=nan",
+        "error_intervals=1,0.5",
+    ], ids=["no_spread_bins", "negative_spread_bins", "no_edges", "nan_edge", "decreasing_edges"])
+    def test_bad_verify_setting(self, pipeline, capsys, setting):
+        out = pipeline / "pred"
+        assert main(["predict", "--config", str(write_config(pipeline)), "--out", str(out)]) == 0
+        cfg = write_config(pipeline, extra=f"{setting}\nbaseline_variable=v1\n")
+        argv = ["verify", "--config", str(cfg), "--out", str(out)]
+        self._run(capsys, argv, "config error", setting.split("=")[0], code=1)
 
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
     def test_brier_quantile_outside_unit_interval(self, pipeline, capsys, value):

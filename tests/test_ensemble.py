@@ -155,6 +155,15 @@ class TestSearchLatent:
         ranked = search_latent(query, block, obs)
         assert [c.cycle for c in ranked] == [2]
 
+    def test_station_without_observations_has_no_candidates(self):
+        block = self._block([[0.0], [1.0], [2.0]])
+        obs = ObservationArchive(["S01"], np.asarray(block.valid_times, dtype=np.int64),
+                                 np.ones((1, 3)))
+        query = AnalogQuery(station=0, target_cycle=0, lead=0, t_half=0,
+                            search_cycles=np.array([1, 2]), m=1)
+        with pytest.raises(DataError, match="no analog candidates"):
+            search_latent(query, block, obs)
+
     def test_masked_target_is_an_error(self):
         block = self._block([[0.0], [1.0]], available=[False, True])
         obs = self._obs_for(block, [1.0, 2.0])

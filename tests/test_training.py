@@ -10,6 +10,7 @@ from analogkit.training import (
     backward,
     evaluate_loss,
     init_adam_state,
+    _pooled_norm,
     sample_triplets,
     train,
     triplet_loss,
@@ -248,6 +249,18 @@ def easy_task():
                      seed=5, hidden=(0,), g_name="linear", sigma_noise=0.0)
     fcst, obs, _ = generate(spec)
     return fcst, obs
+
+
+class TestPooledNorm:
+    def test_missing_and_single_sample_variables(self):
+        """v1 has no sample, v2 eight and v3 one; station S01 is not pooled."""
+        values = np.full((2, 3, 4, 2), np.nan)
+        values[0, 1] = np.arange(1.0, 9.0).reshape(4, 2)
+        values[0, 2, 1, 0] = 3.0
+        values[1] = 100.0
+        mean, sigma = _pooled_norm(make_forecasts(values), [0], np.arange(4))
+        np.testing.assert_array_equal(mean, [0.0, 4.5, 3.0])
+        np.testing.assert_array_equal(sigma, [0.0, np.std(np.arange(1.0, 9.0)), 0.0])
 
 
 class TestTrain:
