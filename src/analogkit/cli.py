@@ -44,30 +44,31 @@ from .verification import (
 # ---------------------------------------------------------------------------
 
 
-def _cycle_indices(fcst: ar.ForecastArchive, start: int, end: int) -> np.ndarray:
-    """Indices of cycles with start <= cycle time < end."""
-    return np.nonzero((fcst.cycles >= start) & (fcst.cycles < end))[0]
+def _cycles_in(fcst: ar.ForecastArchive, start: int, end: int, name: str) -> np.ndarray:
+    """Indices of cycles with start <= cycle time < end; none is a DataError."""
+    cycles = np.nonzero((fcst.cycles >= start) & (fcst.cycles < end))[0]
+    if cycles.size == 0:
+        raise DataError(f"no forecast cycles inside the {name} range")
+    return cycles
 
 
-def _selected_stations(cfg: ExperimentConfig, fcst: ar.ForecastArchive) -> list[str]:
-    if cfg.stations is None:
+def _stations(fcst: ar.ForecastArchive, names: list[str] | None) -> list[str]:
+    if names is None:
         return list(fcst.stations)
-    for s in cfg.stations:
+    for s in names:
         fcst.station_index(s)  # raises KeyError for unknown stations
-    return list(cfg.stations)
+    return list(names)
 
 
-def _selected_leads(cfg: ExperimentConfig, fcst: ar.ForecastArchive) -> list[int]:
-    """Lead indices, from configured lead seconds or all leads."""
-    if cfg.leads is None:
+def _lead_indices(fcst: ar.ForecastArchive, seconds: list[int] | None) -> list[int]:
+    """Lead indices of the given lead seconds, or of every lead when None."""
+    if seconds is None:
         return list(range(fcst.n_leads))
     lead_list = fcst.leads.tolist()
-    out = []
-    for lead_s in cfg.leads:
+    for lead_s in seconds:
         if lead_s not in lead_list:
             raise ConfigError(f"lead {lead_s}s not present in the forecast archive")
-        out.append(lead_list.index(lead_s))
-    return out
+    return [lead_list.index(lead_s) for lead_s in seconds]
 
 
 def _effective_weights(cfg: ExperimentConfig, method: str, fcst: ar.ForecastArchive) -> np.ndarray:
@@ -101,6 +102,41 @@ def _load_archives(cfg: ExperimentConfig):
     fcst = ar.load_forecasts(cfg.forecast_csv)
     obs = ar.load_observations(cfg.observation_csv)
     return fcst, obs
+
+
+def _prediction_targets(cfg: ExperimentConfig):
+    """Archives and targets (stations, leads, test cycles) of predict and the experiment."""
+    cfg.require("search_start", "search_end", "test_start", "test_end")
+    fcst, obs = _load_archives(cfg)
+    stations = _stations(fcst, cfg.stations)
+    leads = _lead_indices(fcst, cfg.leads)
+    test_cycles = _cycles_in(fcst, cfg.test_start, cfg.test_end, "test")
+    return fcst, obs, stations, leads, test_cycles
+
+
+def _train_model(
+    cfg: ExperimentConfig, fcst: ar.ForecastArchive, obs: ar.ObservationArchive, out: Path
+) -> ModelCheckpoint:
+    """Train over the training range and write checkpoint.txt (also on
+    divergence) and train_log.csv into ``out``.
+
+    Stations are ``train_stations``, else ``stations``, else every station.
+    Leads are ``train_leads`` as given; otherwise ``leads`` (or every lead)
+    whose window fits ``t_half``.
+    """
+    cfg.require("train_start", "train_end")
+    stations = _stations(fcst, cfg.train_stations or cfg.stations)
+    cycles = _cycles_in(fcst, cfg.train_start, cfg.train_end, "training")
+    leads = _lead_indices(fcst, cfg.train_leads or cfg.leads)
+    if cfg.train_leads is None:
+        leads = [l for l in leads if ar.window_fits(fcst, l, cfg.t_half)]
+    path = out / "checkpoint.txt"
+    model, log = train(
+        fcst, obs, stations, leads, cycles, cfg.train_config(), on_divergence_save=str(path)
+    )
+    save_checkpoint(model, path)
+    write_train_log(log, out / "train_log.csv")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -303,43 +339,13 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     cfg.require("train_start", "train_end")
     fcst, obs = _load_archives(cfg)
-    stations = cfg.train_stations or _selected_stations(cfg, fcst)
-    cycles = _cycle_indices(fcst, cfg.train_start, cfg.train_end)
-    if cycles.size == 0:
-        raise DataError("no forecast cycles inside the training range")
-    if cfg.train_leads is not None:
-        lead_list = fcst.leads.tolist()
-        leads = [lead_list.index(l) for l in cfg.train_leads if l in lead_list]
-        if not leads:
-            raise ConfigError("train_leads matched no leads in the archive")
-    else:
-        leads = [l for l in range(fcst.n_leads) if ar.window_fits(fcst, l, cfg.t_half)]
-    checkpoint_path = out / "checkpoint.txt"
-    model, log = train(
-        fcst,
-        obs,
-        stations,
-        leads,
-        cycles,
-        cfg.train_config(),
-        on_divergence_save=str(checkpoint_path),
-    )
-    save_checkpoint(model, checkpoint_path)
-    write_train_log(log, out / "train_log.csv")
+    _train_model(cfg, fcst, obs, out)
     return 0
 
 
 def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
-    cfg.require("search_start", "search_end", "test_start", "test_end")
-    fcst, obs = _load_archives(cfg)
-    stations = _selected_stations(cfg, fcst)
-    leads = _selected_leads(cfg, fcst)
-    search_cycles = _cycle_indices(fcst, cfg.search_start, cfg.search_end)
-    test_cycles = _cycle_indices(fcst, cfg.test_start, cfg.test_end)
-    if search_cycles.size == 0:
-        raise DataError("no forecast cycles inside the search range")
-    if test_cycles.size == 0:
-        raise DataError("no forecast cycles inside the test range")
+    fcst, obs, stations, leads, test_cycles = _prediction_targets(cfg)
+    search_cycles = _cycles_in(fcst, cfg.search_start, cfg.search_end, "search")
     model = None
     extra = []
     if cfg.method == "deep_anen":
@@ -502,34 +508,21 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     """Predict and verify with nested suffixes of the search range.
 
     Splits are fractions of the full search range anchored at its end:
-    split k of max(splits) covers the most recent k/max of the range. A
-    deep model, when needed, is trained once on the full training range
-    (or loaded from the configured checkpoint).
+    split k of max(splits) covers the most recent k/max of the range. Every
+    split predicts the targets ``predict`` would. A deep model, when needed,
+    is loaded from the configured checkpoint if that file exists; otherwise
+    it is trained exactly as ``train`` would, writing checkpoint.txt and
+    train_log.csv into the output directory.
     """
-    cfg.require("search_start", "search_end", "test_start", "test_end")
     methods = cfg.methods or [cfg.method]
-    fcst, obs = _load_archives(cfg)
-    stations = _selected_stations(cfg, fcst)
-    leads = _selected_leads(cfg, fcst)
-    test_cycles = _cycle_indices(fcst, cfg.test_start, cfg.test_end)
-    if test_cycles.size == 0:
-        raise DataError("no forecast cycles inside the test range")
+    fcst, obs, stations, leads, test_cycles = _prediction_targets(cfg)
     splits = sorted(cfg.search_splits)
-    if not splits or splits[0] < 1:
-        raise ConfigError("search_splits must be positive integers")
     model = None
     if "deep_anen" in methods:
         if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
             model = load_checkpoint(cfg.checkpoint)
         else:
-            cfg.require("train_start", "train_end")
-            train_cycles = _cycle_indices(fcst, cfg.train_start, cfg.train_end)
-            lead_choices = [l for l in leads if ar.window_fits(fcst, l, cfg.t_half)]
-            model, log = train(
-                fcst, obs, stations, lead_choices, train_cycles, cfg.train_config()
-            )
-            save_checkpoint(model, out / "checkpoint.txt")
-            write_train_log(log, out / "train_log.csv")
+            model = _train_model(cfg, fcst, obs, out)
     threshold = _brier_threshold(cfg, obs, stations)
 
     span = cfg.search_end - cfg.search_start
@@ -538,9 +531,7 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     for method in methods:
         for split in splits:
             start = cfg.search_end - span * split // max_split
-            search_cycles = _cycle_indices(fcst, start, cfg.search_end)
-            if search_cycles.size == 0:
-                raise DataError(f"split {split}: empty search range")
+            search_cycles = _cycles_in(fcst, start, cfg.search_end, f"split {split} search")
             rows, _skipped = run_predictions(
                 cfg, method, fcst, obs, stations, leads, search_cycles, test_cycles, model
             )

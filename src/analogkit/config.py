@@ -163,10 +163,18 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig):
     if cfg.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
+    for key in ("stations", "train_stations", "leads", "train_leads", "methods", "search_splits"):
+        items = getattr(cfg, key)
+        if items is not None and (not items or len(set(items)) < len(items)):
+            raise ConfigError(f"{key} must name one or more distinct entries, got {items}")
     if cfg.methods is not None:
         bad = [m for m in cfg.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown methods {bad}; known: {METHODS}")
+    if min(cfg.search_splits) < 1:
+        raise ConfigError(f"search_splits must be positive integers, got {cfg.search_splits}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.t_half < 0:
         raise ConfigError("t_half must be nonnegative")
     if cfg.m < 1:

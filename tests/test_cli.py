@@ -1,7 +1,12 @@
+import contextlib
+import io
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from analogkit.cli import main
 from analogkit.config import load_config
@@ -348,6 +353,26 @@ class TestSearchLengthExperiment:
             counts = [int(r["n_search_cycles"]) for r in sub]
             assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("selection", [
+        "train_stations=S01\ntrain_leads=3600\n",
+        "stations=S01\nleads=3600\n",
+    ], ids=["train_keys", "target_keys"])
+    def test_trains_what_train_trains(self, tmp_path, selection):
+        """Without a checkpoint the experiment writes the checkpoint and log
+        that ``train`` writes for the same config."""
+        cfg = write_config(
+            tmp_path,
+            drop=("checkpoint", "max_iterations", "eval_interval"),
+            extra="synth_stations=2\nsynth_leads=2\nmax_iterations=20\neval_interval=10\n"
+            f"methods=deep_anen\nsearch_splits=1,2\n{selection}",
+        )
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+        out = tmp_path / "exp"
+        assert main(["experiment-search-length", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("checkpoint.txt", "train_log.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, pipeline):
@@ -553,8 +578,111 @@ class TestMalformedInputs:
         argv = ["verify", "--config", str(cfg), "--out", str(out)]
         self._run(capsys, argv, "config error", setting.split("=")[0], code=1)
 
+    @pytest.mark.parametrize("command,config_seed,override", [
+        ("synth", "7", "-1"),
+        ("train", "7", "-1"),
+        ("verify", "7", "-1"),
+        ("train", "-1", None),
+    ], ids=["synth", "train", "verify", "config_file"])
+    def test_negative_seed(self, pipeline, capsys, command, config_seed, override):
+        cfg = write_config(pipeline, drop=("seed",), extra=f"seed={config_seed}\n")
+        out = pipeline / "out"
+        if command == "verify":
+            assert main(["predict", "--config", str(write_config(pipeline)), "--out", str(out)]) == 0
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv += ["--seed", override] if override else []
+        self._run(capsys, argv, "config error", "seed", code=1)
+
+    @pytest.mark.parametrize("command,setting", [
+        ("predict", "stations=S00,S00"),
+        ("train", "train_stations="),
+        ("predict", "leads=0,0"),
+        ("train", "train_leads=0,0"),
+        ("experiment-search-length", "methods="),
+        ("experiment-search-length", "search_splits=1,1"),
+    ], ids=["stations", "train_stations", "leads", "train_leads", "methods", "search_splits"])
+    def test_list_key_without_distinct_entries(self, pipeline, capsys, command, setting):
+        cfg = write_config(pipeline, extra=f"{setting}\n")
+        argv = [command, "--config", str(cfg), "--out", str(pipeline / "out")]
+        self._run(capsys, argv, "config error", setting.split("=")[0], code=1)
+
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
     def test_brier_quantile_outside_unit_interval(self, pipeline, capsys, value):
         cfg = write_config(pipeline, extra=f"brier_quantile={value}\n")
         argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
         self._run(capsys, argv, "config error", "brier_quantile", code=1)
+
+
+# Run-setup entries for the config fuzz, as (valid, faulty) values. None
+# leaves the key out. The dataset has stations S00 and S01, leads 0 and 3600 s.
+FUZZ_VALUES = {
+    "stations": ([None, "S00", "S01,S00"], ["", "S00,S00", "S07"]),
+    "train_stations": ([None, "S01", "S00,S01"], ["", "S01,S01", "S07"]),
+    "leads": ([None, "0", "3600,0"], ["", "0,0", "7", "-3600"]),
+    "train_leads": ([None, "3600", "0,3600"], ["", "3600,3600", "7", "-3600"]),
+    "methods": ([None, "anen_equal", "deep_anen,anen_equal"], ["", "anen_equal,anen_equal", "magic"]),
+    "search_splits": ([None, "1,2", "2,1"], ["", "1,1", "0,1", "-1"]),
+    "seed": ([None, "0", "5"], ["-1"]),
+}
+FUZZ_CONFIG = """
+forecast_csv={d}/forecasts.csv
+observation_csv={d}/observations.csv
+checkpoint={d}/absent/checkpoint.txt
+t_half=0
+m=3
+synth_stations=2
+synth_leads=2
+synth_cycles=24
+synth_variables=2
+synth_hidden=0
+synth_g=linear
+search_start=2011-01-01T00:00:00Z
+search_end=2011-01-17T00:00:00Z
+train_start=2011-01-01T00:00:00Z
+train_end=2011-01-17T00:00:00Z
+test_start=2011-01-17T00:00:00Z
+test_end=2011-01-25T00:00:00Z
+k_pos=2
+batch_size=4
+max_iterations=2
+eval_interval=1
+hidden_sizes=4
+embed_dim=2
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    cfg = d / "config.txt"
+    cfg.write_text(FUZZ_CONFIG.format(d=d))
+    assert main(["synth", "--config", str(cfg), "--out", str(d)]) == 0
+    return d
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_run_setup_keys_end_in_an_exit_code(self, fuzz_dir, data):
+        """Any mix of run-setup entries ends in exit 0-3, failing with one
+        stderr line and never with a traceback."""
+        command = data.draw(st.sampled_from(["train", "predict", "experiment-search-length"]))
+        faulty = data.draw(st.sets(st.sampled_from(sorted(FUZZ_VALUES)), max_size=2))
+        lines = [FUZZ_CONFIG.format(d=fuzz_dir)]
+        for key, (valid, faults) in FUZZ_VALUES.items():
+            value = data.draw(st.sampled_from(faults if key in faulty else valid), label=key)
+            if value is not None:
+                lines.append(f"{key}={value}\n")
+        # new files throughout: truncating a written file is far slower
+        run_dir = Path(tempfile.mkdtemp(dir=fuzz_dir))
+        cfg = run_dir / "config.txt"
+        cfg.write_text("".join(lines))
+        argv = [command, "--config", str(cfg), "--out", str(run_dir)]
+        override = data.draw(st.sampled_from([None, "3", "-2"]), label="--seed")
+        if override is not None:
+            argv += ["--seed", override]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
