@@ -53,10 +53,12 @@ def _cycles_in(fcst: ar.ForecastArchive, start: int, end: int, name: str) -> np.
 
 
 def _stations(fcst: ar.ForecastArchive, names: list[str] | None) -> list[str]:
+    """The given station ids, or every station when None."""
     if names is None:
         return list(fcst.stations)
-    for s in names:
-        fcst.station_index(s)  # raises KeyError for unknown stations
+    for station in names:
+        if station not in fcst.stations:
+            raise ConfigError(f"station {station} not present in the forecast archive")
     return list(names)
 
 
@@ -211,7 +213,7 @@ def run_predictions(
 def write_predictions(
     rows: list[PredictionRow], fcst: ar.ForecastArchive, path, header_lines: list[str]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with ar.open_output(path) as fh:
         for line in header_lines:
             fh.write(line + "\n")
         fh.write("station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score\n")
@@ -242,31 +244,28 @@ def pair_targets(targets, obs: ar.ObservationArchive) -> Pairing:
 
     ``targets`` is a list of ((station, cycle seconds, lead_s), members).
     Short ensembles (under allow_short) are excluded, because the set
-    needs one member count, as are targets without an observation.
+    needs one member count, as are targets without an observation. The
+    observations are looked up once per station, over its valid times.
     """
     full_m = max((len(members) for _, members in targets), default=0)
-    members_rows, obs_rows, keys = [], [], []
-    excluded_short = excluded_missing_obs = 0
-    for key, members in targets:
-        station, cycle, lead_s = key
-        if len(members) < full_m:
-            excluded_short += 1
-            continue
-        y = float(obs.values_for(station, cycle + lead_s))
-        if not np.isfinite(y):
-            excluded_missing_obs += 1
-            continue
-        members_rows.append(members)
-        obs_rows.append(y)
-        keys.append(key)
-    if not members_rows:
+    full = [(key, members) for key, members in targets if len(members) == full_m]
+    valid_times = np.array([cycle + lead_s for (_, cycle, lead_s), _ in full], dtype=np.int64)
+    rows_of: dict[str, list[int]] = {}
+    for i, ((station, _, _), _) in enumerate(full):
+        rows_of.setdefault(station, []).append(i)
+    y = np.empty(len(full))
+    for station, rows in rows_of.items():
+        y[rows] = obs.values_for(station, valid_times[rows])
+    paired = np.isfinite(y)
+    keys = [key for (key, _), ok in zip(full, paired) if ok]
+    if not keys:
         raise DataError("no verifiable prediction/observation pairs")
     vset = VerificationSet(
-        members=np.array(members_rows),
-        observations=np.array(obs_rows),
+        members=np.array([members for (_, members), ok in zip(full, paired) if ok]),
+        observations=y[paired],
         lead_s=np.array([lead_s for _, _, lead_s in keys], dtype=np.int64),
     )
-    return Pairing(vset, keys, excluded_short, excluded_missing_obs)
+    return Pairing(vset, keys, len(targets) - len(full), int(np.count_nonzero(~paired)))
 
 
 def pairs_from_rows(
@@ -300,7 +299,7 @@ def cmd_ingest(cfg: ExperimentConfig, out: Path) -> int:
     fcst, obs = _load_archives(cfg)
     n_missing_fcst = int(np.isnan(fcst.values).sum())
     n_missing_obs = int(np.isnan(obs.values).sum())
-    with open(out / "ingest_summary.txt", "w", encoding="utf-8") as fh:
+    with ar.open_output(out / "ingest_summary.txt") as fh:
         for line in _provenance(cfg, "ingest"):
             fh.write(line + "\n")
         fh.write(f"stations={len(fcst.stations)}\n")
@@ -361,7 +360,7 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
         cfg, cfg.method, fcst, obs, stations, leads, search_cycles, test_cycles, model
     )
     write_predictions(rows, fcst, out / "predictions.csv", _provenance(cfg, "predict", extra))
-    with open(out / "skipped.csv", "w", encoding="utf-8", newline="") as fh:
+    with ar.open_output(out / "skipped.csv") as fh:
         fh.write("station,cycle_time,lead_s,reason\n")
         for station, cycle, lead, reason in skipped:
             fh.write(
@@ -446,7 +445,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
         f"excluded_missing_obs={excluded_missing_obs}",
         f"excluded_short_ensembles={excluded_short}",
     ]
-    with open(out / "report.csv", "w", encoding="utf-8", newline="") as fh:
+    with ar.open_output(out / "report.csv") as fh:
         for line in _provenance(cfg, "verify", extra):
             fh.write(line + "\n")
         fh.write("lead_s,metric,value,bin,lo,hi,count\n")
@@ -474,7 +473,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
                     f"all,interval_rmse,{value},{i},"
                     f"{ar.format_float(stat.lo)},{hi},{stat.count}\n"
                 )
-    with open(out / "rank_histogram.csv", "w", encoding="utf-8", newline="") as fh:
+    with ar.open_output(out / "rank_histogram.csv") as fh:
         fh.write("rank,count\n")
         for rank, count in enumerate(report.rank_counts, start=1):
             fh.write(f"{rank},{count}\n")
@@ -550,7 +549,7 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
                     vset_brier(vset, threshold),
                 )
             )
-    with open(out / "search_length.csv", "w", encoding="utf-8", newline="") as fh:
+    with ar.open_output(out / "search_length.csv") as fh:
         for line in _provenance(
             cfg, "experiment-search-length", [f"brier_threshold={ar.format_float(threshold)}"]
         ):
@@ -590,7 +589,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise DataError(f"{out}: cannot write: {err.strerror}") from None
         if args.command == "ingest":
             return cmd_ingest(cfg, out)
         if args.command == "synth":

@@ -41,7 +41,14 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import expit
 
-from .archive import ForecastArchive, ForecastWindow, format_float, read_text, window_block
+from .archive import (
+    ForecastArchive,
+    ForecastWindow,
+    format_float,
+    open_output,
+    read_text,
+    window_block,
+)
 from .errors import DataError, SchemaError, WindowUnavailable
 
 
@@ -429,7 +436,7 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
     for v in model.variables:
         if any(ch in v for ch in ",=\n"):
             raise ValueError(f"variable name {v!r} cannot be stored in a checkpoint")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(_MAGIC + "\n")
         fh.write(f"variables={','.join(model.variables)}\n")
         fh.write(f"t_half={model.t_half}\n")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ForecastArchive, ObservationArchive
+from .archive import ForecastArchive, ObservationArchive, open_output
 
 # Registered observation rules: name -> (callable over [k, ...] stacked
 # hidden-variable values, human-readable formula, required hidden count).
@@ -129,7 +129,7 @@ def generate(spec: SynthSpec) -> tuple[ForecastArchive, ObservationArchive, Synt
 
 
 def write_manifest(manifest: SynthManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(f"g_name={manifest.g_name}\n")
         fh.write(f"g_formula={manifest.g_formula}\n")
         fh.write(f"hidden_variables={','.join(manifest.hidden_variables)}\n")

@@ -20,6 +20,7 @@ from .archive import (
     ForecastArchive,
     ObservationArchive,
     format_float,
+    open_output,
     variable_stats,
     window_block,
 )
@@ -627,7 +628,7 @@ def _pooled_norm(fcst, station_indices, cycles):
 
 
 def write_train_log(log: list[TrainLogRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write("iteration,train_loss,val_loss\n")
         for row in log:
             fh.write(

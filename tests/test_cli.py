@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import io
+import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -392,6 +394,82 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+# The files each command writes into --out.
+OUTPUTS = {
+    "synth": ("forecasts.csv", "observations.csv", "manifest.txt"),
+    "ingest": ("ingest_summary.txt",),
+    "train": ("checkpoint.txt", "train_log.csv"),
+    "predict": ("predictions.csv", "skipped.csv"),
+    "verify": ("report.csv", "rank_histogram.csv"),
+    "experiment-search-length": ("search_length.csv", "checkpoint.txt", "train_log.csv"),
+}
+
+
+class TestRerun:
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_rerun_replaces_outputs(self, pipeline, command):
+        """A rerun into the same --out writes the same bytes into new files:
+        a hard link to a first-run output keeps the first run's bytes."""
+        cfg = write_config(
+            pipeline,
+            drop=("max_iterations", "eval_interval"),
+            extra="max_iterations=6\neval_interval=3\n"
+            "methods=anen_equal,deep_anen\nsearch_splits=1,2\n",
+        )
+        out, links = pipeline / "out", pipeline / "links"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "verify":
+            assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(argv) == 0
+        links.mkdir()
+        first = {}
+        for name in OUTPUTS[command]:
+            first[name] = (out / name).read_bytes()
+            os.link(out / name, links / name)
+        assert main(argv) == 0
+        for name in OUTPUTS[command]:
+            assert (out / name).read_bytes() == first[name]
+            assert not os.path.samefile(links / name, out / name)
+            assert (links / name).read_bytes() == first[name]
+
+
+def _write_modes(tree):
+    """Line and mode of every ``open`` call whose mode may write, and of
+    every ``write_text``/``write_bytes`` call, outside ``open_output``."""
+    found = []
+
+    def visit(node, inside_open_output):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_open_output = inside_open_output or node.name == "open_output"
+        if isinstance(node, ast.Call) and not inside_open_output:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("write_text", "write_bytes"):
+                found.append((node.lineno, name))
+            elif name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                text = mode.value if isinstance(mode, ast.Constant) else "?"
+                if not isinstance(text, str) or set(text) & set("wax+?"):
+                    found.append((node.lineno, text))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_open_output)
+
+    visit(tree, False)
+    return found
+
+
+def test_only_open_output_opens_files_for_writing():
+    src = Path(__file__).resolve().parents[1] / "src" / "analogkit"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    for path in paths:
+        assert _write_modes(ast.parse(path.read_text(), str(path))) == [], path
+    # the scan finds what it looks for
+    probe = 'def f(p):\n    open(p, "a")\n    open(p, mode="r+")\n    p.write_text("x")\n'
+    assert [line for line, _ in _write_modes(ast.parse(probe))] == [2, 3, 4]
+
+
 def _drop_array(lines, name):
     i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
     return lines[:i] + lines[i + 2 :]
@@ -611,6 +689,38 @@ class TestMalformedInputs:
         cfg = write_config(pipeline, extra=f"brier_quantile={value}\n")
         argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
         self._run(capsys, argv, "config error", "brier_quantile", code=1)
+
+    @pytest.mark.parametrize("command,key", [
+        ("predict", "stations"),
+        ("train", "train_stations"),
+    ])
+    def test_unknown_station(self, pipeline, capsys, command, key):
+        cfg = write_config(pipeline, extra=f"{key}=S07\n")
+        argv = [command, "--config", str(cfg), "--out", str(pipeline / "out")]
+        self._run(capsys, argv, "config error: station S07 not present in the forecast archive",
+                  code=1)
+
+    def test_out_is_a_file(self, pipeline, capsys):
+        out = pipeline / "data" / "manifest.txt"
+        argv = ["ingest", "--config", str(write_config(pipeline)), "--out", str(out)]
+        self._run(capsys, argv, f"data error: {out}: cannot write: ")
+
+    def test_output_path_is_a_directory(self, pipeline, capsys):
+        out = pipeline / "pred"
+        (out / "predictions.csv").mkdir(parents=True)
+        argv = ["predict", "--config", str(write_config(pipeline)), "--out", str(out)]
+        self._run(capsys, argv, f"data error: {out / 'predictions.csv'}: cannot write: ")
+
+    def test_read_only_output_directory(self, pipeline, capsys):
+        out = pipeline / "i"
+        out.mkdir(mode=0o555)
+        try:
+            if os.access(out, os.W_OK):
+                pytest.skip("this user (root) may write into read-only directories")
+            argv = ["ingest", "--config", str(write_config(pipeline)), "--out", str(out)]
+            self._run(capsys, argv, f"data error: {out / 'ingest_summary.txt'}: cannot write: ")
+        finally:
+            out.chmod(0o755)
 
 
 # Run-setup entries for the config fuzz, as (valid, faulty) values. None
