@@ -7,18 +7,25 @@ Forecast CSV: header ``station,variable,cycle_time,lead_s,value``.
 integer offset in seconds, and ``value`` a decimal number or empty for
 missing. Observation CSV: header ``station,valid_time,value``.
 
+Predictions CSV (``predict`` writes it below ``#`` provenance lines): header
+``station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score``,
+one record per ensemble member. ``member_rank`` is an integer, ``member_value``
+a required finite decimal; the last two columns are counted but not parsed.
+
 Archives are dense: every combination of the index lists owns a cell, and
 cells without a value (absent rows or empty values) hold NaN. Index lists
 are the sorted distinct values found in the file. Archives are treated as
 immutable after load and are safe to read concurrently.
 
-Loader contract: a malformed file raises :class:`SchemaError` naming the
-file and the line of the first offending record in file order; within a
-record the column count, timestamp, lead, duplicate key and value are
-checked in that order. Blank and ``#`` lines are skipped. Each distinct
-key string is parsed once, so the cost grows with the rows but the
-timestamp parsing only with the distinct times. A timestamp is accepted
-exactly when :func:`parse_time` accepts it, and ``lead_s`` must fit int64.
+Loader contract, one reader for all three kinds: the header is the first
+line that is neither blank nor ``#``, and blank and ``#`` lines are skipped.
+A malformed file raises :class:`SchemaError` naming the file and the line
+of the first offending record in file order; within a record the column
+count, the key columns, the duplicate key and the value are checked in
+that order. Each distinct key string is parsed once, so the cost grows
+with the rows but the timestamp parsing only with the distinct times. A
+timestamp is accepted exactly when :func:`parse_time` accepts it, and
+``lead_s`` must fit int64.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 FORECAST_HEADER = ["station", "variable", "cycle_time", "lead_s", "value"]
 OBSERVATION_HEADER = ["station", "valid_time", "value"]
+PREDICTION_HEADER = ["station", "cycle_time", "lead_s", "member_rank", "member_value",
+                     "source_cycle_time", "score"]
 
 
 def parse_time(text: str) -> int:
@@ -129,12 +138,6 @@ class ForecastArchive:
             return self.stations.index(station)
         except ValueError:
             raise KeyError(f"unknown station {station!r}") from None
-
-    def variable_index(self, variable: str) -> int:
-        try:
-            return self.variables.index(variable)
-        except ValueError:
-            raise KeyError(f"unknown variable {variable!r}") from None
 
 
 @dataclass(frozen=True)
@@ -281,8 +284,8 @@ def open_output(path):
 def _line_number(path, record: int) -> int:
     """File line number of a record (0-based, blank and '#' lines skipped)."""
     lines = read_text(path).splitlines()
-    numbers = [n for n, line in enumerate(lines[1:], 2) if line.strip() and line[0] != "#"]
-    return numbers[record]
+    numbers = [n for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
+    return numbers[record + 1]  # the first is the header's
 
 
 class _Key(NamedTuple):
@@ -304,6 +307,7 @@ def _lead(text: str) -> int:
 _NAME = _Key("name", list, True)
 _TIME = _Key("timestamp", lambda texts: parse_times(texts).tolist(), True)
 _LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
+_RANK = _Key("member_rank", lambda texts: list(map(int, texts)), False)
 
 
 def _parses(parse, text: str) -> bool:
@@ -343,10 +347,11 @@ def _value(text: str) -> float:
     return float(text) if text else math.nan
 
 
-def _value_problem(text: str) -> str:
-    """Why a value field is rejected, or '' when it is empty or a finite decimal."""
+def _value_problem(text: str, empty_is_missing: bool) -> str:
+    """Why a value field is rejected, or '' when it is a finite decimal or an
+    allowed empty field."""
     if text == "":
-        return ""
+        return "" if empty_is_missing else "missing value"
     try:
         value = float(text)
     except ValueError:
@@ -354,39 +359,48 @@ def _value_problem(text: str) -> str:
     return "" if math.isfinite(value) else "non-finite value"
 
 
-def _values(column: list[str]) -> tuple[np.ndarray | None, tuple[int, str] | None]:
-    """Parse value fields: empty is missing (NaN), anything else a finite decimal.
+def _values(
+    column: list[str], empty_is_missing: bool
+) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """Parse value fields: each a finite decimal, or empty for missing (NaN)
+    where ``empty_is_missing``.
 
     Returns ``(values, None)``, or ``(None, (row, message))`` for the first
     field that is neither.
     """
     try:
         values = np.fromiter(map(_value, column), float, len(column))
-        # empty fields are the only NaNs allowed, and no infinity is
-        if np.count_nonzero(np.isfinite(values)) == len(column) - column.count(""):
+        # allowed empty fields are the only NaNs, and no infinity is allowed
+        empty = column.count("") if empty_is_missing else 0
+        if np.count_nonzero(np.isfinite(values)) == len(column) - empty:
             return values, None
     except ValueError:
         pass
-    text = next(t for t in dict.fromkeys(column) if _value_problem(t))  # in order of first row
-    return None, (column.index(text), f"{_value_problem(text)} {text!r}")
+    # in order of first row
+    text = next(t for t in dict.fromkeys(column) if _value_problem(t, empty_is_missing))
+    return None, (column.index(text), f"{_value_problem(text, empty_is_missing)} {text!r}")
 
 
-def _read_archive(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[list], np.ndarray]:
-    """Columnar read of a CSV of key columns followed by one value column.
+def _read_archive(
+    path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool = True
+) -> tuple[list[list], np.ndarray, np.ndarray]:
+    """Columnar read of a CSV of key columns, one value column and any
+    further columns, which are counted but not parsed.
 
-    Returns the sorted axis of each key column and the dense values over
-    them, NaN where a cell has no row or an empty value. Raises the
+    Returns the sorted axis of each key column, each record's cell (its flat
+    index over the axes) and each record's value. An empty value is NaN
+    where ``empty_is_missing`` and an error otherwise. Raises the
     :class:`SchemaError` of the first offending record in file order.
     """
     lines = read_text(path).splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-    if lines[0].split(",") != header:
-        raise SchemaError(f"{path}: line 1: bad header {lines[0]!r}")
-    body = [line for line in islice(lines, 1, None) if line.strip() and line[0] != "#"]
+    # the header is the first line that is neither blank nor '#'
+    start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
+    if start is None:
+        raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
+    if lines[start].split(",") != header:
+        raise SchemaError(f"{path}: line {start + 1}: bad header {lines[start]!r}")
+    body = [line for line in islice(lines, start + 1, None) if line.strip() and line[0] != "#"]
     del lines
-    if not body:
-        raise SchemaError(f"{path}: no records")
     # (record, message) per failed check, in the order one record's fields
     # are checked: the first minimal record names the offence
     offences = []
@@ -400,7 +414,7 @@ def _read_archive(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[l
     del body  # the line strings go before the field strings arrive
     fields = joined.split(",") if joined else []
     del joined
-    columns = [fields[i :: len(header)] for i in range(len(header))]
+    columns = [fields[i :: len(header)] for i in range(len(keys) + 1)]
     del fields
 
     axes, codes = [], []
@@ -412,9 +426,8 @@ def _read_archive(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[l
         codes.append(code)
 
     n = min((record for record, _ in offences), default=len(columns[0]))  # clean before n
-    shape = tuple(map(len, axes))
-    flat = np.ravel_multi_index([code[:n] for code in codes], shape)
-    _, firsts = np.unique(flat, return_index=True)
+    cells = np.ravel_multi_index([code[:n] for code in codes], tuple(map(len, axes)))
+    _, firsts = np.unique(cells, return_index=True)
     if firsts.size < n:
         repeated = np.ones(n, dtype=bool)
         repeated[firsts] = False
@@ -425,15 +438,22 @@ def _read_archive(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[l
         ]
         offences.append((record, f"duplicate key ({','.join(shown)})"))
 
-    values, offence = _values(columns[-1][:n])
+    values, offence = _values(columns[len(keys)][:n], empty_is_missing)
     if offence is not None:
         offences.append(offence)
     if offences:
         record, message = min(offences, key=lambda offence: offence[0])
         raise SchemaError(f"{path}: line {_line_number(path, record)}: {message}")
+    return axes, cells, values
 
-    dense = np.full(shape, np.nan)
-    dense.reshape(-1)[flat] = values
+
+def _read_dense(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[list], np.ndarray]:
+    """Key axes and dense values of an archive CSV, NaN where a cell has no value."""
+    axes, cells, values = _read_archive(path, header, keys)
+    if not cells.size:
+        raise SchemaError(f"{path}: no records")
+    dense = np.full(tuple(map(len, axes)), np.nan)
+    dense.reshape(-1)[cells] = values
     return axes, dense
 
 
@@ -444,7 +464,7 @@ def load_forecasts(path) -> ForecastArchive:
     present in the file are missing. Duplicate (station, variable, cycle,
     lead) keys and malformed rows are errors naming the offending line.
     """
-    (stations, variables, cycles, leads), values = _read_archive(
+    (stations, variables, cycles, leads), values = _read_dense(
         path, FORECAST_HEADER, (_NAME, _NAME, _TIME, _LEAD)
     )
     return ForecastArchive(
@@ -454,6 +474,27 @@ def load_forecasts(path) -> ForecastArchive:
         np.array(leads, dtype=np.int64),
         values,
     )
+
+
+def load_predictions(path) -> list[tuple[tuple[str, int, int], np.ndarray]]:
+    """The ensembles of a predictions CSV.
+
+    Returns ((station, cycle seconds, lead_s), members ordered by rank) per
+    target, targets in order of first appearance. A file without records
+    has no targets, and a repeated (target, member_rank) is a duplicate key.
+    """
+    (stations, cycles, leads, ranks), cells, values = _read_archive(
+        path, PREDICTION_HEADER, (_NAME, _TIME, _LEAD, _RANK), empty_is_missing=False
+    )
+    if not cells.size:
+        return []
+    targets, firsts, counts = np.unique(cells // len(ranks), return_index=True, return_counts=True)
+    # in cell order the records run by target, then by rank
+    members = np.split(values[np.argsort(cells)], np.cumsum(counts)[:-1])
+    shape = (len(stations), len(cycles), len(leads))
+    s, c, l = (a.tolist() for a in np.unravel_index(targets, shape))
+    keys = [(stations[i], cycles[j], leads[k]) for i, j, k in zip(s, c, l)]
+    return [(keys[t], members[t]) for t in np.argsort(firsts).tolist()]
 
 
 def _value_text(v: float) -> str:
@@ -479,7 +520,7 @@ def write_forecasts(archive: ForecastArchive, path) -> None:
 
 def load_observations(path) -> ObservationArchive:
     """Load an observation CSV into a dense (station, time) archive."""
-    (stations, times), values = _read_archive(path, OBSERVATION_HEADER, (_NAME, _TIME))
+    (stations, times), values = _read_dense(path, OBSERVATION_HEADER, (_NAME, _TIME))
     return ObservationArchive(stations, np.array(times, dtype=np.int64), values)
 
 

@@ -19,13 +19,7 @@ import numpy as np
 from . import archive as ar
 from .config import ExperimentConfig, load_config
 from .ensemble import AnalogQuery, EnsembleForecast, build_ensemble, search_classic, search_latent
-from .errors import (
-    AnalogkitError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    SchemaError,
-)
+from .errors import AnalogkitError, ConfigError, DataError, DivergenceError
 from .metric import MetricConfig
 from .network import ModelCheckpoint, embed_block, load_checkpoint, save_checkpoint
 from .synthetic import SynthSpec, generate, write_manifest
@@ -83,10 +77,9 @@ def _effective_weights(cfg: ExperimentConfig, method: str, fcst: ar.ForecastArch
         return np.ones(fcst.n_variables)
     weights = np.zeros(fcst.n_variables)
     for variable, w in cfg.weights.items():
-        try:
-            weights[fcst.variable_index(variable)] = w
-        except KeyError:
-            raise ConfigError(f"weight.{variable}: variable not in the archive") from None
+        if variable not in fcst.variables:
+            raise ConfigError(f"weight.{variable}: variable not in the archive")
+        weights[fcst.variables.index(variable)] = w
     if not np.any(weights > 0):
         raise ConfigError("anen_weighted needs at least one positive weight.<variable> key")
     return weights
@@ -97,6 +90,16 @@ def _provenance(cfg: ExperimentConfig, command: str, extra: list[str] | None = N
     if extra:
         lines.extend(f"# {e}" for e in extra)
     return lines
+
+
+def _output_dir(path) -> Path:
+    """The ``--out`` directory, created with its parents if absent."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"{out}: cannot write: {err.strerror}") from None
+    return out
 
 
 def _load_archives(cfg: ExperimentConfig):
@@ -216,7 +219,7 @@ def write_predictions(
     with ar.open_output(path) as fh:
         for line in header_lines:
             fh.write(line + "\n")
-        fh.write("station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score\n")
+        fh.write(",".join(ar.PREDICTION_HEADER) + "\n")
         for row in rows:
             cycle_time = ar.format_time(int(fcst.cycles[row.cycle]))
             lead_s = int(fcst.leads[row.lead])
@@ -249,7 +252,10 @@ def pair_targets(targets, obs: ar.ObservationArchive) -> Pairing:
     """
     full_m = max((len(members) for _, members in targets), default=0)
     full = [(key, members) for key, members in targets if len(members) == full_m]
-    valid_times = np.array([cycle + lead_s for (_, cycle, lead_s), _ in full], dtype=np.int64)
+    # an int64 sum beyond the range wraps to a time before year 1 or after
+    # 9999, where no observation is
+    cycles, leads = np.array([key[1:] for key, _ in full], dtype=np.int64).reshape(-1, 2).T
+    valid_times = cycles + leads
     rows_of: dict[str, list[int]] = {}
     for i, ((station, _, _), _) in enumerate(full):
         rows_of.setdefault(station, []).append(i)
@@ -372,61 +378,17 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def read_predictions(path):
-    """Parse a predictions CSV into per-target member lists.
-
-    Returns a list of ((station, cycle seconds, lead_s), members ordered by
-    rank), targets in order of first appearance.
-    """
-    lines = [
-        (number, l)
-        for number, l in enumerate(ar.read_text(path).splitlines(), start=1)
-        if l and not l.startswith("#")
-    ]
-    if not lines:
-        raise SchemaError(f"{path}: no records")
-    header = "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score"
-    if lines[0][1] != header:
-        raise SchemaError(f"{path}: bad prediction header")
-    rows = [(number, line.split(",")) for number, line in lines[1:]]
-    cycle_texts = list(dict.fromkeys(fields[1] for _, fields in rows if len(fields) > 1))
-    try:
-        cycle_seconds = dict(zip(cycle_texts, ar.parse_times(cycle_texts).tolist()))
-    except ValueError:  # the loop below names the first row whose cycle_time fails
-        cycle_seconds = {}
-        for text in cycle_texts:
-            try:
-                cycle_seconds[text] = ar.parse_time(text)
-            except ValueError:
-                pass
-    groups: dict[tuple[str, str, int], dict[int, float]] = {}
-    for number, fields in rows:
-        if len(fields) != 7:
-            raise SchemaError(f"{path}: line {number}: bad prediction row {','.join(fields)!r}")
-        station, cycle_time = fields[0], fields[1]
-        try:
-            lead_s, rank, value = int(fields[2]), int(fields[3]), float(fields[4])
-        except ValueError:
-            raise SchemaError(
-                f"{path}: line {number}: lead_s, member_rank or member_value is not a number"
-            ) from None
-        if not np.isfinite(value):
-            raise SchemaError(f"{path}: line {number}: member_value is not finite")
-        key = (station, cycle_time, lead_s)
-        if key not in groups:
-            if cycle_time not in cycle_seconds:
-                raise SchemaError(f"{path}: line {number}: bad cycle_time {cycle_time!r}")
-            groups[key] = {}
-        if rank in groups[key]:
-            raise SchemaError(f"{path}: line {number}: repeated member ({','.join(fields[:4])})")
-        groups[key][rank] = value
-    return [
-        ((station, cycle_seconds[cycle_time], lead_s), [v for _, v in sorted(members.items())])
-        for (station, cycle_time, lead_s), members in groups.items()
-    ]
+# the name cmd_verify calls, so that bench/tracer.py can time it as cli.read_predictions
+read_predictions = ar.load_predictions
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
+    fcst = None
+    if cfg.error_intervals is not None:
+        cfg.require("forecast_csv")
+        fcst = ar.load_forecasts(cfg.forecast_csv)
+        if cfg.baseline_variable not in fcst.variables:
+            raise ConfigError(f"baseline_variable {cfg.baseline_variable} not in the archive")
     cfg.require("observation_csv")
     obs = ar.load_observations(cfg.observation_csv)
     if predictions_path is None:
@@ -463,8 +425,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
             fh.write(
                 f"all,spread_error_mean_spread,{ar.format_float(b.mean_spread)},{i},,,{b.count}\n"
             )
-        if cfg.error_intervals is not None and cfg.baseline_variable is not None:
-            intervals, excluded = _baseline_intervals(cfg, vset, accepted)
+        if fcst is not None:
+            intervals, excluded = _baseline_intervals(cfg, fcst, vset, accepted)
             fh.write(f"all,interval_excluded,{excluded},,,,\n")
             for i, stat in enumerate(intervals):
                 value = "" if stat.rmse is None else ar.format_float(stat.rmse)
@@ -480,27 +442,25 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
     return 0
 
 
-def _baseline_intervals(cfg: ExperimentConfig, vset: VerificationSet, keys):
+def _baseline_intervals(
+    cfg: ExperimentConfig, fcst: ar.ForecastArchive, vset: VerificationSet, keys
+):
     """Group verified pairs by the baseline forecast's own error magnitude.
 
     ``keys`` holds the (station, cycle seconds, lead_s) of each pair in
     ``vset``, whose observations the baseline forecast is compared against.
+    A pair whose station, cycle or lead the archive lacks has no baseline.
     """
-    cfg.require("forecast_csv")
-    fcst = ar.load_forecasts(cfg.forecast_csv)
-    vi = fcst.variable_index(cfg.baseline_variable)
+    vi = fcst.variables.index(cfg.baseline_variable)
+    station_index = {s: i for i, s in enumerate(fcst.stations)}
     cycle_index = {c: i for i, c in enumerate(fcst.cycles.tolist())}
     lead_index = {l: i for i, l in enumerate(fcst.leads.tolist())}
-    baseline = []
-    for (station, cycle, lead_s), y in zip(keys, vset.observations):
-        if cycle in cycle_index and lead_s in lead_index:
-            f = fcst.values[
-                fcst.station_index(station), vi, cycle_index[cycle], lead_index[lead_s]
-            ]
-            baseline.append(f - y if np.isfinite(f) else np.nan)
-        else:
-            baseline.append(np.nan)
-    return error_interval_rmse(vset, np.array(baseline), list(cfg.error_intervals))
+    baseline = np.full(vset.n_pairs, np.nan)
+    for i, ((station, cycle, lead_s), y) in enumerate(zip(keys, vset.observations)):
+        if station in station_index and cycle in cycle_index and lead_s in lead_index:
+            f = fcst.values[station_index[station], vi, cycle_index[cycle], lead_index[lead_s]]
+            baseline[i] = f - y
+    return error_interval_rmse(vset, baseline, list(cfg.error_intervals))
 
 
 def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
@@ -588,11 +548,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise DataError(f"{out}: cannot write: {err.strerror}") from None
+        out = _output_dir(args.out)
         if args.command == "ingest":
             return cmd_ingest(cfg, out)
         if args.command == "synth":
@@ -603,20 +559,15 @@ def main(argv=None) -> int:
             return cmd_predict(cfg, out)
         if args.command == "verify":
             return cmd_verify(cfg, out, predictions_path=args.predictions)
-        if args.command == "experiment-search-length":
-            return cmd_experiment_search_length(cfg, out)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_experiment_search_length(cfg, out)  # the parser admits no other command
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return 3
-    except (SchemaError, DataError, KeyError, FileNotFoundError) as err:
+    except AnalogkitError as err:  # SchemaError, DataError and their kin
         print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except AnalogkitError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

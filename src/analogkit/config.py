@@ -190,6 +190,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"error_intervals must be one or more finite, strictly increasing edges, got {edges}"
         )
+    if (cfg.error_intervals is None) != (cfg.baseline_variable is None):
+        raise ConfigError("error_intervals and baseline_variable must be given together")
     for start_key, end_key in (
         ("search_start", "search_end"),
         ("train_start", "train_end"),

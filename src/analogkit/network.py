@@ -494,6 +494,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise SchemaError(f"{path}: non-integer metadata value") from None
     if t_half < 0 or seed < 0 or min(hidden_sizes) < 1 or embed_dim < 1:
         raise SchemaError(f"{path}: metadata value out of range")
+    n_values = sum(len(values.split()) for _, values in arrays.values())
+    if max(hidden_sizes) ** 2 > n_values or embed_dim > n_values:  # checked before allocating
+        raise SchemaError(f"{path}: metadata sizes exceed the stored array values")
     # The metadata fixes every array's name and shape; fill a model built from it.
     model = init_model(variables, t_half, hidden_sizes, embed_dim, seed)
     model.iterations = iterations
@@ -507,6 +510,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
             flat = np.array([float(v) for v in values.split()], dtype=float)
         except ValueError:
             raise SchemaError(f"{path}: array {name} has a non-numeric dimension or value") from None
+        if not np.all(np.isfinite(flat)):
+            raise SchemaError(f"{path}: array {name} has a non-finite value")
         if shape != target.shape or flat.size != target.size:
             raise SchemaError(f"{path}: array {name} has shape {shape} and {flat.size} values, "
                               f"expected {target.shape}")

@@ -26,13 +26,15 @@ def _read_rows(path, header: list[str]):
     """Yield (line_number, fields) for a CSV file, validating the header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-    got = lines[0].split(",")
+    # the header is the first line that is neither blank nor a comment
+    at = next((i for i, l in enumerate(lines) if l.strip() and not l.startswith("#")), None)
+    if at is None:
+        raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
+    got = lines[at].split(",")
     if got != header:
-        raise SchemaError(f"{path}: line 1: bad header {lines[0]!r}")
+        raise SchemaError(f"{path}: line {at + 1}: bad header {lines[at]!r}")
     n_records = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[at + 1 :], start=at + 2):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split(",")

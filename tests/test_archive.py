@@ -83,6 +83,20 @@ class TestLoadForecasts:
         with pytest.raises(SchemaError, match="line 1"):
             load_forecasts(path)
 
+    def test_header_below_comment_lines(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("# provenance\n\nstation,variable,cycle_time,lead_s,value\n"
+                        "PSU,ghi,1970-01-01T00:00:00Z,0,1.5\nPSU,ghi,1970-01-01T00:00:00Z,0,2\n")
+        with pytest.raises(SchemaError, match="line 5: duplicate key"):
+            load_forecasts(path)
+
+    @pytest.mark.parametrize("text", ["", "\n# provenance\n\t\n"], ids=["empty", "comments_only"])
+    def test_no_header_line(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="no header line, expected station,variable"):
+            load_forecasts(path)
+
 
 class TestRoundTrip:
     def test_forecast_round_trip_exact(self, tmp_path, rng):

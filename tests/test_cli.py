@@ -2,7 +2,9 @@ import ast
 import contextlib
 import io
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -304,6 +306,8 @@ class TestVerify:
             "PSU,2011-01-02T00:00:00Z,0,1,6.0,2010-01-01T00:00:00Z,0.1",  # obs missing
             "PSU,2011-01-03T00:00:00Z,0,1,7.0,2010-01-01T00:00:00Z,0.1",  # obs absent
             "XYZ,2011-01-01T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1",  # station absent
+            # valid time beyond int64
+            "PSU,2011-01-01T00:00:00Z,9223372036854775807,1,5.0,2010-01-01T00:00:00Z,0.1",
         ]
         (data_dir / "observations.csv").write_text("\n".join(obs_rows) + "\n")
         pred = tmp_path / "predictions.csv"
@@ -314,8 +318,48 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--predictions", str(pred)]) == 0
         text = (out / "report.csv").read_text()
-        assert "# excluded_missing_obs=3" in text
+        assert "# excluded_missing_obs=4" in text
         assert "# pairs=1" in text
+
+    def test_targets_in_order_of_first_appearance(self, tmp_path):
+        """The pair order feeds the rank-histogram tie draws and the spread
+        bootstrap, so report bytes depend on it; members go by rank."""
+        from analogkit.archive import parse_time
+        from analogkit.cli import read_predictions
+
+        pred = tmp_path / "predictions.csv"
+        self._write_predictions(pred, [
+            f"{station},2011-01-0{day}T00:00:00Z,{lead},{rank},{value},2010-01-01T00:00:00Z,0.1"
+            for station, day, lead, rank, value in [
+                ("PSU", 2, 3600, 2, 7.0), ("ABC", 1, 0, 1, 1.0), ("PSU", 2, 3600, 1, 6.0),
+                ("ABC", 1, 0, 2, 2.0), ("PSU", 1, 3600, 1, 5.0), ("PSU", 1, 3600, 2, 4.0),
+            ]
+        ])
+        day1, day2 = parse_time("2011-01-01T00:00:00Z"), parse_time("2011-01-02T00:00:00Z")
+        assert [(key, list(members)) for key, members in read_predictions(pred)] == [
+            (("PSU", day2, 3600), [6.0, 7.0]),
+            (("ABC", day1, 0), [1.0, 2.0]),
+            (("PSU", day1, 3600), [5.0, 4.0]),
+        ]
+
+    def test_station_without_baseline_is_interval_excluded(self, pipeline):
+        """A predictions station the forecast archive lacks gets no baseline error."""
+        cfg = write_config(pipeline, extra="error_intervals=0.5,1\nbaseline_variable=v1\n")
+        out = pipeline / "pred"
+        assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 0
+        pred = out / "predictions.csv"
+        lines = pred.read_text().splitlines()
+        records = [l for l in lines if l.startswith("S00,")]
+        assert records
+        pred.write_text("\n".join(lines + ["ZZZ" + l[3:] for l in records]) + "\n")
+        # S00 observations under the station id ZZZ
+        obs = pipeline / "data" / "observations.csv"
+        lines = obs.read_text().splitlines()
+        obs.write_text("\n".join(lines + ["ZZZ" + l[3:] for l in lines if l.startswith("S00,")]))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.csv").read_text().splitlines()
+        excluded = next(l for l in report if l.startswith("all,interval_excluded,"))
+        assert excluded.split(",")[2] == str(len(records) // 5)  # m=5 members per target
 
     def test_verify_after_predict(self, pipeline):
         cfg = write_config(pipeline)
@@ -470,6 +514,32 @@ def test_only_open_output_opens_files_for_writing():
     assert [line for line, _ in _write_modes(ast.parse(probe))] == [2, 3, 4]
 
 
+def _handled_errors(function):
+    """Names of the exception classes the except clauses of ``function`` catch."""
+    names = []
+    for handler in (n for n in ast.walk(function) if isinstance(n, ast.ExceptHandler)):
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        names += [ast.unparse(c) if c is not None else "<bare except>" for c in caught]
+    return names
+
+
+def test_main_handles_only_analogkit_errors():
+    """An internal fault such as a KeyError ends in a traceback that tests see,
+    never in an exit code: main catches analogkit's error classes only."""
+    import analogkit.cli as cli
+    import analogkit.errors as errors
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    names = _handled_errors(main_def)
+    assert names == ["ConfigError", "DivergenceError", "AnalogkitError"]
+    assert all(issubclass(getattr(errors, name), errors.AnalogkitError) for name in names)
+    # the scan finds what it looks for
+    probe = "def f():\n    try:\n        pass\n    except (KeyError, x.Error):\n        pass\n" \
+            "    except:\n        pass\n"
+    assert _handled_errors(ast.parse(probe)) == ["KeyError", "x.Error", "<bare except>"]
+
+
 def _drop_array(lines, name):
     i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
     return lines[:i] + lines[i + 2 :]
@@ -478,6 +548,12 @@ def _drop_array(lines, name):
 def _non_numeric_value(lines, name):
     i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
     return lines[: i + 1] + ["abc " + lines[i + 1].split(" ", 1)[1]] + lines[i + 2 :]
+
+
+def _set_value(lines, name, text):
+    """The first value of array ``name`` replaced by ``text``."""
+    i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
+    return lines[: i + 1] + [text + " " + lines[i + 1].split(" ", 1)[1]] + lines[i + 2 :]
 
 
 def _head_bias_of_three(lines):
@@ -503,7 +579,12 @@ class TestMalformedInputs:
         (_head_bias_of_three, ("head.b", "shape")),
         (lambda lines: _drop_array(lines, "head.b"), ("missing array head.b",)),
         (lambda lines: [l.replace("t_half=0", "t_half=zero") for l in lines], ("metadata",)),
-    ], ids=["truncated", "non_numeric", "mis_shaped", "missing_array", "bad_metadata"])
+        (lambda lines: _set_value(lines, "head.b", "nan"), ("head.b", "non-finite")),
+        (lambda lines: _set_value(lines, "head.b", "inf"), ("head.b", "non-finite")),
+        (lambda lines: [l.replace("hidden_sizes=8", "hidden_sizes=99999999999999999999")
+                        for l in lines], ("metadata sizes",)),
+    ], ids=["truncated", "non_numeric", "mis_shaped", "missing_array", "bad_metadata",
+            "nan_value", "inf_value", "huge_hidden_size"])
     def test_bad_checkpoint(self, pipeline, capsys, corrupt, names):
         from analogkit.network import init_model, save_checkpoint
 
@@ -532,8 +613,10 @@ class TestMalformedInputs:
         "PSU,2011-01-02T00:00:00Z,0,1,nan,2010-01-01T00:00:00Z,0.1",
         "PSU,2011-01-32T00:00:00Z,0,1,5.0,2010-01-01T00:00:00Z,0.1",
         "PSU,2011-01-01T00:00:00Z,0,1,6.0,2010-01-01T00:00:00Z,0.1",
+        "PSU,2011-01-02T00:00:00Z,99999999999999999999999,1,5.0,2010-01-01T00:00:00Z,0.1",
+        "PSU,2011-01-02T00:00:00Z,0,1,,2010-01-01T00:00:00Z,0.1",
     ], ids=["member_value", "lead_s", "member_rank", "nan_member", "cycle_time",
-            "repeated_member_rank"])
+            "repeated_member_rank", "lead_s_beyond_int64", "empty_member_value"])
     def test_bad_prediction_row(self, tmp_path, capsys, row):
         (tmp_path / "observations.csv").write_text(
             "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n")
@@ -643,16 +726,20 @@ class TestMalformedInputs:
         self._run(capsys, argv, "config error", "weights must be finite", code=1)
 
     @pytest.mark.parametrize("setting", [
-        "spread_bins=0",
-        "spread_bins=-2",
-        "error_intervals=",
-        "error_intervals=nan",
-        "error_intervals=1,0.5",
-    ], ids=["no_spread_bins", "negative_spread_bins", "no_edges", "nan_edge", "decreasing_edges"])
+        "spread_bins=0\nbaseline_variable=v1\nerror_intervals=1",
+        "spread_bins=-2\nbaseline_variable=v1\nerror_intervals=1",
+        "error_intervals=\nbaseline_variable=v1",
+        "error_intervals=nan\nbaseline_variable=v1",
+        "error_intervals=1,0.5\nbaseline_variable=v1",
+        "error_intervals=0.5,1",
+        "baseline_variable=v1",
+        "baseline_variable=bogus\nerror_intervals=0.5,1",
+    ], ids=["no_spread_bins", "negative_spread_bins", "no_edges", "nan_edge", "decreasing_edges",
+            "edges_without_baseline", "baseline_without_edges", "unknown_baseline_variable"])
     def test_bad_verify_setting(self, pipeline, capsys, setting):
         out = pipeline / "pred"
         assert main(["predict", "--config", str(write_config(pipeline)), "--out", str(out)]) == 0
-        cfg = write_config(pipeline, extra=f"{setting}\nbaseline_variable=v1\n")
+        cfg = write_config(pipeline, extra=f"{setting}\n")
         argv = ["verify", "--config", str(cfg), "--out", str(out)]
         self._run(capsys, argv, "config error", setting.split("=")[0], code=1)
 
@@ -796,3 +883,108 @@ class TestConfigFuzz:
             code = main(argv)
         assert code in (0, 1, 2, 3)
         assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
+
+
+@pytest.fixture(scope="module")
+def file_fuzz_dir(tmp_path_factory):
+    """The fuzz dataset with a trained checkpoint and its deep_anen predictions."""
+    d = tmp_path_factory.mktemp("file_fuzz")
+    cfg = d / "config.txt"
+    cfg.write_text(FUZZ_CONFIG.format(d=d).replace("absent/", "") + "method=deep_anen\n")
+    for command in ("synth", "train", "predict"):
+        assert main([command, "--config", str(cfg), "--out", str(d)]) == 0
+    return d
+
+
+# Replacement fields: bad numbers, times and names, and some valid ones.
+FUZZ_TOKENS = ["", " ", "nan", "inf", "-inf", "1e999", "1e308", "-1", "0", "2", "1.5", "x", "#",
+               "99999999999999999999999", "9223372036854775807", "-9223372036854775808",
+               "2011-01-18T00:00:00Z", "2011-13-01T00:00:00Z", "9999-12-31T23:59:59Z",
+               "S00", "S01", "ZZZ", "v1", "head.b"]
+
+
+@st.composite
+def mutated(draw, text, separators):
+    """``text`` with one to three line or field mutations."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["field", "field", "column", "drop", "repeat", "swap",
+                                    "truncate", "insert"]))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if how == "insert" or not lines:
+            lines.insert(at, draw(st.sampled_from(["", "# comment", "x", ",,,,,,"] + lines[:2])))
+        elif how == "field":  # of a line that is not a comment, where there is one
+            at = draw(st.sampled_from(
+                [i for i, line in enumerate(lines) if not line.startswith("#")] or [at]))
+            parts = re.split(f"([{separators}])", lines[at])
+            k = 2 * draw(st.integers(0, len(parts) // 2))  # a field, not a separator
+            parts[k] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[at] = "".join(parts)
+        elif how == "column":  # one field of every line that is not a comment
+            k, token = draw(st.integers(0, 8)), draw(st.sampled_from(FUZZ_TOKENS))
+            for i, line in enumerate(lines):
+                parts = re.split(f"([{separators}])", line)
+                if not line.startswith("#") and 2 * k < len(parts):
+                    parts[2 * k] = token
+                    lines[i] = "".join(parts)
+        elif how == "drop":
+            del lines[at]
+        elif how == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        elif how == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            del lines[at:]
+    return "\n".join(lines) + "\n"
+
+
+def run_fuzzed(argv):
+    """Run the CLI, assert the exit-code contract and return the exit code.
+
+    Exit 0-3, one stderr line on failure and none on success, and a message
+    that names the fault rather than quoting a bare repr. Warnings count as
+    stderr lines, as they do outside pytest.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (0 if code == 0 else 1), lines
+    if lines:
+        message = lines[0].partition(": ")[2]
+        assert not re.fullmatch(r"'.*'|\".*\"", message), lines[0]
+    return code
+
+
+class TestFileFuzz:
+    """Mutated checkpoints and predictions files, each written new, run
+    through the CLI end in an exit code and at most one stderr line."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint(self, file_fuzz_dir, data):
+        text = data.draw(mutated((file_fuzz_dir / "checkpoint.txt").read_text(), " ,="))
+        run_dir = Path(tempfile.mkdtemp(dir=file_fuzz_dir))
+        (run_dir / "checkpoint.txt").write_text(text)
+        cfg = run_dir / "config.txt"
+        cfg.write_text(FUZZ_CONFIG.format(d=file_fuzz_dir).replace("absent", run_dir.name)
+                       + "method=deep_anen\n")
+        run_fuzzed(["predict", "--config", str(cfg), "--out", str(run_dir)])
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_predictions(self, file_fuzz_dir, data):
+        text = data.draw(mutated((file_fuzz_dir / "predictions.csv").read_text(), ","))
+        run_dir = Path(tempfile.mkdtemp(dir=file_fuzz_dir))
+        pred = run_dir / "predictions.csv"
+        pred.write_text(text)
+        intervals = data.draw(st.booleans(), label="error intervals")
+        cfg = run_dir / "config.txt"
+        cfg.write_text(FUZZ_CONFIG.format(d=file_fuzz_dir)
+                       + ("error_intervals=0.1,1\nbaseline_variable=v1\n" if intervals else ""))
+        run_fuzzed(["verify", "--config", str(cfg), "--out", str(run_dir),
+                    "--predictions", str(pred)])

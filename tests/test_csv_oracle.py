@@ -218,6 +218,27 @@ def test_mutated_files_fail_as_the_oracle_does(tmp_path, kind, data):
         assert got[1] == want[1]
 
 
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@SETTINGS
+@given(data=st.data())
+def test_lines_above_the_header_read_as_the_oracle_does(tmp_path, kind, data):
+    """Blank and '#' lines above the header, as in a predictions file, shift
+    the line numbers of every message and change nothing else."""
+    load, oracle, same = LOADERS[kind]
+    above = data.draw(st.lists(st.sampled_from(["", "# analogkit predict", "#,,,,", "\t"]),
+                               min_size=1, max_size=3))
+    text = data.draw(st.one_of(archive_text(kind), mutated_text(kind), st.just("")))
+    path = tmp_path / "archive.csv"
+    path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
+    path.write_text("\n".join(above) + "\n" + text, encoding="utf-8", newline="")
+    got, want = outcome(load, path), outcome(oracle, path)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        same(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
 # Records with several faults: the first check in record order names it.
 SEVERAL_FAULTS = [
     ("forecast", ["A,v1,2011-02-30T00:00:00Z,zero,nan"]),
