@@ -26,7 +26,10 @@ from .ensemble import (
     AnalogQuery,
     Candidate,
     EnsembleForecast,
+    SearchBase,
     build_ensemble,
+    classic_base,
+    latent_base,
     search_classic,
     search_latent,
 )

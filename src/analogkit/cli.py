@@ -18,7 +18,15 @@ import numpy as np
 
 from . import archive as ar
 from .config import ExperimentConfig, load_config
-from .ensemble import AnalogQuery, EnsembleForecast, build_ensemble, search_classic, search_latent
+from .ensemble import (
+    AnalogQuery,
+    EnsembleForecast,
+    build_ensemble,
+    classic_base,
+    latent_base,
+    search_classic,
+    search_latent,
+)
 from .errors import AnalogkitError, ConfigError, DataError, DivergenceError
 from .metric import MetricConfig
 from .network import ModelCheckpoint, embed_block, load_checkpoint, save_checkpoint
@@ -174,8 +182,9 @@ def run_predictions(
     target window; ``model`` is used by deep_anen only.
 
     Iteration order is fixed (stations as given, leads ascending, cycles
-    ascending), so output is deterministic. Returns the prediction rows and
-    the skipped targets with reasons.
+    ascending), so output is deterministic. Each (station, lead) builds one
+    search base that all of its targets are ranked over. Returns the
+    prediction rows and the skipped targets with reasons.
     """
     t_half = model.t_half if method == "deep_anen" else cfg.t_half
     rows: list[PredictionRow] = []
@@ -186,11 +195,17 @@ def run_predictions(
             if method == "deep_anen":
                 all_cycles = np.union1d(search_cycles, test_cycles)
                 block = embed_block(model, fcst, s, lead, all_cycles)
+                base = latent_base(block, obs, search_cycles)
             else:
                 stats = ar.climatology_stats(fcst, s, lead, search_cycles)
                 metric_cfg = MetricConfig(
                     weights=_effective_weights(cfg, method, fcst), sigma=stats.sigma, t_half=t_half
                 )
+                # No base where the window leaves the lead axis: there every
+                # target's extract_window raises the skip reason first.
+                base = None
+                if ar.window_fits(fcst, lead, t_half):
+                    base = classic_base(fcst, obs, s, lead, search_cycles, t_half)
             for c in sorted(int(x) for x in test_cycles):
                 query = AnalogQuery(
                     station=s,
@@ -202,9 +217,11 @@ def run_predictions(
                 )
                 try:
                     if method == "deep_anen":
-                        ranked = search_latent(query, block, obs, limit=cfg.m)
+                        ranked = search_latent(query, block, obs, limit=cfg.m, base=base)
                     else:
-                        ranked = search_classic(query, fcst, obs, metric_cfg, limit=cfg.m)
+                        ranked = search_classic(
+                            query, fcst, obs, metric_cfg, limit=cfg.m, base=base
+                        )
                     ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
                 except DataError as err:  # includes WindowUnavailable, InsufficientAnalogs
                     skipped.append((station, c, lead, str(err)))

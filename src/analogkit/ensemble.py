@@ -3,7 +3,9 @@
 A search ranks the historical cycles of one (station, lead) against a
 target forecast, under either the weighted-Euclidean window metric or
 Euclidean distance between precomputed embeddings. The observations paired
-with the best-ranked candidates become the ensemble members.
+with the best-ranked candidates become the ensemble members. Every target of
+one (station, lead, search range) is ranked over the same candidates, so a
+:class:`SearchBase` holds them once for all of those targets.
 """
 
 from __future__ import annotations
@@ -98,29 +100,103 @@ def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None =
     return pos[s.argsort(kind="stable")][:limit]
 
 
+@dataclass(frozen=True, eq=False)
+class SearchBase:
+    """What every target of one (station, lead, search range) shares.
+
+    ``rows`` holds one candidate per search cycle, in search-range order:
+    its forecast window [n, n_variables, width] for classic search, its
+    embedding [n, embed_dim] for latent search. ``members`` holds the
+    observation at each candidate's valid time, and ``eligible`` marks the
+    candidates with a complete window (an available embedding row) and an
+    observation. ``source`` is what the rows were built from: the
+    (station, lead, t_half) of classic search, the embedding block of
+    latent search. A base serves one search range only; a query for another
+    source or range raises ``ValueError``.
+    """
+
+    source: tuple[int, int, int] | EmbeddingBlock
+    search_cycles: np.ndarray
+    rows: np.ndarray
+    members: np.ndarray
+    eligible: np.ndarray
+
+
+def classic_base(
+    fcst: ForecastArchive,
+    obs: ObservationArchive,
+    station: int,
+    lead: int,
+    search_cycles: np.ndarray,
+    t_half: int,
+) -> SearchBase:
+    """The window block, members and eligibility of the search cycles at
+    (station, lead). Raises :class:`WindowUnavailable` when the window does
+    not fit the lead axis."""
+    search_cycles = np.asarray(search_cycles, dtype=int)
+    rows, available = window_block(fcst, station, lead, search_cycles, t_half)
+    times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
+    members = obs.values_for(fcst.stations[station], times)
+    return SearchBase(
+        (station, lead, t_half), search_cycles, rows, members, available & np.isfinite(members)
+    )
+
+
+def latent_base(
+    embeddings: EmbeddingBlock, obs: ObservationArchive, search_cycles: np.ndarray
+) -> SearchBase:
+    """The embedding rows, members and eligibility of the search cycles.
+
+    A search cycle the block does not cover raises ``KeyError``.
+    """
+    search_cycles = np.asarray(search_cycles, dtype=int)
+    covered = np.isin(search_cycles, embeddings.cycles)
+    if not covered.all():
+        missing = int(search_cycles[np.argmin(covered)])
+        raise KeyError(f"cycle index {missing} not covered by this block")
+    positions = np.searchsorted(embeddings.cycles, search_cycles)
+    members = obs.values_for(embeddings.station, embeddings.valid_times[positions])
+    rows = np.take(embeddings.vectors, positions, axis=0)
+    eligible = embeddings.available[positions] & np.isfinite(members)
+    return SearchBase(embeddings, search_cycles, rows, members, eligible)
+
+
+def _require_base(base: SearchBase, source, search_cycles: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``base`` was built from ``source`` and ``search_cycles``."""
+    if base.source != source:
+        raise ValueError(f"search base was built for another {what}")
+    if base.search_cycles is not search_cycles and not np.array_equal(
+        base.search_cycles, search_cycles
+    ):
+        raise ValueError("search base was built for another search range")
+
+
 def search_classic(
     query: AnalogQuery,
     fcst: ForecastArchive,
     obs: ObservationArchive,
     cfg: MetricConfig,
     limit: int | None = None,
+    base: SearchBase | None = None,
 ) -> list[Candidate]:
     """Rank search-range cycles by window dissimilarity against the target.
 
     Candidates need a complete window and a non-missing observation at the
     member valid time. Raises when the target window is unavailable or no
     candidate survives. With ``limit`` the result is the first ``limit``
-    candidates of the full ranking.
+    candidates of the full ranking. ``base`` is the query's
+    :func:`classic_base`, shared by every target of its (station, lead,
+    search range); without it the search builds its own.
     """
     target = extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
-    block, avail = window_block(fcst, query.station, query.lead, query.search_cycles, query.t_half)
-    times = fcst.cycles[query.search_cycles] + int(fcst.leads[query.lead])
-    obs_vals = obs.values_for(fcst.stations[query.station], times)
-    eligible = avail & np.isfinite(obs_vals)
-    if not eligible.any():
+    if base is None:
+        base = classic_base(fcst, obs, query.station, query.lead, query.search_cycles, query.t_half)
+    source = (query.station, query.lead, query.t_half)
+    _require_base(base, source, query.search_cycles, "station, lead or t_half")
+    if not base.eligible.any():
         raise DataError("no analog candidates available for this target")
-    scores = block_dissimilarity(target.data, block, cfg)
-    return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
+    scores = block_dissimilarity(target.data, base.rows, cfg)
+    return _candidates(query, scores, base.members, rank_positions(scores, base.eligible, limit))
 
 
 def search_latent(
@@ -128,32 +204,27 @@ def search_latent(
     embeddings: EmbeddingBlock,
     obs: ObservationArchive,
     limit: int | None = None,
+    base: SearchBase | None = None,
 ) -> list[Candidate]:
     """Rank search-range cycles by Euclidean distance in embedding space.
 
-    Same eligibility, ordering, tie and ``limit`` rules as
-    :func:`search_classic`; candidates with a masked embedding row are
-    excluded. A target or search cycle the block does not cover raises
-    ``KeyError``.
+    Same eligibility, ordering, tie, ``limit`` and ``base`` rules as
+    :func:`search_classic`, with :func:`latent_base` as the base;
+    candidates with a masked embedding row are excluded. A target or search
+    cycle the block does not cover raises ``KeyError``.
     """
     t_pos = embeddings.position(query.target_cycle)
     if not embeddings.available[t_pos]:
         raise DataError("target window unavailable: no embedding for the target cycle")
-    cycles = embeddings.cycles  # not empty: it holds the target
-    positions = np.searchsorted(cycles, query.search_cycles).clip(max=len(cycles) - 1)
-    uncovered = cycles[positions] != query.search_cycles
-    if uncovered.any():
-        missing = int(query.search_cycles[np.argmax(uncovered)])
-        raise KeyError(f"cycle index {missing} not covered by this block")
-    obs_vals = obs.values_for(embeddings.station, embeddings.valid_times[positions])
-    eligible = embeddings.available[positions] & np.isfinite(obs_vals)
-    if not eligible.any():
+    if base is None:
+        base = latent_base(embeddings, obs, query.search_cycles)
+    _require_base(base, embeddings, query.search_cycles, "embedding block")
+    if not base.eligible.any():
         raise DataError("no analog candidates available for this target")
-    diff = np.take(embeddings.vectors, positions, axis=0)
-    diff -= embeddings.vectors[t_pos]
+    diff = base.rows - embeddings.vectors[t_pos]
     diff *= diff
     scores = np.sqrt(np.sum(diff, axis=1))
-    return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
+    return _candidates(query, scores, base.members, rank_positions(scores, base.eligible, limit))
 
 
 def _candidates(

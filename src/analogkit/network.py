@@ -372,9 +372,12 @@ def forward(model: ModelCheckpoint, window: ForecastWindow) -> np.ndarray:
     return embed_windows(model, window.data[None])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingBlock:
-    """Precomputed embeddings for a run of cycles at one (station, lead)."""
+    """Precomputed embeddings for a run of cycles at one (station, lead).
+
+    Blocks compare by identity: a search base built from one serves no other.
+    """
 
     station: str
     lead_s: int
@@ -397,7 +400,13 @@ def embed_block(
     lead: int,
     cycles,
 ) -> EmbeddingBlock:
-    """Embeddings for every cycle in the range; unavailable windows are masked."""
+    """Embeddings for every cycle in the range; unavailable windows are masked.
+
+    Weights near the float limit may overflow inside the LSTM, where the
+    gates saturate to their limits. An available embedding that is not
+    finite, or so large that distances between embeddings would overflow,
+    raises :class:`DataError`.
+    """
     if list(archive.variables) != list(model.variables):
         raise DataError(
             f"archive variables {','.join(archive.variables)} do not match "
@@ -412,7 +421,16 @@ def embed_block(
         # lead too close to the axis edge: no cycle has a window
         data, available = None, np.zeros(n, dtype=bool)
     if available.any():
-        vectors[available] = embed_windows(model, data[available])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors[available] = embed_windows(model, data[available])
+        # |v| < bound keeps the sum of squared differences of any two rows
+        # finite; NaN fails the test too
+        bound = np.sqrt(np.finfo(float).max / (4 * model.embed_dim))
+        if not np.all(np.abs(vectors[available]) < bound):
+            raise DataError(
+                "checkpoint weights give non-finite embeddings or embedding distances "
+                f"at station {archive.stations[station]}, lead {int(archive.leads[lead])} s"
+            )
     return EmbeddingBlock(
         station=archive.stations[station],
         lead_s=int(archive.leads[lead]),

@@ -606,6 +606,33 @@ class TestMalformedInputs:
         argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
         self._run(capsys, argv, "do not match model variables")
 
+    @pytest.mark.parametrize("name,code", [("layer0.w_u", 0), ("layer0.w_c", 0), ("head.w", 2)])
+    def test_huge_checkpoint_weights(self, pipeline, capsys, name, code):
+        """Weights of alternating sign at ±1e308 are finite, so they load.
+        Gates that overflow saturate without a warning; embeddings whose
+        distances would overflow are a data error. The fault shows only when
+        the model embeds, so the message names the station and lead, not the file."""
+        from analogkit.network import init_model, save_checkpoint
+
+        path = pipeline / "train" / "checkpoint.txt"
+        path.parent.mkdir()
+        save_checkpoint(init_model(["v1", "v2", "v3"], 0, (8,), 4, seed=1), path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, l in enumerate(lines) if l.startswith(f"@array {name} "))
+        lines[i + 1] = " ".join(("-1e308", "1e308")[k % 2] for k in range(len(lines[i + 1].split())))
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(pipeline, method="deep_anen")
+        argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # outside pytest a warning is a stderr line
+            assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and "checkpoint weights give non-finite embeddings" in err[0]
+        else:
+            assert err == []
+
     @pytest.mark.parametrize("row", [
         "PSU,2011-01-02T00:00:00Z,0,1,abc,2010-01-01T00:00:00Z,0.1",
         "PSU,2011-01-02T00:00:00Z,zero,1,5.0,2010-01-01T00:00:00Z,0.1",

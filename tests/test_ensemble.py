@@ -8,6 +8,7 @@ from analogkit.ensemble import (
     Candidate,
     EnsembleForecast,
     build_ensemble,
+    latent_base,
     search_classic,
     search_latent,
 )
@@ -350,3 +351,5 @@ class TestTopM:
                                 search_cycles=np.array([2, missing, 4]), m=1)
             with pytest.raises(KeyError, match=str(missing)):
                 search_latent(query, block, obs, limit=1)
+            with pytest.raises(KeyError, match=str(missing)):
+                latent_base(block, obs, query.search_cycles)
