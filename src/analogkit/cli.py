@@ -174,79 +174,91 @@ def run_predictions(
     obs: ar.ObservationArchive,
     stations: list[str],
     leads: list[int],
-    search_cycles: np.ndarray,
+    search_ranges: list[np.ndarray],
     test_cycles: np.ndarray,
     model: ModelCheckpoint | None,
-) -> tuple[list[PredictionRow], list[tuple[str, int, int, str]]]:
+) -> tuple[list[list[PredictionRow]], list[tuple[str, int, int, str]]]:
     """Ensembles of ``method`` for every (station, test cycle, lead) with a
-    target window; ``model`` is used by deep_anen only.
+    target window, ranked against each range of ``search_ranges``;
+    ``model`` is used by deep_anen only.
 
     Iteration order is fixed (stations as given, leads ascending, cycles
-    ascending), so output is deterministic. Each (station, lead) builds one
-    search base that all of its targets are ranked over. Returns the
-    prediction rows and the skipped targets with reasons.
+    ascending), so output is deterministic. Each (station, lead) embeds its
+    cycles once, over every range and the test cycles, and builds one search
+    base per range that all of its targets are ranked over. Returns the
+    prediction rows of each range and the skipped targets, with reasons, of
+    all ranges.
     """
     t_half = model.t_half if method == "deep_anen" else cfg.t_half
-    rows: list[PredictionRow] = []
+    rows: list[list[PredictionRow]] = [[] for _ in search_ranges]
     skipped: list[tuple[str, int, int, str]] = []
+    targets = sorted(int(x) for x in test_cycles)
+    if method == "deep_anen":
+        embedded = np.unique(np.concatenate([*search_ranges, test_cycles]))
+    else:
+        weights = _effective_weights(cfg, method, fcst)
     for station in stations:
         s = fcst.station_index(station)
         for lead in sorted(leads):
             if method == "deep_anen":
-                all_cycles = np.union1d(search_cycles, test_cycles)
-                block = embed_block(model, fcst, s, lead, all_cycles)
-                base = latent_base(block, obs, search_cycles)
-            else:
-                stats = ar.climatology_stats(fcst, s, lead, search_cycles)
-                metric_cfg = MetricConfig(
-                    weights=_effective_weights(cfg, method, fcst), sigma=stats.sigma, t_half=t_half
-                )
-                # No base where the window leaves the lead axis: there every
-                # target's extract_window raises the skip reason first.
-                base = None
-                if ar.window_fits(fcst, lead, t_half):
-                    base = classic_base(fcst, obs, s, lead, search_cycles, t_half)
-            for c in sorted(int(x) for x in test_cycles):
-                query = AnalogQuery(
-                    station=s,
-                    target_cycle=c,
-                    lead=lead,
-                    t_half=t_half,
-                    search_cycles=search_cycles,
-                    m=cfg.m,
-                )
-                try:
-                    if method == "deep_anen":
-                        ranked = search_latent(query, block, obs, limit=cfg.m, base=base)
-                    else:
-                        ranked = search_classic(
-                            query, fcst, obs, metric_cfg, limit=cfg.m, base=base
-                        )
-                    ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
-                except DataError as err:  # includes WindowUnavailable, InsufficientAnalogs
-                    skipped.append((station, c, lead, str(err)))
-                    continue
-                rows.append(PredictionRow(station, c, lead, ensemble))
+                block = embed_block(model, fcst, s, lead, embedded)
+            for range_rows, search_cycles in zip(rows, search_ranges):
+                if method == "deep_anen":
+                    base = latent_base(block, obs, search_cycles)
+                else:
+                    stats = ar.climatology_stats(fcst, s, lead, search_cycles)
+                    metric_cfg = MetricConfig(weights=weights, sigma=stats.sigma, t_half=t_half)
+                    # No base where the window leaves the lead axis: there every
+                    # target's extract_window raises the skip reason first.
+                    base = None
+                    if ar.window_fits(fcst, lead, t_half):
+                        base = classic_base(fcst, obs, s, lead, search_cycles, t_half)
+                for c in targets:
+                    query = AnalogQuery(
+                        station=s,
+                        target_cycle=c,
+                        lead=lead,
+                        t_half=t_half,
+                        search_cycles=search_cycles,
+                        m=cfg.m,
+                    )
+                    try:
+                        if method == "deep_anen":
+                            ranked = search_latent(query, block, obs, limit=cfg.m, base=base)
+                        else:
+                            ranked = search_classic(
+                                query, fcst, obs, metric_cfg, limit=cfg.m, base=base
+                            )
+                        ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
+                    except DataError as err:  # includes WindowUnavailable, InsufficientAnalogs
+                        skipped.append((station, c, lead, str(err)))
+                        continue
+                    range_rows.append(PredictionRow(station, c, lead, ensemble))
     return rows, skipped
 
 
 def write_predictions(
-    rows: list[PredictionRow], fcst: ar.ForecastArchive, path, header_lines: list[str]
+    rows: list[PredictionRow],
+    fcst: ar.ForecastArchive,
+    cycle_times: list[str],
+    path,
+    header_lines: list[str],
 ) -> None:
+    """Write the members of ``rows``; ``cycle_times`` holds the formatted
+    time of every archive cycle."""
+    leads = fcst.leads.tolist()
     with ar.open_output(path) as fh:
         for line in header_lines:
             fh.write(line + "\n")
         fh.write(",".join(ar.PREDICTION_HEADER) + "\n")
         for row in rows:
-            cycle_time = ar.format_time(int(fcst.cycles[row.cycle]))
-            lead_s = int(fcst.leads[row.lead])
+            target = f"{row.station},{cycle_times[row.cycle]},{leads[row.lead]}"
             for rank, (member, (src_cycle, score)) in enumerate(
-                zip(row.ensemble.members, row.ensemble.sources), start=1
+                zip(row.ensemble.members.tolist(), row.ensemble.sources), start=1
             ):
-                src_time = ar.format_time(int(fcst.cycles[src_cycle]))
                 fh.write(
-                    f"{row.station},{cycle_time},{lead_s},{rank},"
-                    f"{ar.format_float(member)},{src_time},{ar.format_float(score)}\n"
+                    f"{target},{rank},{ar.format_float(member)},"
+                    f"{cycle_times[src_cycle]},{ar.format_float(score)}\n"
                 )
 
 
@@ -379,16 +391,19 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
             f"effective_weight.{v}={ar.format_float(w)}"
             for v, w in zip(fcst.variables, weights)
         ]
-    rows, skipped = run_predictions(
-        cfg, cfg.method, fcst, obs, stations, leads, search_cycles, test_cycles, model
+    (rows,), skipped = run_predictions(
+        cfg, cfg.method, fcst, obs, stations, leads, [search_cycles], test_cycles, model
     )
-    write_predictions(rows, fcst, out / "predictions.csv", _provenance(cfg, "predict", extra))
+    cycle_times = [ar.format_time(c) for c in fcst.cycles.tolist()]
+    write_predictions(
+        rows, fcst, cycle_times, out / "predictions.csv", _provenance(cfg, "predict", extra)
+    )
+    lead_s = fcst.leads.tolist()
     with ar.open_output(out / "skipped.csv") as fh:
         fh.write("station,cycle_time,lead_s,reason\n")
         for station, cycle, lead, reason in skipped:
             fh.write(
-                f"{station},{ar.format_time(int(fcst.cycles[cycle]))},"
-                f"{int(fcst.leads[lead])},{reason.replace(',', ';')}\n"
+                f"{station},{cycle_times[cycle]},{lead_s[lead]},{reason.replace(',', ';')}\n"
             )
     if not rows:
         raise DataError("all prediction targets failed; see skipped.csv")
@@ -485,10 +500,11 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
 
     Splits are fractions of the full search range anchored at its end:
     split k of max(splits) covers the most recent k/max of the range. Every
-    split predicts the targets ``predict`` would. A deep model, when needed,
-    is loaded from the configured checkpoint if that file exists; otherwise
-    it is trained exactly as ``train`` would, writing checkpoint.txt and
-    train_log.csv into the output directory.
+    split predicts the targets ``predict`` would; one pass per method ranks
+    them against every split, so each (station, lead) is embedded once. A
+    deep model, when needed, is loaded from the configured checkpoint if
+    that file exists; otherwise it is trained exactly as ``train`` would,
+    writing checkpoint.txt and train_log.csv into the output directory.
     """
     methods = cfg.methods or [cfg.method]
     fcst, obs, stations, leads, test_cycles = _prediction_targets(cfg)
@@ -502,15 +518,17 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     threshold = _brier_threshold(cfg, obs, stations)
 
     span = cfg.search_end - cfg.search_start
-    max_split = splits[-1]
+    starts = [cfg.search_end - span * split // splits[-1] for split in splits]
+    ranges = [
+        _cycles_in(fcst, start, cfg.search_end, f"split {split} search")
+        for split, start in zip(splits, starts)
+    ]
     results = []
     for method in methods:
-        for split in splits:
-            start = cfg.search_end - span * split // max_split
-            search_cycles = _cycles_in(fcst, start, cfg.search_end, f"split {split} search")
-            rows, _skipped = run_predictions(
-                cfg, method, fcst, obs, stations, leads, search_cycles, test_cycles, model
-            )
+        split_rows, _skipped = run_predictions(
+            cfg, method, fcst, obs, stations, leads, ranges, test_cycles, model
+        )
+        for split, start, search_cycles, rows in zip(splits, starts, ranges, split_rows):
             if not rows:
                 raise DataError(f"split {split}: all prediction targets failed")
             vset = pairs_from_rows(rows, fcst, obs).vset

@@ -17,7 +17,7 @@ import numpy as np
 
 from .archive import ForecastArchive, ObservationArchive, extract_window, window_block
 from .errors import DataError, InsufficientAnalogs
-from .metric import MetricConfig, block_dissimilarity
+from .metric import MetricConfig, block_dissimilarity, pairwise_sum
 from .network import EmbeddingBlock
 
 
@@ -104,9 +104,12 @@ def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None =
 class SearchBase:
     """What every target of one (station, lead, search range) shares.
 
-    ``rows`` holds one candidate per search cycle, in search-range order:
-    its forecast window [n, n_variables, width] for classic search, its
-    embedding [n, embed_dim] for latent search. ``members`` holds the
+    ``rows`` holds the candidates feature-major, one contiguous row over the
+    n search cycles (in search-range order) per feature: the forecast
+    windows as [width, n_variables, n] for classic search, the embeddings
+    as [embed_dim, n] for latent search. Scoring a target then adds vectors
+    of length n, not one short sum per candidate, with the bits of those
+    sums (see :func:`~analogkit.metric.pairwise_sum`). ``members`` holds the
     observation at each candidate's valid time, and ``eligible`` marks the
     candidates with a complete window (an available embedding row) and an
     observation. ``source`` is what the rows were built from: the
@@ -130,11 +133,12 @@ def classic_base(
     search_cycles: np.ndarray,
     t_half: int,
 ) -> SearchBase:
-    """The window block, members and eligibility of the search cycles at
+    """The windows, members and eligibility of the search cycles at
     (station, lead). Raises :class:`WindowUnavailable` when the window does
     not fit the lead axis."""
     search_cycles = np.asarray(search_cycles, dtype=int)
-    rows, available = window_block(fcst, station, lead, search_cycles, t_half)
+    block, available = window_block(fcst, station, lead, search_cycles, t_half)
+    rows = np.ascontiguousarray(block.transpose(2, 1, 0))
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
     members = obs.values_for(fcst.stations[station], times)
     return SearchBase(
@@ -156,7 +160,7 @@ def latent_base(
         raise KeyError(f"cycle index {missing} not covered by this block")
     positions = np.searchsorted(embeddings.cycles, search_cycles)
     members = obs.values_for(embeddings.station, embeddings.valid_times[positions])
-    rows = np.take(embeddings.vectors, positions, axis=0)
+    rows = np.take(embeddings.vectors.T, positions, axis=1)
     eligible = embeddings.available[positions] & np.isfinite(members)
     return SearchBase(embeddings, search_cycles, rows, members, eligible)
 
@@ -221,9 +225,9 @@ def search_latent(
     _require_base(base, embeddings, query.search_cycles, "embedding block")
     if not base.eligible.any():
         raise DataError("no analog candidates available for this target")
-    diff = base.rows - embeddings.vectors[t_pos]
+    diff = base.rows - embeddings.vectors[t_pos][:, None]
     diff *= diff
-    scores = np.sqrt(np.sum(diff, axis=1))
+    scores = np.sqrt(pairwise_sum(diff))
     return _candidates(query, scores, base.members, rank_positions(scores, base.eligible, limit))
 
 

@@ -71,22 +71,60 @@ def dissimilarity(target: ForecastWindow, candidate: ForecastWindow, cfg: Metric
         raise ValueError(
             f"candidate window shape {candidate.data.shape}, config expects {expected}"
         )
-    return float(cfg.coefficients @ _per_variable_distance(target.data, candidate.data))
-
-
-def _per_variable_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a - b
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    diff = target.data - candidate.data
+    return float(cfg.coefficients @ np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
 def block_dissimilarity(
     target: np.ndarray, candidates: np.ndarray, cfg: MetricConfig
 ) -> np.ndarray:
-    """Scores of many candidate windows [n, n_variables, width] against one target."""
+    """Scores of many candidate windows against one target.
+
+    ``candidates`` is feature-major, [width, n_variables, n]: each (window
+    position, variable) holds one row over the n candidates, so every
+    operation here is a vector operation over the candidates. Scores equal
+    :func:`dissimilarity`'s and keep the bits of a sum along each
+    candidate's [n_variables, width] window.
+    """
     if target.shape != (cfg.n_variables, cfg.width):
         raise ValueError(f"target window shape {target.shape}, config expects "
                          f"{(cfg.n_variables, cfg.width)}")
-    if candidates.ndim != 3 or candidates.shape[1:] != target.shape:
+    if candidates.ndim != 3 or candidates.shape[:2] != target.T.shape:
         raise ValueError(f"candidate block shape {candidates.shape} does not match target")
-    per_var = _per_variable_distance(candidates, target[None, :, :])  # [n, n_var]
+    d = candidates - target.T[:, :, None]
+    d *= d
+    # gemv rounds by memory layout: the product takes a C-contiguous
+    # [n, n_variables] matrix, as it did when the sums ran per candidate
+    per_var = np.sqrt(pairwise_sum(d)).T.copy()
     return per_var @ cfg.coefficients
+
+
+def pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, in the order ``np.sum`` adds a contiguous row.
+
+    numpy sums a row of fewer than 8 terms in sequence; up to 128 terms in 8
+    interleaved partial sums, combined pairwise, then the remainder in
+    sequence; and a longer row in two halves, recursively. Adding whole
+    slices of ``terms`` in that order gives, element for element, the bits
+    of ``np.sum`` along the last axis of the transposed array, with vector
+    adds as long as the trailing axes. ``terms`` must not be empty.
+    """
+    k = len(terms)
+    # "+ 0.0" rather than a copy: np.sum starts from 0.0, which turns a sum
+    # of negative zeros into 0.0
+    if k < 8:
+        total = terms[0] + 0.0
+        for term in terms[1:]:
+            total += term
+        return total
+    if k <= 128:
+        r = terms[:8] + 0.0
+        end = k - k % 8
+        for i in range(8, end, 8):
+            r += terms[i : i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms[end:]:
+            total += term
+        return total
+    half = k // 2 - (k // 2) % 8
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])

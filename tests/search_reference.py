@@ -5,7 +5,9 @@ These are the ``search_classic`` and ``search_latent`` bodies that a shared
 search-range window block (or gathers the embedding rows), looks up the
 member observations and the eligible mask again, then scores and ranks.
 They are kept as the oracle the base-backed searches must match candidate
-for candidate, score bit for score bit, and error for error.
+for candidate, score bit for score bit, and error for error. The window
+kernel is inlined as it was before the base became feature-major: one sum
+along each candidate's [n_variables, width] window, in numpy's own order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 from analogkit.archive import extract_window, window_block
 from analogkit.ensemble import Candidate, rank_positions
 from analogkit.errors import DataError
-from analogkit.metric import block_dissimilarity
 
 
 def search_classic(query, fcst, obs, cfg, limit=None):
@@ -26,7 +27,8 @@ def search_classic(query, fcst, obs, cfg, limit=None):
     eligible = avail & np.isfinite(obs_vals)
     if not eligible.any():
         raise DataError("no analog candidates available for this target")
-    scores = block_dissimilarity(target.data, block, cfg)
+    d = block - target.data[None]  # [n, n_variables, width]
+    scores = np.sqrt(np.sum(d * d, axis=-1)) @ cfg.coefficients
     return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
 
 

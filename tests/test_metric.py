@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from analogkit.archive import ForecastWindow
-from analogkit.metric import MetricConfig, block_dissimilarity, dissimilarity
+from analogkit.metric import MetricConfig, block_dissimilarity, dissimilarity, pairwise_sum
 
 
 def naive_dissimilarity(target, candidate, weights, sigma):
@@ -123,8 +123,8 @@ class TestProperties:
         for c in (0.3, 2.0, 17.5):
             base = MetricConfig(weights=weights, sigma=sigma, t_half=1)
             scaled = MetricConfig(weights=c * weights, sigma=sigma, t_half=1)
-            s0 = block_dissimilarity(target, candidates, base)
-            s1 = block_dissimilarity(target, candidates, scaled)
+            s0 = block_dissimilarity(target, candidates.transpose(2, 1, 0), base)
+            s1 = block_dissimilarity(target, candidates.transpose(2, 1, 0), scaled)
             np.testing.assert_allclose(s1, c * s0, rtol=1e-12)
             assert np.array_equal(np.argsort(s0, kind="stable"),
                                   np.argsort(s1, kind="stable"))
@@ -151,8 +151,22 @@ class TestProperties:
         cfg = MetricConfig(weights=rng.random(3) + 0.1, sigma=rng.random(3) + 0.1, t_half=1)
         target = rng.standard_normal((3, 3))
         candidates = rng.standard_normal((20, 3, 3))
-        block = block_dissimilarity(target, candidates, cfg)
+        block = block_dissimilarity(target, candidates.transpose(2, 1, 0), cfg)
         for i in range(20):
             assert block[i] == pytest.approx(
                 dissimilarity(window(target), window(candidates[i]), cfg), rel=1e-12
             )
+
+
+def test_pairwise_sum_has_the_bits_of_numpy_sum():
+    """Every branch of numpy's pairwise order: fewer than 8 terms, 8 to 128,
+    and the recursive halves beyond; values across magnitudes so that any
+    other order rounds differently, plus rows of negative zeros and NaN."""
+    rng = np.random.default_rng(7)
+    for k in range(1, 301):
+        x = rng.standard_normal((40, k)) * 10.0 ** rng.integers(-6, 7, (40, k))
+        x[0] = -0.0
+        x[1, k // 2] = np.nan
+        want = np.sum(x, axis=-1)
+        got = pairwise_sum(np.ascontiguousarray(x.T))
+        assert got.tobytes() == want.tobytes(), k

@@ -41,16 +41,19 @@ def _outcome(search):
 
 
 def _grid(draw, shape, holes):
-    """Integer-valued floats in 0..2 (so scores tie often), NaN where drawn:
-    nowhere, in some cells, or everywhere."""
-    n = int(np.prod(shape))
-    values = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
-                      dtype=float).reshape(shape)
+    """Values from a drawn seed, NaN where drawn: nowhere, in some cells, or
+    everywhere. The values are integers 0..2, so that scores tie often, or
+    reals of one magnitude, so that a sum in another order rounds
+    differently."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, 3, shape).astype(float)
+    else:
+        values = rng.standard_normal(shape)
     if holes == "all":
         values[...] = np.nan
     elif holes == "some":
-        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        values[np.array(mask).reshape(shape)] = np.nan
+        values[rng.random(shape) < draw(st.sampled_from([0.02, 0.3]))] = np.nan
     return values
 
 
@@ -70,17 +73,20 @@ class TestOracle:
     def test_classic_matches_reference(self, data):
         draw = data.draw
         n_stations, n_var = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-        n_cycles, n_leads = draw(st.integers(2, 25)), draw(st.integers(1, 4))
-        t_half = draw(st.integers(0, 1))
-        station, lead = draw(st.integers(0, n_stations - 1)), draw(st.integers(0, n_leads - 1))
+        # widths 1 to 9: sums of fewer than 8 terms and of 8 or more
+        t_half = draw(st.integers(0, 4))
+        n_cycles, n_leads = draw(st.integers(2, 25)), 2 * t_half + draw(st.integers(1, 3))
+        # leads with a window, and at t_half >= 1 one lead too near each edge
+        station = draw(st.integers(0, n_stations - 1))
+        lead = draw(st.integers(max(0, t_half - 1), min(n_leads - 1, n_leads - t_half)))
         fcst = make_forecasts(_grid(draw, (n_stations, n_var, n_cycles, n_leads), draw(HOLES)))
         obs = obs_matching(fcst, _grid(draw, (n_stations, n_cycles, n_leads), draw(HOLES)))
         target = draw(st.integers(0, n_cycles - 1))
         search = _subset(draw, [c for c in range(n_cycles) if c != target])
-        weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+        weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
                                          min_size=n_var, max_size=n_var)))
         weights[0] += 0.0 if weights.any() else 1.0
-        sigma = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]),
+        sigma = np.array(draw(st.lists(st.sampled_from([0.0, 0.7, 2.0]),
                                        min_size=n_var, max_size=n_var)))
         cfg = MetricConfig(weights=weights, sigma=sigma, t_half=t_half)
         query = AnalogQuery(station=station, target_cycle=target, lead=lead, t_half=t_half,
@@ -101,7 +107,8 @@ class TestOracle:
     @given(data=st.data())
     def test_latent_matches_reference(self, data):
         draw = data.draw
-        n, dim = draw(st.integers(1, 25)), draw(st.integers(1, 3))
+        # sums of fewer than 8 terms and of 8 or more
+        n, dim = draw(st.integers(1, 25)), draw(st.integers(1, 20))
         vectors = _grid(draw, (n, dim), "none")
         vectors = vectors[np.array(draw(st.lists(st.integers(0, n - 1), min_size=n,
                                                  max_size=n)))]  # repeated rows tie exactly
@@ -207,8 +214,8 @@ def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
         cli.latent_base, latent, lambda block, *_: (block.station, block.lead_s)))
 
     for method in ("anen_equal", "deep_anen"):
-        rows, skipped = cli.run_predictions(
-            cfg, method, fcst, obs, ["S00", "S01"], [0, 1, 2], search, test, model)
+        (rows,), skipped = cli.run_predictions(
+            cfg, method, fcst, obs, ["S00", "S01"], [0, 1, 2], [search], test, model)
         assert len(rows) == 2 * 10 and len(skipped) == 2 * 2 * 10
         assert all(reason.startswith("window out of bounds") or "no embedding" in reason
                    for *_, reason in skipped)
@@ -228,3 +235,33 @@ def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
 
     assert windows == [(0, 1), (1, 1)]
     assert latent == [(s, l) for s in ("S00", "S01") for l in (0, 3600, 7200)]
+
+
+def test_run_predictions_embeds_once_for_nested_ranges(monkeypatch, rng):
+    """Three nested search ranges in one call: deep_anen embeds each (station,
+    lead) once, over the largest range and the targets, and the rows and
+    skips of every range equal those of a call with that range alone."""
+    fcst, obs = _archive(rng)
+    ranges, test = [np.arange(20, 30), np.arange(10, 30), np.arange(30)], np.arange(30, 40)
+    model = init_model(list(fcst.variables), t_half=1, hidden_sizes=(3,), embed_dim=2, seed=0)
+    cfg = ExperimentConfig()
+    cfg.values.update(t_half=1, m=4)
+    cfg.weights["v2"] = 1.0
+    embedded = []
+    monkeypatch.setattr(cli, "embed_block", _counting(
+        cli.embed_block, embedded, lambda model, fcst, s, lead, cycles: (s, lead, len(cycles))))
+
+    def outcome(rows):
+        return [(r.station, r.cycle, r.lead, r.ensemble.sources, r.ensemble.members.tolist())
+                for r in rows]
+
+    for method in ("anen_weighted", "deep_anen"):
+        split_rows, skipped = cli.run_predictions(
+            cfg, method, fcst, obs, ["S00", "S01"], [0, 1, 2], ranges, test, model)
+        if method == "deep_anen":
+            assert embedded == [(s, lead, 40) for s in (0, 1) for lead in (0, 1, 2)]
+        alone = [cli.run_predictions(cfg, method, fcst, obs, ["S00", "S01"], [0, 1, 2],
+                                     [search], test, model) for search in ranges]
+        assert [outcome(rows) for rows in split_rows] == [outcome(a[0][0]) for a in alone]
+        assert sorted(skipped) == sorted(s for a in alone for s in a[1])
+        assert len(skipped) == 3 * 2 * 2 * 10  # the edge leads, in every range
