@@ -22,10 +22,17 @@ line that is neither blank nor ``#``, and blank and ``#`` lines are skipped.
 A malformed file raises :class:`SchemaError` naming the file and the line
 of the first offending record in file order; within a record the column
 count, the key columns, the duplicate key and the value are checked in
-that order. Each distinct key string is parsed once, so the cost grows
-with the rows but the timestamp parsing only with the distinct times. A
-timestamp is accepted exactly when :func:`parse_time` accepts it, and
-``lead_s`` must fit int64.
+that order. A timestamp is accepted exactly when :func:`parse_time`
+accepts it, and ``lead_s`` must fit int64.
+
+Cost: the lines are joined and split into fields once, and the column
+count of every record is checked on that split by where the record
+separators fall. Each key column is coded in one dictionary pass, and
+only its distinct strings are parsed, so timestamp parsing grows with the
+distinct times, not the rows. The value column is parsed by ``float()``
+inside numpy's array constructor, an empty field read as ``"nan"``.
+Duplicate keys are found by sorting the records' cells, so no array spans
+the product of the axes.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ import math
 import os
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -321,11 +329,14 @@ def _parses(parse, text: str) -> bool:
 def _codes(column: list[str], parse) -> tuple[list, np.ndarray, int | None]:
     """Code a key column on the sorted axis of its distinct parsed keys.
 
-    Only the distinct strings are parsed. Returns ``(axis, codes, bad)``:
-    ``bad`` is the first row whose string does not parse (None when all
-    do), and ``codes`` covers the rows before it.
+    One dictionary pass numbers the distinct strings in order of first row,
+    and only they are parsed. Returns ``(axis, codes, bad)``: ``bad`` is the
+    first row whose string does not parse (None when all do), and ``codes``
+    covers the rows before it.
     """
-    distinct = list(dict.fromkeys(column))  # in order of first row
+    first = defaultdict(count().__next__)
+    codes = np.fromiter(map(first.__getitem__, column), np.intp, len(column))
+    distinct = list(first)  # in order of first row
     bad = None
     try:
         keys = parse(distinct)
@@ -333,18 +344,12 @@ def _codes(column: list[str], parse) -> tuple[list, np.ndarray, int | None]:
         # every row before the first row of the first failing distinct
         # string holds one of the distinct strings before it
         j = next(j for j, text in enumerate(distinct) if not _parses(parse, text))
-        bad, distinct = distinct[j], distinct[:j]
-        keys = parse(distinct)
+        keys = parse(distinct[:j])
+        bad = int(np.argmax(codes == j))
+        codes = codes[:bad]
     axis = sorted(set(keys))
     position = {key: i for i, key in enumerate(axis)}
-    code = {text: position[key] for text, key in zip(distinct, keys)}
-    n = len(column) if bad is None else column.index(bad)
-    codes = np.fromiter(map(code.__getitem__, islice(column, n)), np.intp, n)
-    return axis, codes, None if bad is None else n
-
-
-def _value(text: str) -> float:
-    return float(text) if text else math.nan
+    return axis, np.array([position[key] for key in keys], np.intp)[codes], bad
 
 
 def _value_problem(text: str, empty_is_missing: bool) -> str:
@@ -368,11 +373,14 @@ def _values(
     Returns ``(values, None)``, or ``(None, (row, message))`` for the first
     field that is neither.
     """
+    empty = column.count("")
     try:
-        values = np.fromiter(map(_value, column), float, len(column))
+        # numpy's array constructor calls float() on each string; empty
+        # fields, which float() refuses, are read as "nan"
+        values = np.array([t or "nan" for t in column] if empty else column, dtype=float)
         # allowed empty fields are the only NaNs, and no infinity is allowed
-        empty = column.count("") if empty_is_missing else 0
-        if np.count_nonzero(np.isfinite(values)) == len(column) - empty:
+        allowed = empty if empty_is_missing else 0
+        if np.count_nonzero(np.isfinite(values)) == len(column) - allowed:
             return values, None
     except ValueError:
         pass
@@ -404,17 +412,24 @@ def _read_archive(
     # (record, message) per failed check, in the order one record's fields
     # are checked: the first minimal record names the offence
     offences = []
-    commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body))
-    wrong = np.flatnonzero(commas != len(header) - 1)
-    if wrong.size:
-        record = int(wrong[0])
-        offences.append((record, f"expected {len(header)} columns, got {commas[record] + 1}"))
-        del body[record:]
-    joined = ",".join(body)
+    # records are joined by a "\n" field, which no line holds: every record
+    # has len(header) fields exactly when each separator sits width apart
+    n_lines, width = len(body), len(header) + 1
+    joined = ",\n,".join(body)
     del body  # the line strings go before the field strings arrive
     fields = joined.split(",") if joined else []
     del joined
-    columns = [fields[i :: len(header)] for i in range(len(keys) + 1)]
+    if n_lines and not (
+        len(fields) == width * n_lines - 1
+        and fields[width - 1 :: width].count("\n") == n_lines - 1
+    ):
+        body = ",".join(fields).split(",\n,")
+        commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, n_lines)
+        record = int(np.flatnonzero(commas != len(header) - 1)[0])
+        offences.append((record, f"expected {len(header)} columns, got {commas[record] + 1}"))
+        fields = ",\n,".join(body[:record]).split(",") if record else []
+        del body
+    columns = [fields[i::width] for i in range(len(keys) + 1)]
     del fields
 
     axes, codes = [], []
@@ -427,8 +442,9 @@ def _read_archive(
 
     n = min((record for record, _ in offences), default=len(columns[0]))  # clean before n
     cells = np.ravel_multi_index([code[:n] for code in codes], tuple(map(len, axes)))
-    _, firsts = np.unique(cells, return_index=True)
-    if firsts.size < n:
+    ordered = np.sort(cells)
+    if np.any(ordered[1:] == ordered[:-1]):
+        _, firsts = np.unique(cells, return_index=True)
         repeated = np.ones(n, dtype=bool)
         repeated[firsts] = False
         record = int(np.argmax(repeated))

@@ -2,6 +2,8 @@
 
 These are the loaders and writers ``analogkit.archive`` used before ingest
 became columnar: one ``strptime`` per row and one Python loop over the rows.
+The predictions loader is written the same way from the contract in the
+``analogkit.archive`` docstring.
 The property tests compare the package against them, archive for archive,
 error message for error message and byte for byte.
 """
@@ -13,6 +15,7 @@ import numpy as np
 from analogkit.archive import (
     FORECAST_HEADER,
     OBSERVATION_HEADER,
+    PREDICTION_HEADER,
     ForecastArchive,
     ObservationArchive,
     format_float,
@@ -22,7 +25,7 @@ from analogkit.archive import (
 from analogkit.errors import SchemaError
 
 
-def _read_rows(path, header: list[str]):
+def _read_rows(path, header: list[str], require_records: bool = True):
     """Yield (line_number, fields) for a CSV file, validating the header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -44,7 +47,7 @@ def _read_rows(path, header: list[str]):
             )
         n_records += 1
         yield lineno, fields
-    if n_records == 0:
+    if n_records == 0 and require_records:
         raise SchemaError(f"{path}: no records")
 
 
@@ -68,6 +71,13 @@ def _parse_time_field(text: str, path, lineno: int) -> int:
         raise SchemaError(f"{path}: line {lineno}: unparsable timestamp {text!r}") from None
 
 
+def _parse_int(text: str, label: str, path, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"{path}: line {lineno}: unparsable {label} {text!r}") from None
+
+
 def load_forecasts(path) -> ForecastArchive:
     """Load a forecast CSV into a dense archive.
 
@@ -81,10 +91,7 @@ def load_forecasts(path) -> ForecastArchive:
         path, FORECAST_HEADER
     ):
         cycle = _parse_time_field(cycle_text, path, lineno)
-        try:
-            lead = int(lead_text)
-        except ValueError:
-            raise SchemaError(f"{path}: line {lineno}: unparsable lead_s {lead_text!r}") from None
+        lead = _parse_int(lead_text, "lead_s", path, lineno)
         key = (station, variable, cycle, lead)
         if key in seen:
             raise SchemaError(
@@ -152,3 +159,29 @@ def write_observations(obs: ObservationArchive, path) -> None:
                 v = obs.values[si, ti]
                 text = "" if np.isnan(v) else format_float(v)
                 fh.write(f"{station},{format_time(t)},{text}\n")
+
+
+def load_predictions(path) -> list[tuple[tuple[str, int, int], np.ndarray]]:
+    """The ensembles of a predictions CSV: ((station, cycle, lead_s), members
+    ordered by rank) per target, targets in order of first appearance."""
+    targets: dict[tuple[str, int, int], dict[int, float]] = {}
+    for lineno, (station, cycle_text, lead_text, rank_text, value_text, _, _) in _read_rows(
+        path, PREDICTION_HEADER, require_records=False
+    ):
+        cycle = _parse_time_field(cycle_text, path, lineno)
+        lead = _parse_int(lead_text, "lead_s", path, lineno)
+        if not -(2**63) <= lead < 2**63:
+            raise SchemaError(f"{path}: line {lineno}: unparsable lead_s {lead_text!r}")
+        rank = _parse_int(rank_text, "member_rank", path, lineno)
+        members = targets.setdefault((station, cycle, lead), {})
+        if rank in members:
+            raise SchemaError(
+                f"{path}: line {lineno}: duplicate key ({station},{cycle_text},{lead},{rank})"
+            )
+        if value_text == "":
+            raise SchemaError(f"{path}: line {lineno}: missing value ''")
+        members[rank] = _parse_value(value_text, path, lineno)
+    return [
+        (target, np.array([members[rank] for rank in sorted(members)]))
+        for target, members in targets.items()
+    ]

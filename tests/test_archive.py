@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from analogkit.archive import (
     format_time,
     load_forecasts,
     load_observations,
+    load_predictions,
     parse_time,
     valid_time,
     window_block,
@@ -96,6 +99,37 @@ class TestLoadForecasts:
         path.write_text(text)
         with pytest.raises(SchemaError, match="no header line, expected station,variable"):
             load_forecasts(path)
+
+
+class TestLoadPredictions:
+    HEADER = "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score"
+
+    def _sparse_lines(self, n):
+        """n records, each with its own station, cycle and lead: n**3 key cells."""
+        return [f"S{i},{format_time(86400 * i)},{60 * i},1,{i}.5,,0.1" for i in range(n)]
+
+    def test_sparse_keys_allocate_nothing_the_size_of_the_key_product(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join(["# analogkit predict", self.HEADER, *self._sparse_lines(1000)]) + "\n")
+        tracemalloc.start()
+        try:
+            ensembles = load_predictions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert len(ensembles) == 1000
+        assert ensembles[7][0] == ("S7", 7 * 86400, 420) and ensembles[7][1].tolist() == [7.5]
+
+    def test_sparse_keys_report_a_repeated_member(self, tmp_path):
+        lines = self._sparse_lines(1000)
+        lines.insert(600, lines[400].replace(".5,", ".25,"))
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join(["# analogkit predict", self.HEADER, *lines]) + "\n")
+        with pytest.raises(SchemaError, match=(
+            r"line 603: duplicate key \(S400,1971-02-05T00:00:00Z,24000,1\)"
+        )):
+            load_predictions(path)
 
 
 class TestRoundTrip:

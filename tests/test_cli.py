@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import os
+import random
 import re
 import tempfile
 import warnings
@@ -80,6 +81,34 @@ class TestSynthAndIngest:
         assert "cycles=120" in text
         assert "variables=3" in text
         assert "forecast_cells_missing=0" in text
+
+    def test_ingest_of_shuffled_gapped_archive(self, pipeline, capsys):
+        """Shuffled records with every 7th value emptied ingest to the same
+        summary, with exactly the emptied cells more missing."""
+        gapped, emptied = pipeline / "gapped", {}
+        gapped.mkdir()
+        for name in ("forecasts.csv", "observations.csv"):
+            header, *rows = (pipeline / "data" / name).read_text().splitlines()
+            random.Random(0).shuffle(rows)
+            emptied[name] = sum(not row.endswith(",") for row in rows[::7])
+            rows[::7] = [row.rsplit(",", 1)[0] + "," for row in rows[::7]]
+            (gapped / name).write_text("\n".join([header, *rows]) + "\n")
+
+        def summary(data, out):
+            extra = f"forecast_csv={data}/forecasts.csv\nobservation_csv={data}/observations.csv\n"
+            cfg = write_config(pipeline, extra=extra, drop=("forecast_csv", "observation_csv"))
+            assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+            lines = (out / "ingest_summary.txt").read_text().splitlines()
+            return dict(line.split("=", 1) for line in lines if not line.startswith("#"))
+
+        want = summary(pipeline / "data", pipeline / "ingest_sorted")
+        got = summary(gapped, pipeline / "ingest_gapped")
+        assert capsys.readouterr().err == ""
+        assert emptied["forecasts.csv"] > 0 and emptied["observations.csv"] > 0
+        for key, name in (("forecast_cells_missing", "forecasts.csv"),
+                          ("observation_cells_missing", "observations.csv")):
+            assert int(got.pop(key)) == int(want.pop(key)) + emptied[name]
+        assert got == want
 
 
 class TestConfigValidation:

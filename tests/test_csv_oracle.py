@@ -6,6 +6,7 @@ the same exception with the same message, which pins the first offending
 line and the order of the checks within one record.
 """
 
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -14,9 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import csv_reference as ref
 from analogkit.archive import (
+    SchemaError,
     format_time,
     load_forecasts,
     load_observations,
+    load_predictions,
     parse_time,
     parse_times,
 )
@@ -28,8 +31,11 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-FORECAST_HEADER = "station,variable,cycle_time,lead_s,value"
-OBSERVATION_HEADER = "station,valid_time,value"
+HEADERS = {
+    "forecast": "station,variable,cycle_time,lead_s,value",
+    "observation": "station,valid_time,value",
+    "prediction": "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score",
+}
 
 # 1970-01-01 .. 2037-12-31 and the four-digit edges strptime accepts
 TIMES = st.one_of(
@@ -48,11 +54,24 @@ def time_text(draw, seconds):
     return text.lower() if style == "lowercase" else text
 
 
+def integer_text(n):
+    """One spelling of an integer that int() accepts."""
+    return st.sampled_from([str(n), f"+{n}" if n >= 0 else str(n), f"0{n}" if n >= 0 else str(n)])
+
+
+# spellings float() accepts beyond the plain ones
+ODD_SPELLINGS = ["1_000.5", "\xa01.5\xa0", "\u0661\u0662.\u0665", "+.5", "5.", "-0", "1e-400",
+                 "-1e-400", "4.9e-324", "2.2250738585072011e-308", "0" * 40 + "1.25"]
+
+
 @st.composite
-def value_text(draw):
-    style = draw(st.sampled_from(["missing", "repr", "g17", "padded", "int"]))
+def value_text(draw, missing=True):
+    styles = ["repr", "g17", "padded", "int", "odd"]
+    style = draw(st.sampled_from(["missing"] + styles if missing else styles))
     if style == "missing":
         return ""
+    if style == "odd":
+        return draw(st.sampled_from(ODD_SPELLINGS))
     x = draw(st.floats(allow_nan=False, allow_infinity=False, width=64))
     if style == "repr":
         return repr(x)
@@ -72,6 +91,10 @@ def record_lines(draw, kind):
         variables = draw(st.lists(st.sampled_from(["v1", "v2", "ghi"]), min_size=1, max_size=3, unique=True))
         leads = draw(st.lists(st.integers(-7200, 86400), min_size=1, max_size=3, unique=True))
         keys = [(s, v, t, l) for s in stations for v in variables for t in times for l in leads]
+    elif kind == "prediction":
+        leads = draw(st.lists(st.integers(-7200, 86400), min_size=1, max_size=2, unique=True))
+        ranks = draw(st.lists(st.integers(-2, 12), min_size=1, max_size=4, unique=True))
+        keys = [(s, t, l, r) for s in stations for t in times for l in leads for r in ranks]
     else:
         keys = [(s, t) for s in stations for t in times]
     present = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
@@ -83,12 +106,19 @@ def record_lines(draw, kind):
         fields = list(key)
         if kind == "forecast":
             fields[2] = draw(time_text(key[2]))
-            lead = key[3]
-            fields[3] = draw(st.sampled_from([str(lead), f"+{lead}" if lead >= 0 else str(lead),
-                                              f"0{lead}" if lead >= 0 else str(lead)]))
+            fields[3] = draw(integer_text(key[3]))
+            fields.append(draw(value_text()))
+        elif kind == "prediction":
+            fields[1] = draw(time_text(key[1]))
+            fields[2] = draw(integer_text(key[2]))
+            fields[3] = draw(integer_text(key[3]))
+            fields.append(draw(value_text(missing=False)))
+            fields.append(draw(st.sampled_from(["", "2010-01-01T00:00:00Z", "not a time"])))
+            fields.append(draw(st.sampled_from(["", "0.25", "nan", "x"])))
         else:
             fields[1] = draw(time_text(key[1]))
-        lines.append(",".join(map(str, fields)) + "," + draw(value_text()))
+            fields.append(draw(value_text()))
+        lines.append(",".join(map(str, fields)))
     return draw(st.permutations(lines))
 
 
@@ -99,8 +129,7 @@ def archive_text(draw, kind):
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(["", "   ", "# a comment", "#,,,,", "\t"])))
-    header = FORECAST_HEADER if kind == "forecast" else OBSERVATION_HEADER
-    return "\n".join([header] + lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+    return "\n".join([HEADERS[kind]] + lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
 
 
 def bad_rows(kind):
@@ -124,6 +153,26 @@ def bad_rows(kind):
             "A,v1,2011-01-01T00:00:00Z,00,nan",
             "A,v1,2011-02-30T00:00:00Z,0",
         ]
+    if kind == "prediction":
+        return [
+            "A,2011-01-01T00:00:00Z,0,1,1.0,2010-01-01T00:00:00Z",  # six columns
+            "A,2011-01-01T00:00:00Z,0,1,1.0,2010-01-01T00:00:00Z,0.1,x",  # eight columns
+            "A,2011-01-01T00:00:00Z,0,1",  # four columns
+            "A,2011-02-30T00:00:00Z,0,1,1.0,,",  # Feb 30
+            "A,2011-01-01T00:00:00Z,zero,1,1.0,,",
+            "A,2011-01-01T00:00:00Z,99999999999999999999,1,1.0,,",  # lead beyond int64
+            "A,2011-01-01T00:00:00Z,0,1.5,1.0,,",  # bad rank
+            "A,2011-01-01T00:00:00Z,0,one,1.0,,",
+            "A,2011-01-01T00:00:00Z,0,1,2.0,,",
+            "A,2011-01-01T00:00:00Z,0,01,3.0,,",  # duplicate of rank 1 above
+            "A,2011-01-01T00:00:00Z,0,2,,2010-01-01T00:00:00Z,0.1",  # empty member
+            "A,2011-01-01T00:00:00Z,0,3,nan,,",
+            "A,2011-01-01T00:00:00Z,0,4,-inf,,",
+            "A,2011-01-01T00:00:00Z,0,5,one,,",
+            "A,2011-02-30T00:00:00Z,zero,one,,,",  # several faults in one record
+            "A,2011-01-01T00:00:00Z,0,one,nan,,",
+            "A,2011-01-01T00:00:00Z,00,+1,,,",
+        ]
     return [
         "A,2011-01-01T00:00:00Z",  # two columns
         "A,2011-01-01T00:00:00Z,1,2",
@@ -139,7 +188,8 @@ def bad_rows(kind):
     ]
 
 
-BAD_FIELDS = ["", "nan", "inf", "one", "00", "-0", "2011-02-30T00:00:00Z", "2011-1-1T0:0:0Z", "x"]
+BAD_FIELDS = ["", "nan", "inf", "1e400", "one", "00", "-0", "2011-02-30T00:00:00Z",
+              "2011-1-1T0:0:0Z", "x"]
 
 
 @st.composite
@@ -185,9 +235,17 @@ def assert_same_observations(got, want):
     assert got.values.tobytes() == want.values.tobytes()
 
 
+def assert_same_predictions(got, want):
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (_, got_members), (_, want_members) in zip(got, want):
+        assert got_members.dtype == want_members.dtype == np.float64
+        assert got_members.tobytes() == want_members.tobytes()
+
+
 LOADERS = {
     "forecast": (load_forecasts, ref.load_forecasts, assert_same_forecasts),
     "observation": (load_observations, ref.load_observations, assert_same_observations),
+    "prediction": (load_predictions, ref.load_predictions, assert_same_predictions),
 }
 
 
@@ -251,17 +309,61 @@ SEVERAL_FAULTS = [
     ("observation", ["A,2011-13-01T00:00:00Z,one"]),
     ("observation", ["A,2011-13-01T00:00:00Z"]),
     ("observation", ["A,2011-01-01T00:00:00Z,1", "#", "", "A,2011-01-02T00:00:00Z,-inf", "A,x,1"]),
+    ("prediction", ["A,2011-01-01T00:00:00Z,0,1,1,,", "A,2011-1-1T0:0:0Z,00,01,,,"]),
+    ("prediction", ["A,2011-01-01T00:00:00Z,0,1,nan,,", "A,bad,0,1,1,,"]),
+    ("prediction", ["A,2011-01-01T00:00:00Z,0,1,,,", "A,2011-01-01T00:00:00Z,0,one,1,,,"]),
 ]
 
 
 @pytest.mark.parametrize("kind,records", SEVERAL_FAULTS)
 def test_several_faults_report_as_the_oracle_does(tmp_path, kind, records):
     load, oracle, _ = LOADERS[kind]
-    header = FORECAST_HEADER if kind == "forecast" else OBSERVATION_HEADER
     path = tmp_path / "archive.csv"
-    path.write_text("\n".join([header, *records]) + "\n")
+    path.write_text("\n".join([HEADERS[kind], *records]) + "\n")
     got, want = outcome(load, path), outcome(oracle, path)
     assert want[0] != "ok" and got == want
+
+
+def hard_spellings(rng):
+    """Value texts that float() reads, spelled to stress a decimal parser."""
+    finite = [x for x in rng.integers(0, 2**64, 400, dtype=np.uint64).view(np.float64).tolist()
+              if math.isfinite(x)]
+    texts = [spell(x) for x in finite for spell in (repr, "{:.17g}".format, "{:.25g}".format)]
+    texts += [repr(k * 5e-324) for k in rng.integers(1, 2**52, 100).tolist()]  # subnormals
+    digits = rng.integers(0, 10, (20, 400)).astype(str)
+    texts += ["0." + "".join(row) for row in digits[:10]]
+    texts += ["".join(row) + "e-420" for row in digits[10:]]
+    texts += [
+        "2.4703282292062327208828439643411068618252990130716238221279284125033775363510437593264991818"
+        "08e-324",  # half of the least subnormal: ties to even, to 0
+        "2.4703282292062328e-324",  # just above it: the least subnormal
+        "1.00000000000000011102230246251565404236316680908203125",  # 1 + 2**-53: ties to 1
+        "1.00000000000000011102230246251565404236316680908203126",
+    ]
+    return texts + ODD_SPELLINGS
+
+
+def test_an_empty_value_keeps_every_other_bit(tmp_path):
+    """Values equal float() bit for bit with and without an empty field, and
+    a literal nan beside an empty field is still refused."""
+    texts = hard_spellings(np.random.default_rng(14))
+    want = np.array([float(text) for text in texts])
+    lines = [f"A,v,{format_time(86400 * i)},0,{text}" for i, text in enumerate(texts)]
+    full, gapped = tmp_path / "full.csv", tmp_path / "gapped.csv"
+    full.write_text("\n".join([HEADERS["forecast"], *lines]) + "\n", encoding="utf-8")
+    empty = len(lines) // 2
+    lines[empty] = lines[empty].rsplit(",", 1)[0] + ","
+    gapped.write_text("\n".join([HEADERS["forecast"], *lines]) + "\n", encoding="utf-8")
+
+    assert load_forecasts(full).values[0, 0, :, 0].tobytes() == want.tobytes()
+    got = load_forecasts(gapped).values[0, 0, :, 0]
+    assert np.isnan(got[empty])
+    assert np.delete(got, empty).tobytes() == np.delete(want, empty).tobytes()
+
+    lines[0] = lines[0].rsplit(",", 1)[0] + ",nan"
+    gapped.write_text("\n".join([HEADERS["forecast"], *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"line 2: non-finite value 'nan'$"):
+        load_forecasts(gapped)
 
 
 SPECIAL_TIMES = [
