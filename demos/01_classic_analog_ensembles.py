@@ -55,7 +55,7 @@ query = AnalogQuery(station=station, target_cycle=target_cycle, lead=lead,
 ranked = search_classic(query, fcst, obs, cfg)
 ensemble = build_ensemble(ranked, query)
 print(f"\ntop analogs (cycle, score) -> member observation:")
-for (cycle, score), member in list(zip(ensemble.sources, ensemble.members))[:5]:
+for cycle, score, member in list(zip(ensemble.cycles, ensemble.scores, ensemble.members))[:5]:
     print(f"  cycle {cycle:3d}  score {score:6.3f}  member {member:+.3f}")
 
 truth = obs.value_at(0, valid_time(fcst, target_cycle, lead))

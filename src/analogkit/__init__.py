@@ -24,8 +24,8 @@ from .archive import (
 )
 from .ensemble import (
     AnalogQuery,
-    Candidate,
     EnsembleForecast,
+    Ranking,
     SearchBase,
     build_ensemble,
     classic_base,

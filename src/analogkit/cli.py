@@ -24,11 +24,13 @@ from .ensemble import (
     build_ensemble,
     classic_base,
     latent_base,
+    latent_distances,
     search_classic,
     search_latent,
+    target_embedding,
 )
 from .errors import AnalogkitError, ConfigError, DataError, DivergenceError
-from .metric import MetricConfig
+from .metric import MetricConfig, block_dissimilarity
 from .network import ModelCheckpoint, embed_block, load_checkpoint, save_checkpoint
 from .synthetic import SynthSpec, generate, write_manifest
 from .training import train, write_train_log
@@ -185,16 +187,22 @@ def run_predictions(
     Iteration order is fixed (stations as given, leads ascending, cycles
     ascending), so output is deterministic. Each (station, lead) embeds its
     cycles once, over every range and the test cycles, and builds one search
-    base per range that all of its targets are ranked over. Returns the
-    prediction rows of each range and the skipped targets, with reasons, of
-    all ranges.
+    base over the union of the ranges. Each target is scored against that
+    base once; every range then ranks from those distances, classic ranges
+    weighted by their own climatology σ. Returns the prediction rows of
+    each range and the skipped targets, with reasons, of all ranges. Skips
+    come target-major: a target's skips in every range follow one another,
+    and a target without a window or embedding is skipped in every range
+    with one reason. ``predict`` passes one range, so its skipped.csv keeps
+    the (station, lead, cycle) order.
     """
     t_half = model.t_half if method == "deep_anen" else cfg.t_half
     rows: list[list[PredictionRow]] = [[] for _ in search_ranges]
     skipped: list[tuple[str, int, int, str]] = []
     targets = sorted(int(x) for x in test_cycles)
+    union = np.unique(np.concatenate(search_ranges))
     if method == "deep_anen":
-        embedded = np.unique(np.concatenate([*search_ranges, test_cycles]))
+        embedded = np.unique(np.concatenate([union, test_cycles]))
     else:
         weights = _effective_weights(cfg, method, fcst)
     for station in stations:
@@ -202,35 +210,49 @@ def run_predictions(
         for lead in sorted(leads):
             if method == "deep_anen":
                 block = embed_block(model, fcst, s, lead, embedded)
-            for range_rows, search_cycles in zip(rows, search_ranges):
-                if method == "deep_anen":
-                    base = latent_base(block, obs, search_cycles)
-                else:
-                    stats = ar.climatology_stats(fcst, s, lead, search_cycles)
-                    metric_cfg = MetricConfig(weights=weights, sigma=stats.sigma, t_half=t_half)
-                    # No base where the window leaves the lead axis: there every
-                    # target's extract_window raises the skip reason first.
-                    base = None
-                    if ar.window_fits(fcst, lead, t_half):
-                        base = classic_base(fcst, obs, s, lead, search_cycles, t_half)
-                for c in targets:
+                base = latent_base(block, obs, union)
+                metrics = [None] * len(search_ranges)
+            else:
+                metrics = [
+                    MetricConfig(weights=weights, sigma=ar.climatology_stats(
+                        fcst, s, lead, search_cycles).sigma, t_half=t_half)
+                    for search_cycles in search_ranges
+                ]
+                # No base where the window leaves the lead axis: there every
+                # target's extract_window raises the skip reason first.
+                base = None
+                if ar.window_fits(fcst, lead, t_half):
+                    base = classic_base(fcst, obs, s, lead, union, t_half)
+            range_bases = [None if base is None else base.subrange(search_cycles)
+                           for search_cycles in search_ranges]
+            for c in targets:
+                try:
+                    if method == "deep_anen":
+                        distances = latent_distances(target_embedding(block, c), base.rows)
+                    else:
+                        window = ar.extract_window(fcst, s, c, lead, t_half)
+                        distances = block_dissimilarity(window.data, base.rows)
+                except DataError as err:  # includes WindowUnavailable
+                    skipped.extend([(station, c, lead, str(err))] * len(search_ranges))
+                    continue
+                for range_rows, range_base, metric_cfg in zip(rows, range_bases, metrics):
                     query = AnalogQuery(
                         station=s,
                         target_cycle=c,
                         lead=lead,
                         t_half=t_half,
-                        search_cycles=search_cycles,
+                        search_cycles=range_base.search_cycles,
                         m=cfg.m,
                     )
                     try:
                         if method == "deep_anen":
-                            ranked = search_latent(query, block, obs, limit=cfg.m, base=base)
+                            ranked = search_latent(query, block, obs, limit=cfg.m,
+                                                   base=range_base, distances=distances)
                         else:
-                            ranked = search_classic(
-                                query, fcst, obs, metric_cfg, limit=cfg.m, base=base
-                            )
+                            ranked = search_classic(query, fcst, obs, metric_cfg, limit=cfg.m,
+                                                    base=range_base, distances=distances)
                         ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
-                    except DataError as err:  # includes WindowUnavailable, InsufficientAnalogs
+                    except DataError as err:  # includes InsufficientAnalogs
                         skipped.append((station, c, lead, str(err)))
                         continue
                     range_rows.append(PredictionRow(station, c, lead, ensemble))
@@ -253,8 +275,9 @@ def write_predictions(
         fh.write(",".join(ar.PREDICTION_HEADER) + "\n")
         for row in rows:
             target = f"{row.station},{cycle_times[row.cycle]},{leads[row.lead]}"
-            for rank, (member, (src_cycle, score)) in enumerate(
-                zip(row.ensemble.members.tolist(), row.ensemble.sources), start=1
+            ens = row.ensemble
+            for rank, (member, src_cycle, score) in enumerate(
+                zip(ens.members.tolist(), ens.cycles.tolist(), ens.scores.tolist()), start=1
             ):
                 fh.write(
                     f"{target},{rank},{ar.format_float(member)},"
@@ -501,10 +524,12 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     Splits are fractions of the full search range anchored at its end:
     split k of max(splits) covers the most recent k/max of the range. Every
     split predicts the targets ``predict`` would; one pass per method ranks
-    them against every split, so each (station, lead) is embedded once. A
-    deep model, when needed, is loaded from the configured checkpoint if
-    that file exists; otherwise it is trained exactly as ``train`` would,
-    writing checkpoint.txt and train_log.csv into the output directory.
+    them against every split, so each (station, lead) is embedded once and
+    each target scored once, against the largest split, with each split
+    ranking from those scores. A deep model, when needed, is loaded from
+    the configured checkpoint if that file exists; otherwise it is trained
+    exactly as ``train`` would, writing checkpoint.txt and train_log.csv
+    into the output directory.
     """
     methods = cfg.methods or [cfg.method]
     fcst, obs, stations, leads, test_cycles = _prediction_targets(cfg)

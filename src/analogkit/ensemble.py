@@ -3,15 +3,15 @@
 A search ranks the historical cycles of one (station, lead) against a
 target forecast, under either the weighted-Euclidean window metric or
 Euclidean distance between precomputed embeddings. The observations paired
-with the best-ranked candidates become the ensemble members. Every target of
-one (station, lead, search range) is ranked over the same candidates, so a
-:class:`SearchBase` holds them once for all of those targets.
+with the best-ranked candidates become the ensemble members. A
+:class:`SearchBase` holds the candidates of one (station, lead) once for
+all of its targets; a target is scored against them once, and every search
+range drawn from them ranks from those distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,28 +41,35 @@ class AnalogQuery:
             raise ValueError("target cycle must not be part of the search range")
 
 
-class Candidate(NamedTuple):
-    """One ranked analog: its cycle index, score, and paired observation."""
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Ranked analogs, best first: the search cycle, score and paired
+    observation of each, as three arrays of one length."""
 
-    cycle: int
-    score: float
-    member: float
+    cycles: np.ndarray
+    scores: np.ndarray
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cycles)
 
 
 @dataclass(frozen=True)
 class EnsembleForecast:
-    """M member observations plus the provenance of each member."""
+    """M member observations plus the provenance of each member: the search
+    cycle it came from and that cycle's score, scores non-decreasing."""
 
     members: np.ndarray
-    sources: list[tuple[int, float]]  # (cycle index, score), scores non-decreasing
+    cycles: np.ndarray
+    scores: np.ndarray
     short: bool = False
 
     def __post_init__(self):
-        scores = [s for _, s in self.sources]
-        if any(b < a for a, b in zip(scores, scores[1:])):
-            raise ValueError("sources must be sorted by non-decreasing score")
-        if len(self.members) != len(self.sources):
-            raise ValueError("one source per member required")
+        scores = np.asarray(self.scores)
+        if (scores[1:] < scores[:-1]).any():
+            raise ValueError("scores must be non-decreasing")
+        if not len(self.members) == len(self.cycles) == len(scores):
+            raise ValueError("one cycle and score per member required")
 
     @property
     def m(self) -> int:
@@ -102,27 +109,49 @@ def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None =
 
 @dataclass(frozen=True, eq=False)
 class SearchBase:
-    """What every target of one (station, lead, search range) shares.
+    """The candidates of one search range at one (station, lead), shared by
+    every target.
 
-    ``rows`` holds the candidates feature-major, one contiguous row over the
-    n search cycles (in search-range order) per feature: the forecast
-    windows as [width, n_variables, n] for classic search, the embeddings
-    as [embed_dim, n] for latent search. Scoring a target then adds vectors
-    of length n, not one short sum per candidate, with the bits of those
-    sums (see :func:`~analogkit.metric.pairwise_sum`). ``members`` holds the
-    observation at each candidate's valid time, and ``eligible`` marks the
-    candidates with a complete window (an available embedding row) and an
-    observation. ``source`` is what the rows were built from: the
-    (station, lead, t_half) of classic search, the embedding block of
-    latent search. A base serves one search range only; a query for another
-    source or range raises ``ValueError``.
+    ``rows`` holds the scored cycles feature-major, one contiguous row over
+    them per feature: the forecast windows as [width, n_variables, n] for
+    classic search, the embeddings as [embed_dim, n] for latent search.
+    Scoring a target then adds vectors of length n, not one short sum per
+    candidate, with the bits of those sums (see
+    :func:`~analogkit.metric.pairwise_sum`). The other fields follow the
+    search cycles, in search-range order: ``positions`` is the column of
+    ``rows`` each one was scored in, ``members`` the observation at its
+    valid time, and ``eligible`` marks the cycles with a complete window
+    (an available embedding row) and an observation. ``source`` is what
+    the rows were built from: the (station, lead, t_half) of classic
+    search, the embedding block of latent search.
+
+    :func:`classic_base` and :func:`latent_base` score exactly their search
+    cycles. :meth:`subrange` gives the base of a range drawn from them, on
+    the same rows, so a target's distances to those rows serve every such
+    range. A query for another source or range raises ``ValueError``.
     """
 
     source: tuple[int, int, int] | EmbeddingBlock
     search_cycles: np.ndarray
     rows: np.ndarray
+    positions: np.ndarray
     members: np.ndarray
     eligible: np.ndarray
+
+    def subrange(self, search_cycles) -> SearchBase:
+        """The base of ``search_cycles``, in their order, on these rows.
+
+        A cycle that is not one of this base's raises ``ValueError``.
+        """
+        search_cycles = np.asarray(search_cycles, dtype=int)
+        known = np.isin(search_cycles, self.search_cycles)
+        if not known.all():
+            missing = int(search_cycles[np.argmin(known)])
+            raise ValueError(f"cycle index {missing} is not part of this search base")
+        order = self.search_cycles.argsort(kind="stable")
+        at = order[np.searchsorted(self.search_cycles, search_cycles, sorter=order)]
+        return SearchBase(self.source, search_cycles, self.rows, self.positions[at],
+                          self.members[at], self.eligible[at])
 
 
 def classic_base(
@@ -141,9 +170,8 @@ def classic_base(
     rows = np.ascontiguousarray(block.transpose(2, 1, 0))
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
     members = obs.values_for(fcst.stations[station], times)
-    return SearchBase(
-        (station, lead, t_half), search_cycles, rows, members, available & np.isfinite(members)
-    )
+    return SearchBase((station, lead, t_half), search_cycles, rows, np.arange(len(search_cycles)),
+                      members, available & np.isfinite(members))
 
 
 def latent_base(
@@ -162,17 +190,45 @@ def latent_base(
     members = obs.values_for(embeddings.station, embeddings.valid_times[positions])
     rows = np.take(embeddings.vectors.T, positions, axis=1)
     eligible = embeddings.available[positions] & np.isfinite(members)
-    return SearchBase(embeddings, search_cycles, rows, members, eligible)
+    return SearchBase(embeddings, search_cycles, rows, np.arange(len(search_cycles)), members,
+                      eligible)
 
 
-def _require_base(base: SearchBase, source, search_cycles: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` unless ``base`` was built from ``source`` and ``search_cycles``."""
+def target_embedding(embeddings: EmbeddingBlock, cycle: int) -> np.ndarray:
+    """The embedding of a target cycle. A masked row raises
+    :class:`DataError`, a cycle the block does not cover ``KeyError``."""
+    t_pos = embeddings.position(cycle)
+    if not embeddings.available[t_pos]:
+        raise DataError("target window unavailable: no embedding for the target cycle")
+    return embeddings.vectors[t_pos]
+
+
+def latent_distances(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distance from an embedding to each column of ``rows`` ([embed_dim, n])."""
+    diff = rows - target[:, None]
+    diff *= diff
+    return np.sqrt(pairwise_sum(diff))
+
+
+def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distances) -> None:
+    """Raise ``ValueError`` unless ``base`` was built from ``source`` for the
+    query's search range and ``distances``, if given, cover its rows; raise
+    :class:`DataError` when no candidate of the range is eligible."""
     if base.source != source:
         raise ValueError(f"search base was built for another {what}")
-    if base.search_cycles is not search_cycles and not np.array_equal(
-        base.search_cycles, search_cycles
+    if base.search_cycles is not query.search_cycles and not np.array_equal(
+        base.search_cycles, query.search_cycles
     ):
         raise ValueError("search base was built for another search range")
+    if distances is not None and len(distances) != base.rows.shape[-1]:
+        raise ValueError("distances were scored against other search base rows")
+    if not base.eligible.any():
+        raise DataError("no analog candidates available for this target")
+
+
+def _ranking(base: SearchBase, scores: np.ndarray, limit: int | None) -> Ranking:
+    order = rank_positions(scores, base.eligible, limit)
+    return Ranking(base.search_cycles[order], scores[order], base.members[order])
 
 
 def search_classic(
@@ -182,25 +238,35 @@ def search_classic(
     cfg: MetricConfig,
     limit: int | None = None,
     base: SearchBase | None = None,
-) -> list[Candidate]:
+    distances: np.ndarray | None = None,
+) -> Ranking:
     """Rank search-range cycles by window dissimilarity against the target.
 
     Candidates need a complete window and a non-missing observation at the
     member valid time. Raises when the target window is unavailable or no
     candidate survives. With ``limit`` the result is the first ``limit``
     candidates of the full ranking. ``base`` is the query's
-    :func:`classic_base`, shared by every target of its (station, lead,
-    search range); without it the search builds its own.
+    :func:`classic_base`, or a :meth:`~SearchBase.subrange` of one; without
+    it the search builds its own. ``distances`` is the target window's
+    :func:`~analogkit.metric.block_dissimilarity` against ``base.rows``,
+    which no σ enters, so it serves every range on those rows; without it
+    the search extracts and scores the target itself. Only the weighting by
+    ``cfg``, whose σ is the range's own, is done per range.
     """
-    target = extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
+    if distances is None:
+        target = extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
     if base is None:
         base = classic_base(fcst, obs, query.station, query.lead, query.search_cycles, query.t_half)
     source = (query.station, query.lead, query.t_half)
-    _require_base(base, source, query.search_cycles, "station, lead or t_half")
-    if not base.eligible.any():
-        raise DataError("no analog candidates available for this target")
-    scores = block_dissimilarity(target.data, base.rows, cfg)
-    return _candidates(query, scores, base.members, rank_positions(scores, base.eligible, limit))
+    _check_base(base, source, query, "station, lead or t_half", distances)
+    if base.rows.shape[:2] != (cfg.width, cfg.n_variables):
+        raise ValueError(f"search base windows {base.rows.shape[1::-1]}, config expects "
+                         f"{(cfg.n_variables, cfg.width)}")
+    if distances is None:
+        distances = block_dissimilarity(target.data, base.rows)
+    # gemv rounds by memory layout: take gives it a fresh C-contiguous
+    # [n, n_variables] operand, as when each range scored its own windows
+    return _ranking(base, distances.take(base.positions, axis=0) @ cfg.coefficients, limit)
 
 
 def search_latent(
@@ -209,44 +275,30 @@ def search_latent(
     obs: ObservationArchive,
     limit: int | None = None,
     base: SearchBase | None = None,
-) -> list[Candidate]:
+    distances: np.ndarray | None = None,
+) -> Ranking:
     """Rank search-range cycles by Euclidean distance in embedding space.
 
-    Same eligibility, ordering, tie, ``limit`` and ``base`` rules as
-    :func:`search_classic`, with :func:`latent_base` as the base;
-    candidates with a masked embedding row are excluded. A target or search
-    cycle the block does not cover raises ``KeyError``.
+    Same eligibility, ordering, tie, ``limit``, ``base`` and ``distances``
+    rules as :func:`search_classic`, with :func:`latent_base` as the base
+    and :func:`latent_distances` as the distances, which depend on no range
+    at all; candidates with a masked embedding row are excluded. A target
+    or search cycle the block does not cover raises ``KeyError``.
     """
-    t_pos = embeddings.position(query.target_cycle)
-    if not embeddings.available[t_pos]:
-        raise DataError("target window unavailable: no embedding for the target cycle")
+    if distances is None:
+        target = target_embedding(embeddings, query.target_cycle)
     if base is None:
         base = latent_base(embeddings, obs, query.search_cycles)
-    _require_base(base, embeddings, query.search_cycles, "embedding block")
-    if not base.eligible.any():
-        raise DataError("no analog candidates available for this target")
-    diff = base.rows - embeddings.vectors[t_pos][:, None]
-    diff *= diff
-    scores = np.sqrt(pairwise_sum(diff))
-    return _candidates(query, scores, base.members, rank_positions(scores, base.eligible, limit))
-
-
-def _candidates(
-    query: AnalogQuery, scores: np.ndarray, obs_vals: np.ndarray, order: np.ndarray
-) -> list[Candidate]:
-    """Candidates for the ranked search-range positions ``order``."""
-    return [
-        Candidate(int(c), float(s), float(v))
-        for c, s, v in zip(
-            query.search_cycles[order].tolist(), scores[order].tolist(), obs_vals[order].tolist()
-        )
-    ]
+    _check_base(base, embeddings, query, "embedding block", distances)
+    if distances is None:
+        distances = latent_distances(target, base.rows)
+    return _ranking(base, distances[base.positions], limit)
 
 
 def build_ensemble(
-    ranked: list[Candidate], query: AnalogQuery, allow_short: bool = False
+    ranked: Ranking, query: AnalogQuery, allow_short: bool = False
 ) -> EnsembleForecast:
-    """Top-M members from a ranked candidate list.
+    """Top-M members from a ranking.
 
     With fewer than M candidates the ensemble is refused unless
     ``allow_short`` is set, in which case all candidates are used and the
@@ -254,9 +306,10 @@ def build_ensemble(
     """
     if len(ranked) < query.m and not allow_short:
         raise InsufficientAnalogs(available=len(ranked), requested=query.m)
-    chosen = ranked[: query.m]
+    m = query.m
     return EnsembleForecast(
-        members=np.array([c.member for c in chosen]),
-        sources=[(c.cycle, c.score) for c in chosen],
-        short=len(chosen) < query.m,
+        members=ranked.members[:m],
+        cycles=ranked.cycles[:m],
+        scores=ranked.scores[:m],
+        short=len(ranked) < m,
     )

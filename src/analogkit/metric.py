@@ -75,28 +75,24 @@ def dissimilarity(target: ForecastWindow, candidate: ForecastWindow, cfg: Metric
     return float(cfg.coefficients @ np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
-def block_dissimilarity(
-    target: np.ndarray, candidates: np.ndarray, cfg: MetricConfig
-) -> np.ndarray:
-    """Scores of many candidate windows against one target.
+def block_dissimilarity(target: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Per-variable distances of many candidate windows to one target.
 
     ``candidates`` is feature-major, [width, n_variables, n]: each (window
     position, variable) holds one row over the n candidates, so every
-    operation here is a vector operation over the candidates. Scores equal
-    :func:`dissimilarity`'s and keep the bits of a sum along each
-    candidate's [n_variables, width] window.
+    operation here is a vector operation over the candidates. Returns the
+    distances sqrt(sum_j (F[i, j] - A[i, j])^2) as a C-contiguous
+    [n, n_variables] array, each with the bits of a sum along its window. No
+    weight or sigma enters them, so one target's distances serve every
+    config: its scores are ``distances @ cfg.coefficients``, with
+    :func:`dissimilarity`'s value.
     """
-    if target.shape != (cfg.n_variables, cfg.width):
-        raise ValueError(f"target window shape {target.shape}, config expects "
-                         f"{(cfg.n_variables, cfg.width)}")
-    if candidates.ndim != 3 or candidates.shape[:2] != target.T.shape:
-        raise ValueError(f"candidate block shape {candidates.shape} does not match target")
+    if target.ndim != 2 or candidates.ndim != 3 or candidates.shape[:2] != target.T.shape:
+        raise ValueError(f"candidate block shape {candidates.shape} does not match "
+                         f"target window shape {target.shape}")
     d = candidates - target.T[:, :, None]
     d *= d
-    # gemv rounds by memory layout: the product takes a C-contiguous
-    # [n, n_variables] matrix, as it did when the sums ran per candidate
-    per_var = np.sqrt(pairwise_sum(d)).T.copy()
-    return per_var @ cfg.coefficients
+    return np.sqrt(pairwise_sum(d)).T.copy()
 
 
 def pairwise_sum(terms: np.ndarray) -> np.ndarray:

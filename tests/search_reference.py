@@ -5,18 +5,31 @@ These are the ``search_classic`` and ``search_latent`` bodies that a shared
 search-range window block (or gathers the embedding rows), looks up the
 member observations and the eligible mask again, then scores and ranks.
 They are kept as the oracle the base-backed searches must match candidate
-for candidate, score bit for score bit, and error for error. The window
-kernel is inlined as it was before the base became feature-major: one sum
-along each candidate's [n_variables, width] window, in numpy's own order.
+for candidate, score bit for score bit, and error for error: one call per
+search range, however many ranges share a base. The window kernel is
+inlined as it was before the base became feature-major: one sum along each
+candidate's [n_variables, width] window, in numpy's own order. Candidates
+are the per-member tuples that the searches returned before they returned
+arrays.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from analogkit.archive import extract_window, window_block
-from analogkit.ensemble import Candidate, rank_positions
+from analogkit.ensemble import rank_positions
 from analogkit.errors import DataError
+
+
+class Candidate(NamedTuple):
+    """One ranked analog: its cycle index, score, and paired observation."""
+
+    cycle: int
+    score: float
+    member: float
 
 
 def search_classic(query, fcst, obs, cfg, limit=None):

@@ -323,8 +323,8 @@ def test_criterion_08_monotone_search_benefit():
             lambda q: search_classic(q, fcst, obs, cfg),
             lambda q: search_latent(q, block, obs),
         ):
-            s_small = [c.score for c in search(queries[0])]
-            s_large = [c.score for c in search(queries[1])]
+            s_small = search(queries[0]).scores
+            s_large = search(queries[1]).scores
             if s_large[m - 1] > s_small[m - 1]:
                 violations += 1
     report(8, violations == 0, "monotone search benefit for both metrics",

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from analogkit.archive import ObservationArchive, valid_time
 from analogkit.ensemble import (
     AnalogQuery,
-    Candidate,
     EnsembleForecast,
+    Ranking,
     build_ensemble,
     latent_base,
     search_classic,
@@ -38,14 +38,14 @@ class TestSearchClassic:
     def test_hand_computed_order(self):
         fcst, obs, cfg, query = three_candidate_setup()
         ranked = search_classic(query, fcst, obs, cfg)
-        assert [c.cycle for c in ranked] == [2, 1, 3]
-        assert ranked[0].score == pytest.approx(0.5, rel=1e-12)
-        assert ranked[1].score == pytest.approx(0.5 * np.sqrt(5), rel=1e-12)
-        assert ranked[2].score == pytest.approx(2.0, rel=1e-12)
+        assert ranked.cycles.tolist() == [2, 1, 3]
+        assert ranked.scores[0] == pytest.approx(0.5, rel=1e-12)
+        assert ranked.scores[1] == pytest.approx(0.5 * np.sqrt(5), rel=1e-12)
+        assert ranked.scores[2] == pytest.approx(2.0, rel=1e-12)
         # members are the observations at each candidate's valid time
-        for c in ranked:
-            t = valid_time(fcst, c.cycle, query.lead)
-            assert c.member == obs.value_at(0, t)
+        for cycle, member in zip(ranked.cycles.tolist(), ranked.members.tolist()):
+            t = valid_time(fcst, cycle, query.lead)
+            assert member == obs.value_at(0, t)
 
     def test_identical_candidate_ranks_first_with_zero_score(self):
         fcst, obs, cfg, query = three_candidate_setup()
@@ -53,8 +53,8 @@ class TestSearchClassic:
         values[0, 0, 3] = values[0, 0, 0]  # exact duplicate of the target
         fcst2 = make_forecasts(values)
         ranked = search_classic(query, fcst2, obs, cfg)
-        assert ranked[0].cycle == 3
-        assert ranked[0].score == 0.0
+        assert ranked.cycles[0] == 3
+        assert ranked.scores[0] == 0.0
 
     def test_candidate_with_missing_observation_excluded(self):
         fcst, obs, cfg, query = three_candidate_setup()
@@ -65,14 +65,14 @@ class TestSearchClassic:
 
         obs2 = ObservationArchive(obs.stations, obs.times, values)
         ranked = search_classic(query, fcst, obs2, cfg)
-        assert [c.cycle for c in ranked] == [1, 3]
+        assert ranked.cycles.tolist() == [1, 3]
 
     def test_candidate_with_incomplete_window_excluded(self):
         fcst, obs, cfg, query = three_candidate_setup()
         values = fcst.values.copy()
         values[0, 0, 2, 0] = np.nan
         ranked = search_classic(query, make_forecasts(values), obs, cfg)
-        assert [c.cycle for c in ranked] == [1, 3]
+        assert ranked.cycles.tolist() == [1, 3]
 
     def test_unavailable_target_window_is_an_error(self):
         fcst, obs, cfg, query = three_candidate_setup()
@@ -93,7 +93,8 @@ class TestSearchClassic:
         values = fcst.values.copy()
         values[0, 0, 3] = values[0, 0, 1]  # same score as cycle 1, later cycle
         ranked = search_classic(query, make_forecasts(values), obs, cfg)
-        tied = [c.cycle for c in ranked if c.score == pytest.approx(0.5 * np.sqrt(5))]
+        tied = [c for c, s in zip(ranked.cycles.tolist(), ranked.scores.tolist())
+                if s == pytest.approx(0.5 * np.sqrt(5))]
         assert tied == [1, 3]
 
     def test_weight_scaling_preserves_rank_order(self, rng):
@@ -106,7 +107,7 @@ class TestSearchClassic:
         weights = rng.random(3) + 0.1
         base = search_classic(query, fcst, obs, MetricConfig(weights, sigma, 1))
         scaled = search_classic(query, fcst, obs, MetricConfig(weights * 7.5, sigma, 1))
-        assert [c.cycle for c in base] == [c.cycle for c in scaled]
+        assert base.cycles.tolist() == scaled.cycles.tolist()
 
 
 class TestSearchLatent:
@@ -135,9 +136,9 @@ class TestSearchLatent:
         query = AnalogQuery(station=0, target_cycle=0, lead=0, t_half=0,
                             search_cycles=np.array([1, 2]), m=2)
         ranked = search_latent(query, block, obs)
-        assert [c.cycle for c in ranked] == [2, 1]
-        assert ranked[0].score == pytest.approx(1.0, rel=1e-12)
-        assert ranked[1].score == pytest.approx(5.0, rel=1e-12)
+        assert ranked.cycles.tolist() == [2, 1]
+        assert ranked.scores[0] == pytest.approx(1.0, rel=1e-12)
+        assert ranked.scores[1] == pytest.approx(5.0, rel=1e-12)
 
     def test_identical_embedding_first(self):
         block = self._block([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
@@ -145,8 +146,8 @@ class TestSearchLatent:
         query = AnalogQuery(station=0, target_cycle=0, lead=0, t_half=0,
                             search_cycles=np.array([1, 2]), m=2)
         ranked = search_latent(query, block, obs)
-        assert ranked[0].cycle == 2
-        assert ranked[0].score == 0.0
+        assert ranked.cycles[0] == 2
+        assert ranked.scores[0] == 0.0
 
     def test_masked_candidate_excluded(self):
         block = self._block([[0.0], [1.0], [2.0]], available=[True, False, True])
@@ -154,7 +155,7 @@ class TestSearchLatent:
         query = AnalogQuery(station=0, target_cycle=0, lead=0, t_half=0,
                             search_cycles=np.array([1, 2]), m=1)
         ranked = search_latent(query, block, obs)
-        assert [c.cycle for c in ranked] == [2]
+        assert ranked.cycles.tolist() == [2]
 
     def test_station_without_observations_has_no_candidates(self):
         block = self._block([[0.0], [1.0], [2.0]])
@@ -176,14 +177,16 @@ class TestSearchLatent:
 
 class TestBuildEnsemble:
     def _ranked(self, n):
-        return [Candidate(cycle=i, score=float(i), member=10.0 + i) for i in range(n)]
+        return Ranking(cycles=np.arange(n), scores=np.arange(n, dtype=float),
+                       members=10.0 + np.arange(n))
 
     def test_singleton_ensemble(self):
         query = AnalogQuery(station=0, target_cycle=99, lead=0, t_half=0,
                             search_cycles=np.arange(5), m=1)
         ens = build_ensemble(self._ranked(5), query)
         assert ens.members.tolist() == [10.0]
-        assert ens.sources == [(0, 0.0)]
+        assert ens.cycles.tolist() == [0]
+        assert ens.scores.tolist() == [0.0]
         assert not ens.short
 
     def test_m_equal_to_list_length(self):
@@ -203,7 +206,8 @@ class TestBuildEnsemble:
 
     def test_sources_must_be_sorted(self):
         with pytest.raises(ValueError):
-            EnsembleForecast(members=np.array([1.0, 2.0]), sources=[(0, 2.0), (1, 1.0)])
+            EnsembleForecast(members=np.array([1.0, 2.0]), cycles=np.array([0, 1]),
+                             scores=np.array([2.0, 1.0]))
 
     def test_query_rejects_target_inside_search_range(self):
         with pytest.raises(ValueError):
@@ -238,8 +242,8 @@ class TestSearchProperties:
                 lambda q: search_classic(q, fcst, obs, cfg, limit=m),
                 lambda q: search_latent(q, block, obs, limit=m),
             ):
-                s_small = [c.score for c in search(q_small)]
-                s_large = [c.score for c in search(q_large)]
+                s_small = search(q_small).scores
+                s_large = search(q_large).scores
                 assert s_large[m - 1] <= s_small[m - 1]
 
     def test_independence_across_stations_and_leads(self, rng):
@@ -254,16 +258,17 @@ class TestSearchProperties:
         mutated = values.copy()
         mutated[1] = rng.standard_normal((2, 20, 3))  # other station
         after = search_classic(query, make_forecasts(mutated), obs, cfg)
-        assert before == after
+        assert _ranking(before) == _ranking(after)
 
 
 TOP_M = settings(derandomize=True, max_examples=150, deadline=None)
 
 
-def _ranking(ranked):
-    """Cycles, scores (NaN kept) and members of a ranked list, comparable with ==."""
-    return ([c.cycle for c in ranked], np.array([c.score for c in ranked]).tobytes(),
-            [c.member for c in ranked])
+def _ranking(ranked, k=None):
+    """Cycles, scores (NaN kept) and members of the first ``k`` of a ranking,
+    comparable with ==."""
+    return (ranked.cycles[:k].tolist(), ranked.scores[:k].tobytes(),
+            ranked.members[:k].tolist())
 
 
 def _assert_limits_truncate(search):
@@ -276,7 +281,7 @@ def _assert_limits_truncate(search):
         return
     n = len(full)
     for k in sorted({1, 2, max(1, n // 2), max(1, n - 1), n, n + 1, n + 7}):
-        assert _ranking(search(k)) == _ranking(full[:k])
+        assert _ranking(search(k)) == _ranking(full, k)
 
 
 def _grid(draw, shape, missing):

@@ -1,9 +1,12 @@
 """Base-backed analog searches against the per-target reference searches.
 
 ``tests/search_reference.py`` holds the searches as they were before a
-:class:`SearchBase` was shared by the targets of a (station, lead, search
-range). Every candidate must match in cycle, score bits and member, with a
-prebuilt base and without one, and every error in type and message.
+:class:`SearchBase` was shared by the targets of a (station, lead), and
+before one scoring pass per target served every search range. Every
+candidate must match in cycle, score bits and member, with a prebuilt base,
+a subrange of a wider one with or without shared distances, and without a
+base, and every error in type and message. ``run_predictions`` over several
+ranges must equal one reference search per range.
 """
 
 import numpy as np
@@ -11,17 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from analogkit import cli, ensemble
-from analogkit.archive import ObservationArchive, climatology_stats, window_fits
+from analogkit.archive import ObservationArchive, climatology_stats, extract_window, window_fits
 from analogkit.config import ExperimentConfig
 from analogkit.ensemble import (
     AnalogQuery,
     classic_base,
     latent_base,
+    latent_distances,
     search_classic,
     search_latent,
+    target_embedding,
 )
-from analogkit.errors import DataError, WindowUnavailable
-from analogkit.metric import MetricConfig
+from analogkit.errors import DataError, InsufficientAnalogs, WindowUnavailable
+from analogkit.metric import MetricConfig, block_dissimilarity
 from analogkit.network import EmbeddingBlock, embed_block, init_model
 
 import search_reference as ref
@@ -31,13 +36,15 @@ ORACLE = settings(derandomize=True, max_examples=300, deadline=None)
 
 
 def _outcome(search):
-    """(cycle, score bits, member bits) per candidate, or the error's type and message."""
+    """(cycle, score bits, member bits) per candidate, or the error's type and
+    message. A search returns a ranking, the reference a list of candidates."""
     try:
         ranked = search()
     except (DataError, KeyError, ValueError) as err:
         return type(err), str(err)
-    return [(c.cycle, np.float64(c.score).tobytes(), np.float64(c.member).tobytes())
-            for c in ranked]
+    if not isinstance(ranked, list):
+        ranked = zip(ranked.cycles.tolist(), ranked.scores.tolist(), ranked.members.tolist())
+    return [(c, np.float64(s).tobytes(), np.float64(v).tobytes()) for c, s, v in ranked]
 
 
 def _grid(draw, shape, holes):
@@ -98,6 +105,16 @@ class TestOracle:
         if window_fits(fcst, lead, t_half):  # the CLI builds a base only here
             base = classic_base(fcst, obs, station, lead, search, t_half)
             assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, base)) == want
+            # the range within a base over every other cycle, in drawn order
+            others = draw(st.permutations([c for c in range(n_cycles) if c != target]))
+            wider = classic_base(fcst, obs, station, lead, others, t_half)
+            sub = wider.subrange(search)
+            assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub)) == want
+            if not isinstance(want, tuple):  # the target has a window
+                window = extract_window(fcst, station, target, lead, t_half)
+                distances = block_dissimilarity(window.data, wider.rows)
+                assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub,
+                                                       distances)) == want
         else:
             with pytest.raises(WindowUnavailable) as edge:
                 classic_base(fcst, obs, station, lead, search, t_half)
@@ -128,6 +145,13 @@ class TestOracle:
         base = latent_base(block, obs, search)
         assert _outcome(lambda: search_latent(query, block, obs, limit)) == want
         assert _outcome(lambda: search_latent(query, block, obs, limit, base)) == want
+        wider = latent_base(block, obs, draw(st.permutations(np.delete(cycles, t))))
+        sub = wider.subrange(search)
+        assert _outcome(lambda: search_latent(query, block, obs, limit, sub)) == want
+        if available[t]:
+            distances = latent_distances(target_embedding(block, cycles[t]), wider.rows)
+            assert _outcome(lambda: search_latent(query, block, obs, limit, sub,
+                                                  distances)) == want
 
 
 def _archive(rng, n_stations=2, n_cycles=40, n_leads=3):
@@ -169,7 +193,8 @@ class TestBaseMismatch:
         lead0, lead1 = (embed_block(model, fcst, 0, lead, np.arange(40)) for lead in (0, 1))
         base = latent_base(lead0, obs, search)
         query = AnalogQuery(station=0, target_cycle=35, lead=0, t_half=0, search_cycles=search)
-        assert search_latent(query, lead0, obs, base=base) == search_latent(query, lead0, obs)
+        assert _outcome(lambda: search_latent(query, lead0, obs, base=base)) == _outcome(
+            lambda: search_latent(query, lead0, obs))
         with pytest.raises(ValueError, match="another embedding block"):
             search_latent(query, lead1, obs, base=base)
         shorter = AnalogQuery(station=0, target_cycle=35, lead=0, t_half=0,
@@ -188,6 +213,22 @@ class TestBaseMismatch:
             search_classic(query, fcst, obs, cfg, base=latent)
         with pytest.raises(ValueError, match="another embedding block"):
             search_latent(query, block, obs, base=classic)
+
+
+    def test_subrange_distances_or_config_of_another_base(self, rng):
+        fcst, obs, cfg, base = self._classic(rng)
+        with pytest.raises(ValueError, match="cycle index 31 is not part of this search base"):
+            base.subrange([5, 31])
+        window = extract_window(fcst, 0, 35, 1, 1)
+        query = AnalogQuery(station=0, target_cycle=35, lead=1, t_half=1,
+                            search_cycles=np.arange(10, 20), m=3)
+        shorter = classic_base(fcst, obs, 0, 1, np.arange(10, 20), 1)
+        with pytest.raises(ValueError, match="distances were scored against other"):
+            search_classic(query, fcst, obs, cfg, base=shorter,
+                           distances=block_dissimilarity(window.data, base.rows))
+        narrow = MetricConfig(weights=np.ones(2), sigma=np.ones(2), t_half=0)
+        with pytest.raises(ValueError, match=r"search base windows \(2, 3\), config expects"):
+            search_classic(query, fcst, obs, narrow, base=shorter)
 
 
 def _counting(function, calls, key):
@@ -230,7 +271,8 @@ def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
                 sigma = climatology_stats(fcst, s, row.lead, search).sigma
                 metric = MetricConfig(weights=np.ones(2), sigma=sigma, t_half=1)
                 want = ref.search_classic(query, fcst, obs, metric, limit=4)
-            assert row.ensemble.sources == [(c.cycle, c.score) for c in want]
+            assert row.ensemble.cycles.tolist() == [c.cycle for c in want]
+            assert row.ensemble.scores.tolist() == [c.score for c in want]
             assert row.ensemble.members.tolist() == [c.member for c in want]
 
     assert windows == [(0, 1), (1, 1)]
@@ -252,8 +294,8 @@ def test_run_predictions_embeds_once_for_nested_ranges(monkeypatch, rng):
         cli.embed_block, embedded, lambda model, fcst, s, lead, cycles: (s, lead, len(cycles))))
 
     def outcome(rows):
-        return [(r.station, r.cycle, r.lead, r.ensemble.sources, r.ensemble.members.tolist())
-                for r in rows]
+        return [(r.station, r.cycle, r.lead, r.ensemble.cycles.tolist(),
+                 r.ensemble.scores.tolist(), r.ensemble.members.tolist()) for r in rows]
 
     for method in ("anen_weighted", "deep_anen"):
         split_rows, skipped = cli.run_predictions(
@@ -265,3 +307,100 @@ def test_run_predictions_embeds_once_for_nested_ranges(monkeypatch, rng):
         assert [outcome(rows) for rows in split_rows] == [outcome(a[0][0]) for a in alone]
         assert sorted(skipped) == sorted(s for a in alone for s in a[1])
         assert len(skipped) == 3 * 2 * 2 * 10  # the edge leads, in every range
+
+
+RUNS = settings(derandomize=True, max_examples=100, deadline=None)
+RANGE_KINDS = st.sampled_from(["suffix", "gapped", "unsorted", "single", "dead"])
+
+
+def _range(draw, pool, dead):
+    """A non-empty search range drawn from ``pool``: a suffix (so that
+    suffixes nest), a gapped subset, a shuffled subset, one cycle, or the
+    cycles ``dead`` without any observation (no candidate is eligible)."""
+    kind = draw(RANGE_KINDS)
+    if kind == "dead":
+        return dead
+    if kind == "suffix":
+        return pool[-draw(st.integers(1, len(pool))):]
+    if kind == "single":
+        return pool[draw(st.integers(0, len(pool) - 1)):][:1]
+    subset = _subset(draw, pool)
+    subset = subset if len(subset) else pool[:1]
+    return np.asarray(draw(st.permutations(subset))) if kind == "unsorted" else subset
+
+
+def _reference_run(cfg, method, fcst, obs, stations, leads, ranges, test, model):
+    """Rows and skips of ``run_predictions``, one reference search per
+    (range, station, lead, target); rows as (station, cycle, lead, ensemble
+    cycles, score bits, member bits)."""
+    t_half, m = cfg.t_half, cfg.m
+    embedded = np.unique(np.concatenate([*ranges, test]))
+    rows, skipped = [[] for _ in ranges], []
+    for range_rows, search in zip(rows, ranges):
+        for station in stations:
+            s = fcst.station_index(station)
+            for lead in sorted(leads):
+                if method == "deep_anen":
+                    block = embed_block(model, fcst, s, lead, embedded)
+                else:
+                    sigma = climatology_stats(fcst, s, lead, search).sigma
+                    metric = MetricConfig(cli._effective_weights(cfg, method, fcst), sigma, t_half)
+                for c in sorted(test.tolist()):
+                    query = AnalogQuery(station=s, target_cycle=c, lead=lead, t_half=t_half,
+                                        search_cycles=search, m=m)
+                    try:
+                        if method == "deep_anen":
+                            ranked = ref.search_latent(query, block, obs, limit=m)
+                        else:
+                            ranked = ref.search_classic(query, fcst, obs, metric, limit=m)
+                        if len(ranked) < m and not cfg.allow_short:
+                            raise InsufficientAnalogs(available=len(ranked), requested=m)
+                    except DataError as err:
+                        skipped.append((station, c, lead, str(err)))
+                        continue
+                    range_rows.append((station, c, lead, [x.cycle for x in ranked],
+                                       np.array([x.score for x in ranked]).tobytes(),
+                                       np.array([x.member for x in ranked]).tobytes()))
+    return rows, skipped
+
+
+@pytest.mark.parametrize("method", ["anen_equal", "anen_weighted", "deep_anen"])
+@RUNS
+@given(data=st.data())
+def test_run_predictions_equals_one_reference_call_per_range(method, data):
+    """Any set of ranges (nested, overlapping, unsorted, gapped, one cycle,
+    none eligible) over archives with missing windows and observations: the
+    rows of every range equal one reference search per range, in cycles,
+    score bits and members, and the skips equal theirs as a multiset."""
+    draw = data.draw
+    t_half = draw(st.integers(0, 1))
+    n_stations, n_var = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    n_cycles, n_leads = draw(st.integers(6, 30)), 2 * t_half + draw(st.integers(1, 2))
+    holes = st.sampled_from(["none", "some"])
+    fcst = make_forecasts(_grid(draw, (n_stations, n_var, n_cycles, n_leads), draw(holes)))
+    obs_grid = _grid(draw, (n_stations, n_cycles, n_leads), draw(holes))
+    n_test = draw(st.integers(1, n_cycles // 2))
+    pool, test = np.arange(n_cycles - n_test), np.arange(n_cycles - n_test, n_cycles)
+    dead = pool[draw(st.integers(0, len(pool) - 1)):][:draw(st.integers(1, 2))]
+    obs_grid[:, dead, :] = np.nan
+    obs = obs_matching(fcst, obs_grid)
+    ranges = [_range(draw, pool, dead) for _ in range(draw(st.integers(1, 4)))]
+    cfg = ExperimentConfig()
+    cfg.values.update(t_half=t_half, m=draw(st.sampled_from([1, 3, 5])),
+                      allow_short=draw(st.booleans()))
+    cfg.weights.update({f"v{i + 1}": draw(st.sampled_from([0.0, 0.5, 1.0]))
+                        for i in range(n_var)})
+    cfg.weights["v1"] += 0.0 if any(cfg.weights.values()) else 1.0
+    model = init_model(list(fcst.variables), t_half=t_half, hidden_sizes=(3,), embed_dim=2,
+                       seed=draw(st.integers(0, 3)))
+    stations, leads = list(fcst.stations), list(range(n_leads))
+
+    split_rows, skipped = cli.run_predictions(cfg, method, fcst, obs, stations, leads, ranges,
+                                              test, model)
+    want_rows, want_skipped = _reference_run(cfg, method, fcst, obs, stations, leads, ranges,
+                                             test, model)
+    got_rows = [[(r.station, r.cycle, r.lead, r.ensemble.cycles.tolist(),
+                  r.ensemble.scores.tobytes(), r.ensemble.members.tobytes()) for r in rows]
+                for rows in split_rows]
+    assert got_rows == want_rows
+    assert sorted(skipped) == sorted(want_skipped)
