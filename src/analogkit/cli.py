@@ -374,7 +374,7 @@ def cmd_ingest(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
     try:
-        spec = SynthSpec(
+        fcst, obs, manifest = generate(SynthSpec(
             n_stations=cfg.synth_stations,
             n_cycles=cfg.synth_cycles,
             n_leads=cfg.synth_leads,
@@ -383,10 +383,9 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
             hidden=tuple(cfg.synth_hidden),
             g_name=cfg.synth_g,
             sigma_noise=cfg.synth_sigma_noise,
-        )
+        ))
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    fcst, obs, manifest = generate(spec)
     ar.write_forecasts(fcst, out / "forecasts.csv")
     ar.write_observations(obs, out / "observations.csv")
     write_manifest(manifest, out / "manifest.txt")

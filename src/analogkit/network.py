@@ -10,6 +10,9 @@ concatenated above the current input):
     cell state    c   = G_u * ct + G_f * c_prev
     activation    a   = G_o * tanh(c)
 
+where sigmoid(x) = 1 / (1 + exp(-x)), the logistic function, applied
+elementwise.
+
 Layers are stacked in depth: layer k consumes layer k-1's activation at
 each timestep. The top layer's activation at the final timestep feeds a
 linear head, whose output is the embedding. Inputs are standardized per
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import expit
 
 from .archive import (
     ForecastArchive,
@@ -226,12 +228,19 @@ def init_model(
     )
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)). Below x = -709.78, exp(-x)
+    overflows to inf and the result is 0, so the overflow is not a fault."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _cell(layer: LstmLayerParams, z: np.ndarray, c_prev: np.ndarray):
     """The cell equations on rows: z [B, hidden + input] is [a_prev; x] per
     row, c_prev [B, hidden]. Returns ((g_u, g_f, g_o, c_tilde), c, a)."""
-    g_u = expit(z @ layer.w_u.T + layer.b_u)
-    g_f = expit(z @ layer.w_f.T + layer.b_f)
-    g_o = expit(z @ layer.w_o.T + layer.b_o)
+    g_u = _sigmoid(z @ layer.w_u.T + layer.b_u)
+    g_f = _sigmoid(z @ layer.w_f.T + layer.b_f)
+    g_o = _sigmoid(z @ layer.w_o.T + layer.b_o)
     c_tilde = np.tanh(z @ layer.w_c.T + layer.b_c)
     c = g_u * c_tilde + g_f * c_prev
     return (g_u, g_f, g_o, c_tilde), c, g_o * np.tanh(c)

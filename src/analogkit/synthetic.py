@@ -91,7 +91,8 @@ def station_name(i: int) -> str:
 
 
 def generate(spec: SynthSpec) -> tuple[ForecastArchive, ObservationArchive, SynthManifest]:
-    """Deterministic, seeded dataset with its truth manifest."""
+    """Deterministic, seeded dataset with its truth manifest. Raises
+    ValueError when ``sigma_noise`` is so large that a noise draw overflows."""
     rng = np.random.default_rng(spec.seed)
     stations = [station_name(i) for i in range(spec.n_stations)]
     variables = [variable_name(i) for i in range(spec.n_variables)]
@@ -101,9 +102,12 @@ def generate(spec: SynthSpec) -> tuple[ForecastArchive, ObservationArchive, Synt
     values = rng.standard_normal(
         (spec.n_stations, spec.n_variables, spec.n_cycles, spec.n_leads)
     )
-    noise = spec.sigma_noise * rng.standard_normal(
-        (spec.n_stations, spec.n_cycles, spec.n_leads)
-    )
+    with np.errstate(over="ignore"):
+        noise = spec.sigma_noise * rng.standard_normal(
+            (spec.n_stations, spec.n_cycles, spec.n_leads)
+        )
+    if not np.isfinite(noise).all():  # an archive holding inf cannot be read back
+        raise ValueError(f"sigma_noise {spec.sigma_noise} overflows the observation noise")
 
     hidden = np.array(spec.hidden, dtype=int)
     g = G_FUNCTIONS[spec.g_name][0]

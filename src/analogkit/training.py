@@ -498,6 +498,9 @@ class TrainLogRow:
     val_loss: float
 
 
+# A diverging run overflows on its way to a non-finite loss or gradient; the
+# isfinite checks turn that into one DivergenceError, so numpy stays quiet.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     fcst: ForecastArchive,
     obs: ObservationArchive,

@@ -4,6 +4,8 @@ import io
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -595,12 +597,15 @@ class TestMalformedInputs:
     in exit 2, each with one stderr line."""
 
     def _run(self, capsys, argv, *expected, code=2):
+        """Warnings count as stderr lines, as they do outside pytest."""
         capsys.readouterr()
-        assert main(argv) == code
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        err = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+        assert len(err) == 1, err
         for text in expected:
-            assert text in err
+            assert text in err[0]
 
     @pytest.mark.parametrize("corrupt,names", [
         (lambda lines: lines[:-1], ("head.b", "no value line")),  # truncated
@@ -764,17 +769,30 @@ class TestMalformedInputs:
         argv = ["train", "--config", str(cfg), "--out", str(pipeline / "train")]
         self._run(capsys, argv, "config error", key, code=1)
 
+    @pytest.mark.parametrize("setting", ["learning_rate=1e300", "alpha=1e308"])
+    def test_divergent_training(self, fuzz_dir, tmp_path, capsys, setting):
+        """Valid but huge settings overflow on the way to a non-finite loss,
+        which ends the run in exit 3 without a numpy warning."""
+        cfg = tmp_path / "config.txt"
+        text = FUZZ_CONFIG.format(d=fuzz_dir).replace("max_iterations=2", "max_iterations=50")
+        cfg.write_text(f"{text}{setting}\n")
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "train")]
+        self._run(capsys, argv, "divergence:", code=3)
+
     @pytest.mark.parametrize("setting,drop,message", [
         ("synth_variables=2", ("synth_variables", "synth_hidden"), "hidden subset"),
         ("synth_cycles=0", ("synth_cycles",), "dimensions must be positive"),
         ("synth_g=bogus", ("synth_g",), "unknown g"),
         ("synth_sigma_noise=-1", ("synth_sigma_noise",), "sigma_noise"),
         ("synth_sigma_noise=nan", ("synth_sigma_noise",), "sigma_noise"),
-    ], ids=["hidden_beyond_variables", "no_cycles", "unknown_g", "negative_noise", "nan_noise"])
+        ("synth_sigma_noise=1e308", ("synth_sigma_noise",), "sigma_noise"),
+    ], ids=["hidden_beyond_variables", "no_cycles", "unknown_g", "negative_noise", "nan_noise",
+            "overflowing_noise"])
     def test_bad_synth_setting(self, tmp_path, capsys, setting, drop, message):
         cfg = write_config(tmp_path, drop=drop, extra=f"{setting}\n")
         argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]
         self._run(capsys, argv, "config error", message, code=1)
+        assert not any((tmp_path / "data").glob("*"))
 
     def test_nan_weight(self, pipeline, capsys):
         cfg = write_config(pipeline, extra="weight.v1=nan\n")
@@ -1044,3 +1062,37 @@ class TestFileFuzz:
                        + ("error_intervals=0.1,1\nbaseline_variable=v1\n" if intervals else ""))
         run_fuzzed(["verify", "--config", str(cfg), "--out", str(run_dir),
                     "--predictions", str(pred)])
+
+
+# Runs the pipeline with every scipy import refused; prints the exit codes and
+# the scipy modules loaded.
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from analogkit.cli import main
+
+cfg, d = sys.argv[1:]
+codes = [main([command, "--config", cfg, "--out", f"{d}/{out}"]) for command, out in
+         [("synth", "data"), ("train", "train"), ("predict", "pred"), ("verify", "pred")]]
+print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: synth, train, deep_anen predict
+    and verify succeed in a process that cannot import scipy."""
+    import analogkit
+
+    cfg = write_config(tmp_path, method="deep_anen")
+    env = dict(os.environ, PYTHONPATH=str(Path(analogkit.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(cfg), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[0, 0, 0, 0] []"]
+    assert run.stderr == ""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from analogkit.network import (
     LstmLayerParams,
     LstmState,
     ModelCheckpoint,
+    _sigmoid,
     embed_block,
     forward,
     init_model,
@@ -72,6 +74,24 @@ class TestCellStep:
         c_prev = np.array([0.73])
         state = lstm_cell_step(layer, np.array([0.5]), LstmState(np.zeros(1), c_prev))
         assert abs(state.c[0] - 0.73) < 1e-40
+
+    def test_sigmoid_matches_scipy_expit(self):
+        """Relative error at most 1e-15 where the logistic function is at
+        least 1e-300, absolute error at most 1e-300 below that, NaN kept,
+        and no overflow warning where exp(-x) overflows."""
+        from scipy.special import expit
+
+        edges = [0.0, 1e-300, 20.0, 709.8, 745.0, 800.0, 1e308]
+        x = np.concatenate([edges, np.negative(edges), np.linspace(-750.0, 750.0, 30001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(x)
+            assert np.isnan(_sigmoid(np.array([np.nan])))[0]
+        want = expit(x)
+        normal = want >= 1e-300
+        assert (~normal).any() and normal.any()
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal])
+        assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
 
     def test_dimension_mismatch(self):
         layer = scalar_layer(0.1)
