@@ -25,14 +25,15 @@ count, the key columns, the duplicate key and the value are checked in
 that order. A timestamp is accepted exactly when :func:`parse_time`
 accepts it, and ``lead_s`` must fit int64.
 
-Cost: the lines are joined and split into fields once, and the column
-count of every record is checked on that split by where the record
-separators fall. Each key column is coded in one dictionary pass, and
-only its distinct strings are parsed, so timestamp parsing grows with the
-distinct times, not the rows. The value column is parsed by ``float()``
-inside numpy's array constructor, an empty field read as ``"nan"``.
-Duplicate keys are found by sorting the records' cells, so no array spans
-the product of the axes.
+Cost: a clean file is checked in bulk. The lines are joined and split into
+fields once, and the column count of every record is checked on that split
+by where the record separators fall. Each key column is coded in one
+dictionary pass, and only its distinct strings are parsed, so timestamp
+parsing grows with the distinct times, not the rows. The value column is
+parsed by ``float()`` inside numpy's array constructor, an empty field read
+as ``"nan"``. Duplicate keys are found by sorting the records' cells, so no
+array spans the product of the axes. Only when a bulk check fails is the
+file read again, record by record in file order, to name the first fault.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import count, islice, repeat
+from itertools import count, islice
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -289,11 +290,15 @@ def open_output(path):
         raise DataError(f"{path}: cannot write: {err.strerror}") from None
 
 
-def _line_number(path, record: int) -> int:
-    """File line number of a record (0-based, blank and '#' lines skipped)."""
+def _lines(path, header: list[str]) -> tuple[list[str], int]:
+    """The lines of a CSV file and the index of its header, checked against ``header``."""
     lines = read_text(path).splitlines()
-    numbers = [n for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
-    return numbers[record + 1]  # the first is the header's
+    start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
+    if start is None:
+        raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
+    if lines[start].split(",") != header:
+        raise SchemaError(f"{path}: line {start + 1}: bad header {lines[start]!r}")
+    return lines, start
 
 
 class _Key(NamedTuple):
@@ -318,100 +323,95 @@ _LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
 _RANK = _Key("member_rank", lambda texts: list(map(int, texts)), False)
 
 
-def _parses(parse, text: str) -> bool:
-    try:
-        parse([text])
-    except ValueError:
-        return False
-    return True
-
-
-def _codes(column: list[str], parse) -> tuple[list, np.ndarray, int | None]:
+def _codes(column: list[str], parse) -> tuple[list, np.ndarray]:
     """Code a key column on the sorted axis of its distinct parsed keys.
 
     One dictionary pass numbers the distinct strings in order of first row,
-    and only they are parsed. Returns ``(axis, codes, bad)``: ``bad`` is the
-    first row whose string does not parse (None when all do), and ``codes``
-    covers the rows before it.
+    and only they are parsed. Raises ValueError when one does not parse.
     """
     first = defaultdict(count().__next__)
     codes = np.fromiter(map(first.__getitem__, column), np.intp, len(column))
-    distinct = list(first)  # in order of first row
-    bad = None
-    try:
-        keys = parse(distinct)
-    except ValueError:
-        # every row before the first row of the first failing distinct
-        # string holds one of the distinct strings before it
-        j = next(j for j, text in enumerate(distinct) if not _parses(parse, text))
-        keys = parse(distinct[:j])
-        bad = int(np.argmax(codes == j))
-        codes = codes[:bad]
+    keys = parse(list(first))  # in order of first row
     axis = sorted(set(keys))
     position = {key: i for i, key in enumerate(axis)}
-    return axis, np.array([position[key] for key in keys], np.intp)[codes], bad
+    return axis, np.array([position[key] for key in keys], np.intp)[codes]
+
+
+def _values(column: list[str], empty_is_missing: bool) -> np.ndarray:
+    """Parse value fields, each a finite decimal or, where ``empty_is_missing``,
+    an empty field read as missing (NaN). Raises ValueError on any other."""
+    empty = column.count("")
+    # numpy's array constructor calls float() on each string; empty fields,
+    # which float() refuses, are read as "nan"
+    values = np.array([t or "nan" for t in column] if empty else column, dtype=float)
+    # allowed empty fields are the only NaNs, and no infinity is allowed
+    if np.count_nonzero(np.isfinite(values)) != len(column) - (empty if empty_is_missing else 0):
+        raise ValueError("a value is neither finite nor an allowed empty field")
+    return values
 
 
 def _value_problem(text: str, empty_is_missing: bool) -> str:
     """Why a value field is rejected, or '' when it is a finite decimal or an
     allowed empty field."""
     if text == "":
-        return "" if empty_is_missing else "missing value"
+        return "" if empty_is_missing else "missing value ''"
     try:
         value = float(text)
     except ValueError:
-        return "unparsable value"
-    return "" if math.isfinite(value) else "non-finite value"
+        return f"unparsable value {text!r}"
+    return "" if math.isfinite(value) else f"non-finite value {text!r}"
 
 
-def _values(
-    column: list[str], empty_is_missing: bool
-) -> tuple[np.ndarray | None, tuple[int, str] | None]:
-    """Parse value fields: each a finite decimal, or empty for missing (NaN)
-    where ``empty_is_missing``.
+def _first_fault(path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool):
+    """The :class:`SchemaError` of the first offending record of a CSV file.
 
-    Returns ``(values, None)``, or ``(None, (row, message))`` for the first
-    field that is neither.
+    Walks the records in file order and checks each one's column count, key
+    columns, duplicate key and value in that order. Each key column's
+    parser runs once per distinct text.
     """
-    empty = column.count("")
-    try:
-        # numpy's array constructor calls float() on each string; empty
-        # fields, which float() refuses, are read as "nan"
-        values = np.array([t or "nan" for t in column] if empty else column, dtype=float)
-        # allowed empty fields are the only NaNs, and no infinity is allowed
-        allowed = empty if empty_is_missing else 0
-        if np.count_nonzero(np.isfinite(values)) == len(column) - allowed:
-            return values, None
-    except ValueError:
-        pass
-    # in order of first row
-    text = next(t for t in dict.fromkeys(column) if _value_problem(t, empty_is_missing))
-    return None, (column.index(text), f"{_value_problem(text, empty_is_missing)} {text!r}")
+    lines, start = _lines(path, header)
+    parsed = [{} for _ in keys]  # per key column: text -> parsed key
+    seen = set()
+
+    def problem(fields: list[str]) -> str:
+        if len(fields) != len(header):
+            return f"expected {len(header)} columns, got {len(fields)}"
+        try:
+            cell = tuple(map(dict.__getitem__, parsed, fields))
+        except KeyError:  # a key text met for the first time
+            for key, memo, text in zip(keys, parsed, fields):
+                if text not in memo:
+                    try:
+                        memo[text] = key.parse([text])[0]
+                    except ValueError:
+                        return f"unparsable {key.label} {text!r}"
+            cell = tuple(map(dict.__getitem__, parsed, fields))
+        if cell in seen:
+            shown = (t if key.as_written else str(k) for key, t, k in zip(keys, fields, cell))
+            return f"duplicate key ({','.join(shown)})"
+        seen.add(cell)
+        return _value_problem(fields[len(keys)], empty_is_missing)
+
+    for number, line in enumerate(islice(lines, start + 1, None), start + 2):
+        if line.strip() and line[0] != "#" and (message := problem(line.split(","))):
+            return SchemaError(f"{path}: line {number}: {message}")
+    raise AssertionError(f"{path}: a bulk check failed, but no record fails its own checks")
 
 
 def _read_archive(
     path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool = True
-) -> tuple[list[list], np.ndarray, np.ndarray]:
+) -> tuple[Sequence[list], np.ndarray, np.ndarray]:
     """Columnar read of a CSV of key columns, one value column and any
     further columns, which are counted but not parsed.
 
     Returns the sorted axis of each key column, each record's cell (its flat
     index over the axes) and each record's value. An empty value is NaN
-    where ``empty_is_missing`` and an error otherwise. Raises the
-    :class:`SchemaError` of the first offending record in file order.
+    where ``empty_is_missing`` and an error otherwise. The checks run in
+    bulk; when one fails, :func:`_first_fault` names the offending record.
     """
-    lines = read_text(path).splitlines()
-    # the header is the first line that is neither blank nor '#'
-    start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
-    if start is None:
-        raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
-    if lines[start].split(",") != header:
-        raise SchemaError(f"{path}: line {start + 1}: bad header {lines[start]!r}")
+    lines, start = _lines(path, header)
     body = [line for line in islice(lines, start + 1, None) if line.strip() and line[0] != "#"]
     del lines
-    # (record, message) per failed check, in the order one record's fields
-    # are checked: the first minimal record names the offence
-    offences = []
     # records are joined by a "\n" field, which no line holds: every record
     # has len(header) fields exactly when each separator sits width apart
     n_lines, width = len(body), len(header) + 1
@@ -419,51 +419,26 @@ def _read_archive(
     del body  # the line strings go before the field strings arrive
     fields = joined.split(",") if joined else []
     del joined
-    if n_lines and not (
-        len(fields) == width * n_lines - 1
-        and fields[width - 1 :: width].count("\n") == n_lines - 1
-    ):
-        body = ",".join(fields).split(",\n,")
-        commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, n_lines)
-        record = int(np.flatnonzero(commas != len(header) - 1)[0])
-        offences.append((record, f"expected {len(header)} columns, got {commas[record] + 1}"))
-        fields = ",\n,".join(body[:record]).split(",") if record else []
-        del body
-    columns = [fields[i::width] for i in range(len(keys) + 1)]
-    del fields
-
-    axes, codes = [], []
-    for key, column in zip(keys, columns):
-        axis, code, bad = _codes(column, key.parse)
-        if bad is not None:
-            offences.append((bad, f"unparsable {key.label} {column[bad]!r}"))
-        axes.append(axis)
-        codes.append(code)
-
-    n = min((record for record, _ in offences), default=len(columns[0]))  # clean before n
-    cells = np.ravel_multi_index([code[:n] for code in codes], tuple(map(len, axes)))
-    ordered = np.sort(cells)
-    if np.any(ordered[1:] == ordered[:-1]):
-        _, firsts = np.unique(cells, return_index=True)
-        repeated = np.ones(n, dtype=bool)
-        repeated[firsts] = False
-        record = int(np.argmax(repeated))
-        shown = [
-            column[record] if key.as_written else str(axis[code[record]])
-            for key, column, axis, code in zip(keys, columns, axes, codes)
-        ]
-        offences.append((record, f"duplicate key ({','.join(shown)})"))
-
-    values, offence = _values(columns[len(keys)][:n], empty_is_missing)
-    if offence is not None:
-        offences.append(offence)
-    if offences:
-        record, message = min(offences, key=lambda offence: offence[0])
-        raise SchemaError(f"{path}: line {_line_number(path, record)}: {message}")
+    try:  # each bulk check raises ValueError when it fails
+        if n_lines and not (
+            len(fields) == width * n_lines - 1
+            and fields[width - 1 :: width].count("\n") == n_lines - 1
+        ):
+            raise ValueError("a record has the wrong column count")
+        columns = [fields[i::width] for i in range(len(keys) + 1)]
+        del fields
+        axes, codes = zip(*(_codes(column, key.parse) for key, column in zip(keys, columns)))
+        cells = np.ravel_multi_index(codes, tuple(map(len, axes)))
+        ordered = np.sort(cells)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("a key is repeated")
+        values = _values(columns[len(keys)], empty_is_missing)
+    except ValueError:
+        raise _first_fault(path, header, keys, empty_is_missing) from None
     return axes, cells, values
 
 
-def _read_dense(path, header: list[str], keys: Sequence[_Key]) -> tuple[list[list], np.ndarray]:
+def _read_dense(path, header: list[str], keys: Sequence[_Key]) -> tuple[Sequence, np.ndarray]:
     """Key axes and dense values of an archive CSV, NaN where a cell has no value."""
     axes, cells, values = _read_archive(path, header, keys)
     if not cells.size:

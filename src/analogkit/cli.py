@@ -436,6 +436,8 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
 read_predictions = ar.load_predictions
 
 
+# scores of huge values overflow, and are written as computed (inf or nan)
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
     fcst = None
     if cfg.error_intervals is not None:
@@ -556,18 +558,10 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
             if not rows:
                 raise DataError(f"split {split}: all prediction targets failed")
             vset = pairs_from_rows(rows, fcst, obs).vset
-            results.append(
-                (
-                    method,
-                    split,
-                    start,
-                    cfg.search_end,
-                    int(search_cycles.size),
-                    vset.n_pairs,
-                    vset_rmse(vset),
-                    vset_brier(vset, threshold),
-                )
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # as in cmd_verify
+                r, b = vset_rmse(vset), vset_brier(vset, threshold)
+            n_cycles = int(search_cycles.size)
+            results.append((method, split, start, cfg.search_end, n_cycles, vset.n_pairs, r, b))
     with ar.open_output(out / "search_length.csv") as fh:
         for line in _provenance(
             cfg, "experiment-search-length", [f"brier_threshold={ar.format_float(threshold)}"]

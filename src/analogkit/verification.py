@@ -237,24 +237,24 @@ def build_report(
 ) -> VerificationReport:
     """Standard report: bias, rmse, crps, mre, brier per lead and overall."""
 
-    def scores(subset: VerificationSet) -> dict[str, float]:
-        _, mre = rank_histogram(subset, seed=seed)
+    def scores(subset: VerificationSet) -> tuple[dict[str, float], np.ndarray]:
+        counts, mre = rank_histogram(subset, seed=seed)
         return {
             "bias": bias(subset),
             "rmse": rmse(subset),
             "crps": crps(subset),
             "mre": mre,
             "brier": brier(subset, brier_threshold),
-        }
+        }, counts
 
     per_lead = {}
     for lead in vset.leads():
-        per_lead[int(lead)] = scores(vset.subset(vset.lead_s == lead))
-    counts, _ = rank_histogram(vset, seed=seed)
+        per_lead[int(lead)], _ = scores(vset.subset(vset.lead_s == lead))
+    aggregate, counts = scores(vset)
     n_bins = min(n_spread_bins, vset.n_pairs)
     return VerificationReport(
         per_lead=per_lead,
-        aggregate=scores(vset),
+        aggregate=aggregate,
         rank_counts=counts,
         spread_bins=spread_error(vset, n_bins, seed=seed),
         brier_threshold=brier_threshold,

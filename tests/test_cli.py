@@ -1064,6 +1064,19 @@ class TestFileFuzz:
                     "--predictions", str(pred)])
 
 
+def test_huge_noise_scores_without_warnings(tmp_path):
+    """Noise near the float64 limit overflows the verification scores, which
+    are written as computed; every command still exits 0 with no stderr line
+    and no numpy warning."""
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(FUZZ_CONFIG.format(d=tmp_path) + "synth_sigma_noise=1e307\nsearch_splits=1,2\n"
+                   "error_intervals=0.1,1\nbaseline_variable=v1\n")
+    for command in ("synth", "ingest", "train", "predict", "verify", "experiment-search-length"):
+        assert run_fuzzed([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0, command
+    report = (tmp_path / "report.csv").read_text().splitlines()
+    assert {"all,rmse,inf,,,,", "all,crps,inf,,,,"} <= set(report)
+
+
 # Runs the pipeline with every scipy import refused; prints the exit codes and
 # the scipy modules loaded.
 WITHOUT_SCIPY = """

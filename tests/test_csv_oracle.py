@@ -315,6 +315,55 @@ SEVERAL_FAULTS = [
 ]
 
 
+def clean_records(kind, n=2000):
+    """``n`` distinct, valid records of a kind."""
+    if kind == "forecast":  # 2 stations, 2 variables, 50 cycles, 10 leads
+        return [f"S{i % 2},v{i // 2 % 2},{format_time(i // 4 % 50 * 86400)},{i // 200 * 3600},"
+                f"{i / 8}" for i in range(n)]
+    if kind == "observation":  # 2 stations, 1000 times
+        return [f"S{i % 2},{format_time(i // 2 * 3600)},{i / 8}" for i in range(n)]
+    # 2 stations, 100 cycles, 10 members
+    return [f"S{i % 2},{format_time(i // 20 * 86400)},3600,{i // 2 % 10},{i / 8},,"
+            for i in range(n)]
+
+
+# a fault kind -> the columns it may hit and the text it puts there
+BAD_FIELD = {
+    "timestamp": (("cycle_time", "valid_time"), "2011-02-30T00:00:00Z"),
+    "lead": (("lead_s",), "zero"),
+    "rank": (("member_rank",), "one"),
+    "value": (("value", "member_value"), "1e400"),
+}
+
+
+def fault_near_the_end(kind, fault, n=2000):
+    """``n`` valid records with one faulty record five from the end, made
+    from the record after it, so that it also repeats that record's key."""
+    records = clean_records(kind, n)
+    fields = records[n - 5].split(",")
+    if fault == "columns":
+        del fields[-1]
+    elif fault == "duplicate":
+        fields = records[0].split(",")
+    else:
+        columns, text = BAD_FIELD[fault]
+        fields[next(i for i, name in enumerate(HEADERS[kind].split(",")) if name in columns)] = text
+    return records[: n - 5] + [",".join(fields)] + records[n - 5 :]
+
+
+# One fault in a large file: the columnar checks fail in bulk, and the
+# record-by-record pass must still name the line.
+SEVERAL_FAULTS += [
+    pytest.param(kind, fault_near_the_end(kind, fault), id=f"{kind}-{fault}-near-the-end")
+    for kind, faults in [
+        ("forecast", ["columns", "timestamp", "lead", "duplicate", "value"]),
+        ("observation", ["columns", "timestamp", "duplicate", "value"]),
+        ("prediction", ["columns", "timestamp", "lead", "rank", "duplicate", "value"]),
+    ]
+    for fault in faults
+]
+
+
 @pytest.mark.parametrize("kind,records", SEVERAL_FAULTS)
 def test_several_faults_report_as_the_oracle_does(tmp_path, kind, records):
     load, oracle, _ = LOADERS[kind]
