@@ -84,7 +84,8 @@ def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None =
     """Ascending order of eligible positions; ties broken by earlier cycle.
 
     The one ranking routine: analog search orders candidates by score with
-    it, and triplet sampling finds each anchor's ``k_pos`` nearest with it.
+    it, and triplet sampling ranks with it the anchors whose rounded
+    distances may tie (see :func:`analogkit.training._rounding_may_tie`).
     With ``limit`` only the first ``limit`` positions of that order are
     returned. Every eligible score not above the limit-th smallest one is
     kept before the stable sort, so ties at the cut still go to the earlier
@@ -93,8 +94,9 @@ def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None =
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    # Method forms rather than np.nonzero/np.partition/np.argsort: triplet
-    # sampling calls this once per anchor, where the dispatch cost shows.
+    # Method forms rather than np.nonzero/np.partition/np.argsort: search
+    # calls this once per target, and triplet sampling once per flagged
+    # anchor, where the dispatch cost shows.
     pos = eligible.nonzero()[0]
     s = scores[pos]
     if limit is not None and limit < len(pos):

@@ -421,7 +421,7 @@ def embed_block(
             f"archive variables {','.join(archive.variables)} do not match "
             f"model variables {','.join(model.variables)}"
         )
-    cycles = np.asarray(sorted(set(int(c) for c in np.asarray(cycles, dtype=int))), dtype=int)
+    cycles = np.unique(np.asarray(cycles, dtype=int))
     n = len(cycles)
     vectors = np.zeros((n, model.embed_dim))
     try:

@@ -180,8 +180,8 @@ def sample_triplets(
     ``k_pos + 1`` candidates, or with no candidate farther than their
     positive, are skipped and counted. Consumes ``rng`` deterministically:
     per anchor one ``random()`` and, unless it is skipped, one
-    ``integers()``. :func:`_select` finds the order without sorting per
-    anchor.
+    ``integers()``. :func:`_select` takes each anchor's order as one merge
+    of two runs, read by one binary search, without sorting per anchor.
 
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
     candidate pool always spans the full range. The result holds one
@@ -220,9 +220,6 @@ def sample_triplets(
     return Triplets.concat(blocks)
 
 
-_CHUNK = 256  # anchors gathered at a time, to keep the temporaries small
-
-
 def _select(
     v: np.ndarray, anchors: np.ndarray, k: int, edges: list[float], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +230,14 @@ def _select(
     positions of the anchors that keep a triplet, and their obs_gaps.
 
     Two stable sorts fix every anchor's order. In ``up``, the (obs, cycle)
-    order, the observations equal to the anchor's are one run in cycle
-    order, and the candidates above it follow, nearest first. In ``down``,
-    the (-obs, cycle) order, the candidates below it end the array, nearest
-    first. The rounded distance fl(|x - v_a|) never decreases along either
-    side, so the anchor's (distance, cycle) order is the equal run followed
-    by a merge of the two sides, unless two distinct observations on one
-    side round to the same distance. Anchors where that may happen (see
-    :func:`_rounding_may_tie`) are ranked with
+    order, the side at or above the anchor starts with the observations
+    equal to it, in cycle order, and goes on away from it. In ``down``, the
+    (-obs, cycle) order, the side below it ends the array, nearest first.
+    The rounded distance fl(|x - v_a|) never decreases along either side,
+    so the anchor's (distance, cycle) order is one merge of these two runs,
+    read by one binary search (:func:`_merged_entry`), unless two distinct
+    observations on one side round to the same distance. Anchors where that
+    may happen (see :func:`_rounding_may_tie`) are ranked with
     :func:`~analogkit.ensemble.rank_positions` instead.
     """
     n = v.size
@@ -249,34 +246,32 @@ def _select(
     down = (-v).argsort(kind="stable")
     sv, dv = v[up], v[down]
     centre = v[anchors]
-    lo = sv.searchsorted(centre, "left")  # candidates below: down[n - lo:]
-    hi = sv.searchsorted(centre, "right")  # candidates above: up[hi:]
-    n_equal = hi - lo - 1  # the anchor left out
+    lo = sv.searchsorted(centre, "left")  # side at or above: up[lo:]; side below: down[n - lo:]
     rank = np.empty(n, dtype=int)
     rank[up] = np.arange(n)
-    top = np.empty((len(anchors), k + 1), dtype=int)
-    top_dist = np.empty((len(anchors), k + 1))
-    for start in range(0, len(anchors), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        top[rows], top_dist[rows] = _nearest(
-            v, up, down, lo[rows], hi[rows], centre[rows], rank[anchors[rows]] - lo[rows], k)
+    skip = rank[anchors] - lo  # the anchor's own entry of up[lo:]
+    others = np.ones(n, dtype=bool)
+
+    def exact(i, m):  # the first m places of anchor i's order, by a full ranking
+        a = anchors[i]
+        others[a] = False
+        order = rank_positions(np.abs(v - v[a]), others, m)
+        others[a] = True
+        return order
+
+    top = _merged_entry(v, up, down, lo[:, None], skip[:, None], centre[:, None],
+                        np.arange(k + 1))
+    unsafe = np.flatnonzero(_rounding_may_tie(sv, lo, sv.searchsorted(centre, "right"), centre))
+    for i in unsafe:
+        top[i] = exact(i, k + 1)
+    top_dist = np.abs(v[top] - centre[:, None])
     # Where the (k+1)-th ties the k-th, count(dist <= top_dist[k]) runs past
-    # the cut: count it on each side.
+    # the cut: count it on each run, the anchor left out. A count needs no
+    # order within a distance, so it is exact for flagged anchors too.
     count = np.zeros(len(anchors), dtype=int)
     tied = np.flatnonzero(top_dist[:, k - 1] == top_dist[:, k])
-    cut, c = top_dist[tied, k], centre[tied]
-    count[tied] = (n_equal[tied] + _within(sv, hi[tied], n - hi[tied], c, cut)
-                   + _within(dv, n - lo[tied], lo[tied], c, cut))
-    others = np.ones(n, dtype=bool)
-    unsafe = np.flatnonzero(_rounding_may_tie(sv, lo, hi, centre))
-    for i in unsafe:
-        a = anchors[i]
-        dists = np.abs(v - v[a])
-        others[a] = False
-        top[i] = rank_positions(dists, others, k + 1)
-        others[a] = True
-        top_dist[i] = dists[top[i]]
-        count[i] = np.count_nonzero(dists <= top_dist[i, k]) - 1  # the anchor is within too
+    cut, c, start = top_dist[tied, k], centre[tied], lo[tied]
+    count[tied] = _within(sv, start, n - start, c, cut) + _within(dv, n - start, start, c, cut) - 1
     # The first allowed negative is at place k for a positive nearer than the
     # (k+1)-th candidate, and past every candidate as near for the others:
     # those from rank ``ties`` on.
@@ -293,35 +288,12 @@ def _select(
         places.append(first + int(integers(n_cand - first)))
     kept, picks, places = (np.array(x, dtype=int) for x in (kept, picks, places))
     pos = top[kept, picks]
-    neg = _merged_entry(v, up, down, lo[kept], hi[kept], centre[kept], places - n_equal[kept])
+    neg = _merged_entry(v, up, down, lo[kept], skip[kept], centre[kept], places)
     for j in np.flatnonzero(np.isin(kept, unsafe)):
-        a = anchors[kept[j]]
-        others[a] = False
-        neg[j] = rank_positions(np.abs(v - v[a]), others, places[j] + 1)[places[j]]
-        others[a] = True
+        neg[j] = exact(kept[j], places[j] + 1)[places[j]]
     a = anchors[kept]
     gap = np.abs(v[neg] - v[a]) - np.abs(v[pos] - v[a])
     return np.column_stack([a, pos, neg]), gap
-
-
-def _nearest(v, up, down, lo, hi, centre, skip, k):
-    """The k + 1 nearest candidates of each anchor, in (distance, cycle)
-    order, and their distances. They are among the first k + 1 of the equal
-    run ``up[lo:hi]`` (the anchor, entry ``skip`` of it, left out), of the
-    side above and of the side below."""
-    n = v.size
-    t = np.arange(k + 1)
-    gathered = np.concatenate([
-        up.take(lo[:, None] + t + (t >= skip[:, None]), mode="clip"),
-        up.take(hi[:, None] + t, mode="clip"),
-        down.take((n - lo)[:, None] + t, mode="clip"),
-    ], axis=1)
-    real = np.concatenate([t < (hi - lo - 1)[:, None], t < (n - hi)[:, None], t < lo[:, None]],
-                          axis=1)
-    dist = np.where(real, np.abs(v[gathered] - centre[:, None]), np.inf)
-    gathered = np.where(real, gathered, n)
-    order = np.lexsort((gathered, dist), axis=1)[:, : k + 1]
-    return np.take_along_axis(gathered, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def _rounding_may_tie(sv: np.ndarray, lo: np.ndarray, hi: np.ndarray, centre: np.ndarray):
@@ -369,22 +341,29 @@ def _within(run: np.ndarray, start, size, centre, x) -> np.ndarray:
                    lambda t: np.abs(run.take(start + t, mode="clip") - centre) > x)
 
 
-def _merged_entry(v, up, down, lo, hi, centre, q) -> np.ndarray:
-    """Per anchor, the position at place ``q`` (from 0) of the merge of its
-    side above, ``up[hi:]``, and its side below, ``down[n - lo:]``, in
-    (distance, cycle) order: the k-th smallest of two sorted runs, found by
-    a binary search on how many of the first q + 1 come from above."""
-    below = v.size - lo
+def _merged_entry(v, up, down, lo, skip, centre, q) -> np.ndarray:
+    """Per anchor, the position at place ``q`` (from 0) of its (distance,
+    cycle) order. That order merges two runs that lead away from the
+    anchor: the side at or above it, ``up[lo:]`` with the anchor (entry
+    ``skip``) left out, and the side below it, ``down[n - lo:]``. The q-th
+    smallest of the two is found by a binary search on how many of the
+    first q + 1 come from above."""
+    n = v.size
+
+    def above(x):
+        return up.take(lo + x + (x >= skip), mode="clip")
+
+    def below(x):
+        return down.take(n - lo + x, mode="clip")
 
     def later(i, j):  # (distance, cycle) of position i comes after that of j
         di, dj = np.abs(v[i] - centre), np.abs(v[j] - centre)
         return (di > dj) | ((di == dj) & (i > j))
 
     # The least m whose m-th above comes after the (q - m)-th below.
-    m = _bisect(np.maximum(0, q + 1 - lo), np.minimum(q + 1, v.size - hi), lambda x: later(
-        up.take(hi + x, mode="clip"), down.take(below + q - x, mode="clip")))
-    last_above = up.take(hi + m - 1, mode="clip")
-    last_below = down.take(below + q - m, mode="clip")
+    m = _bisect(np.maximum(0, q + 1 - lo), np.minimum(q + 1, n - 1 - lo),
+                lambda x: later(above(x), below(q - x)))
+    last_above, last_below = above(m - 1), below(q - m)
     from_above = (m == q + 1) | ((m > 0) & later(last_above, last_below))
     return np.where(from_above, last_above, last_below)
 
@@ -520,7 +499,7 @@ def train(
     without relative improvement ``early_stop_min_improvement``. Returns
     the best-validation checkpoint and the evaluation log.
     """
-    cycles = np.asarray(sorted(set(int(c) for c in np.asarray(cycles, dtype=int))), dtype=int)
+    cycles = np.unique(np.asarray(cycles, dtype=int))
     if cycles.size < 2:
         raise DataError("training needs at least two cycles")
     rng = np.random.default_rng(cfg.seed)

@@ -158,3 +158,30 @@ def test_train_with_oracle_sampler_is_byte_identical(tmp_path, monkeypatch):
         outputs.append([(tmp_path / name).read_bytes()
                         for name in ("checkpoint.txt", "train_log.csv")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("spread, n", [(spread, n) for spread in (1, 2, None)
+                                       for n in (2, 3, 12, 200)]
+                         + [("mixed", n) for n in (2, 3, 5, 8)])
+def test_merged_entry_matches_lexsort_at_every_place(spread, n):
+    """Every place of every unflagged anchor's merged order equals a
+    (distance, cycle) lexsort of the other positions; the draws alone reach
+    only a few places of each. Mixed arrays stay short, since from about
+    length 12 on nearly every anchor of them is flagged."""
+    checked = 0
+    for seed in range(8):
+        v = _values(np.random.default_rng(seed), n, spread, holes=False)
+        up, down = v.argsort(kind="stable"), (-v).argsort(kind="stable")
+        sv = v[up]
+        lo, hi = sv.searchsorted(v, "left"), sv.searchsorted(v, "right")
+        skip = np.empty(n, dtype=int)
+        skip[up] = np.arange(n)
+        skip -= lo  # each position's own entry of up[lo:]
+        anchors = np.flatnonzero(~training._rounding_may_tie(sv, lo, hi, v))
+        got = training._merged_entry(v, up, down, lo[anchors, None], skip[anchors, None],
+                                     v[anchors, None], np.arange(n - 1))
+        for a, row in zip(anchors, got):
+            order = np.lexsort((np.arange(n), np.abs(v - v[a])))
+            np.testing.assert_array_equal(row, order[order != a])
+        checked += anchors.size
+    assert checked == 8 * n or (spread == "mixed" and checked > 0)
