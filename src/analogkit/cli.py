@@ -447,9 +447,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
             raise ConfigError(f"baseline_variable {cfg.baseline_variable} not in the archive")
     cfg.require("observation_csv")
     obs = ar.load_observations(cfg.observation_csv)
-    if predictions_path is None:
-        predictions_path = cfg.predictions_csv or (out / "predictions.csv")
-    groups = read_predictions(predictions_path)
+    groups = read_predictions(out / "predictions.csv" if predictions_path is None
+                              else predictions_path)
     vset, accepted, excluded_short, excluded_missing_obs = pair_targets(groups, obs)
     stations_seen = list(dict.fromkeys(station for (station, _, _), _ in groups))
     threshold = _brier_threshold(cfg, obs, stations_seen)

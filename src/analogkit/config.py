@@ -23,7 +23,6 @@ _SCHEMA = {
     "forecast_csv": ("path", None),
     "observation_csv": ("path", None),
     "checkpoint": ("path", None),
-    "predictions_csv": ("path", None),
     "method": ("str", "anen_equal"),
     "methods": ("str_list", None),
     "m": ("int", 11),

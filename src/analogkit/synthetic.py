@@ -31,12 +31,15 @@ G_FUNCTIONS = {
     "sum": (lambda v: np.sum(v, axis=0), "obs = sum(v)", 1),
 }
 
-DEFAULT_CYCLE_START = 1293840000  # 2011-01-01T00:00:00Z
+CYCLE_START = 1293840000  # 2011-01-01T00:00:00Z
+CYCLE_STEP = 86400  # daily cycles
+LEAD_STEP = 3600  # hourly leads
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Dimensions and latent rule of a synthetic dataset."""
+    """Dimensions and latent rule of a synthetic dataset, on a fixed time grid:
+    daily cycles from 2011-01-01T00:00:00Z and hourly leads, at most 24."""
 
     n_stations: int = 1
     n_cycles: int = 100
@@ -46,9 +49,6 @@ class SynthSpec:
     hidden: tuple[int, ...] = (0, 1, 2)  # variable indices feeding the rule
     g_name: str = "product_sin"
     sigma_noise: float = 0.1
-    cycle_start: int = DEFAULT_CYCLE_START
-    cycle_step: int = 86400
-    lead_step: int = 3600
 
     def __post_init__(self):
         if min(self.n_stations, self.n_cycles, self.n_leads, self.n_variables) < 1:
@@ -63,8 +63,8 @@ class SynthSpec:
             raise ValueError(
                 f"g {self.g_name!r} needs at least {G_FUNCTIONS[self.g_name][2]} hidden variables"
             )
-        if self.lead_step * (self.n_leads - 1) >= self.cycle_step:
-            raise ValueError("lead axis must not wrap past the next cycle (valid-time collisions)")
+        if self.n_leads > CYCLE_STEP // LEAD_STEP:  # valid times would collide
+            raise ValueError("at most 24 leads: a 25th would reach the next cycle")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def generate(spec: SynthSpec) -> tuple[ForecastArchive, ObservationArchive, Synt
     rng = np.random.default_rng(spec.seed)
     stations = [station_name(i) for i in range(spec.n_stations)]
     variables = [variable_name(i) for i in range(spec.n_variables)]
-    cycles = spec.cycle_start + spec.cycle_step * np.arange(spec.n_cycles, dtype=np.int64)
-    leads = spec.lead_step * np.arange(spec.n_leads, dtype=np.int64)
+    cycles = CYCLE_START + CYCLE_STEP * np.arange(spec.n_cycles, dtype=np.int64)
+    leads = LEAD_STEP * np.arange(spec.n_leads, dtype=np.int64)
 
     values = rng.standard_normal(
         (spec.n_stations, spec.n_variables, spec.n_cycles, spec.n_leads)

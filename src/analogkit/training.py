@@ -36,9 +36,16 @@ from .network import (
 )
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+EARLY_STOP_MIN_IMPROVEMENT = 1e-3  # relative validation-loss gain that resets patience
+VAL_FRACTION = 0.10  # share of the training cycles, the last ones, held out for validation
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for triplet training."""
+    """Hyperparameters for triplet training. Fixed, not settable: ADAM's beta1
+    0.9, beta2 0.999 and epsilon 1e-8 (``ADAM_*``), the 10% validation share
+    (``VAL_FRACTION``) and the 0.1% early-stop tolerance (``EARLY_STOP_MIN_IMPROVEMENT``)."""
 
     alpha: float = 1.0  # hinge margin
     learning_rate: float = 0.005
@@ -49,12 +56,7 @@ class TrainConfig:
     seed: int = 0
     t_half: int = 1  # window half-width used for triplet windows
     early_stop_patience: int = 2_000  # iterations without improvement
-    early_stop_min_improvement: float = 1e-3  # relative
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     eval_interval: int = 200
-    val_fraction: float = 0.10
     hidden_sizes: tuple[int, ...] = (20, 20, 20)
     embed_dim: int = 20
 
@@ -64,8 +66,6 @@ class TrainConfig:
             raise ValueError("alpha must be finite and nonnegative")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and positive")
-        if not 0 <= self.early_stop_min_improvement < 1:
-            raise ValueError("early_stop_min_improvement must be in [0, 1)")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.max_iterations < 0:
@@ -76,8 +76,6 @@ class TrainConfig:
             raise ValueError("k_pos must be >= 1")
         if self.t_half < 0:
             raise ValueError("t_half must be nonnegative")
-        if not 0 < self.val_fraction < 1:
-            raise ValueError("val_fraction must be in (0, 1)")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
         if self.early_stop_patience < 1:
@@ -86,11 +84,6 @@ class TrainConfig:
             raise ValueError("hidden_sizes must be one or more positive sizes")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.adam_epsilon > 0:
-            raise ValueError("adam_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -296,6 +289,8 @@ def _select(
     return np.column_stack([a, pos, neg]), gap
 
 
+# A gap times 2**48 overflows only where no tie can be, and a distance that overflows is flagged.
+@np.errstate(over="ignore")
 def _rounding_may_tie(sv: np.ndarray, lo: np.ndarray, hi: np.ndarray, centre: np.ndarray):
     """Per anchor, whether two distinct observations on one side of it may
     round to the same distance, so that (obs, cycle) order is not
@@ -304,20 +299,22 @@ def _rounding_may_tie(sv: np.ndarray, lo: np.ndarray, hi: np.ndarray, centre: np
     ``sv`` is sorted and each anchor's side below is ``sv[:lo]``, its side
     above ``sv[hi:]``. Each rounding errs by at most 2**-53 of its result
     (a subnormal difference is exact), so fl(x - c) == fl(y - c) for
-    c < x < y needs y - x <= 2**-52 (y - c), which is below 2**-51 times the
-    side's largest rounded distance, its span. A side whose distinct
-    neighbours are all more than 2**-48 span apart is therefore safe. Spans
-    under 2**-970 are raised to it, which keeps the bound a normal number,
-    and an infinite span is never safe.
+    neighbours c < x < y needs y - x <= 2**-51 (y - c). The computed gap g
+    then has 2**48 g <= (y - c) / 4, so c <= fl(y - 2**48 g). The side above
+    is thus safe where c exceeds the suffix maximum of fl(y - 2**48 g), and
+    the side below, mirrored, where c is under the prefix minimum of
+    fl(x + 2**48 g). Each gap is set against its own distance from c, so one
+    far outlier flags only the anchors near it. A side whose farthest
+    distance overflows is never safe.
     """
     gaps = np.diff(sv)
     gaps[gaps == 0] = np.inf  # equal observations tie exactly, already in cycle order
+    reach = gaps * 2.0**48
     pad = np.full(2, np.inf)
-    gap_above = np.concatenate([np.minimum.accumulate(gaps[::-1])[::-1], pad])[hi]
-    gap_below = np.concatenate([pad, np.minimum.accumulate(gaps)])[lo]
-    span_above = np.maximum(np.abs(sv[-1] - centre), 2.0**-970)
-    span_below = np.maximum(np.abs(sv[0] - centre), 2.0**-970)
-    return ~((gap_above > span_above * 2.0**-48) & (gap_below > span_below * 2.0**-48))
+    tie_above = np.concatenate([np.maximum.accumulate((sv[1:] - reach)[::-1])[::-1], -pad])[hi]
+    tie_below = np.concatenate([pad, np.minimum.accumulate(sv[:-1] + reach)])[lo]
+    finite = np.isfinite(sv[-1] - centre) & np.isfinite(centre - sv[0])
+    return ~((centre > tie_above) & (centre < tie_below) & finite)
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, past) -> np.ndarray:
@@ -460,13 +457,12 @@ def adam_step(
         raise ValueError(f"gradient has shape {np.shape(grad)}, "
                          f"the model has {model.theta.size} parameters")
     t = state.step + 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * (grad * grad)
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
     new_model = model.clone()
-    new_model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    new_model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return new_model, AdamState(m=m, v=v, step=t)
 
 
@@ -491,13 +487,13 @@ def train(
 ) -> tuple[ModelCheckpoint, list[TrainLogRow]]:
     """Train an embedding model on reverse-analog triplets.
 
-    Anchors from the last ``val_fraction`` of the cycle range (by cycle
-    time) are held out for validation and never anchor a training triplet.
-    The loop samples batches, backpropagates, applies ADAM, and evaluates
-    the held-out loss every ``eval_interval`` iterations; it stops at
-    ``max_iterations`` or when ``early_stop_patience`` iterations pass
-    without relative improvement ``early_stop_min_improvement``. Returns
-    the best-validation checkpoint and the evaluation log.
+    Anchors from the last ``VAL_FRACTION`` (10%) of the cycle range (by
+    cycle time) are held out for validation and never anchor a training
+    triplet. The loop samples batches, backpropagates, applies ADAM, and
+    evaluates the held-out loss every ``eval_interval`` iterations; it stops
+    at ``max_iterations`` or when ``early_stop_patience`` iterations pass
+    without a relative improvement of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
+    Returns the best-validation checkpoint and the evaluation log.
     """
     cycles = np.unique(np.asarray(cycles, dtype=int))
     if cycles.size < 2:
@@ -516,7 +512,7 @@ def train(
         norm_sigma=norm_sigma,
     )
 
-    n_val = max(1, int(round(cfg.val_fraction * cycles.size)))
+    n_val = max(1, int(round(VAL_FRACTION * cycles.size)))
     train_cycles = cycles[:-n_val]
     val_cycles = cycles[-n_val:]
 
@@ -581,7 +577,7 @@ def train(
                     raise DivergenceError(iteration=iteration)
                 log.append(TrainLogRow(iteration, float(np.mean(interval_losses)), val_loss))
                 interval_losses = []
-                if val_loss < best_val * (1.0 - cfg.early_stop_min_improvement):
+                if val_loss < best_val * (1.0 - EARLY_STOP_MIN_IMPROVEMENT):
                     last_improved = iteration
                 if val_loss < best_val:
                     best_val = val_loss

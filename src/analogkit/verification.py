@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DataError
 
+N_BOOT = 1000  # bootstrap resamples per spread-error bin
+
 
 @dataclass(frozen=True)
 class VerificationSet:
@@ -130,15 +132,13 @@ class SpreadErrorBin:
     count: int
 
 
-def spread_error(
-    vset: VerificationSet, n_bins: int, seed: int = 0, n_boot: int = 1000
-) -> list[SpreadErrorBin]:
+def spread_error(vset: VerificationSet, n_bins: int, seed: int = 0) -> list[SpreadErrorBin]:
     """Binned spread-error relationship.
 
     Pairs are sorted by ensemble spread (sample standard deviation of the
     members) and split into ``n_bins`` equal-population bins. Each bin
     reports the mean spread, the rmse of the ensemble mean, and a seeded
-    bootstrap 90% interval on that rmse.
+    bootstrap 90% interval on that rmse from ``N_BOOT`` (1,000) resamples.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -153,8 +153,8 @@ def spread_error(
     for chunk in np.array_split(order, n_bins):
         e = err[chunk]
         point = float(np.sqrt(np.mean(e * e)))
-        # one row per draw: the same stream as n_boot draws of len(e) each
-        boot = e[rng.integers(len(e), size=(n_boot, len(e)))]
+        # one row per draw: the same stream as N_BOOT draws of len(e) each
+        boot = e[rng.integers(len(e), size=(N_BOOT, len(e)))]
         boot *= boot
         boot = np.sqrt(np.mean(boot, axis=1))
         bins.append(

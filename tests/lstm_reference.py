@@ -263,7 +263,7 @@ def adam_step(
     """One ADAM update; returns a new model and state, inputs untouched."""
     new_model = model.clone()
     t = state.step + 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    b1, b2, eps = 0.9, 0.999, 1e-8  # written out, so a change to training's constants shows
     new_m, new_v = {}, {}
     for name, p in named_parameters(new_model):
         g = grads[name]

@@ -237,7 +237,7 @@ def test_criterion_04_adam_single_step():
     model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
     cfg = TrainConfig(learning_rate=0.005, t_half=0, hidden_sizes=(3,), embed_dim=2)
     new_model, state = adam_step(model, np.ones_like(model.theta), init_adam_state(model), cfg)
-    expected = -cfg.learning_rate / (1.0 + cfg.adam_epsilon)
+    expected = -cfg.learning_rate / (1.0 + 1e-8)  # ADAM's epsilon
     worst = max(
         float(np.max(np.abs((p1 - p0) - expected)))
         for (_, p0), (_, p1) in zip(named_parameters(model), named_parameters(new_model))

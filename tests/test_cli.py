@@ -756,18 +756,42 @@ class TestMalformedInputs:
         ("hidden_sizes", "0"),
         ("hidden_sizes", "8,-1"),
         ("embed_dim", "0"),
-        ("adam_beta1", "1.5"),
-        ("adam_beta2", "1"),
-        ("adam_epsilon", "0"),
         ("alpha", "nan"),
         ("learning_rate", "nan"),
         ("learning_rate", "inf"),
-        ("early_stop_min_improvement", "nan"),
     ])
     def test_bad_train_setting(self, pipeline, capsys, key, value):
         cfg = write_config(pipeline, drop=(key,), extra=f"{key}={value}\n")
         argv = ["train", "--config", str(cfg), "--out", str(pipeline / "train")]
         self._run(capsys, argv, "config error", key, code=1)
+
+    @pytest.mark.parametrize("setting", [
+        "adam_beta1=0.9", "adam_beta2=0.999", "adam_epsilon=1e-8",
+        "early_stop_min_improvement=1e-3", "val_fraction=0.1",
+        "predictions_csv=run/predictions.csv",
+    ], ids=lambda setting: setting.split("=")[0])
+    def test_removed_setting(self, pipeline, capsys, setting):
+        """Settings that are now fixed constants are not config keys, even at
+        their old defaults."""
+        cfg = write_config(pipeline, extra=f"{setting}\n")
+        argv = ["train", "--config", str(cfg), "--out", str(pipeline / "train")]
+        self._run(capsys, argv, "config error", "unknown key", setting.split("=")[0], code=1)
+
+    @pytest.mark.parametrize("setting,message", [
+        ("train_end=2011-01-02T00:00:00Z", "training needs at least two cycles"),
+        ("t_half=1", "no training triplets could be sampled"),
+        ("observation_csv={d}/march.csv", "no validation triplets could be sampled"),
+    ], ids=["one_cycle", "no_lead_fits", "no_validation_observations"])
+    def test_train_data_error(self, pipeline, capsys, setting, message):
+        """The one lead of the dataset has no window of half-width 1, and
+        march.csv ends before the validation cycles: the last tenth of the
+        training range, from 2011-04-01."""
+        lines = (pipeline / "data" / "observations.csv").read_text().splitlines(keepends=True)
+        (pipeline / "march.csv").write_text("".join(l for l in lines if "-04-" not in l))
+        key, _, _ = setting.partition("=")
+        cfg = write_config(pipeline, drop=(key,), extra=setting.format(d=pipeline) + "\n")
+        argv = ["train", "--config", str(cfg), "--out", str(pipeline / "train")]
+        self._run(capsys, argv, "data error", message)
 
     @pytest.mark.parametrize("setting", ["learning_rate=1e300", "alpha=1e308"])
     def test_divergent_training(self, fuzz_dir, tmp_path, capsys, setting):

@@ -185,3 +185,58 @@ def test_merged_entry_matches_lexsort_at_every_place(spread, n):
             np.testing.assert_array_equal(row, order[order != a])
         checked += anchors.size
     assert checked == 8 * n or (spread == "mixed" and checked > 0)
+
+
+def _rounding_ties(v):
+    """Per position of ``v``, whether two distinct values on one side of it
+    lie at the same rounded distance from it, found by computing them all."""
+    u = np.unique(v)
+    with np.errstate(over="ignore"):
+        up, down = u - v[:, None], v[:, None] - u
+    above = (u[:-1] > v[:, None]) & (up[:, :-1] == up[:, 1:])
+    below = (u[1:] < v[:, None]) & (down[:, :-1] == down[:, 1:])
+    return (above | below).any(axis=1)
+
+
+def _flags(v):
+    sv = np.sort(v)
+    return training._rounding_may_tie(sv, sv.searchsorted(v, "left"),
+                                      sv.searchsorted(v, "right"), v)
+
+
+def test_rounding_may_tie_flags_every_rounding_tie():
+    """On 3,000 random arrays of integers, normal draws, magnitudes from
+    1e-320 to 1e308 (half of them beside 1 + k 2**-52), subnormals and
+    values whose distances overflow, every anchor with a rounding tie on one
+    side is flagged."""
+    gen = np.random.default_rng(0)
+    draws = [
+        lambda n: gen.integers(-5, 6, n).astype(float),
+        lambda n: gen.standard_normal(n) * 10.0 ** gen.integers(-3, 4),
+        lambda n: np.concatenate([gen.choice([-1.0, 1.0], n - n // 2)
+                                  * 10.0 ** gen.uniform(-320, 308, n - n // 2),
+                                  1.0 + gen.integers(0, 8, n // 2) * 2.0**-52]),
+        lambda n: gen.integers(-50, 51, n) * 5e-324 * gen.integers(1, 1000),
+        lambda n: gen.choice([-1.0, 1.0], n) * gen.uniform(0.5, 1.79, n) * 1e308,
+    ]
+    ties = 0
+    for i in range(3000):
+        v = draws[i % 5](int(gen.integers(3, 60)))
+        tied = _rounding_ties(v)
+        missed = tied & ~_flags(v)
+        assert not missed.any(), v[missed]
+        ties += np.count_nonzero(tied)
+    assert ties > 1000
+
+
+def test_one_outlier_flags_only_its_neighbourhood():
+    """One observation of 1e16 in a 1,800-cycle block flags at most two
+    anchors, and the sampler still matches the oracle there."""
+    fcst, obs, _ = generate(SynthSpec(n_cycles=1800, n_variables=3, seed=1))
+    values = obs.values.copy()
+    values[0, 900] = 1e16
+    obs = type(obs)(obs.stations, obs.times, values)
+    assert np.count_nonzero(_flags(values[0])) <= 2
+    cfg = TrainConfig(t_half=0, k_pos=11)
+    picks, _, _ = _assert_same(fcst, obs, ["S00"], 0, np.arange(1800), cfg, 1, None)
+    assert len(picks) == 1800

@@ -53,8 +53,9 @@ class TestGenerate:
             SynthSpec(g_name="nope")
         with pytest.raises(ValueError):
             SynthSpec(n_variables=2, hidden=(0, 1, 2))
-        with pytest.raises(ValueError):
-            SynthSpec(n_leads=30, cycle_step=86400, lead_step=3600)
+        with pytest.raises(ValueError, match="at most 24 leads"):
+            SynthSpec(n_leads=25)
+        SynthSpec(n_leads=24)  # hourly leads 0-23 stay inside the daily cycle
 
     def test_valid_times_strictly_increasing(self):
         _, obs, _ = generate(SynthSpec(n_cycles=5, n_leads=4))

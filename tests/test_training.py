@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -196,7 +198,7 @@ class TestAdam:
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
         cfg = small_cfg(learning_rate=0.005)
         new_model, state = adam_step(model, np.ones_like(model.theta), init_adam_state(model), cfg)
-        expected = -0.005 / (1.0 + cfg.adam_epsilon)
+        expected = -0.005 / (1.0 + 1e-8)
         for (k, p0), (_, p1) in zip(named_parameters(model), named_parameters(new_model)):
             np.testing.assert_allclose(p1 - p0, expected, rtol=0, atol=1e-12)
         assert state.step == 1
@@ -298,6 +300,24 @@ class TestTrain:
         assert best <= 0.1 * log[0].val_loss
         assert best <= log[0].val_loss  # never worse than initialization
         assert model.iterations > 0
+
+    def test_early_stop_without_improvement(self):
+        """A learning rate too small for the validation loss to improve by
+        0.1% stops training at the first evaluation at or after the patience
+        (30 iterations, evaluated every 7: at 35), well before max_iterations.
+        The checkpoint is the lowest logged validation loss's, the very model
+        a run cut at that row's iteration returns."""
+        fcst, obs = easy_task()
+        cfg = small_cfg(learning_rate=1e-7, max_iterations=200, eval_interval=7,
+                        early_stop_patience=30, k_pos=3, seed=1, batch_size=8)
+        model, log = train(fcst, obs, ["S00"], [0], np.arange(300), cfg)
+        assert [row.iteration for row in log] == [0, 7, 14, 21, 28, 35]
+        assert all(row.val_loss >= log[0].val_loss * (1 - 1e-3) for row in log)
+        best = min(log, key=lambda row: row.val_loss)
+        assert model.iterations == best.iteration > 0
+        cut, _ = train(fcst, obs, ["S00"], [0], np.arange(300),
+                       replace(cfg, max_iterations=best.iteration))
+        np.testing.assert_array_equal(model.theta, cut.theta)
 
     def test_no_triplets_is_an_error(self):
         fcst, obs = easy_task()
