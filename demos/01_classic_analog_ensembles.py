@@ -58,7 +58,8 @@ print(f"\ntop analogs (cycle, score) -> member observation:")
 for cycle, score, member in list(zip(ensemble.cycles, ensemble.scores, ensemble.members))[:5]:
     print(f"  cycle {cycle:3d}  score {score:6.3f}  member {member:+.3f}")
 
-truth = obs.value_at(0, valid_time(fcst, target_cycle, lead))
+truth = float(obs.values_for(fcst.stations[station],
+                             valid_time(fcst, target_cycle, lead)))
 print(f"\nensemble mean {ensemble.mean:+.3f}  vs observed {truth:+.3f}")
 print(f"ensemble spread (min..max): {ensemble.members.min():+.3f} .. "
       f"{ensemble.members.max():+.3f}")

@@ -63,7 +63,7 @@ errors = {"equal-weight": [], "learned": []}
 for c in test_cycles:
     query = AnalogQuery(station=0, target_cycle=int(c), lead=0, t_half=0,
                         search_cycles=search_cycles, m=11)
-    truth = obs.value_at(0, valid_time(fcst, int(c), 0))
+    truth = float(obs.values_for(fcst.stations[0], valid_time(fcst, int(c), 0)))
     classic = build_ensemble(search_classic(query, fcst, obs, classic_cfg), query)
     latent = build_ensemble(search_latent(query, block, obs), query)
     errors["equal-weight"].append(classic.mean - truth)

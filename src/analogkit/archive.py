@@ -15,7 +15,9 @@ a required finite decimal; the last two columns are counted but not parsed.
 Archives are dense: every combination of the index lists owns a cell, and
 cells without a value (absent rows or empty values) hold NaN. Index lists
 are the sorted distinct values found in the file. Archives are treated as
-immutable after load and are safe to read concurrently.
+immutable after load and are safe to read concurrently. Observations are
+read only through :meth:`ObservationArchive.values_for`, and every key
+search on a sorted axis goes through :func:`locate`.
 
 Loader contract, one reader for all three kinds: the header is the first
 line that is neither blank nor ``#``, and blank and ``#`` lines are skipped.
@@ -168,37 +170,27 @@ class ObservationArchive:
                 f"values shape {self.values.shape} does not match index lists {expected}"
             )
 
-    def station_index(self, station: str) -> int:
-        try:
-            return self.stations.index(station)
-        except ValueError:
-            raise KeyError(f"unknown station {station!r}") from None
-
-    def value_at(self, station: int, time: int) -> float:
-        """Observation at an exact valid time, NaN when absent or missing."""
-        i = np.searchsorted(self.times, time)
-        if i < len(self.times) and self.times[i] == time:
-            return float(self.values[station, i])
-        return float("nan")
-
-    def values_at(self, station: int, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value_at` over an array of valid times."""
-        times = np.asarray(times)
-        idx = np.searchsorted(self.times, times)
-        idx_clip = np.minimum(idx, len(self.times) - 1)
-        hit = self.times[idx_clip] == times
-        out = np.where(hit, self.values[station, idx_clip], np.nan)
-        return out.astype(float)
-
     def values_for(self, station: str, times) -> np.ndarray:
         """Observations of a station, by id, at valid times (an array or one time).
 
         NaN where the station or the time is absent or the value is missing:
         the one rule for pairing a forecast with its observation.
         """
-        if station not in self.stations:
-            return np.full(np.shape(times), np.nan)
-        return self.values_at(self.stations.index(station), times)
+        out = np.full(np.shape(times), np.nan)
+        if station in self.stations:
+            positions, found = locate(self.times, times)
+            out[found] = self.values[self.stations.index(station), positions[found]]
+        return out
+
+
+def locate(axis: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The one key search on a strictly increasing axis: ``(positions, found)``
+    of one key or an array of keys, each in the keys' shape. A position
+    means nothing where ``found`` is False, and an empty axis finds nothing."""
+    if not len(axis):
+        return np.zeros(np.shape(keys), np.intp), np.zeros(np.shape(keys), bool)
+    positions = np.searchsorted(axis, keys).clip(max=len(axis) - 1)
+    return positions, axis[positions] == keys
 
 
 @dataclass(frozen=True)

@@ -508,13 +508,12 @@ def _baseline_intervals(
     """
     vi = fcst.variables.index(cfg.baseline_variable)
     station_index = {s: i for i, s in enumerate(fcst.stations)}
-    cycle_index = {c: i for i, c in enumerate(fcst.cycles.tolist())}
-    lead_index = {l: i for i, l in enumerate(fcst.leads.tolist())}
+    s = np.array([station_index.get(key[0], -1) for key in keys], dtype=np.intp)
+    c, has_cycle = ar.locate(fcst.cycles, np.array([key[1] for key in keys], dtype=np.int64))
+    l, has_lead = ar.locate(fcst.leads, np.array([key[2] for key in keys], dtype=np.int64))
+    known = (s >= 0) & has_cycle & has_lead
     baseline = np.full(vset.n_pairs, np.nan)
-    for i, ((station, cycle, lead_s), y) in enumerate(zip(keys, vset.observations)):
-        if station in station_index and cycle in cycle_index and lead_s in lead_index:
-            f = fcst.values[station_index[station], vi, cycle_index[cycle], lead_index[lead_s]]
-            baseline[i] = f - y
+    baseline[known] = fcst.values[s[known], vi, c[known], l[known]] - vset.observations[known]
     return error_interval_rmse(vset, baseline, list(cfg.error_intervals))
 
 

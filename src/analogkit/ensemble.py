@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ForecastArchive, ObservationArchive, extract_window, window_block
+from .archive import ForecastArchive, ObservationArchive, extract_window, locate, window_block
 from .errors import DataError, InsufficientAnalogs
 from .metric import MetricConfig, block_dissimilarity, pairwise_sum
 from .network import EmbeddingBlock
@@ -146,12 +146,12 @@ class SearchBase:
         A cycle that is not one of this base's raises ``ValueError``.
         """
         search_cycles = np.asarray(search_cycles, dtype=int)
-        known = np.isin(search_cycles, self.search_cycles)
-        if not known.all():
-            missing = int(search_cycles[np.argmin(known)])
-            raise ValueError(f"cycle index {missing} is not part of this search base")
         order = self.search_cycles.argsort(kind="stable")
-        at = order[np.searchsorted(self.search_cycles, search_cycles, sorter=order)]
+        at, known = locate(self.search_cycles[order], search_cycles)
+        if not known.all():
+            raise ValueError(
+                f"cycle index {search_cycles[~known][0]} is not part of this search base")
+        at = order[at]
         return SearchBase(self.source, search_cycles, self.rows, self.positions[at],
                           self.members[at], self.eligible[at])
 
@@ -184,11 +184,9 @@ def latent_base(
     A search cycle the block does not cover raises ``KeyError``.
     """
     search_cycles = np.asarray(search_cycles, dtype=int)
-    covered = np.isin(search_cycles, embeddings.cycles)
+    positions, covered = locate(embeddings.cycles, search_cycles)
     if not covered.all():
-        missing = int(search_cycles[np.argmin(covered)])
-        raise KeyError(f"cycle index {missing} not covered by this block")
-    positions = np.searchsorted(embeddings.cycles, search_cycles)
+        raise KeyError(f"cycle index {search_cycles[~covered][0]} not covered by this block")
     members = obs.values_for(embeddings.station, embeddings.valid_times[positions])
     rows = np.take(embeddings.vectors.T, positions, axis=1)
     eligible = embeddings.available[positions] & np.isfinite(members)

@@ -47,6 +47,7 @@ from .archive import (
     ForecastArchive,
     ForecastWindow,
     format_float,
+    locate,
     open_output,
     read_text,
     window_block,
@@ -396,10 +397,10 @@ class EmbeddingBlock:
     available: np.ndarray  # bool per cycle
 
     def position(self, cycle: int) -> int:
-        i = int(np.searchsorted(self.cycles, cycle))
-        if i >= len(self.cycles) or self.cycles[i] != cycle:
+        i, found = locate(self.cycles, cycle)
+        if not found:
             raise KeyError(f"cycle index {cycle} not covered by this block")
-        return i
+        return int(i)
 
 
 def embed_block(
@@ -486,13 +487,14 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
 def load_checkpoint(path) -> ModelCheckpoint:
     """Read a checkpoint; any malformed content raises :class:`SchemaError`.
 
-    A path that cannot be read raises :class:`DataError`.
+    A repeated metadata key or array, or an array the model has no place
+    for, is malformed. A path that cannot be read raises :class:`DataError`.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != _MAGIC:
         raise SchemaError(f"{path}: not a checkpoint file")
     meta: dict[str, str] = {}
-    arrays: dict[str, tuple[str, str]] = {}  # name -> (dims, values) as read
+    arrays: dict[str, tuple[int, str, str]] = {}  # name -> (line number, dims, values) as read
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -500,10 +502,14 @@ def load_checkpoint(path) -> ModelCheckpoint:
             name, _, dims = line[len("@array "):].partition(" ")
             if i + 1 >= len(lines):
                 raise SchemaError(f"{path}: array {name} has no value line")
-            arrays[name] = (dims, lines[i + 1])
+            if name in arrays:
+                raise SchemaError(f"{path}: line {i + 1}: repeated array {name}")
+            arrays[name] = (i + 1, dims, lines[i + 1])
             i += 1
         elif "=" in line:
             key, _, value = line.partition("=")
+            if key in meta:
+                raise SchemaError(f"{path}: line {i + 1}: repeated metadata key {key}")
             meta[key] = value
         elif line.strip():
             raise SchemaError(f"{path}: unrecognized line {i + 1}")
@@ -521,17 +527,21 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise SchemaError(f"{path}: non-integer metadata value") from None
     if t_half < 0 or seed < 0 or min(hidden_sizes) < 1 or embed_dim < 1:
         raise SchemaError(f"{path}: metadata value out of range")
-    n_values = sum(len(values.split()) for _, values in arrays.values())
+    n_values = sum(len(values.split()) for _, _, values in arrays.values())
     if max(hidden_sizes) ** 2 > n_values or embed_dim > n_values:  # checked before allocating
         raise SchemaError(f"{path}: metadata sizes exceed the stored array values")
     # The metadata fixes every array's name and shape; fill a model built from it.
     model = init_model(variables, t_half, hidden_sizes, embed_dim, seed)
     model.iterations = iterations
-    expected = [("norm.mean", model.norm_mean), ("norm.sigma", model.norm_sigma)]
-    for name, target in expected + named_parameters(model):
+    expected = dict([("norm.mean", model.norm_mean), ("norm.sigma", model.norm_sigma)]
+                    + named_parameters(model))
+    for name, (number, _, _) in arrays.items():
+        if name not in expected:
+            raise SchemaError(f"{path}: line {number}: unknown array {name}")
+    for name, target in expected.items():
         if name not in arrays:
             raise SchemaError(f"{path}: missing array {name}")
-        dims, values = arrays[name]
+        _, dims, values = arrays[name]
         try:
             shape = tuple(int(d) for d in dims.split())
             flat = np.array([float(v) for v in values.split()], dtype=float)

@@ -46,13 +46,11 @@ def sample_triplets(
     triplets = []
     for station in stations:
         s = fcst.station_index(station)
-        try:
-            o = obs.station_index(station)
-        except KeyError:
+        if station not in obs.stations:
             continue
         data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
         times = fcst.cycles[cycles] + int(fcst.leads[lead])
-        obs_vals = obs.values_at(o, times)
+        obs_vals = obs.values_for(station, times)
         eligible = avail & np.isfinite(obs_vals)
         elig_pos = np.nonzero(eligible)[0]
         for ai in elig_pos:

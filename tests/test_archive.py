@@ -6,12 +6,14 @@ import pytest
 from analogkit.archive import (
     ClimatologyStats,
     ForecastWindow,
+    ObservationArchive,
     climatology_stats,
     extract_window,
     format_time,
     load_forecasts,
     load_observations,
     load_predictions,
+    locate,
     parse_time,
     valid_time,
     window_block,
@@ -158,6 +160,47 @@ class TestRoundTrip:
         assert again.stations == obs.stations
         assert np.array_equal(again.times, obs.times)
         assert np.array_equal(again.values, obs.values, equal_nan=True)
+
+
+class TestPairingRule:
+    """``values_for``, the one rule that pairs a forecast with its observation,
+    and ``locate``, the key search under it."""
+
+    OBS = make_observations([[1.0, np.nan, 3.0], [4.0, 5.0, 6.0]], [10, 20, 30],
+                            stations=["a", "b"])
+
+    def test_times_before_on_between_and_after_the_axis(self):
+        got = self.OBS.values_for("b", np.array([5, 10, 15, 20, 25, 30, 35]))
+        np.testing.assert_array_equal(got, [np.nan, 4.0, np.nan, 5.0, np.nan, 6.0, np.nan])
+
+    def test_missing_value_is_nan(self):
+        np.testing.assert_array_equal(self.OBS.values_for("a", [10, 20, 30]), [1.0, np.nan, 3.0])
+
+    def test_absent_station_is_nan(self):
+        np.testing.assert_array_equal(self.OBS.values_for("z", [10, 20]), [np.nan, np.nan])
+        one = self.OBS.values_for("z", 10)
+        assert np.isnan(one) and np.shape(one) == ()
+
+    def test_scalar_time_gives_a_scalar(self):
+        one = self.OBS.values_for("a", 30)
+        assert one == 3.0 and np.shape(one) == ()
+        assert np.isnan(self.OBS.values_for("a", 31))
+        assert self.OBS.values_for("a", []).shape == (0,)
+
+    def test_station_without_times(self):
+        obs = ObservationArchive(["a"], np.empty(0, dtype=np.int64), np.empty((1, 0)))
+        np.testing.assert_array_equal(obs.values_for("a", [5, 6]), [np.nan, np.nan])
+        assert np.isnan(obs.values_for("a", 5))
+
+    def test_locate(self):
+        axis = np.array([10, 20, 30])
+        positions, found = locate(axis, [5, 10, 25, 30, 35])
+        assert found.tolist() == [False, True, False, True, False]
+        assert positions[found].tolist() == [0, 2]
+        assert np.all((0 <= positions) & (positions < 3))
+        assert locate(axis, 20) == (1, True)
+        positions, found = locate(axis[:0], [5, 6])
+        assert positions.tolist() == [0, 0] and not found.any()
 
 
 class TestValidTime:

@@ -133,6 +133,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path)
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 2
 
+    @pytest.mark.parametrize("text,value", [
+        ("yes", True), ("True", True), ("1", True), ("no", False), ("FALSE", False), ("0", False),
+    ])
+    def test_bool_spellings(self, tmp_path, text, value):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"allow_short={text}\n")
+        assert load_config(cfg).allow_short is value
+
     def test_no_training_keys_give_the_train_config_defaults(self, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text("m=3\n")
@@ -192,6 +200,30 @@ class TestPredict:
         assert data[0] == "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score"
         # 20 test cycles x 5 members
         assert len(data) - 1 == 20 * 5
+
+    def test_weighted_predictions_ignore_zero_weight_variables(self, pipeline):
+        """Under anen_weighted an unlisted variable has weight 0: replacing its
+        forecast values with other finite values leaves every prediction row as it was."""
+        def predict(cfg, out):
+            assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 0
+            return (out / "predictions.csv").read_text().splitlines()
+
+        lines = predict(write_config(pipeline, method="anen_weighted", extra="weight.v1=1\n"),
+                        pipeline / "pred")
+        for v, w in (("v1", 1), ("v2", 0), ("v3", 0)):
+            assert f"# effective_weight.{v}={w}" in lines
+        records = (pipeline / "data" / "forecasts.csv").read_text().splitlines()
+        for i, record in enumerate(records[1:], 1):
+            station, variable, cycle, lead, value = record.split(",")
+            if variable != "v1" and value:
+                value = format(1.25 - 3 * float(value), ".17g")
+                records[i] = ",".join((station, variable, cycle, lead, value))
+        assert records != (pipeline / "data" / "forecasts.csv").read_text().splitlines()
+        (pipeline / "other.csv").write_text("\n".join(records) + "\n")
+        cfg = write_config(pipeline, method="anen_weighted", drop=("forecast_csv",),
+                           extra=f"forecast_csv={pipeline}/other.csv\nweight.v1=1\n")
+        other = predict(cfg, pipeline / "other")
+        assert [l for l in other if l[0] != "#"] == [l for l in lines if l[0] != "#"]
 
     def test_test_period_hygiene(self, pipeline):
         """No test-period cycle may appear as a search candidate."""
@@ -391,6 +423,37 @@ class TestVerify:
         report = (out / "report.csv").read_text().splitlines()
         excluded = next(l for l in report if l.startswith("all,interval_excluded,"))
         assert excluded.split(",")[2] == str(len(records) // 5)  # m=5 members per target
+
+    def test_baseline_errors_equal_a_per_pair_lookup(self, pipeline):
+        """The baseline errors, looked up in bulk, group as the errors of a
+        per-pair lookup of (station, cycle, lead) do. Three pairs are moved to
+        a cycle and lead the archive lacks, at the same valid time."""
+        from analogkit import archive as ar
+        from analogkit.cli import _baseline_intervals, pair_targets
+        from analogkit.verification import error_interval_rmse
+
+        edges = np.linspace(0.0, 2.0, 21).tolist()
+        path = write_config(pipeline, extra=f"error_intervals={','.join(map(str, edges))}\n"
+                                             "baseline_variable=v2\n")
+        assert main(["predict", "--config", str(path), "--out", str(pipeline / "pred")]) == 0
+        cfg = load_config(path)
+        fcst, obs = ar.load_forecasts(cfg.forecast_csv), ar.load_observations(cfg.observation_csv)
+        targets = ar.load_predictions(pipeline / "pred" / "predictions.csv")
+        targets += [((station, cycle + 1, lead - 1), members)
+                    for (station, cycle, lead), members in targets[:3]]
+        vset, keys, _, _ = pair_targets(targets, obs)
+        vi = fcst.variables.index("v2")
+        cycles, leads = fcst.cycles.tolist(), fcst.leads.tolist()
+        baseline = np.full(vset.n_pairs, np.nan)
+        for i, ((station, cycle, lead), y) in enumerate(zip(keys, vset.observations)):
+            if station in fcst.stations and cycle in cycles and lead in leads:
+                f = fcst.values[fcst.stations.index(station), vi, cycles.index(cycle),
+                                leads.index(lead)]
+                baseline[i] = f - y
+        assert np.count_nonzero(np.isnan(baseline)) == 3
+        want = error_interval_rmse(vset, baseline, edges)
+        assert _baseline_intervals(cfg, fcst, vset, keys) == want
+        assert sum(stat.count for stat in want[0]) == vset.n_pairs - 3
 
     def test_verify_after_predict(self, pipeline):
         cfg = write_config(pipeline)
@@ -617,18 +680,25 @@ class TestMalformedInputs:
         (lambda lines: _set_value(lines, "head.b", "inf"), ("head.b", "non-finite")),
         (lambda lines: [l.replace("hidden_sizes=8", "hidden_sizes=99999999999999999999")
                         for l in lines], ("metadata sizes",)),
+        # entries appended after a whole checkpoint, named at their line
+        (lambda lines: lines + ["@array head.b 4", "5 6 7 8"],
+         ("line {appended}", "repeated array head.b")),
+        (lambda lines: lines + ["seed=7"], ("line {appended}", "repeated metadata key seed")),
+        (lambda lines: lines + ["@array bogus 1", "1"], ("line {appended}", "unknown array bogus")),
     ], ids=["truncated", "non_numeric", "mis_shaped", "missing_array", "bad_metadata",
-            "nan_value", "inf_value", "huge_hidden_size"])
+            "nan_value", "inf_value", "huge_hidden_size", "repeated_array",
+            "repeated_metadata_key", "unknown_array"])
     def test_bad_checkpoint(self, pipeline, capsys, corrupt, names):
         from analogkit.network import init_model, save_checkpoint
 
         path = pipeline / "train" / "checkpoint.txt"
         path.parent.mkdir()
         save_checkpoint(init_model(["v1", "v2", "v3"], 0, (8,), 4, seed=1), path)
-        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(corrupt(lines)) + "\n")
         cfg = write_config(pipeline, method="deep_anen")
         argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
-        self._run(capsys, argv, str(path), *names)
+        self._run(capsys, argv, str(path), *(n.format(appended=len(lines) + 1) for n in names))
 
     def test_checkpoint_variables_differ_from_archive(self, pipeline, capsys):
         from analogkit.network import init_model, save_checkpoint
@@ -822,6 +892,52 @@ class TestMalformedInputs:
         cfg = write_config(pipeline, extra="weight.v1=nan\n")
         argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
         self._run(capsys, argv, "config error", "weights must be finite", code=1)
+
+    @pytest.mark.parametrize("setting,message", [
+        ("weight.v1=abc", "bad weight 'abc'"),
+        ("weight.v9=1", "weight.v9: variable not in the archive"),
+        ("weight.v1=0", "anen_weighted needs at least one positive"),
+    ], ids=["unparsable", "unknown_variable", "no_positive_weight"])
+    def test_bad_weight(self, pipeline, capsys, setting, message):
+        cfg = write_config(pipeline, method="anen_weighted", extra=f"{setting}\n")
+        argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
+        self._run(capsys, argv, "config error", message, code=1)
+
+    @pytest.mark.parametrize("setting,drop,message", [
+        ("m=abc", ("m",), "config key m: cannot parse 'abc' as int"),
+        ("allow_short=maybe", (), "config key allow_short: cannot parse 'maybe' as bool"),
+        ("search_start 2011-01-01T00:00:00Z", (), "expected key=value"),
+        ("m=5", (), "duplicate key m"),
+        ("t_half=-2", ("t_half",), "t_half must be nonnegative"),
+        ("m=-1", ("m",), "m must be >= 1"),
+        ("", ("search_end",), "search_start and search_end must be given together"),
+        ("search_start=2011-04-12T00:00:00Z", ("search_start",),
+         "search_start must precede search_end"),
+        ("", ("forecast_csv", "observation_csv"),
+         "missing required config keys: forecast_csv, observation_csv"),
+    ], ids=["unparsable_int", "unparsable_bool", "line_without_equals", "repeated_key",
+            "negative_t_half", "negative_m", "start_without_end", "start_after_end",
+            "missing_required_keys"])
+    def test_bad_config_line(self, pipeline, capsys, setting, drop, message):
+        cfg = write_config(pipeline, drop=drop, extra=f"{setting}\n")
+        argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
+        self._run(capsys, argv, "config error", message, code=1)
+
+    @pytest.mark.parametrize("command,setting,message", [
+        ("predict", "search_start=2012-01-01T00:00:00Z\nsearch_end=2012-02-01T00:00:00Z",
+         "no forecast cycles inside the search range"),
+        ("verify", "test_start=2012-01-01T00:00:00Z\ntest_end=2012-02-01T00:00:00Z",
+         "no observations available to compute the Brier threshold"),
+    ], ids=["search_range", "brier_threshold"])
+    def test_range_without_data(self, pipeline, capsys, command, setting, message):
+        """A valid range that holds no cycle or no observation is a data error.
+        The predictions verified are those of the test range in BASE_CONFIG."""
+        out = pipeline / "out"
+        if command == "verify":
+            assert main(["predict", "--config", str(write_config(pipeline)), "--out", str(out)]) == 0
+        keys = [line.partition("=")[0] for line in setting.splitlines()]
+        cfg = write_config(pipeline, drop=keys, extra=f"{setting}\n")
+        self._run(capsys, [command, "--config", str(cfg), "--out", str(out)], "data error", message)
 
     @pytest.mark.parametrize("setting", [
         "spread_bins=0\nbaseline_variable=v1\nerror_intervals=1",

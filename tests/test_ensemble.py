@@ -45,7 +45,7 @@ class TestSearchClassic:
         # members are the observations at each candidate's valid time
         for cycle, member in zip(ranked.cycles.tolist(), ranked.members.tolist()):
             t = valid_time(fcst, cycle, query.lead)
-            assert member == obs.value_at(0, t)
+            assert member == obs.values_for("S00", t)
 
     def test_identical_candidate_ranks_first_with_zero_score(self):
         fcst, obs, cfg, query = three_candidate_setup()

@@ -27,7 +27,7 @@ class TestGenerate:
             for l in range(2):
                 v = fcst.values[0, :, c, l]
                 want = v[0] * v[1] + np.sin(v[2])
-                got = obs.value_at(0, valid_time(fcst, c, l))
+                got = float(obs.values_for("S00", valid_time(fcst, c, l)))
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_manifest_lists_hidden_subset(self):
@@ -78,8 +78,8 @@ class TestOracleCeiling:
             errs = []
             for c in test:
                 best = search[np.argmin(np.abs(g_all[search] - g_all[c]))]
-                member = obs.value_at(0, valid_time(fcst, int(best), 0))
-                truth = obs.value_at(0, valid_time(fcst, int(c), 0))
+                member = float(obs.values_for("S00", valid_time(fcst, int(best), 0)))
+                truth = float(obs.values_for("S00", valid_time(fcst, int(c), 0)))
                 errs.append(member - truth)
             errors.append(float(np.sqrt(np.mean(np.square(errs)))))
         assert errors[0] >= errors[1] >= errors[2]
