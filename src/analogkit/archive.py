@@ -2,15 +2,20 @@
 
 File formats
 ------------
-Forecast CSV: header ``station,variable,cycle_time,lead_s,value``.
-``cycle_time`` is ISO-8601 UTC (``YYYY-MM-DDTHH:MM:SSZ``), ``lead_s`` an
-integer offset in seconds, and ``value`` a decimal number or empty for
-missing. Observation CSV: header ``station,valid_time,value``.
-
+Forecast CSV: header ``station,variable,cycle_time,lead_s,value``, with a
+timestamp, an integer offset in seconds and a decimal or, for missing, an
+empty field. Observation CSV: header ``station,valid_time,value``.
 Predictions CSV (``predict`` writes it below ``#`` provenance lines): header
 ``station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score``,
-one record per ensemble member. ``member_rank`` is an integer, ``member_value``
-a required finite decimal; the last two columns are counted but not parsed.
+one record per ensemble member with an integer rank and a required finite
+decimal; the last two columns are counted but not parsed.
+
+Input grammar, one rule for every CSV, config and checkpoint (D is one or
+more ASCII digits): an integer is ``[+-]?D``; a decimal is
+``[+-]?(D[.D?]|.D)([eE][+-]?D)?`` or one of float()'s words for NaN and
+infinity, which each reader refuses as non-finite; a timestamp is what
+:func:`format_time` writes, ``YYYY-MM-DDTHH:MM:SSZ`` in years 0001-9999;
+and :func:`read_settings` reads every key=value line.
 
 Archives are dense: every combination of the index lists owns a cell, and
 cells without a value (absent rows or empty values) hold NaN. Index lists
@@ -24,18 +29,18 @@ line that is neither blank nor ``#``, and blank and ``#`` lines are skipped.
 A malformed file raises :class:`SchemaError` naming the file and the line
 of the first offending record in file order; within a record the column
 count, the key columns, the duplicate key and the value are checked in
-that order. A timestamp is accepted exactly when :func:`parse_time`
-accepts it, and ``lead_s`` must fit int64.
+that order, and ``lead_s`` must fit int64.
 
 Cost: a clean file is checked in bulk. The lines are joined and split into
 fields once, and the column count of every record is checked on that split
 by where the record separators fall. Each key column is coded in one
 dictionary pass, and only its distinct strings are parsed, so timestamp
 parsing grows with the distinct times, not the rows. The value column is
-parsed by ``float()`` inside numpy's array constructor, an empty field read
-as ``"nan"``. Duplicate keys are found by sorting the records' cells, so no
-array spans the product of the axes. Only when a bulk check fails is the
-file read again, record by record in file order, to name the first fault.
+checked by one character test on its joined text and parsed by ``float()``
+inside numpy's array constructor, an empty field read as ``"nan"``.
+Duplicate keys are found by sorting the records' cells, so no array spans
+the product of the axes. Only when a bulk check fails is the file read
+again, record by record in file order, to name the first fault.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import count, islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,49 +58,55 @@ import numpy as np
 
 from .errors import DataError, SchemaError, WindowUnavailable
 
-TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
 FORECAST_HEADER = ["station", "variable", "cycle_time", "lead_s", "value"]
 OBSERVATION_HEADER = ["station", "valid_time", "value"]
 PREDICTION_HEADER = ["station", "cycle_time", "lead_s", "member_rank", "member_value",
                      "source_cycle_time", "score"]
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# Of text in these characters, float() reads exactly the grammar's decimals
+# and its words for NaN and infinity, so one character test completes the rule.
+_DECIMAL_CHARS = b"0123456789+-.eEaAfFiInNtTyY"
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
-def parse_time(text: str) -> int:
-    """Parse an ISO-8601 UTC timestamp to integer seconds since epoch."""
-    dt = datetime.strptime(text, TIME_FORMAT).replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+
+def parse_int(text: str) -> int:
+    """An integer of the input grammar; ValueError otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
-_CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+def _decimal_chars_only(text: str) -> bool:
+    return text.isascii() and not text.encode().translate(None, _DECIMAL_CHARS)
+
+
+def parse_decimal(text: str) -> float:
+    """A decimal of the input grammar, as float() reads it; ValueError otherwise."""
+    if not _decimal_chars_only(text):
+        raise ValueError(f"not a decimal: {text!r}")
+    return float(text)
 
 
 def parse_times(texts: Sequence[str]) -> np.ndarray:
-    """:func:`parse_time` over many strings, as int64 seconds since epoch.
+    """Timestamps of the input grammar as int64 seconds since epoch; ValueError otherwise."""
+    for text in texts:
+        if not _TIMESTAMP.fullmatch(text) or text.startswith("0000"):
+            raise ValueError(f"not a timestamp: {text!r}")
+    # numpy refuses impossible dates and times, such as 02-30 or 24:00:00
+    return np.array([t[:19] for t in texts], dtype="datetime64[s]").astype(np.int64)
 
-    Canonical ``YYYY-MM-DDTHH:MM:SSZ`` strings are parsed in one
-    ``datetime64[s]`` pass, every other string by :func:`parse_time`. The
-    result equals :func:`parse_time` element by element, and a string it
-    rejects raises ValueError here too.
-    """
-    texts = list(texts)
-    # numpy accepts year 0000, which strptime rejects
-    fast = np.array(
-        [_CANONICAL_TIME.fullmatch(t) is not None and t[:4] != "0000" for t in texts], dtype=bool
-    )
-    out = np.empty(len(texts), dtype=np.int64)
-    try:
-        stamps = [t[:19] for t, f in zip(texts, fast) if f]
-        out[fast] = np.array(stamps, dtype="datetime64[s]").astype(np.int64)
-    except ValueError:  # a date numpy rejects: leave every string to parse_time
-        fast[:] = False
-    out[~fast] = [parse_time(t) for t, f in zip(texts, fast) if not f]
-    return out
+
+def parse_time(text: str) -> int:
+    """One timestamp (see :func:`parse_times`) as integer seconds since epoch."""
+    return int(parse_times([text])[0])
 
 
 def format_time(seconds: int) -> str:
-    """Format integer seconds since epoch as ISO-8601 UTC."""
-    return datetime.fromtimestamp(int(seconds), tz=timezone.utc).strftime(TIME_FORMAT)
+    """Integer seconds since epoch as a timestamp; ValueError outside the years 0001-9999."""
+    if not -62135596800 <= seconds < 253402300800:
+        raise ValueError(f"{seconds} s since epoch is outside the years 0001-9999")
+    return f"{np.datetime64(int(seconds), 's')}Z"
 
 
 def format_float(x: float) -> str:
@@ -259,6 +269,27 @@ def read_text(path) -> str:
         ) from None
 
 
+def read_settings(path, lines, known: Callable[[str], bool]) -> dict[str, tuple[int, str]]:
+    """Key -> (line number, value) of (line number, text) pairs of key=value
+    lines, in file order. Whitespace around key and value is stripped, and
+    blank and ``#`` lines are skipped. A line without ``=``, a repeated key
+    and a key that ``known`` refuses are a :class:`SchemaError` at their line."""
+    settings: dict[str, tuple[int, str]] = {}
+    for number, line in lines:
+        text = line.strip()
+        if not text or text[0] == "#":
+            continue
+        key, equals, value = (part.strip() for part in text.partition("="))
+        if not equals:
+            raise SchemaError(f"{path}: line {number}: expected key=value, got {text!r}")
+        if key in settings:
+            raise SchemaError(f"{path}: line {number}: duplicate key {key}")
+        if not known(key):
+            raise SchemaError(f"{path}: line {number}: unknown key {key!r}")
+        settings[key] = (number, value)
+    return settings
+
+
 def open_output(path):
     """Open an output file for UTF-8 text, replacing any file at ``path``.
 
@@ -303,7 +334,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _lead(text: str) -> int:
-    lead = int(text)
+    lead = parse_int(text)
     if not _INT64.min <= lead <= _INT64.max:
         raise ValueError(f"lead_s {text!r} out of the int64 range")
     return lead
@@ -312,7 +343,7 @@ def _lead(text: str) -> int:
 _NAME = _Key("name", list, True)
 _TIME = _Key("timestamp", lambda texts: parse_times(texts).tolist(), True)
 _LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
-_RANK = _Key("member_rank", lambda texts: list(map(int, texts)), False)
+_RANK = _Key("member_rank", lambda texts: list(map(parse_int, texts)), False)
 
 
 def _codes(column: list[str], parse) -> tuple[list, np.ndarray]:
@@ -332,9 +363,10 @@ def _codes(column: list[str], parse) -> tuple[list, np.ndarray]:
 def _values(column: list[str], empty_is_missing: bool) -> np.ndarray:
     """Parse value fields, each a finite decimal or, where ``empty_is_missing``,
     an empty field read as missing (NaN). Raises ValueError on any other."""
+    if not _decimal_chars_only("".join(column)):
+        raise ValueError("a value is outside the decimal grammar")
     empty = column.count("")
-    # numpy's array constructor calls float() on each string; empty fields,
-    # which float() refuses, are read as "nan"
+    # numpy's array constructor calls float() on each string, an empty field read as "nan"
     values = np.array([t or "nan" for t in column] if empty else column, dtype=float)
     # allowed empty fields are the only NaNs, and no infinity is allowed
     if np.count_nonzero(np.isfinite(values)) != len(column) - (empty if empty_is_missing else 0):
@@ -348,7 +380,7 @@ def _value_problem(text: str, empty_is_missing: bool) -> str:
     if text == "":
         return "" if empty_is_missing else "missing value ''"
     try:
-        value = float(text)
+        value = parse_decimal(text)
     except ValueError:
         return f"unparsable value {text!r}"
     return "" if math.isfinite(value) else f"non-finite value {text!r}"

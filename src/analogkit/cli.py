@@ -589,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key=value experiment config")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None, help="override the config seed")
         if name == "verify":
             p.add_argument("--predictions", default=None, help="predictions CSV to verify")
     return parser

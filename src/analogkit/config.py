@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .archive import parse_time, read_text
+from .archive import parse_decimal, parse_int, parse_time, read_settings, read_text
 from .errors import ConfigError, DataError, SchemaError
 from .training import TrainConfig
 
@@ -56,30 +56,20 @@ _SCHEMA.update(
     (f.name, (_KINDS[type(f.default)], list(f.default) if type(f.default) is tuple else f.default))
     for f in fields(TrainConfig)
 )
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {"int": parse_int, "float": parse_decimal, "time": parse_time, "str": str, "path": str,
+            "bool": lambda raw: _BOOLS[raw.lower()]}  # KeyError on any other text
 
 
 def _convert(key: str, kind: str, raw: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "time":
-            return parse_time(raw)
-        if kind == "str_list":
-            return [s for s in raw.split(",") if s]
-        if kind == "int_list":
-            return [int(s) for s in raw.split(",") if s]
-        if kind == "float_list":
-            return [float(s) for s in raw.split(",") if s]
-        return raw  # str, path
-    except ValueError:
+        if kind.endswith("_list"):  # an empty value is an empty list, an empty item an error
+            items = raw.split(",") if raw else []
+            if "" in items:
+                raise ValueError(raw)
+            return list(map(_PARSERS[kind[: -len("_list")]], items))
+        return _PARSERS[kind](raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from None
 
 
@@ -116,45 +106,29 @@ class ExperimentConfig:
         return [f"# config.{line}" for line in self.raw_lines]
 
 
-def _ranges_overlap(a_start, a_end, b_start, b_end) -> bool:
-    return a_start < b_end and b_start < a_end
-
-
-def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    """Parse and validate a key=value config file."""
+def load_config(path, seed_override: str | None = None) -> ExperimentConfig:
+    """Parse and validate a key=value config file and the text of ``--seed``."""
     cfg = ExperimentConfig()
-    try:
-        lines = read_text(path).splitlines()
-    except (DataError, SchemaError) as err:  # unreadable path or a non-UTF-8 byte
+    try:  # an unreadable path, a non-UTF-8 byte or a malformed line
+        lines = enumerate(read_text(path).splitlines(), start=1)
+        settings = read_settings(path, lines, lambda k: k in _SCHEMA or k.startswith("weight."))
+    except (DataError, SchemaError) as err:
         raise ConfigError(str(err)) from None
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {text!r}")
-        key, _, raw = text.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+    for key, (lineno, raw) in settings.items():
         if key.startswith("weight."):
-            variable = key[len("weight."):]
             try:
-                w = float(raw)
+                w = parse_decimal(raw)
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno}: bad weight {raw!r}") from None
             if not 0 <= w < math.inf:  # NaN fails too
                 raise ConfigError(f"{path}: line {lineno}: weights must be finite and nonnegative")
-            cfg.weights[variable] = w
-        elif key in _SCHEMA:
-            if key in cfg.values:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key}")
-            cfg.values[key] = _convert(key, _SCHEMA[key][0], raw)
+            cfg.weights[key[len("weight."):]] = w
         else:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+            cfg.values[key] = _convert(key, _SCHEMA[key][0], raw)
         cfg.raw_lines.append(f"{key}={raw}")
     if seed_override is not None:
-        cfg.values["seed"] = seed_override
-        cfg.raw_lines.append(f"seed={seed_override} (command-line override)")
+        cfg.values["seed"] = _convert("seed", "int", seed_override)
+        cfg.raw_lines.append(f"seed={cfg.values['seed']} (command-line override)")
     _validate(cfg)
     return cfg
 
@@ -205,5 +179,5 @@ def _validate(cfg: ExperimentConfig):
     if test[0] is not None:
         for other_key in ("search", "train"):
             other = (getattr(cfg, f"{other_key}_start"), getattr(cfg, f"{other_key}_end"))
-            if other[0] is not None and _ranges_overlap(*test, *other):
+            if other[0] is not None and test[0] < other[1] and other[0] < test[1]:
                 raise ConfigError(f"test range must be disjoint from the {other_key} range")

@@ -49,6 +49,9 @@ from .archive import (
     format_float,
     locate,
     open_output,
+    parse_decimal,
+    parse_int,
+    read_settings,
     read_text,
     window_block,
 )
@@ -458,20 +461,19 @@ def embed_block(
 # ---------------------------------------------------------------------------
 
 _MAGIC = "analogkit checkpoint v1"
+_META_KEYS = ("variables", "t_half", "seed", "iterations", "hidden_sizes", "embed_dim")
 
 
 def save_checkpoint(model: ModelCheckpoint, path) -> None:
     for v in model.variables:
-        if any(ch in v for ch in ",=\n"):
+        if any(ch in v for ch in ",=\n") or v != v.strip():  # the reader strips values
             raise ValueError(f"variable name {v!r} cannot be stored in a checkpoint")
     with open_output(path) as fh:
         fh.write(_MAGIC + "\n")
-        fh.write(f"variables={','.join(model.variables)}\n")
-        fh.write(f"t_half={model.t_half}\n")
-        fh.write(f"seed={model.seed}\n")
-        fh.write(f"iterations={model.iterations}\n")
-        fh.write(f"hidden_sizes={','.join(str(h) for h in model.hidden_sizes)}\n")
-        fh.write(f"embed_dim={model.embed_dim}\n")
+        for key in _META_KEYS:  # the keys load_checkpoint knows
+            value = getattr(model, key)
+            text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else value
+            fh.write(f"{key}={text}\n")
 
         def write_array(name, arr):
             dims = " ".join(str(d) for d in arr.shape)
@@ -487,40 +489,32 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
 def load_checkpoint(path) -> ModelCheckpoint:
     """Read a checkpoint; any malformed content raises :class:`SchemaError`.
 
-    A repeated metadata key or array, or an array the model has no place
-    for, is malformed. A path that cannot be read raises :class:`DataError`.
+    :func:`archive.read_settings` reads the metadata lines. A repeated array or
+    one the model has no place for is malformed. An unreadable path is a :class:`DataError`.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != _MAGIC:
         raise SchemaError(f"{path}: not a checkpoint file")
-    meta: dict[str, str] = {}
+    meta_lines = []
     arrays: dict[str, tuple[int, str, str]] = {}  # name -> (line number, dims, values) as read
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("@array "):
-            name, _, dims = line[len("@array "):].partition(" ")
-            if i + 1 >= len(lines):
-                raise SchemaError(f"{path}: array {name} has no value line")
-            if name in arrays:
-                raise SchemaError(f"{path}: line {i + 1}: repeated array {name}")
-            arrays[name] = (i + 1, dims, lines[i + 1])
-            i += 1
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            if key in meta:
-                raise SchemaError(f"{path}: line {i + 1}: repeated metadata key {key}")
-            meta[key] = value
-        elif line.strip():
-            raise SchemaError(f"{path}: unrecognized line {i + 1}")
-        i += 1
+    numbered = enumerate(lines[1:], start=2)
+    for number, line in numbered:
+        if not line.startswith("@array "):
+            meta_lines.append((number, line))
+            continue
+        name, _, dims = line[len("@array "):].partition(" ")
+        _, values = next(numbered, (None, None))
+        if values is None:
+            raise SchemaError(f"{path}: array {name} has no value line")
+        if name in arrays:
+            raise SchemaError(f"{path}: line {number}: repeated array {name}")
+        arrays[name] = (number, dims, values)
+    meta = read_settings(path, meta_lines, _META_KEYS.__contains__)  # key -> (line, value)
     try:
-        variables = meta["variables"].split(",")
-        t_half = int(meta["t_half"])
-        seed = int(meta["seed"])
-        iterations = int(meta["iterations"])
-        hidden_sizes = tuple(int(h) for h in meta["hidden_sizes"].split(","))
-        embed_dim = int(meta["embed_dim"])
+        variables = meta["variables"][1].split(",")
+        t_half, seed, iterations, embed_dim = (
+            parse_int(meta[key][1]) for key in ("t_half", "seed", "iterations", "embed_dim"))
+        hidden_sizes = tuple(map(parse_int, meta["hidden_sizes"][1].split(",")))
     except KeyError as missing:
         raise SchemaError(f"{path}: missing metadata key {missing}") from None
     except ValueError:
@@ -543,8 +537,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
             raise SchemaError(f"{path}: missing array {name}")
         _, dims, values = arrays[name]
         try:
-            shape = tuple(int(d) for d in dims.split())
-            flat = np.array([float(v) for v in values.split()], dtype=float)
+            shape = tuple(map(parse_int, dims.split()))
+            flat = np.array(list(map(parse_decimal, values.split())), dtype=float)
         except ValueError:
             raise SchemaError(f"{path}: array {name} has a non-numeric dimension or value") from None
         if not np.all(np.isfinite(flat)):

@@ -3,12 +3,16 @@
 These are the loaders and writers ``analogkit.archive`` used before ingest
 became columnar: one ``strptime`` per row and one Python loop over the rows.
 The predictions loader is written the same way from the contract in the
-``analogkit.archive`` docstring.
+``analogkit.archive`` docstring, and the input grammar is stated here again,
+as regular expressions, rather than imported.
 The property tests compare the package against them, archive for archive,
 error message for error message and byte for byte.
 """
 
 from __future__ import annotations
+
+import re
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -20,9 +24,22 @@ from analogkit.archive import (
     ObservationArchive,
     format_float,
     format_time,
-    parse_time,
 )
 from analogkit.errors import SchemaError
+
+INTEGER = re.compile(r"[+-]?[0-9]+")
+DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.ASCII | re.IGNORECASE)
+TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def parse_time(text: str) -> int:
+    """Seconds since epoch of a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp in ASCII
+    digits; strptime refuses year 0000 and impossible dates and times."""
+    if not TIMESTAMP.fullmatch(text):
+        raise ValueError(f"not a timestamp: {text!r}")
+    stamp = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    return int(stamp.timestamp())
 
 
 def _read_rows(path, header: list[str], require_records: bool = True):
@@ -55,10 +72,9 @@ def _parse_value(text: str, path, lineno: int) -> float:
     """Parse a value field: empty means missing, otherwise a finite decimal."""
     if text == "":
         return float("nan")
-    try:
-        v = float(text)
-    except ValueError:
-        raise SchemaError(f"{path}: line {lineno}: unparsable value {text!r}") from None
+    if not (DECIMAL.fullmatch(text) or NON_FINITE.fullmatch(text)):
+        raise SchemaError(f"{path}: line {lineno}: unparsable value {text!r}")
+    v = float(text)
     if not np.isfinite(v):
         raise SchemaError(f"{path}: line {lineno}: non-finite value {text!r}")
     return v
@@ -72,10 +88,9 @@ def _parse_time_field(text: str, path, lineno: int) -> int:
 
 
 def _parse_int(text: str, label: str, path, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SchemaError(f"{path}: line {lineno}: unparsable {label} {text!r}") from None
+    if not INTEGER.fullmatch(text):
+        raise SchemaError(f"{path}: line {lineno}: unparsable {label} {text!r}")
+    return int(text)
 
 
 def load_forecasts(path) -> ForecastArchive:

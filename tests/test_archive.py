@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from analogkit.archive import (
     ClimatologyStats,
@@ -34,6 +35,21 @@ class TestTimeCodec:
     def test_bad_timestamp_rejected(self):
         with pytest.raises(ValueError):
             parse_time("2011-01-01 00:00:00")
+
+    def test_years_before_1000_are_padded(self):
+        assert format_time(-30641760000) == "0999-01-01T00:00:00Z"
+        assert format_time(-62135596800) == "0001-01-01T00:00:00Z"
+        assert format_time(253402300799) == "9999-12-31T23:59:59Z"
+
+    @pytest.mark.parametrize("seconds", [-62135596801, 253402300800])
+    def test_times_outside_the_grammar_are_not_written(self, seconds):
+        with pytest.raises(ValueError, match="outside the years 0001-9999"):
+            format_time(seconds)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.integers(-62135596800, 253402300799))  # every second of years 1-9999
+    def test_round_trip_every_year(self, seconds):
+        assert parse_time(format_time(seconds)) == seconds
 
 
 class TestLoadForecasts:

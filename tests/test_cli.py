@@ -165,6 +165,16 @@ class TestConfigValidation:
         assert got == TrainConfig(**settings)
         assert all(getattr(got, name) != getattr(TrainConfig(), name) for name in settings)
 
+    def test_readme_config_example_loads(self, tmp_path):
+        """The README's ini block is a config that loads as written."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(block)
+        got = load_config(cfg)
+        assert (got.method, got.t_half, got.m, got.weights) == ("deep_anen", 1, 11, {"ghi": 1.0})
+        assert got.checkpoint == "run/checkpoint.txt" and got.hidden_sizes == [20, 20, 20]
+
 
 class TestTrain:
     def test_train_writes_checkpoint_and_log(self, pipeline):
@@ -683,11 +693,18 @@ class TestMalformedInputs:
         # entries appended after a whole checkpoint, named at their line
         (lambda lines: lines + ["@array head.b 4", "5 6 7 8"],
          ("line {appended}", "repeated array head.b")),
-        (lambda lines: lines + ["seed=7"], ("line {appended}", "repeated metadata key seed")),
+        (lambda lines: lines + ["seed=7"], ("line {appended}", "duplicate key seed")),
         (lambda lines: lines + ["@array bogus 1", "1"], ("line {appended}", "unknown array bogus")),
+        (lambda lines: lines + ["foo=1"], ("line {appended}", "unknown key 'foo'")),
+        # numerals that int() and float() read but the input grammar refuses
+        (lambda lines: _set_value(lines, "head.b", "1_0"), ("head.b", "non-numeric")),
+        (lambda lines: [l.replace("t_half=0", "t_half=\uff10") for l in lines], ("metadata",)),
+        (lambda lines: [l.replace("@array head.b 4", "@array head.b \uff14") for l in lines],
+         ("head.b", "non-numeric")),
     ], ids=["truncated", "non_numeric", "mis_shaped", "missing_array", "bad_metadata",
             "nan_value", "inf_value", "huge_hidden_size", "repeated_array",
-            "repeated_metadata_key", "unknown_array"])
+            "repeated_metadata_key", "unknown_array", "unknown_metadata_key",
+            "underscore_value", "full_width_metadata", "full_width_dimension"])
     def test_bad_checkpoint(self, pipeline, capsys, corrupt, names):
         from analogkit.network import init_model, save_checkpoint
 
@@ -915,9 +932,24 @@ class TestMalformedInputs:
          "search_start must precede search_end"),
         ("", ("forecast_csv", "observation_csv"),
          "missing required config keys: forecast_csv, observation_csv"),
+        # numerals and times that int(), float() and strptime read but the input grammar refuses
+        ("m=1_1", ("m",), "config key m: cannot parse '1_1' as int"),
+        ("seed=\uff17", ("seed",), "config key seed: cannot parse '\uff17' as int"),
+        ("alpha=1_0.5", ("alpha",), "config key alpha: cannot parse '1_0.5' as float"),
+        ("leads=0, 3600", (), "config key leads: cannot parse '0, 3600' as int_list"),
+        ("test_end=2011-5-1T0:0:0Z", ("test_end",), "config key test_end: cannot parse"),
+        ("test_end=\uff12\uff10\uff11\uff11-05-01T00:00:00Z", ("test_end",),
+         "config key test_end: cannot parse"),
+        ("weight.v1=1\nweight.v1=2", (), "line 29: duplicate key weight.v1"),
+        ("weight.v1=\u0661", (), "bad weight"),
+        # an empty list item
+        ("stations=S00,,S01", (), "config key stations: cannot parse 'S00,,S01' as str_list"),
+        ("hidden_sizes=16,", ("hidden_sizes",), "config key hidden_sizes: cannot parse '16,'"),
     ], ids=["unparsable_int", "unparsable_bool", "line_without_equals", "repeated_key",
             "negative_t_half", "negative_m", "start_without_end", "start_after_end",
-            "missing_required_keys"])
+            "missing_required_keys", "underscore_int", "full_width_int", "underscore_float",
+            "spaced_list_item", "unpadded_time", "full_width_year", "repeated_weight",
+            "arabic_indic_weight", "empty_str_list_item", "empty_int_list_item"])
     def test_bad_config_line(self, pipeline, capsys, setting, drop, message):
         cfg = write_config(pipeline, drop=drop, extra=f"{setting}\n")
         argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
@@ -972,6 +1004,12 @@ class TestMalformedInputs:
         argv += ["--seed", override] if override else []
         self._run(capsys, argv, "config error", "seed", code=1)
 
+    @pytest.mark.parametrize("override", ["\uff13", "1_0", " 3", "3.0"])
+    def test_seed_override_outside_the_grammar(self, tmp_path, capsys, override):
+        argv = ["ingest", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "i"),
+                "--seed", override]
+        self._run(capsys, argv, "config error", f"cannot parse {override!r} as int", code=1)
+
     @pytest.mark.parametrize("command,setting", [
         ("predict", "stations=S00,S00"),
         ("train", "train_stations="),
@@ -1025,15 +1063,17 @@ class TestMalformedInputs:
 
 
 # Run-setup entries for the config fuzz, as (valid, faulty) values. None
-# leaves the key out. The dataset has stations S00 and S01, leads 0 and 3600 s.
+# leaves the key as FUZZ_CONFIG has it, absent or not. The dataset has
+# stations S00 and S01, leads 0 and 3600 s.
 FUZZ_VALUES = {
-    "stations": ([None, "S00", "S01,S00"], ["", "S00,S00", "S07"]),
+    "stations": ([None, "S00", "S01,S00"], ["", "S00,S00", "S07", "S00,,S01"]),
     "train_stations": ([None, "S01", "S00,S01"], ["", "S01,S01", "S07"]),
     "leads": ([None, "0", "3600,0"], ["", "0,0", "7", "-3600"]),
     "train_leads": ([None, "3600", "0,3600"], ["", "3600,3600", "7", "-3600"]),
     "methods": ([None, "anen_equal", "deep_anen,anen_equal"], ["", "anen_equal,anen_equal", "magic"]),
     "search_splits": ([None, "1,2", "2,1"], ["", "1,1", "0,1", "-1"]),
     "seed": ([None, "0", "5"], ["-1"]),
+    "hidden_sizes": ([None, "4,3"], ["16,", "", "0"]),
 }
 FUZZ_CONFIG = """
 forecast_csv={d}/forecasts.csv
@@ -1079,11 +1119,14 @@ class TestConfigFuzz:
         stderr line and never with a traceback."""
         command = data.draw(st.sampled_from(["train", "predict", "experiment-search-length"]))
         faulty = data.draw(st.sets(st.sampled_from(sorted(FUZZ_VALUES)), max_size=2))
-        lines = [FUZZ_CONFIG.format(d=fuzz_dir)]
+        entries = {}
         for key, (valid, faults) in FUZZ_VALUES.items():
             value = data.draw(st.sampled_from(faults if key in faulty else valid), label=key)
             if value is not None:
-                lines.append(f"{key}={value}\n")
+                entries[key] = value
+        lines = [line + "\n" for line in FUZZ_CONFIG.format(d=fuzz_dir).splitlines()
+                 if line.partition("=")[0] not in entries]
+        lines += [f"{key}={value}\n" for key, value in entries.items()]
         # new files throughout: truncating a written file is far slower
         run_dir = Path(tempfile.mkdtemp(dir=fuzz_dir))
         cfg = run_dir / "config.txt"

@@ -7,7 +7,6 @@ line and the order of the checks within one record.
 """
 
 import math
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from analogkit.archive import (
     load_forecasts,
     load_observations,
     load_predictions,
-    parse_time,
+    parse_decimal,
+    parse_int,
     parse_times,
 )
 
@@ -37,36 +37,30 @@ HEADERS = {
     "prediction": "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score",
 }
 
-# 1970-01-01 .. 2037-12-31 and the four-digit edges strptime accepts
+# 1970-01-01 .. 2037-12-31 and the edges of the years 0001-9999
 TIMES = st.one_of(
     st.integers(0, 2145916799), st.sampled_from([-62135596800, 253402300799])
 )
 
 
-@st.composite
-def time_text(draw, seconds):
-    """One spelling of a timestamp that parse_time accepts."""
-    t = datetime.fromtimestamp(seconds, tz=timezone.utc)
-    style = draw(st.sampled_from(["canonical", "unpadded", "lowercase"]))
-    if style == "unpadded":
-        return f"{t.year:04d}-{t.month}-{t.day}T{t.hour}:{t.minute}:{t.second}Z"
-    text = f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z"
-    return text.lower() if style == "lowercase" else text
-
-
 def integer_text(n):
-    """One spelling of an integer that int() accepts."""
+    """One spelling of an integer in the input grammar."""
     return st.sampled_from([str(n), f"+{n}" if n >= 0 else str(n), f"0{n}" if n >= 0 else str(n)])
 
 
-# spellings float() accepts beyond the plain ones
-ODD_SPELLINGS = ["1_000.5", "\xa01.5\xa0", "\u0661\u0662.\u0665", "+.5", "5.", "-0", "1e-400",
-                 "-1e-400", "4.9e-324", "2.2250738585072011e-308", "0" * 40 + "1.25"]
+# decimal spellings in the grammar beyond the plain ones
+ODD_SPELLINGS = ["+.5", "5.", "-0", "1e-400", "-1e-400", "4.9e-324", "2.2250738585072011e-308",
+                 "0" * 40 + "1.25"]
+# spellings that float(), int() or strptime read but the grammar refuses:
+# underscores, padding, non-ASCII digits, unpadded or lowercase timestamps
+FOREIGN_SPELLINGS = ["1_000.5", "1_0", "\xa01.5\xa0", " 2 ", " 1.5 ", "\u0661\u0662.\u0665",
+                     "\uff13", "2011-1-1T0:0:0Z", "2011-01-01t00:00:00z",
+                     "\uff12\uff10\uff11\uff11-01-01T00:00:00Z"]
 
 
 @st.composite
 def value_text(draw, missing=True):
-    styles = ["repr", "g17", "padded", "int", "odd"]
+    styles = ["repr", "g17", "int", "odd"]
     style = draw(st.sampled_from(["missing"] + styles if missing else styles))
     if style == "missing":
         return ""
@@ -77,8 +71,6 @@ def value_text(draw, missing=True):
         return repr(x)
     if style == "g17":
         return format(x, ".17g")
-    if style == "padded":
-        return f" {x!r} "
     return str(draw(st.integers(-1000, 1000)))
 
 
@@ -105,18 +97,18 @@ def record_lines(draw, kind):
             continue
         fields = list(key)
         if kind == "forecast":
-            fields[2] = draw(time_text(key[2]))
+            fields[2] = format_time(key[2])
             fields[3] = draw(integer_text(key[3]))
             fields.append(draw(value_text()))
         elif kind == "prediction":
-            fields[1] = draw(time_text(key[1]))
+            fields[1] = format_time(key[1])
             fields[2] = draw(integer_text(key[2]))
             fields[3] = draw(integer_text(key[3]))
             fields.append(draw(value_text(missing=False)))
             fields.append(draw(st.sampled_from(["", "2010-01-01T00:00:00Z", "not a time"])))
             fields.append(draw(st.sampled_from(["", "0.25", "nan", "x"])))
         else:
-            fields[1] = draw(time_text(key[1]))
+            fields[1] = format_time(key[1])
             fields.append(draw(value_text()))
         lines.append(",".join(map(str, fields)))
     return draw(st.permutations(lines))
@@ -179,7 +171,7 @@ def bad_rows(kind):
         "A,2011-13-01T00:00:00Z,1.0",
         "A,2011-01-01T24:00:00Z,1.0",
         "A,2011-01-01T00:00:00Z,2.0",
-        "A,2011-1-1T0:0:0Z,3.0",  # the same time as the row above
+        "A,2011-1-1T0:0:0Z,3.0",  # unpadded
         "A,2011-01-02T00:00:00Z,nan",
         "A,2011-01-03T00:00:00Z,-inf",
         "A,2011-01-04T00:00:00Z,one",
@@ -188,8 +180,8 @@ def bad_rows(kind):
     ]
 
 
-BAD_FIELDS = ["", "nan", "inf", "1e400", "one", "00", "-0", "2011-02-30T00:00:00Z",
-              "2011-1-1T0:0:0Z", "x"]
+BAD_FIELDS = ["", "nan", "inf", "1e400", "one", "00", "-0", "2011-02-30T00:00:00Z", "x",
+              *FOREIGN_SPELLINGS]
 
 
 @st.composite
@@ -301,15 +293,15 @@ def test_lines_above_the_header_read_as_the_oracle_does(tmp_path, kind, data):
 SEVERAL_FAULTS = [
     ("forecast", ["A,v1,2011-02-30T00:00:00Z,zero,nan"]),
     ("forecast", ["A,v1,2011-01-01T00:00:00Z,zero,nan"]),
-    ("forecast", ["A,v1,2011-01-01T00:00:00Z,0,1", "A,v1,2011-1-1T0:0:0Z,00,nan"]),
+    ("forecast", ["A,v1,2011-01-01T00:00:00Z,0,1", "A,v1,2011-01-01T00:00:00Z,00,nan"]),
     ("forecast", ["A,v1,2011-02-30T00:00:00Z,0"]),
     ("forecast", ["A,v1,2011-01-01T00:00:00Z,0,one", "A,v1,bad,0"]),
     ("forecast", ["A,v1,2011-01-01T00:00:00Z,0,1", "A,v1,2011-01-01T00:00:00Z,0,inf", "A,v1,bad,0,1"]),
-    ("observation", ["A,2011-01-01T00:00:00Z,1", "A,2011-1-1T0:0:0Z,nan"]),
+    ("observation", ["A,2011-01-01T00:00:00Z,1", "A,2011-01-01T00:00:00Z,nan"]),
     ("observation", ["A,2011-13-01T00:00:00Z,one"]),
     ("observation", ["A,2011-13-01T00:00:00Z"]),
     ("observation", ["A,2011-01-01T00:00:00Z,1", "#", "", "A,2011-01-02T00:00:00Z,-inf", "A,x,1"]),
-    ("prediction", ["A,2011-01-01T00:00:00Z,0,1,1,,", "A,2011-1-1T0:0:0Z,00,01,,,"]),
+    ("prediction", ["A,2011-01-01T00:00:00Z,0,1,1,,", "A,2011-01-01T00:00:00Z,00,01,,,"]),
     ("prediction", ["A,2011-01-01T00:00:00Z,0,1,nan,,", "A,bad,0,1,1,,"]),
     ("prediction", ["A,2011-01-01T00:00:00Z,0,1,,,", "A,2011-01-01T00:00:00Z,0,one,1,,,"]),
 ]
@@ -371,6 +363,29 @@ def test_several_faults_report_as_the_oracle_does(tmp_path, kind, records):
     path.write_text("\n".join([HEADERS[kind], *records]) + "\n")
     got, want = outcome(load, path), outcome(oracle, path)
     assert want[0] != "ok" and got == want
+
+
+@pytest.mark.parametrize("kind,record,message", [
+    ("forecast", "A,v,2011-01-01T00:00:00Z,0,1_0", "unparsable value '1_0'"),
+    ("forecast", "A,v,2011-01-01T00:00:00Z,0, 2 ", "unparsable value ' 2 '"),
+    ("forecast", "A,v,2011-01-01T00:00:00Z,0,\uff13", "unparsable value '\uff13'"),
+    ("forecast", "A,v,2011-01-01T00:00:00Z,1_0,1", "unparsable lead_s '1_0'"),
+    ("forecast", "A,v,2011-01-01T00:00:00Z, 0,1", "unparsable lead_s ' 0'"),
+    ("observation", "A,2011-1-1T0:0:0Z,1", "unparsable timestamp '2011-1-1T0:0:0Z'"),
+    ("observation", "A,2011-01-01t00:00:00z,1", "unparsable timestamp '2011-01-01t00:00:00z'"),
+    ("observation", "A,\uff12\uff10\uff11\uff11-01-01T00:00:00Z,1",
+     "unparsable timestamp '\uff12\uff10\uff11\uff11-01-01T00:00:00Z'"),
+    ("prediction", "A,2011-01-01T00:00:00Z,0,\u0663,1,,", "unparsable member_rank '\u0663'"),
+], ids=["underscore_value", "padded_value", "full_width_value", "underscore_lead", "padded_lead",
+        "unpadded_time", "lowercase_time", "full_width_year", "arabic_indic_rank"])
+def test_spellings_outside_the_grammar_are_refused(tmp_path, kind, record, message):
+    """Numerals and times that int(), float() or strptime read are refused
+    by the loaders and the oracle alike, at their line."""
+    load, oracle, _ = LOADERS[kind]
+    path = tmp_path / "archive.csv"
+    path.write_text(f"{HEADERS[kind]}\n{record}\n", encoding="utf-8")
+    got, want = outcome(load, path), outcome(oracle, path)
+    assert got == want == (SchemaError, f"{path}: line 2: {message}")
 
 
 def hard_spellings(rng):
@@ -435,18 +450,24 @@ SPECIAL_TIMES = [
     "2011-00-01T00:00:00Z",
     "2011-13-01T00:00:00Z",
     "٢٠١١-01-01T00:00:00Z",  # Arabic-Indic digits
+    "\uff12\uff10\uff11\uff11-01-01T00:00:00Z",  # full-width digits
+    "0999-01-01T00:00:00Z",
+    "999-01-01T00:00:00Z",
+    "+2011-01-01T00:00:00Z",
+    "2011-01-01T00:00:00.5Z",
     "",
 ]
 
 
 def expected_time(text):
     try:
-        return parse_time(text)
+        return ref.parse_time(text)
     except ValueError:
         return ValueError
 
 
 def test_parse_times_matches_parse_time_on_edge_cases():
+    """parse_times against the oracle's grammar, a regex and strptime."""
     for text in SPECIAL_TIMES:
         want = expected_time(text)
         if want is ValueError:
@@ -476,3 +497,23 @@ def test_parse_times_matches_parse_time_elementwise(texts):
         got = parse_times(texts)
         assert got.dtype == np.int64
         assert got.tolist() == want
+
+
+@SETTINGS
+@given(text=st.one_of(
+    st.text(alphabet="0123456789+-.eEaAfFiInNtTyY", max_size=8),
+    st.text(alphabet="0123456789+-.eEinf_ \xa0\u0663\uff13x", max_size=6),
+    st.sampled_from(ODD_SPELLINGS + FOREIGN_SPELLINGS + ["nan", "-Infinity", "+iNf", "infinit"]),
+))
+def test_numbers_match_the_oracle_grammar(text):
+    """parse_int and parse_decimal accept exactly the oracle's regular
+    expressions, and read what int() and float() read."""
+    for parse, accepted, convert in (
+        (parse_int, ref.INTEGER.fullmatch(text), int),
+        (parse_decimal, ref.DECIMAL.fullmatch(text) or ref.NON_FINITE.fullmatch(text), float),
+    ):
+        if accepted:
+            assert repr(parse(text)) == repr(convert(text))
+        else:
+            with pytest.raises(ValueError):
+                parse(text)
