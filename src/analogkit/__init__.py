@@ -24,7 +24,6 @@ from .archive import (
 )
 from .ensemble import (
     AnalogQuery,
-    EnsembleForecast,
     Ranking,
     SearchBase,
     build_ensemble,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,19 +21,18 @@ from . import archive as ar
 from .config import ExperimentConfig, load_config
 from .ensemble import (
     AnalogQuery,
-    EnsembleForecast,
+    Ranking,
     build_ensemble,
     classic_base,
     latent_base,
-    latent_distances,
     search_classic,
     search_latent,
-    target_embedding,
+    target_distances,
 )
 from .errors import AnalogkitError, ConfigError, DataError, DivergenceError
-from .metric import MetricConfig, block_dissimilarity
+from .metric import MetricConfig
 from .network import ModelCheckpoint, embed_block, load_checkpoint, save_checkpoint
-from .synthetic import SynthSpec, generate, write_manifest
+from .synthetic import generate, write_manifest
 from .training import train, write_train_log
 from .verification import (
     VerificationSet,
@@ -85,14 +85,7 @@ def _effective_weights(cfg: ExperimentConfig, method: str, fcst: ar.ForecastArch
     """
     if method == "anen_equal":
         return np.ones(fcst.n_variables)
-    weights = np.zeros(fcst.n_variables)
-    for variable, w in cfg.weights.items():
-        if variable not in fcst.variables:
-            raise ConfigError(f"weight.{variable}: variable not in the archive")
-        weights[fcst.variables.index(variable)] = w
-    if not np.any(weights > 0):
-        raise ConfigError("anen_weighted needs at least one positive weight.<variable> key")
-    return weights
+    return np.array([cfg.weights.get(variable, 0.0) for variable in fcst.variables])
 
 
 def _provenance(cfg: ExperimentConfig, command: str, extra: list[str] | None = None) -> list[str]:
@@ -120,12 +113,16 @@ def _load_archives(cfg: ExperimentConfig):
 
 
 def _prediction_targets(cfg: ExperimentConfig):
-    """Archives and targets (stations, leads, test cycles) of predict and the experiment."""
+    """Archives and targets (stations, leads, test cycles) of predict and the
+    experiment. A weight of a variable the archive lacks is a config error."""
     cfg.require("search_start", "search_end", "test_start", "test_end")
     fcst, obs = _load_archives(cfg)
     stations = _stations(fcst, cfg.stations)
     leads = _lead_indices(fcst, cfg.leads)
     test_cycles = _cycles_in(fcst, cfg.test_start, cfg.test_end, "test")
+    for variable in cfg.weights:
+        if variable not in fcst.variables:
+            raise ConfigError(f"weight.{variable}: variable not in the archive")
     return fcst, obs, stations, leads, test_cycles
 
 
@@ -147,7 +144,7 @@ def _train_model(
         leads = [l for l in leads if ar.window_fits(fcst, l, cfg.t_half)]
     path = out / "checkpoint.txt"
     model, log = train(
-        fcst, obs, stations, leads, cycles, cfg.train_config(), on_divergence_save=str(path)
+        fcst, obs, stations, leads, cycles, cfg.training, on_divergence_save=str(path)
     )
     save_checkpoint(model, path)
     write_train_log(log, out / "train_log.csv")
@@ -162,7 +159,7 @@ def _train_model(
 class PredictionRow:
     __slots__ = ("station", "cycle", "lead", "ensemble")
 
-    def __init__(self, station: str, cycle: int, lead: int, ensemble: EnsembleForecast):
+    def __init__(self, station: str, cycle: int, lead: int, ensemble: Ranking):
         self.station = station
         self.cycle = cycle
         self.lead = lead
@@ -188,13 +185,14 @@ def run_predictions(
     ascending), so output is deterministic. Each (station, lead) embeds its
     cycles once, over every range and the test cycles, and builds one search
     base over the union of the ranges. Each target is scored against that
-    base once; every range then ranks from those distances, classic ranges
-    weighted by their own climatology σ. Returns the prediction rows of
-    each range and the skipped targets, with reasons, of all ranges. Skips
-    come target-major: a target's skips in every range follow one another,
-    and a target without a window or embedding is skipped in every range
-    with one reason. ``predict`` passes one range, so its skipped.csv keeps
-    the (station, lead, cycle) order.
+    base once, by :func:`~analogkit.ensemble.target_distances`; every range
+    then ranks from those distances, classic ranges weighted by their own
+    climatology σ. Returns the prediction rows of each range and the
+    skipped targets, with reasons, of all ranges. Skips come target-major:
+    a target's skips in every range follow one another, and a target
+    without a window or embedding is skipped in every range with one
+    reason. ``predict`` passes one range, so its skipped.csv keeps the
+    (station, lead, cycle) order.
     """
     t_half = model.t_half if method == "deep_anen" else cfg.t_half
     rows: list[list[PredictionRow]] = [[] for _ in search_ranges]
@@ -211,31 +209,23 @@ def run_predictions(
             if method == "deep_anen":
                 block = embed_block(model, fcst, s, lead, embedded)
                 base = latent_base(block, obs, union)
-                metrics = [None] * len(search_ranges)
+                searches = [partial(search_latent, embeddings=block, obs=obs)] * len(search_ranges)
             else:
-                metrics = [
-                    MetricConfig(weights=weights, sigma=ar.climatology_stats(
-                        fcst, s, lead, search_cycles).sigma, t_half=t_half)
+                base = classic_base(fcst, obs, s, lead, union, t_half)
+                searches = [
+                    partial(search_classic, fcst=fcst, obs=obs, cfg=MetricConfig(
+                        weights=weights, sigma=ar.climatology_stats(
+                            fcst, s, lead, search_cycles).sigma, t_half=t_half))
                     for search_cycles in search_ranges
                 ]
-                # No base where the window leaves the lead axis: there every
-                # target's extract_window raises the skip reason first.
-                base = None
-                if ar.window_fits(fcst, lead, t_half):
-                    base = classic_base(fcst, obs, s, lead, union, t_half)
-            range_bases = [None if base is None else base.subrange(search_cycles)
-                           for search_cycles in search_ranges]
+            range_bases = [base.subrange(search_cycles) for search_cycles in search_ranges]
             for c in targets:
                 try:
-                    if method == "deep_anen":
-                        distances = latent_distances(target_embedding(block, c), base.rows)
-                    else:
-                        window = ar.extract_window(fcst, s, c, lead, t_half)
-                        distances = block_dissimilarity(window.data, base.rows)
+                    distances = target_distances(base, fcst, c)
                 except DataError as err:  # includes WindowUnavailable
                     skipped.extend([(station, c, lead, str(err))] * len(search_ranges))
                     continue
-                for range_rows, range_base, metric_cfg in zip(rows, range_bases, metrics):
+                for range_rows, range_base, search in zip(rows, range_bases, searches):
                     query = AnalogQuery(
                         station=s,
                         target_cycle=c,
@@ -245,12 +235,7 @@ def run_predictions(
                         m=cfg.m,
                     )
                     try:
-                        if method == "deep_anen":
-                            ranked = search_latent(query, block, obs, limit=cfg.m,
-                                                   base=range_base, distances=distances)
-                        else:
-                            ranked = search_classic(query, fcst, obs, metric_cfg, limit=cfg.m,
-                                                    base=range_base, distances=distances)
+                        ranked = search(query, limit=cfg.m, base=range_base, distances=distances)
                         ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
                     except DataError as err:  # includes InsufficientAnalogs
                         skipped.append((station, c, lead, str(err)))
@@ -373,17 +358,8 @@ def cmd_ingest(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
-    try:
-        fcst, obs, manifest = generate(SynthSpec(
-            n_stations=cfg.synth_stations,
-            n_cycles=cfg.synth_cycles,
-            n_leads=cfg.synth_leads,
-            n_variables=cfg.synth_variables,
-            seed=cfg.seed,
-            hidden=tuple(cfg.synth_hidden),
-            g_name=cfg.synth_g,
-            sigma_noise=cfg.synth_sigma_noise,
-        ))
+    try:  # noise that overflows in the draws
+        fcst, obs, manifest = generate(cfg.synth)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     ar.write_forecasts(fcst, out / "forecasts.csv")
@@ -579,8 +555,15 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line fault as a config error: one stderr line, exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="analogkit",
         description="Analog ensemble forecasting with classical and learned metrics",
     )
@@ -596,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --help exits 0 here
         cfg = load_config(args.config, seed_override=args.seed)
         out = _output_dir(args.out)
         if args.command == "ingest":

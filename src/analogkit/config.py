@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .archive import parse_decimal, parse_int, parse_time, read_settings, read_text
 from .errors import ConfigError, DataError, SchemaError
+from .synthetic import SynthSpec
 from .training import TrainConfig
 
 METHODS = ("anen_equal", "anen_weighted", "deep_anen")
@@ -42,19 +43,19 @@ _SCHEMA = {
     "spread_bins": ("int", 5),
     "error_intervals": ("float_list", None),
     "baseline_variable": ("str", None),
-    "synth_stations": ("int", 1),
-    "synth_cycles": ("int", 100),
-    "synth_leads": ("int", 1),
-    "synth_variables": ("int", 6),
-    "synth_hidden": ("int_list", [0, 1, 2]),
-    "synth_g": ("str", "product_sin"),
-    "synth_sigma_noise": ("float", 0.1),
 }
-# Every TrainConfig field is a key of the same name and default.
-_KINDS = {int: "int", float: "float", tuple: "int_list"}
+# Field name -> config key. Every TrainConfig field is a key of the same name,
+# and every SynthSpec field one of these; both share `seed`. A key's default
+# is its field's.
+_TRAIN_KEYS = {f.name: f.name for f in fields(TrainConfig)}
+_SYNTH_KEYS = {"n_stations": "synth_stations", "n_cycles": "synth_cycles",
+               "n_leads": "synth_leads", "n_variables": "synth_variables", "seed": "seed",
+               "hidden": "synth_hidden", "g_name": "synth_g", "sigma_noise": "synth_sigma_noise"}
+_KINDS = {int: "int", float: "float", tuple: "int_list", str: "str"}
 _SCHEMA.update(
-    (f.name, (_KINDS[type(f.default)], list(f.default) if type(f.default) is tuple else f.default))
-    for f in fields(TrainConfig)
+    (keys[f.name], (_KINDS[type(f.default)],
+                    list(f.default) if type(f.default) is tuple else f.default))
+    for cls, keys in ((TrainConfig, _TRAIN_KEYS), (SynthSpec, _SYNTH_KEYS)) for f in fields(cls)
 )
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _PARSERS = {"int": parse_int, "float": parse_decimal, "time": parse_time, "str": str, "path": str,
@@ -78,10 +79,12 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)  # variable -> weight
     raw_lines: list = field(default_factory=list)  # for provenance echo
+    training: TrainConfig = field(default_factory=TrainConfig)  # load_config builds both
+    synth: SynthSpec = field(default_factory=SynthSpec)  # from the keys, after --seed
 
     def __getattr__(self, key):
         # dataclass fields resolve normally; everything else is a config key
-        if key.startswith("_") or key in ("values", "weights", "raw_lines"):
+        if key.startswith("_") or key in ("values", "weights", "raw_lines", "training", "synth"):
             raise AttributeError(key)
         if key in self.values:
             return self.values[key]
@@ -94,13 +97,10 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
-    def train_config(self) -> TrainConfig:
-        settings = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
-        settings["hidden_sizes"] = tuple(settings["hidden_sizes"])
-        try:
-            return TrainConfig(**settings)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+    def _settings(self, keys: dict) -> dict:
+        """Field name -> value of each config key in ``keys``; lists become tuples."""
+        values = {name: getattr(self, key) for name, key in keys.items()}
+        return {name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}
 
     def provenance_lines(self) -> list[str]:
         return [f"# config.{line}" for line in self.raw_lines]
@@ -130,6 +130,11 @@ def load_config(path, seed_override: str | None = None) -> ExperimentConfig:
         cfg.values["seed"] = _convert("seed", "int", seed_override)
         cfg.raw_lines.append(f"seed={cfg.values['seed']} (command-line override)")
     _validate(cfg)
+    try:  # every command checks every setting
+        cfg.training = TrainConfig(**cfg._settings(_TRAIN_KEYS))
+        cfg.synth = SynthSpec(**cfg._settings(_SYNTH_KEYS))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     return cfg
 
 
@@ -148,8 +153,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"search_splits must be positive integers, got {cfg.search_splits}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.t_half < 0:
-        raise ConfigError("t_half must be nonnegative")
+    if "anen_weighted" in [cfg.method, *(cfg.methods or [])] and not any(cfg.weights.values()):
+        raise ConfigError("anen_weighted needs at least one positive weight.<variable> key")
     if cfg.m < 1:
         raise ConfigError("m must be >= 1")
     if not 0 <= cfg.brier_quantile <= 1:  # NaN fails too

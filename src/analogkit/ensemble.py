@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ForecastArchive, ObservationArchive, extract_window, locate, window_block
+from .archive import (ForecastArchive, ObservationArchive, extract_window, locate, window_block,
+                      window_fits)
 from .errors import DataError, InsufficientAnalogs
 from .metric import MetricConfig, block_dissimilarity, pairwise_sum
 from .network import EmbeddingBlock
@@ -44,32 +45,24 @@ class AnalogQuery:
 @dataclass(frozen=True, eq=False)
 class Ranking:
     """Ranked analogs, best first: the search cycle, score and paired
-    observation of each, as three arrays of one length."""
+    observation of each, as three arrays of one length, scores
+    non-decreasing. A search returns one, and so does
+    :func:`build_ensemble`, whose ``short`` flags an ensemble of fewer than
+    the requested members."""
 
     cycles: np.ndarray
     scores: np.ndarray
     members: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-
-@dataclass(frozen=True)
-class EnsembleForecast:
-    """M member observations plus the provenance of each member: the search
-    cycle it came from and that cycle's score, scores non-decreasing."""
-
-    members: np.ndarray
-    cycles: np.ndarray
-    scores: np.ndarray
     short: bool = False
 
     def __post_init__(self):
-        scores = np.asarray(self.scores)
-        if (scores[1:] < scores[:-1]).any():
+        if (self.scores[1:] < self.scores[:-1]).any():
             raise ValueError("scores must be non-decreasing")
-        if not len(self.members) == len(self.cycles) == len(scores):
+        if not len(self.members) == len(self.cycles) == len(self.scores):
             raise ValueError("one cycle and score per member required")
+
+    def __len__(self) -> int:
+        return len(self.cycles)
 
     @property
     def m(self) -> int:
@@ -165,11 +158,16 @@ def classic_base(
     t_half: int,
 ) -> SearchBase:
     """The windows, members and eligibility of the search cycles at
-    (station, lead). Raises :class:`WindowUnavailable` when the window does
-    not fit the lead axis."""
+    (station, lead). Where the window leaves the lead axis no cycle has
+    one: the rows are NaN and no cycle is eligible, as in an embedding
+    block's masked rows."""
     search_cycles = np.asarray(search_cycles, dtype=int)
-    block, available = window_block(fcst, station, lead, search_cycles, t_half)
-    rows = np.ascontiguousarray(block.transpose(2, 1, 0))
+    if window_fits(fcst, lead, t_half):
+        block, available = window_block(fcst, station, lead, search_cycles, t_half)
+        rows = np.ascontiguousarray(block.transpose(2, 1, 0))
+    else:
+        rows = np.broadcast_to(np.nan, (2 * t_half + 1, fcst.n_variables, len(search_cycles)))
+        available = np.zeros(len(search_cycles), dtype=bool)
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
     members = obs.values_for(fcst.stations[station], times)
     return SearchBase((station, lead, t_half), search_cycles, rows, np.arange(len(search_cycles)),
@@ -210,10 +208,25 @@ def latent_distances(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(pairwise_sum(diff))
 
 
+def target_distances(base: SearchBase, fcst: ForecastArchive | None, cycle: int) -> np.ndarray:
+    """The one scoring rule: a target cycle's distances to every row of ``base``.
+
+    For a classic base, the :func:`~analogkit.metric.block_dissimilarity` of
+    the target window in ``fcst``, [n, n_variables], which no σ enters; for
+    a latent base, the :func:`latent_distances` of the target's embedding,
+    [n], with no ``fcst``. They serve every range on the base's rows. A
+    target without a window or embedding raises the reason it is skipped for.
+    """
+    if isinstance(base.source, EmbeddingBlock):
+        return latent_distances(target_embedding(base.source, cycle), base.rows)
+    station, lead, t_half = base.source
+    window = extract_window(fcst, station, cycle, lead, t_half)
+    return block_dissimilarity(window.data, base.rows)
+
+
 def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distances) -> None:
     """Raise ``ValueError`` unless ``base`` was built from ``source`` for the
-    query's search range and ``distances``, if given, cover its rows; raise
-    :class:`DataError` when no candidate of the range is eligible."""
+    query's search range and ``distances``, if given, cover its rows."""
     if base.source != source:
         raise ValueError(f"search base was built for another {what}")
     if base.search_cycles is not query.search_cycles and not np.array_equal(
@@ -222,11 +235,13 @@ def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distanc
         raise ValueError("search base was built for another search range")
     if distances is not None and len(distances) != base.rows.shape[-1]:
         raise ValueError("distances were scored against other search base rows")
-    if not base.eligible.any():
-        raise DataError("no analog candidates available for this target")
 
 
 def _ranking(base: SearchBase, scores: np.ndarray, limit: int | None) -> Ranking:
+    """The ranking of the base's eligible cycles by ``scores``; a base with
+    none raises :class:`DataError`."""
+    if not base.eligible.any():
+        raise DataError("no analog candidates available for this target")
     order = rank_positions(scores, base.eligible, limit)
     return Ranking(base.search_cycles[order], scores[order], base.members[order])
 
@@ -247,14 +262,14 @@ def search_classic(
     candidate survives. With ``limit`` the result is the first ``limit``
     candidates of the full ranking. ``base`` is the query's
     :func:`classic_base`, or a :meth:`~SearchBase.subrange` of one; without
-    it the search builds its own. ``distances`` is the target window's
-    :func:`~analogkit.metric.block_dissimilarity` against ``base.rows``,
-    which no σ enters, so it serves every range on those rows; without it
-    the search extracts and scores the target itself. Only the weighting by
-    ``cfg``, whose σ is the range's own, is done per range.
+    it the search builds its own. ``distances`` is the target's
+    :func:`target_distances` against ``base.rows``, which no σ enters, so it
+    serves every range on those rows; without it the search scores the
+    target itself. Only the weighting by ``cfg``, whose σ is the range's
+    own, is done per range.
     """
-    if distances is None:
-        target = extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
+    if distances is None:  # the target's skip reason comes before any fault of the range
+        extract_window(fcst, query.station, query.target_cycle, query.lead, query.t_half)
     if base is None:
         base = classic_base(fcst, obs, query.station, query.lead, query.search_cycles, query.t_half)
     source = (query.station, query.lead, query.t_half)
@@ -263,7 +278,7 @@ def search_classic(
         raise ValueError(f"search base windows {base.rows.shape[1::-1]}, config expects "
                          f"{(cfg.n_variables, cfg.width)}")
     if distances is None:
-        distances = block_dissimilarity(target.data, base.rows)
+        distances = target_distances(base, fcst, query.target_cycle)
     # gemv rounds by memory layout: take gives it a fresh C-contiguous
     # [n, n_variables] operand, as when each range scored its own windows
     return _ranking(base, distances.take(base.positions, axis=0) @ cfg.coefficients, limit)
@@ -280,36 +295,34 @@ def search_latent(
     """Rank search-range cycles by Euclidean distance in embedding space.
 
     Same eligibility, ordering, tie, ``limit``, ``base`` and ``distances``
-    rules as :func:`search_classic`, with :func:`latent_base` as the base
-    and :func:`latent_distances` as the distances, which depend on no range
-    at all; candidates with a masked embedding row are excluded. A target
-    or search cycle the block does not cover raises ``KeyError``.
+    rules as :func:`search_classic`, with :func:`latent_base` as the base,
+    whose distances depend on no range at all; candidates with a masked
+    embedding row are excluded. A target or search cycle the block does not
+    cover raises ``KeyError``.
     """
-    if distances is None:
-        target = target_embedding(embeddings, query.target_cycle)
+    if distances is None:  # the target's skip reason comes before any fault of the range
+        target_embedding(embeddings, query.target_cycle)
     if base is None:
         base = latent_base(embeddings, obs, query.search_cycles)
     _check_base(base, embeddings, query, "embedding block", distances)
     if distances is None:
-        distances = latent_distances(target, base.rows)
+        distances = target_distances(base, None, query.target_cycle)
     return _ranking(base, distances[base.positions], limit)
 
 
-def build_ensemble(
-    ranked: Ranking, query: AnalogQuery, allow_short: bool = False
-) -> EnsembleForecast:
+def build_ensemble(ranked: Ranking, query: AnalogQuery, allow_short: bool = False) -> Ranking:
     """Top-M members from a ranking.
 
     With fewer than M candidates the ensemble is refused unless
     ``allow_short`` is set, in which case all candidates are used and the
-    result is flagged short.
+    result is flagged short. A ranking that already is that ensemble, as a
+    search with ``limit=m`` gives, is returned as it is: that spares each
+    target a second :class:`Ranking` and its checks.
     """
-    if len(ranked) < query.m and not allow_short:
-        raise InsufficientAnalogs(available=len(ranked), requested=query.m)
     m = query.m
-    return EnsembleForecast(
-        members=ranked.members[:m],
-        cycles=ranked.cycles[:m],
-        scores=ranked.scores[:m],
-        short=len(ranked) < m,
-    )
+    short = len(ranked) < m
+    if short and not allow_short:
+        raise InsufficientAnalogs(available=len(ranked), requested=m)
+    if len(ranked) <= m and ranked.short == short:
+        return ranked
+    return Ranking(ranked.cycles[:m], ranked.scores[:m], ranked.members[:m], short)

@@ -54,8 +54,9 @@ from .archive import (
     read_settings,
     read_text,
     window_block,
+    window_fits,
 )
-from .errors import DataError, SchemaError, WindowUnavailable
+from .errors import DataError, SchemaError
 
 
 @dataclass
@@ -428,11 +429,9 @@ def embed_block(
     cycles = np.unique(np.asarray(cycles, dtype=int))
     n = len(cycles)
     vectors = np.zeros((n, model.embed_dim))
-    try:
+    available = np.zeros(n, dtype=bool)  # where the window leaves the lead axis, no cycle has one
+    if window_fits(archive, lead, model.t_half):
         data, available = window_block(archive, station, lead, cycles, model.t_half)
-    except WindowUnavailable:
-        # lead too close to the axis edge: no cycle has a window
-        data, available = None, np.zeros(n, dtype=bool)
     if available.any():
         with np.errstate(over="ignore", invalid="ignore"):
             vectors[available] = embed_windows(model, data[available])

@@ -144,7 +144,7 @@ class TestConfigValidation:
     def test_no_training_keys_give_the_train_config_defaults(self, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text("m=3\n")
-        assert load_config(cfg).train_config() == TrainConfig()
+        assert load_config(cfg).training == TrainConfig()
 
     def test_every_training_key_reaches_train_config(self, tmp_path):
         """A non-default value for each TrainConfig field, written as a config key."""
@@ -161,7 +161,7 @@ class TestConfigValidation:
             f"{name}={','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
             for name, v in settings.items()
         ))
-        got = load_config(cfg).train_config()
+        got = load_config(cfg).training
         assert got == TrainConfig(**settings)
         assert all(getattr(got, name) != getattr(TrainConfig(), name) for name in settings)
 
@@ -920,6 +920,14 @@ class TestMalformedInputs:
         argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
         self._run(capsys, argv, "config error", message, code=1)
 
+    @pytest.mark.parametrize("method", ["anen_equal", "deep_anen"])
+    def test_unknown_weight_variable_whatever_the_method(self, pipeline, capsys, method):
+        cfg = write_config(pipeline, method=method, extra="weight.v9=1\n")
+        out = pipeline / "pred"
+        argv = ["predict", "--config", str(cfg), "--out", str(out)]
+        self._run(capsys, argv, "config error: weight.v9: variable not in the archive", code=1)
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("setting,drop,message", [
         ("m=abc", ("m",), "config key m: cannot parse 'abc' as int"),
         ("allow_short=maybe", (), "config key allow_short: cannot parse 'maybe' as bool"),
@@ -1009,6 +1017,54 @@ class TestMalformedInputs:
         argv = ["ingest", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "i"),
                 "--seed", override]
         self._run(capsys, argv, "config error", f"cannot parse {override!r} as int", code=1)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ingest", "--out", "{o}"], "the following arguments are required: --config"),
+        (["bogus", "--config", "{o}.txt", "--out", "{o}"],
+         "argument command: invalid choice: 'bogus'"),
+        (["ingest", "--config", "{o}.txt", "--out", "{o}", "--seed"],
+         "argument --seed: expected one argument"),
+    ], ids=["missing_config", "unknown_command", "seed_without_value"])
+    def test_command_line_fault(self, tmp_path, capsys, argv, message):
+        """A command-line fault is a config error, not argparse's usage and
+        exit 2."""
+        argv = [arg.format(o=tmp_path / "o") for arg in argv]
+        self._run(capsys, argv, f"config error: {message}", code=1)
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["predict", "--help"])
+        assert done.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("setting,message", [
+        ("alpha=-1", "alpha must be finite and nonnegative"),
+        ("learning_rate=0", "learning_rate must be finite and positive"),
+        ("k_pos=0", "k_pos must be >= 1"),
+        ("synth_leads=99", "at most 24 leads"),
+        ("synth_g=nope", "unknown g 'nope'"),
+    ], ids=["alpha", "learning_rate", "k_pos", "synth_leads", "synth_g"])
+    @pytest.mark.parametrize("command", ["ingest", "predict"])
+    def test_every_command_checks_every_setting(self, pipeline, capsys, command, setting,
+                                                message):
+        """Training and synth settings are checked whatever the command."""
+        cfg = write_config(pipeline, drop=(setting.split("=")[0],), extra=f"{setting}\n")
+        out = pipeline / "out"
+        self._run(capsys, [command, "--config", str(cfg), "--out", str(out)],
+                  f"config error: {message}", code=1)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight,message", [
+        ("", "anen_weighted needs at least one positive weight.<variable> key"),
+        ("weight.v9=1\n", "weight.v9: variable not in the archive"),
+    ], ids=["no_positive_weight", "unknown_variable"])
+    def test_experiment_checks_weights_before_training(self, pipeline, capsys, weight, message):
+        cfg = write_config(pipeline, extra=f"methods=deep_anen,anen_weighted\n{weight}")
+        out = pipeline / "out"
+        argv = ["experiment-search-length", "--config", str(cfg), "--out", str(out)]
+        self._run(capsys, argv, f"config error: {message}", code=1)
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("command,setting", [
         ("predict", "stations=S00,S00"),

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from analogkit.archive import ObservationArchive, valid_time
 from analogkit.ensemble import (
     AnalogQuery,
-    EnsembleForecast,
     Ranking,
     build_ensemble,
     latent_base,
@@ -205,9 +207,12 @@ class TestBuildEnsemble:
         assert ens.short
 
     def test_sources_must_be_sorted(self):
-        with pytest.raises(ValueError):
-            EnsembleForecast(members=np.array([1.0, 2.0]), cycles=np.array([0, 1]),
-                             scores=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Ranking(members=np.array([1.0, 2.0]), cycles=np.array([0, 1]),
+                    scores=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="one cycle and score per member"):
+            Ranking(members=np.array([1.0]), cycles=np.array([0, 1]),
+                    scores=np.array([1.0, 2.0]))
 
     def test_query_rejects_target_inside_search_range(self):
         with pytest.raises(ValueError):
@@ -358,3 +363,14 @@ class TestTopM:
                 search_latent(query, block, obs, limit=1)
             with pytest.raises(KeyError, match=str(missing)):
                 latent_base(block, obs, query.search_cycles)
+
+
+def test_readme_quick_start_runs():
+    """The README's library quick start runs as written; both of its
+    ensembles are rankings of 11 members."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(block, namespace)
+    for name in ("ensemble", "deep"):
+        assert isinstance(namespace[name], Ranking) and namespace[name].m == 11, name

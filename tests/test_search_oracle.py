@@ -102,9 +102,9 @@ class TestOracle:
 
         want = _outcome(lambda: ref.search_classic(query, fcst, obs, cfg, limit))
         assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit)) == want
-        if window_fits(fcst, lead, t_half):  # the CLI builds a base only here
-            base = classic_base(fcst, obs, station, lead, search, t_half)
-            assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, base)) == want
+        base = classic_base(fcst, obs, station, lead, search, t_half)
+        assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, base)) == want
+        if window_fits(fcst, lead, t_half):
             # the range within a base over every other cycle, in drawn order
             others = draw(st.permutations([c for c in range(n_cycles) if c != target]))
             wider = classic_base(fcst, obs, station, lead, others, t_half)
@@ -115,10 +115,9 @@ class TestOracle:
                 distances = block_dissimilarity(window.data, wider.rows)
                 assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub,
                                                        distances)) == want
-        else:
-            with pytest.raises(WindowUnavailable) as edge:
-                classic_base(fcst, obs, station, lead, search, t_half)
-            assert want == (WindowUnavailable, str(edge.value))
+        else:  # an edge lead: no cycle is eligible, and the target's window raises first
+            assert not base.eligible.any()
+            assert want[0] is WindowUnavailable
 
     @ORACLE
     @given(data=st.data())
@@ -137,13 +136,19 @@ class TestOracle:
         obs = ObservationArchive(["S00"], 86400 * cycles, _grid(draw, (1, n), draw(HOLES)))
         t = draw(st.integers(0, n - 1))
         search = _subset(draw, np.delete(cycles, t))
+        uncovered = draw(st.booleans())
+        if uncovered:  # cycle 0 precedes the block's first cycle
+            search = np.insert(search, 0, 0)
         query = AnalogQuery(station=0, target_cycle=int(cycles[t]), lead=0, t_half=0,
                             search_cycles=search, m=5)
         limit = draw(LIMITS)
 
         want = _outcome(lambda: ref.search_latent(query, block, obs, limit))
-        base = latent_base(block, obs, search)
         assert _outcome(lambda: search_latent(query, block, obs, limit)) == want
+        if uncovered:  # no base covers the range; a masked target is reported first
+            assert want[0] is (KeyError if available[t] else DataError)
+            return
+        base = latent_base(block, obs, search)
         assert _outcome(lambda: search_latent(query, block, obs, limit, base)) == want
         wider = latent_base(block, obs, draw(st.permutations(np.delete(cycles, t))))
         sub = wider.subrange(search)
