@@ -509,20 +509,20 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     methods = cfg.methods or [cfg.method]
     fcst, obs, stations, leads, test_cycles = _prediction_targets(cfg)
     splits = sorted(cfg.search_splits)
-    model = None
-    if "deep_anen" in methods:
-        if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
-            model = load_checkpoint(cfg.checkpoint)
-        else:
-            model = _train_model(cfg, fcst, obs, out)
     threshold = _brier_threshold(cfg, obs, stations)
-
     span = cfg.search_end - cfg.search_start
     starts = [cfg.search_end - span * split // splits[-1] for split in splits]
     ranges = [
         _cycles_in(fcst, start, cfg.search_end, f"split {split} search")
         for split, start in zip(splits, starts)
     ]
+    # Trained last, so that a fault in the ranges above leaves no training output behind.
+    model = None
+    if "deep_anen" in methods:
+        if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
+            model = load_checkpoint(cfg.checkpoint)
+        else:
+            model = _train_model(cfg, fcst, obs, out)
     results = []
     for method in methods:
         split_rows, _skipped = run_predictions(

@@ -32,7 +32,8 @@ All trained parameters live in one float64 vector, ``ModelCheckpoint.theta``,
 in the order of ``named_parameters`` and of the checkpoint file. The gate
 matrices and biases of each ``LstmLayerParams`` and ``head_w``/``head_b`` are
 views of its slices, so each gate keeps its own matmul. Gradients and ADAM
-moments are vectors of the same layout.
+moments are vectors of the same layout; BPTT accumulates a gradient into the
+parameters of a twin model, whose ``theta`` is that vector.
 """
 
 from __future__ import annotations
@@ -163,9 +164,19 @@ class ModelCheckpoint:
         new.variables = list(self.variables)
         return new
 
+    def zeroed_gradient(self) -> "ModelCheckpoint":
+        """This model's gradient buffer, zeroed: a twin whose parameters,
+        views of its ``theta``, take a gradient (see :func:`backprop_stack`).
+        It is made on the first call and reused, so its views are bound once."""
+        if self._gradient is None:
+            self._gradient = self.clone()
+        self._gradient.theta.fill(0.0)
+        return self._gradient
+
     def _bind(self, theta: np.ndarray) -> None:
         """Rebind every parameter, on fresh layer objects, to a view of ``theta``."""
         self.theta = theta
+        self._gradient = None
         views = (view for _, view in named_parameters(self, theta))
         self.layers = [copy.copy(layer) for layer in self.layers]
         for layer in self.layers:
@@ -233,22 +244,33 @@ def init_model(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + exp(-x)). Below x = -709.78, exp(-x)
-    overflows to inf and the result is 0, so the overflow is not a fault."""
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), into ``out`` when given (it
+    may be ``x``). Below x = -709.78, exp(-x) overflows to inf and the result
+    is 0, so the overflow is not a fault."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
-def _cell(layer: LstmLayerParams, z: np.ndarray, c_prev: np.ndarray):
+def _cell(layer: LstmLayerParams, z: np.ndarray, c_prev: np.ndarray, gates=None):
     """The cell equations on rows: z [B, hidden + input] is [a_prev; x] per
-    row, c_prev [B, hidden]. Returns ((g_u, g_f, g_o, c_tilde), c, a)."""
-    g_u = _sigmoid(z @ layer.w_u.T + layer.b_u)
-    g_f = _sigmoid(z @ layer.w_f.T + layer.b_f)
-    g_o = _sigmoid(z @ layer.w_o.T + layer.b_o)
-    c_tilde = np.tanh(z @ layer.w_c.T + layer.b_c)
+    row, c_prev [B, hidden]. Writes g_u, g_f, g_o and c_tilde into ``gates``
+    [4, B, hidden] (a new array when None) and returns (gates, c, a). The
+    three sigmoids run as one call, in place; each is elementwise, so the
+    bits are those of three calls."""
+    if gates is None:
+        gates = np.empty((4,) + c_prev.shape)
+    weights = (layer.w_u, layer.w_f, layer.w_o, layer.w_c)
+    for pre, w, b in zip(gates, weights, (layer.b_u, layer.b_f, layer.b_o, layer.b_c)):
+        np.add(z @ w.T, b, out=pre)
+    _sigmoid(gates[:3], out=gates[:3])
+    np.tanh(gates[3], out=gates[3])
+    g_u, g_f, g_o, c_tilde = gates
     c = g_u * c_tilde + g_f * c_prev
-    return (g_u, g_f, g_o, c_tilde), c, g_o * np.tanh(c)
+    return gates, c, g_o * np.tanh(c)
 
 
 def lstm_cell_step(layer: LstmLayerParams, x: np.ndarray, prev: LstmState) -> LstmState:
@@ -312,7 +334,7 @@ def run_stack(
         for t in range(T):
             lt.z[t, :, :h] = lt.a[t]
             lt.z[t, :, h:] = x[t]
-            lt.gates[:, t], lt.c[t + 1], lt.a[t + 1] = _cell(layer, lt.z[t], lt.c[t])
+            _, lt.c[t + 1], lt.a[t + 1] = _cell(layer, lt.z[t], lt.c[t], lt.gates[:, t])
         tape.append(lt)
         x = lt.output()
     return x[-1] @ model.head_w.T + model.head_b, tape
@@ -322,18 +344,19 @@ def backprop_stack(
     model: ModelCheckpoint,
     tape: list[LayerTape],
     d_embeddings: np.ndarray,
-    grad: np.ndarray,
+    grad: ModelCheckpoint,
 ) -> None:
-    """Accumulate gradients of sum(d_embeddings * embeddings) into the vector ``grad``."""
-    views = dict(named_parameters(model, grad))
-    views["head.w"] += d_embeddings.T @ tape[-1].output()[-1]
-    views["head.b"] += d_embeddings.sum(axis=0)
+    """Accumulate gradients of sum(d_embeddings * embeddings) into the
+    parameters of ``grad``, a twin of ``model`` such as
+    :meth:`ModelCheckpoint.zeroed_gradient` gives, so into ``grad.theta``."""
+    grad.head_w += d_embeddings.T @ tape[-1].output()[-1]
+    grad.head_b += d_embeddings.sum(axis=0)
     # d_out[t]: gradient reaching the layer's output at step t from the layer
     # above, or from the head for the top layer's last step.
     d_out = np.zeros_like(tape[-1].a[1:])
     d_out[-1] = d_embeddings @ model.head_w
     for k in range(len(model.layers) - 1, -1, -1):
-        layer, lt = model.layers[k], tape[k]
+        layer, lt, g = model.layers[k], tape[k], grad.layers[k]
         h = layer.hidden_size
         d_above = d_out if lt.mask is None else d_out * lt.mask
         d_gates = np.empty_like(lt.gates)  # pre-activation gradients [4, T, B, h]
@@ -351,13 +374,17 @@ def backprop_stack(
             dz_f = dc * lt.c[t] * gf * (1.0 - gf)
             dc_next = dc * gf
             d_gates[:, t] = dz_u, dz_f, dz_o, dz_c
-            dz = dz_u @ layer.w_u + dz_f @ layer.w_f + dz_o @ layer.w_o + dz_c @ layer.w_c
-            da_rec = dz[:, :h]
-            d_out[t] = dz[:, h:]
-        z_rows = lt.z.reshape(-1, lt.z.shape[-1])
-        for i, g in enumerate(GATES):
-            views[f"layer{k}.w_{g}"] += d_gates[i].reshape(-1, h).T @ z_rows
-            views[f"layer{k}.b_{g}"] += d_gates[i].sum(axis=(0, 1))
+            if k or t:  # the bottom layer's first step passes no gradient on
+                dz = dz_u @ layer.w_u + dz_f @ layer.w_f + dz_o @ layer.w_o + dz_c @ layer.w_c
+                da_rec = dz[:, :h]
+                d_out[t] = dz[:, h:]
+        # One stacked matmul and one sum for the four gates, each gate's own
+        # matmul and sum as before: the same bits.
+        d_w = d_gates.reshape(4, -1, h).transpose(0, 2, 1) @ lt.z.reshape(-1, lt.z.shape[-1])
+        d_b = d_gates.sum(axis=(1, 2))
+        for i, (w, b) in enumerate(zip((g.w_u, g.w_f, g.w_o, g.w_c), (g.b_u, g.b_f, g.b_o, g.b_c))):
+            w += d_w[i]
+            b += d_b[i]
 
 
 # Inference runs in fixed-size row chunks so that the tape of a large block

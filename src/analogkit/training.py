@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -160,6 +161,7 @@ def sample_triplets(
     rng: np.random.Generator,
     anchor_cycles=None,
     stats: SamplingStats | None = None,
+    plan: SamplingPlan | None = None,
 ) -> Triplets:
     """One triplet per eligible anchor at (station, lead) over a cycle range.
 
@@ -173,22 +175,62 @@ def sample_triplets(
     ``k_pos + 1`` candidates, or with no candidate farther than their
     positive, are skipped and counted. Consumes ``rng`` deterministically:
     per anchor one ``random()`` and, unless it is skipped, one
-    ``integers()``. :func:`_select` takes each anchor's order as one merge
-    of two runs, read by one binary search, without sorting per anchor.
+    ``integers()``.
 
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
     candidate pool always spans the full range. The result holds one
     window row per eligible cycle of each station.
+
+    ``plan``, made by :func:`plan_sampling` from the same arguments, holds
+    everything that depends on no draw, so that a caller sampling the same
+    range again pays only for the draws. Without it a plan is made here.
     """
-    cycles = np.unique(np.asarray(cycles, dtype=int))
+    if plan is None:
+        plan = plan_sampling(fcst, obs, stations, lead, cycles, cfg, anchor_cycles)
     if stats is None:
         stats = SamplingStats()
+    stats.anchors_seen += plan.anchors_seen
+    stats.anchors_skipped += plan.anchors_seen
+    index, gap = [np.empty((0, 3), dtype=int)], [np.empty(0)]
+    for block in plan.blocks:
+        picked, block_gap = block.draw(plan.edges, rng)
+        stats.anchors_skipped -= len(picked)
+        index.append(picked + block.offset)
+        gap.append(block_gap)
+    return Triplets(plan.windows, plan.origins, np.concatenate(index), np.concatenate(gap))
+
+
+@dataclass(frozen=True, eq=False)
+class SamplingPlan:
+    """The part of :func:`sample_triplets` that consumes no draw, for one
+    (stations, lead, cycle range): each station's eligible windows, one row
+    per eligible cycle, and each station's :class:`BlockPlan`. Stations with
+    too few eligible cycles have no block and no rows; their anchors count
+    as seen and skipped."""
+
+    windows: np.ndarray  # float64 [n_rows, n_variables, 2*t_half + 1]
+    origins: np.ndarray  # int [n_rows, 3]
+    blocks: tuple[BlockPlan, ...]
+    edges: list[float]  # roulette edges over the k_pos nearest
+    anchors_seen: int
+
+
+def plan_sampling(
+    fcst: ForecastArchive,
+    obs: ObservationArchive,
+    stations: list[str],
+    lead: int,
+    cycles,
+    cfg: TrainConfig,
+    anchor_cycles=None,
+) -> SamplingPlan:
+    """The :class:`SamplingPlan` of :func:`sample_triplets` on these arguments."""
+    cycles = np.unique(np.asarray(cycles, dtype=int))
     k = cfg.k_pos
     fitness = 1.0 / np.arange(1, k + 1)
-    edges = np.cumsum(fitness / fitness.sum()).tolist()  # roulette over the k nearest
-    empty = np.empty((0, 3), dtype=int)
-    blocks = [Triplets(np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1)), empty, empty,
-                       np.empty(0))]
+    edges = np.cumsum(fitness / fitness.sum()).tolist()
+    windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
+    origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
     times = fcst.cycles[cycles] + int(fcst.leads[lead])
     for station in stations:
         s = fcst.station_index(station)
@@ -200,93 +242,113 @@ def sample_triplets(
         else:
             wanted = np.asarray(anchor_cycles, dtype=int)
             anchors = np.nonzero(np.isin(cycles[elig_pos], wanted))[0]
-        stats.anchors_seen += anchors.size
+        seen += anchors.size
         if elig_pos.size - 1 < k + 1:  # every eligible cycle but the anchor is a candidate
-            stats.anchors_skipped += anchors.size
             continue
-        picked, gap = _select(obs_vals[elig_pos], anchors, k, edges, rng)
-        stats.anchors_skipped += anchors.size - len(picked)
-        origins = np.column_stack(
-            [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]
-        )
-        blocks.append(Triplets(data[elig_pos], origins, picked, gap))
-    return Triplets.concat(blocks)
+        blocks.append(BlockPlan.make(obs_vals[elig_pos], anchors, k, rows))
+        windows.append(data[elig_pos])
+        origins.append(np.column_stack(
+            [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]))
+        rows += elig_pos.size
+    return SamplingPlan(np.concatenate(windows), np.concatenate(origins), tuple(blocks),
+                        edges, seen)
 
 
-def _select(
-    v: np.ndarray, anchors: np.ndarray, k: int, edges: list[float], rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative of each anchor of one (station, lead) block.
+@dataclass(frozen=True, eq=False)
+class BlockPlan:
+    """One (station, lead) block's selection state before any draw.
 
     ``v`` holds the eligible cycles' observations in cycle order and
-    ``anchors`` index it. Returns the [n, 3] (anchor, positive, negative)
-    positions of the anchors that keep a triplet, and their obs_gaps.
-
-    Two stable sorts fix every anchor's order. In ``up``, the (obs, cycle)
-    order, the side at or above the anchor starts with the observations
-    equal to it, in cycle order, and goes on away from it. In ``down``, the
-    (-obs, cycle) order, the side below it ends the array, nearest first.
-    The rounded distance fl(|x - v_a|) never decreases along either side,
-    so the anchor's (distance, cycle) order is one merge of these two runs,
-    read by one binary search (:func:`_merged_entry`), unless two distinct
-    observations on one side round to the same distance. Anchors where that
-    may happen (see :func:`_rounding_may_tie`) are ranked with
+    ``anchors`` index it; the block's rows start at row ``offset`` of the
+    plan. Two stable sorts fix every anchor's order. In ``up``, the (obs,
+    cycle) order, the side at or above the anchor starts with the
+    observations equal to it, in cycle order, and goes on away from it. In
+    ``down``, the (-obs, cycle) order, the side below it ends the array,
+    nearest first. The rounded distance fl(|x - v_a|) never decreases along
+    either side, so the anchor's (distance, cycle) order is one merge of
+    these two runs, read by one binary search (:func:`_merged_entry`),
+    unless two distinct observations on one side round to the same
+    distance. Anchors where that may happen (``unsafe``, see
+    :func:`_rounding_may_tie`) are ranked with
     :func:`~analogkit.ensemble.rank_positions` instead.
+
+    Per anchor, ``top`` holds its ``k + 1`` nearest. The first allowed
+    negative is at place ``k`` for a positive nearer than the (k+1)-th
+    candidate, that is of rank below ``ties``, and past every candidate as
+    near, at place ``past``, for the others.
     """
-    n = v.size
-    n_cand = n - 1
-    up = v.argsort(kind="stable")
-    down = (-v).argsort(kind="stable")
-    sv, dv = v[up], v[down]
-    centre = v[anchors]
-    lo = sv.searchsorted(centre, "left")  # side at or above: up[lo:]; side below: down[n - lo:]
-    rank = np.empty(n, dtype=int)
-    rank[up] = np.arange(n)
-    skip = rank[anchors] - lo  # the anchor's own entry of up[lo:]
-    others = np.ones(n, dtype=bool)
 
-    def exact(i, m):  # the first m places of anchor i's order, by a full ranking
-        a = anchors[i]
-        others[a] = False
-        order = rank_positions(np.abs(v - v[a]), others, m)
-        others[a] = True
-        return order
+    offset: int
+    v: np.ndarray
+    anchors: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    lo: np.ndarray  # per anchor: side at or above is up[lo:], side below down[n - lo:]
+    skip: np.ndarray  # per anchor: its own entry of up[lo:]
+    unsafe: np.ndarray  # anchors (indices into ``anchors``) ranked in full
+    top: np.ndarray  # [n_anchors, k + 1] positions
+    ties: list[int]
+    past: list[int]
 
-    top = _merged_entry(v, up, down, lo[:, None], skip[:, None], centre[:, None],
-                        np.arange(k + 1))
-    unsafe = np.flatnonzero(_rounding_may_tie(sv, lo, sv.searchsorted(centre, "right"), centre))
-    for i in unsafe:
-        top[i] = exact(i, k + 1)
-    top_dist = np.abs(v[top] - centre[:, None])
-    # Where the (k+1)-th ties the k-th, count(dist <= top_dist[k]) runs past
-    # the cut: count it on each run, the anchor left out. A count needs no
-    # order within a distance, so it is exact for flagged anchors too.
-    count = np.zeros(len(anchors), dtype=int)
-    tied = np.flatnonzero(top_dist[:, k - 1] == top_dist[:, k])
-    cut, c, start = top_dist[tied, k], centre[tied], lo[tied]
-    count[tied] = _within(sv, start, n - start, c, cut) + _within(dv, n - start, start, c, cut) - 1
-    # The first allowed negative is at place k for a positive nearer than the
-    # (k+1)-th candidate, and past every candidate as near for the others:
-    # those from rank ``ties`` on.
-    ties = np.count_nonzero(top_dist[:, :k] < top_dist[:, k:], axis=1)
-    kept, picks, places = [], [], []
-    random, integers, scale = rng.random, rng.integers, edges[-1]
-    for i, (tie, past) in enumerate(zip(ties.tolist(), count.tolist())):
-        r = min(bisect_right(edges, random() * scale), k - 1)
-        first = k if r < tie else past
-        if first == n_cand:
-            continue
-        kept.append(i)
-        picks.append(r)
-        places.append(first + int(integers(n_cand - first)))
-    kept, picks, places = (np.array(x, dtype=int) for x in (kept, picks, places))
-    pos = top[kept, picks]
-    neg = _merged_entry(v, up, down, lo[kept], skip[kept], centre[kept], places)
-    for j in np.flatnonzero(np.isin(kept, unsafe)):
-        neg[j] = exact(kept[j], places[j] + 1)[places[j]]
-    a = anchors[kept]
-    gap = np.abs(v[neg] - v[a]) - np.abs(v[pos] - v[a])
-    return np.column_stack([a, pos, neg]), gap
+    @classmethod
+    def make(cls, v: np.ndarray, anchors: np.ndarray, k: int, offset: int) -> BlockPlan:
+        n = v.size
+        up = v.argsort(kind="stable")
+        down = (-v).argsort(kind="stable")
+        sv, dv = v[up], v[down]
+        centre = v[anchors]
+        lo = sv.searchsorted(centre, "left")
+        rank = np.empty(n, dtype=int)
+        rank[up] = np.arange(n)
+        skip = rank[anchors] - lo
+        top = _merged_entry(v, up, down, lo[:, None], skip[:, None], centre[:, None],
+                            np.arange(k + 1))
+        unsafe = np.flatnonzero(
+            _rounding_may_tie(sv, lo, sv.searchsorted(centre, "right"), centre))
+        for i in unsafe:
+            top[i] = _exact_order(v, anchors[i], k + 1)
+        top_dist = np.abs(v[top] - centre[:, None])
+        # Where the (k+1)-th ties the k-th, count(dist <= top_dist[k]) runs past
+        # the cut: count it on each run, the anchor left out. A count needs no
+        # order within a distance, so it is exact for flagged anchors too.
+        past = np.zeros(len(anchors), dtype=int)
+        tied = np.flatnonzero(top_dist[:, k - 1] == top_dist[:, k])
+        cut, c, start = top_dist[tied, k], centre[tied], lo[tied]
+        past[tied] = _within(sv, start, n - start, c, cut) + _within(dv, n - start, start, c, cut) - 1
+        ties = np.count_nonzero(top_dist[:, :k] < top_dist[:, k:], axis=1)
+        return cls(offset, v, anchors, up, down, lo, skip, unsafe, top,
+                   ties.tolist(), past.tolist())
+
+    def draw(self, edges: list[float], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The [n, 3] (anchor, positive, negative) positions of the anchors
+        that keep a triplet, and their obs_gaps."""
+        v, k, n_cand = self.v, self.top.shape[1] - 1, self.v.size - 1
+        kept, picks, places = [], [], []
+        random, integers, scale = rng.random, rng.integers, edges[-1]
+        for i, (tie, past) in enumerate(zip(self.ties, self.past)):
+            r = min(bisect_right(edges, random() * scale), k - 1)
+            first = k if r < tie else past
+            if first == n_cand:
+                continue
+            kept.append(i)
+            picks.append(r)
+            places.append(first + int(integers(n_cand - first)))
+        kept, picks, places = (np.array(x, dtype=int) for x in (kept, picks, places))
+        pos = self.top[kept, picks]
+        neg = _merged_entry(v, self.up, self.down, self.lo[kept], self.skip[kept],
+                            v[self.anchors[kept]], places)
+        for j in np.flatnonzero(np.isin(kept, self.unsafe)):
+            neg[j] = _exact_order(v, self.anchors[kept[j]], places[j] + 1)[places[j]]
+        a = self.anchors[kept]
+        gap = np.abs(v[neg] - v[a]) - np.abs(v[pos] - v[a])
+        return np.column_stack([a, pos, neg]), gap
+
+
+def _exact_order(v: np.ndarray, a: int, m: int) -> np.ndarray:
+    """The first m places of anchor position a's (distance, cycle) order, by a full ranking."""
+    others = np.ones(v.size, dtype=bool)
+    others[a] = False
+    return rank_positions(np.abs(v - v[a]), others, m)
 
 
 # A gap times 2**48 overflows only where no tie can be, and a distance that overflows is flagged.
@@ -384,19 +446,29 @@ def _draw_masks(model: ModelCheckpoint, n: int, rate: float, rng: np.random.Gene
     """
     if rate <= 0:
         return None
-    kept = (rng.random((n, sum(model.hidden_sizes))) >= rate) / (1.0 - rate)
-    bounds = np.cumsum(model.hidden_sizes)[:-1]
-    return [np.tile(m, (3, 1)) for m in np.split(kept, bounds, axis=1)]
+    sizes = model.hidden_sizes
+    kept = (rng.random((n, sum(sizes))) >= rate) / (1.0 - rate)
+    masks = []
+    for end, size in zip(accumulate(sizes), sizes):
+        m = kept[:, end - size : end]
+        masks.append(np.concatenate((m, m, m)))
+    return masks
 
 
-def _hinges(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row hinge arguments ||e_a - e_p|| - ||e_a - e_n|| + alpha."""
-    return np.linalg.norm(e_a - e_p, axis=1) - np.linalg.norm(e_a - e_n, axis=1) + alpha
+def _distances(embeddings: np.ndarray):
+    """Anchor-positive and anchor-negative differences [B, embed_dim] and
+    their norms [B], of 3B embeddings laid out as anchors, positives, negatives.
+    Each norm is the sqrt of the row sum of squares, as ``np.linalg.norm``
+    computes it, so it has the same bits."""
+    n = len(embeddings) // 3
+    e_a = embeddings[:n]
+    d_ap, d_an = e_a - embeddings[n : 2 * n], e_a - embeddings[2 * n :]
+    return d_ap, d_an, np.sqrt((d_ap * d_ap).sum(axis=1)), np.sqrt((d_an * d_an).sum(axis=1))
 
 
-def _unit(diff: np.ndarray) -> np.ndarray:
-    """Rows of diff scaled to unit length; zero rows stay zero."""
-    norm = np.linalg.norm(diff, axis=1, keepdims=True)
+def _unit(diff: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Rows of diff scaled to unit length by their norms; zero rows stay zero."""
+    norm = norm[:, None]
     return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0)
 
 
@@ -425,25 +497,39 @@ def backward(
     inv_n = 1.0 / n
     masks = _draw_masks(model, n, cfg.dropout_rate, rng)
     embeddings, tape = run_stack(model, rows, masks)
-    e_a, e_p, e_n = np.split(embeddings, 3)
-    hinge = _hinges(e_a, e_p, e_n, cfg.alpha)
+    d_ap, d_an, n_ap, n_an = _distances(embeddings)
+    hinge = n_ap - n_an + cfg.alpha
     active = ~(hinge <= 0)  # a NaN hinge stays in, so divergence is caught below
     loss = float(np.sum(hinge[active])) * inv_n
-    u_ap = _unit(e_a - e_p) * active[:, None]
-    u_an = _unit(e_a - e_n) * active[:, None]
-    grad = np.zeros_like(model.theta)
+    u_ap = _unit(d_ap, n_ap) * active[:, None]
+    u_an = _unit(d_an, n_an) * active[:, None]
+    grad = model.zeroed_gradient()
     backprop_stack(model, tape, np.concatenate([u_ap - u_an, -u_ap, u_an]) * inv_n, grad)
-    if not np.isfinite(loss) or not np.isfinite(grad).all():
+    if not np.isfinite(loss) or not np.isfinite(grad.theta).all():
         raise DivergenceError(iteration=-1)
-    return grad, loss
+    return grad.theta.copy(), loss
 
 
 def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> float:
     """Mean hinge loss without dropout (evaluation mode), over triplet rows
     laid out as for :func:`backward`."""
     n = _batch_size(rows)
-    hinge = _hinges(*np.split(embed_windows(model, rows), 3), alpha)
-    return float(np.sum(np.maximum(hinge, 0.0))) / n
+    _, _, n_ap, n_an = _distances(embed_windows(model, rows))
+    return float(np.sum(np.maximum(n_ap - n_an + alpha, 0.0))) / n
+
+
+def _adam_update(theta: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+    """One ADAM update of ``theta`` and ``state``, in place. ``m *= b1; m +=
+    (1 - b1) * grad`` rounds exactly as ``b1 * m + (1 - b1) * grad``."""
+    state.step += 1
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = v / (1.0 - ADAM_BETA2**state.step)
+    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def adam_step(
@@ -456,14 +542,10 @@ def adam_step(
     if np.shape(grad) != model.theta.shape:
         raise ValueError(f"gradient has shape {np.shape(grad)}, "
                          f"the model has {model.theta.size} parameters")
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
     new_model = model.clone()
-    new_model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return new_model, AdamState(m=m, v=v, step=t)
+    new_state = AdamState(m=state.m.copy(), v=state.v.copy(), step=state.step)
+    _adam_update(new_model.theta, grad, new_state, cfg)
+    return new_model, new_state
 
 
 @dataclass
@@ -489,8 +571,10 @@ def train(
 
     Anchors from the last ``VAL_FRACTION`` (10%) of the cycle range (by
     cycle time) are held out for validation and never anchor a training
-    triplet. The loop samples batches, backpropagates, applies ADAM, and
-    evaluates the held-out loss every ``eval_interval`` iterations; it stops
+    triplet. Each pool's :class:`SamplingPlan` is made once, so a resample
+    only draws. The loop samples batches, backpropagates, applies ADAM to
+    the model in place, and evaluates the held-out loss every
+    ``eval_interval`` iterations, cloning the model on a new best; it stops
     at ``max_iterations`` or when ``early_stop_patience`` iterations pass
     without a relative improvement of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
     Returns the best-validation checkpoint and the evaluation log.
@@ -516,16 +600,21 @@ def train(
     train_cycles = cycles[:-n_val]
     val_cycles = cycles[-n_val:]
 
-    def sample_pool(pool_cycles, anchor_cycles=None):
-        return Triplets.concat([
-            sample_triplets(fcst, obs, stations, lead, pool_cycles, cfg, rng, anchor_cycles)
-            for lead in leads
+    def pool_sampler(pool_cycles, anchor_cycles=None):
+        """A function sampling a new pool over ``pool_cycles``, each lead's plan made once."""
+        plans = [plan_sampling(fcst, obs, stations, lead, pool_cycles, cfg, anchor_cycles)
+                 for lead in leads]
+        return lambda: Triplets.concat([
+            sample_triplets(fcst, obs, stations, lead, pool_cycles, cfg, rng, anchor_cycles,
+                            plan=plan)
+            for lead, plan in zip(leads, plans)
         ])
 
     if not leads:
         raise DataError("no training triplets could be sampled")
-    val_triplets = sample_pool(cycles, val_cycles)
-    pool = sample_pool(train_cycles)
+    val_triplets = pool_sampler(cycles, val_cycles)()
+    sample_pool = pool_sampler(train_cycles)
+    pool = sample_pool()
     if not pool:
         raise DataError("no training triplets could be sampled")
     if not val_triplets:
@@ -542,7 +631,7 @@ def train(
         parts, need = [], cfg.batch_size
         while need:
             if cursor >= len(order):
-                pool = sample_pool(train_cycles)
+                pool = sample_pool()
                 if not pool:
                     raise DataError("triplet pool dried up during training")
                 order = rng.permutation(len(pool))
@@ -567,9 +656,8 @@ def train(
     try:
         while iteration < cfg.max_iterations:
             iteration += 1
-            batch = next_batch()
-            grad, loss = backward(model, batch, cfg, rng)
-            model, adam = adam_step(model, grad, adam, cfg)
+            grad, loss = backward(model, next_batch(), cfg, rng)
+            _adam_update(model.theta, grad, adam, cfg)
             interval_losses.append(loss)
             if iteration % cfg.eval_interval == 0 or iteration == cfg.max_iterations:
                 val_loss = evaluate_loss(model, val_rows, cfg.alpha)

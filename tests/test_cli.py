@@ -523,6 +523,19 @@ class TestSearchLengthExperiment:
         for name in ("checkpoint.txt", "train_log.csv"):
             assert (out / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
 
+    def test_empty_split_fails_before_training(self, tmp_path, capsys):
+        """A split range with no cycle is found before the model would be
+        trained, so neither training output is written."""
+        cfg = write_config(tmp_path, drop=("checkpoint",),
+                           extra="methods=deep_anen\nsearch_splits=1,1000\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "exp"
+        assert main(["experiment-search-length", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no forecast cycles inside the split 1 search range" in capsys.readouterr().err
+        for name in ("checkpoint.txt", "train_log.csv"):
+            assert not (out / name).exists()
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, pipeline):

@@ -47,9 +47,9 @@ def _tuples(result):
 
 
 def _oracle_as_index(fcst, obs, stations, lead, cycles, cfg, rng, anchor_cycles=None,
-                     stats=None):
+                     stats=None, plan=None):
     """The oracle behind ``sample_triplets``' signature and result type: one
-    window row per distinct origin."""
+    window row per distinct origin. It samples from scratch and ignores ``plan``."""
     triplets = sampler_reference.sample_triplets(fcst, obs, stations, lead, cycles, cfg, rng,
                                                  anchor_cycles, stats)
     rows = {}
@@ -240,3 +240,40 @@ def test_one_outlier_flags_only_its_neighbourhood():
     cfg = TrainConfig(t_half=0, k_pos=11)
     picks, _, _ = _assert_same(fcst, obs, ["S00"], 0, np.arange(1800), cfg, 1, None)
     assert len(picks) == 1800
+
+
+def _sample_n(fcst, obs, stations, cycles, cfg, anchor_cycles, plan, n=4):
+    """n successive calls on one generator and one stats: every triplet's
+    bytes, the counts and the generator state after them."""
+    rng, stats = np.random.default_rng(11), SamplingStats()
+    calls = [_tuples(sample_triplets(fcst, obs, stations, 0, cycles, cfg, rng, anchor_cycles,
+                                     stats, plan=plan))
+             for _ in range(n)]
+    return calls, (stats.anchors_seen, stats.anchors_skipped), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ["anchor_cycles", "too_small", "flagged"])
+def test_calls_sharing_a_plan_equal_calls_without_one(case):
+    """S01 has 5 eligible cycles in "too_small", fewer than k_pos + 2, so all
+    its anchors are skipped; "flagged" puts MIXED values in S00's
+    observations, so that some of its anchors are ranked in full."""
+    fcst, obs, _ = generate(SynthSpec(n_stations=2, n_cycles=120, n_variables=3, seed=3))
+    values = np.round(obs.values, 1)
+    anchor_cycles = np.arange(0, 120, 3) if case == "anchor_cycles" else None
+    if case == "too_small":
+        values[1, 5:] = np.nan
+    if case == "flagged":
+        values[0, ::2] = np.resize(MIXED, 60)
+    obs = type(obs)(obs.stations, obs.times, values)
+    cfg = TrainConfig(t_half=0, k_pos=11)
+    cycles = np.arange(120)
+    plan = training.plan_sampling(fcst, obs, ["S00", "S01"], 0, cycles, cfg, anchor_cycles)
+    if case == "too_small":
+        assert len(plan.blocks) == 1 and plan.anchors_seen == 120 + 5
+    if case == "flagged":
+        assert plan.blocks[0].unsafe.size > 0
+    shared = _sample_n(fcst, obs, ["S00", "S01"], cycles, cfg, anchor_cycles, plan)
+    assert shared == _sample_n(fcst, obs, ["S00", "S01"], cycles, cfg, anchor_cycles, None)
+    assert all(shared[0])
+    if case == "too_small":
+        assert shared[1][1] >= 4 * 5  # each call skips S01's five anchors
