@@ -16,6 +16,7 @@ from analogkit import (
     build_ensemble,
     climatology_stats,
     embed_block,
+    plan_sampling,
     sample_triplets,
     search_classic,
     search_latent,
@@ -40,7 +41,8 @@ cfg = TrainConfig(alpha=1.0, learning_rate=0.005, dropout_rate=0.015,
 # positive is a forecast whose paired observation is close to the anchor's,
 # the negative one whose observation is farther away.
 rng = np.random.default_rng(0)
-triplets = sample_triplets(fcst, obs, ["S00"], 0, search_cycles, cfg, rng)
+# plan_sampling fixes every anchor's candidate order once; sample_triplets only draws.
+triplets = sample_triplets(plan_sampling(fcst, obs, ["S00"], [0], search_cycles, cfg), rng)
 # Each triplet indexes three window rows: anchor, positive and negative.
 anchor, positive, negative = triplets.origins[triplets.index[0], 1]
 print(f"sampled {len(triplets)} triplets; first anchor cycle {anchor}, "

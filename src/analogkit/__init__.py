@@ -62,6 +62,7 @@ from .training import (
     adam_step,
     backward,
     init_adam_state,
+    plan_sampling,
     sample_triplets,
     train,
     triplet_loss,

@@ -118,17 +118,6 @@ class Triplets:
         """Windows of the picked triplets as [3, B, n_variables, width]."""
         return self.windows[self.index[picks].T]
 
-    @staticmethod
-    def concat(parts: list[Triplets]) -> Triplets:
-        """One set holding every part's rows and triplets, in order."""
-        offsets = np.cumsum([0] + [len(p.windows) for p in parts[:-1]])
-        return Triplets(
-            np.concatenate([p.windows for p in parts]),
-            np.concatenate([p.origins for p in parts]),
-            np.concatenate([p.index + off for p, off in zip(parts, offsets)]),
-            np.concatenate([p.obs_gap for p in parts]),
-        )
-
 
 @dataclass
 class AdamState:
@@ -151,42 +140,85 @@ class SamplingStats:
     anchors_skipped: int = 0
 
 
-def sample_triplets(
+@dataclass(frozen=True, eq=False)
+class SamplingPlan:
+    """Everything :func:`sample_triplets` needs that consumes no draw: each
+    block's eligible windows, one row per eligible cycle, and each block's
+    :class:`BlockPlan`. A block with too few eligible cycles has no plan and
+    no rows; its anchors count as seen and skipped."""
+
+    windows: np.ndarray  # float64 [n_rows, n_variables, 2*t_half + 1]
+    origins: np.ndarray  # int [n_rows, 3]: (station index, cycle index, lead index)
+    blocks: tuple[BlockPlan, ...]
+    edges: list[float]  # roulette edges over the k_pos nearest
+    anchors_seen: int
+
+
+def plan_sampling(
     fcst: ForecastArchive,
     obs: ObservationArchive,
     stations: list[str],
-    lead: int,
+    leads: list[int],
     cycles,
     cfg: TrainConfig,
-    rng: np.random.Generator,
     anchor_cycles=None,
-    stats: SamplingStats | None = None,
-    plan: SamplingPlan | None = None,
-) -> Triplets:
-    """One triplet per eligible anchor at (station, lead) over a cycle range.
+) -> SamplingPlan:
+    """The selection state of one triplet pool over a cycle range, one block
+    per (lead, station), leads outer and stations inner.
 
-    For each anchor cycle with a complete window and a non-missing
-    observation, all other eligible cycles are ordered by the absolute
-    difference between their observation and the anchor's, ties going to
-    the earlier cycle. The positive is chosen by roulette over the
-    ``k_pos`` closest with fitness 1/rank, the negative uniformly over the
-    places beyond ``k_pos`` (restricted to strictly larger observation
-    distances, so the gap is always positive). Anchors with fewer than
-    ``k_pos + 1`` candidates, or with no candidate farther than their
-    positive, are skipped and counted. Consumes ``rng`` deterministically:
-    per anchor one ``random()`` and, unless it is skipped, one
-    ``integers()``.
+    In each block, an anchor is a cycle with a complete window and a
+    non-missing observation. All other such cycles are its candidates,
+    ordered by the absolute difference between their observation and the
+    anchor's, ties going to the earlier cycle. The positive is chosen by
+    roulette over the ``k_pos`` closest with fitness 1/rank, the negative
+    uniformly over the places beyond ``k_pos`` (restricted to strictly
+    larger observation distances, so the gap is always positive). Anchors
+    with fewer than ``k_pos + 1`` candidates, or with no candidate farther
+    than their positive, are skipped and counted.
 
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
-    candidate pool always spans the full range. The result holds one
-    window row per eligible cycle of each station.
-
-    ``plan``, made by :func:`plan_sampling` from the same arguments, holds
-    everything that depends on no draw, so that a caller sampling the same
-    range again pays only for the draws. Without it a plan is made here.
+    candidates always span the full range.
     """
-    if plan is None:
-        plan = plan_sampling(fcst, obs, stations, lead, cycles, cfg, anchor_cycles)
+    cycles = np.unique(np.asarray(cycles, dtype=int))
+    k = cfg.k_pos
+    fitness = 1.0 / np.arange(1, k + 1)
+    edges = np.cumsum(fitness / fitness.sum()).tolist()
+    windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
+    origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
+    for lead in leads:
+        times = fcst.cycles[cycles] + int(fcst.leads[lead])
+        for station in stations:
+            s = fcst.station_index(station)
+            data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
+            obs_vals = obs.values_for(station, times)
+            elig_pos = np.nonzero(avail & np.isfinite(obs_vals))[0]
+            if anchor_cycles is None:
+                anchors = np.arange(elig_pos.size)
+            else:
+                wanted = np.asarray(anchor_cycles, dtype=int)
+                anchors = np.nonzero(np.isin(cycles[elig_pos], wanted))[0]
+            seen += anchors.size
+            if elig_pos.size - 1 < k + 1:  # every eligible cycle but the anchor is a candidate
+                continue
+            blocks.append(BlockPlan.make(obs_vals[elig_pos], anchors, k, rows))
+            windows.append(data[elig_pos])
+            origins.append(np.column_stack(
+                [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]))
+            rows += elig_pos.size
+    return SamplingPlan(np.concatenate(windows), np.concatenate(origins), tuple(blocks),
+                        edges, seen)
+
+
+def sample_triplets(
+    plan: SamplingPlan,
+    rng: np.random.Generator,
+    stats: SamplingStats | None = None,
+) -> Triplets:
+    """One triplet per kept anchor of ``plan`` (see :func:`plan_sampling`),
+    drawn block by block. Consumes ``rng`` deterministically: per anchor one
+    ``random()`` and, unless it is skipped, one ``integers()``. The result
+    shares the plan's window rows, so drawing again pays only for the draws.
+    """
     if stats is None:
         stats = SamplingStats()
     stats.anchors_seen += plan.anchors_seen
@@ -198,60 +230,6 @@ def sample_triplets(
         index.append(picked + block.offset)
         gap.append(block_gap)
     return Triplets(plan.windows, plan.origins, np.concatenate(index), np.concatenate(gap))
-
-
-@dataclass(frozen=True, eq=False)
-class SamplingPlan:
-    """The part of :func:`sample_triplets` that consumes no draw, for one
-    (stations, lead, cycle range): each station's eligible windows, one row
-    per eligible cycle, and each station's :class:`BlockPlan`. Stations with
-    too few eligible cycles have no block and no rows; their anchors count
-    as seen and skipped."""
-
-    windows: np.ndarray  # float64 [n_rows, n_variables, 2*t_half + 1]
-    origins: np.ndarray  # int [n_rows, 3]
-    blocks: tuple[BlockPlan, ...]
-    edges: list[float]  # roulette edges over the k_pos nearest
-    anchors_seen: int
-
-
-def plan_sampling(
-    fcst: ForecastArchive,
-    obs: ObservationArchive,
-    stations: list[str],
-    lead: int,
-    cycles,
-    cfg: TrainConfig,
-    anchor_cycles=None,
-) -> SamplingPlan:
-    """The :class:`SamplingPlan` of :func:`sample_triplets` on these arguments."""
-    cycles = np.unique(np.asarray(cycles, dtype=int))
-    k = cfg.k_pos
-    fitness = 1.0 / np.arange(1, k + 1)
-    edges = np.cumsum(fitness / fitness.sum()).tolist()
-    windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
-    origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
-    times = fcst.cycles[cycles] + int(fcst.leads[lead])
-    for station in stations:
-        s = fcst.station_index(station)
-        data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
-        obs_vals = obs.values_for(station, times)
-        elig_pos = np.nonzero(avail & np.isfinite(obs_vals))[0]
-        if anchor_cycles is None:
-            anchors = np.arange(elig_pos.size)
-        else:
-            wanted = np.asarray(anchor_cycles, dtype=int)
-            anchors = np.nonzero(np.isin(cycles[elig_pos], wanted))[0]
-        seen += anchors.size
-        if elig_pos.size - 1 < k + 1:  # every eligible cycle but the anchor is a candidate
-            continue
-        blocks.append(BlockPlan.make(obs_vals[elig_pos], anchors, k, rows))
-        windows.append(data[elig_pos])
-        origins.append(np.column_stack(
-            [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]))
-        rows += elig_pos.size
-    return SamplingPlan(np.concatenate(windows), np.concatenate(origins), tuple(blocks),
-                        edges, seen)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,10 +549,11 @@ def train(
 
     Anchors from the last ``VAL_FRACTION`` (10%) of the cycle range (by
     cycle time) are held out for validation and never anchor a training
-    triplet. Each pool's :class:`SamplingPlan` is made once, so a resample
-    only draws. The loop samples batches, backpropagates, applies ADAM to
-    the model in place, and evaluates the held-out loss every
-    ``eval_interval`` iterations, cloning the model on a new best; it stops
+    triplet. The validation pool and the training pool each have one
+    :class:`SamplingPlan` over every lead, so a resample only draws. The
+    loop samples batches, backpropagates, applies ADAM to the model in
+    place, and evaluates the held-out loss every ``eval_interval``
+    iterations, cloning the model on a new best; it stops
     at ``max_iterations`` or when ``early_stop_patience`` iterations pass
     without a relative improvement of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
     Returns the best-validation checkpoint and the evaluation log.
@@ -600,21 +579,10 @@ def train(
     train_cycles = cycles[:-n_val]
     val_cycles = cycles[-n_val:]
 
-    def pool_sampler(pool_cycles, anchor_cycles=None):
-        """A function sampling a new pool over ``pool_cycles``, each lead's plan made once."""
-        plans = [plan_sampling(fcst, obs, stations, lead, pool_cycles, cfg, anchor_cycles)
-                 for lead in leads]
-        return lambda: Triplets.concat([
-            sample_triplets(fcst, obs, stations, lead, pool_cycles, cfg, rng, anchor_cycles,
-                            plan=plan)
-            for lead, plan in zip(leads, plans)
-        ])
-
-    if not leads:
-        raise DataError("no training triplets could be sampled")
-    val_triplets = pool_sampler(cycles, val_cycles)()
-    sample_pool = pool_sampler(train_cycles)
-    pool = sample_pool()
+    val_triplets = sample_triplets(
+        plan_sampling(fcst, obs, stations, leads, cycles, cfg, val_cycles), rng)
+    train_plan = plan_sampling(fcst, obs, stations, leads, train_cycles, cfg)
+    pool = sample_triplets(train_plan, rng)
     if not pool:
         raise DataError("no training triplets could be sampled")
     if not val_triplets:
@@ -631,7 +599,7 @@ def train(
         parts, need = [], cfg.batch_size
         while need:
             if cursor >= len(order):
-                pool = sample_pool()
+                pool = sample_triplets(train_plan, rng)
                 if not pool:
                     raise DataError("triplet pool dried up during training")
                 order = rng.permutation(len(pool))

@@ -262,13 +262,12 @@ def test_criterion_05_synthetic_separation(bench):
            f"crps {eq['crps']:.3f}->{da['crps']:.3f}, {bench['elapsed']:.0f}s")
 
 
-def test_learned_metric_transfers_to_another_station(tmp_path):
-    """The paper's transfer claim: latent features learned at one location
-    serve another. Trained on S00 of a two-station benchmark synth (400
-    iterations), deep_anen beats equal weighting at S01 by >= 10% RMSE and in CRPS."""
-    text = BENCH_CONFIG.replace("max_iterations=3000", "max_iterations=400")
-    text += "synth_stations=2\ntrain_stations=S00\nstations=S01\n"
-    scores = {}
+def _transfer_scores(tmp_path, keys, column):
+    """Report scores of both methods on the benchmark pipeline at 400
+    iterations with extra config ``keys``, and the values of prediction
+    column ``column`` that they predict at."""
+    text = BENCH_CONFIG.replace("max_iterations=3000", "max_iterations=400") + keys
+    scores, predicted = {}, set()
     for method in ("anen_equal", "deep_anen"):
         cfg = tmp_path / f"config_{method}.txt"
         cfg.write_text(text.format(d=tmp_path, method=method))
@@ -280,9 +279,28 @@ def test_learned_metric_transfers_to_another_station(tmp_path):
         assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "predictions.csv").read_text().splitlines()
-        assert {row.split(",")[0] for row in rows if row[0] != "#"} == {"station", "S01"}
+        predicted |= {row.split(",")[column] for row in rows if row[0] != "#"}
         scores[method] = read_aggregate_scores(out / "report.csv")
-    eq, da = scores["anen_equal"], scores["deep_anen"]
+    return scores["anen_equal"], scores["deep_anen"], predicted
+
+
+def test_learned_metric_transfers_to_another_station(tmp_path):
+    """The paper's transfer claim: latent features learned at one location
+    serve another. Trained on S00 of a two-station benchmark synth (400
+    iterations), deep_anen beats equal weighting at S01 by >= 10% RMSE and in CRPS."""
+    eq, da, predicted = _transfer_scores(
+        tmp_path, "synth_stations=2\ntrain_stations=S00\nstations=S01\n", 0)
+    assert predicted == {"station", "S01"}
+    assert da["rmse"] < 0.9 * eq["rmse"] and da["crps"] < eq["crps"], (eq, da)
+
+
+def test_learned_metric_transfers_to_another_lead(tmp_path):
+    """The same claim across forecast leads: trained on lead 0 s of a
+    two-lead benchmark synth (400 iterations), deep_anen beats equal
+    weighting at lead 3600 s by >= 10% RMSE and in CRPS."""
+    eq, da, predicted = _transfer_scores(
+        tmp_path, "synth_leads=2\ntrain_leads=0\nleads=3600\n", 2)
+    assert predicted == {"lead_s", "3600"}
     assert da["rmse"] < 0.9 * eq["rmse"] and da["crps"] < eq["crps"], (eq, da)
 
 

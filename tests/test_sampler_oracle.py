@@ -46,12 +46,19 @@ def _tuples(result):
             for t in result]
 
 
-def _oracle_as_index(fcst, obs, stations, lead, cycles, cfg, rng, anchor_cycles=None,
-                     stats=None, plan=None):
-    """The oracle behind ``sample_triplets``' signature and result type: one
-    window row per distinct origin. It samples from scratch and ignores ``plan``."""
-    triplets = sampler_reference.sample_triplets(fcst, obs, stations, lead, cycles, cfg, rng,
-                                                 anchor_cycles, stats)
+def _sample(fcst, obs, stations, lead, cycles, cfg, rng, anchor_cycles=None, stats=None):
+    """``sample_triplets`` on a fresh plan over one lead."""
+    plan = training.plan_sampling(fcst, obs, stations, [lead], cycles, cfg, anchor_cycles)
+    return sample_triplets(plan, rng, stats)
+
+
+def _oracle_as_index(fcst, obs, stations, leads, cycles, cfg, rng, anchor_cycles=None,
+                     stats=None):
+    """The oracle, lead by lead, in the result type of ``sample_triplets``:
+    one window row per distinct origin. It samples from scratch."""
+    triplets = [t for lead in leads
+                for t in sampler_reference.sample_triplets(fcst, obs, stations, lead, cycles,
+                                                           cfg, rng, anchor_cycles, stats)]
     rows = {}
     for t in triplets:
         for w in t[:3]:
@@ -78,7 +85,7 @@ def _run(sampler, fcst, obs, stations, lead, cycles, cfg, seed, anchor_cycles):
 
 def _assert_same(*args):
     expected = _run(sampler_reference.sample_triplets, *args)
-    assert _run(sample_triplets, *args) == expected
+    assert _run(_sample, *args) == expected
     return expected
 
 
@@ -150,7 +157,11 @@ def test_train_with_oracle_sampler_is_byte_identical(tmp_path, monkeypatch):
     cfg = TrainConfig(t_half=0, k_pos=5, batch_size=16, max_iterations=40, eval_interval=10,
                       seed=3, dropout_rate=0.1, hidden_sizes=(4,), embed_dim=3)
     outputs = []
-    for sampler in (training.sample_triplets, _oracle_as_index):
+    # In the oracle's turn a "plan" is plan_sampling's own arguments, sampled from scratch each draw.
+    oracle = (lambda *args: args,
+              lambda plan, rng, stats=None: _oracle_as_index(*plan[:6], rng, *plan[6:], stats))
+    for planner, sampler in ((training.plan_sampling, training.sample_triplets), oracle):
+        monkeypatch.setattr(training, "plan_sampling", planner)
         monkeypatch.setattr(training, "sample_triplets", sampler)
         model, log = training.train(fcst, obs, ["S00"], [0], np.arange(200), cfg)
         save_checkpoint(model, tmp_path / "checkpoint.txt")
@@ -242,38 +253,70 @@ def test_one_outlier_flags_only_its_neighbourhood():
     assert len(picks) == 1800
 
 
-def _sample_n(fcst, obs, stations, cycles, cfg, anchor_cycles, plan, n=4):
-    """n successive calls on one generator and one stats: every triplet's
-    bytes, the counts and the generator state after them."""
+def _sample_n(plans, n=4):
+    """n successive draws on one generator and one stats, each from the plan
+    ``plans()`` gives: every triplet's bytes, the counts and the generator
+    state after them."""
     rng, stats = np.random.default_rng(11), SamplingStats()
-    calls = [_tuples(sample_triplets(fcst, obs, stations, 0, cycles, cfg, rng, anchor_cycles,
-                                     stats, plan=plan))
-             for _ in range(n)]
+    calls = [_tuples(sample_triplets(plans(), rng, stats)) for _ in range(n)]
     return calls, (stats.anchors_seen, stats.anchors_skipped), rng.bit_generator.state
 
 
-@pytest.mark.parametrize("case", ["anchor_cycles", "too_small", "flagged"])
-def test_calls_sharing_a_plan_equal_calls_without_one(case):
-    """S01 has 5 eligible cycles in "too_small", fewer than k_pos + 2, so all
-    its anchors are skipped; "flagged" puts MIXED values in S00's
-    observations, so that some of its anchors are ranked in full."""
-    fcst, obs, _ = generate(SynthSpec(n_stations=2, n_cycles=120, n_variables=3, seed=3))
+def _rounded_two_stations(case, n_leads=1):
+    """Two stations, 120 cycles, observations rounded to 1 decimal. S01 has 5
+    eligible cycles in "too_small", fewer than k_pos + 2, so all its anchors
+    are skipped; "flagged" puts MIXED values in S00's observations, so that
+    some of its anchors are ranked in full."""
+    fcst, obs, _ = generate(SynthSpec(n_stations=2, n_cycles=120, n_leads=n_leads,
+                                      n_variables=3, seed=3))
     values = np.round(obs.values, 1)
-    anchor_cycles = np.arange(0, 120, 3) if case == "anchor_cycles" else None
     if case == "too_small":
         values[1, 5:] = np.nan
     if case == "flagged":
         values[0, ::2] = np.resize(MIXED, 60)
-    obs = type(obs)(obs.stations, obs.times, values)
+    return fcst, type(obs)(obs.stations, obs.times, values)
+
+
+@pytest.mark.parametrize("case", ["anchor_cycles", "too_small", "flagged"])
+def test_calls_sharing_a_plan_equal_calls_without_one(case):
+    """Drawing four times from one plan equals drawing from a fresh plan each time."""
+    fcst, obs = _rounded_two_stations(case)
+    anchor_cycles = np.arange(0, 120, 3) if case == "anchor_cycles" else None
     cfg = TrainConfig(t_half=0, k_pos=11)
     cycles = np.arange(120)
-    plan = training.plan_sampling(fcst, obs, ["S00", "S01"], 0, cycles, cfg, anchor_cycles)
+
+    def fresh():
+        return training.plan_sampling(fcst, obs, ["S00", "S01"], [0], cycles, cfg, anchor_cycles)
+
+    plan = fresh()
     if case == "too_small":
         assert len(plan.blocks) == 1 and plan.anchors_seen == 120 + 5
     if case == "flagged":
         assert plan.blocks[0].unsafe.size > 0
-    shared = _sample_n(fcst, obs, ["S00", "S01"], cycles, cfg, anchor_cycles, plan)
-    assert shared == _sample_n(fcst, obs, ["S00", "S01"], cycles, cfg, anchor_cycles, None)
+    shared = _sample_n(lambda: plan)
+    assert shared == _sample_n(fresh)
     assert all(shared[0])
     if case == "too_small":
         assert shared[1][1] >= 4 * 5  # each call skips S01's five anchors
+
+
+@pytest.mark.parametrize("case", ["anchor_cycles", "too_small"])
+def test_plan_over_leads_draws_as_per_lead_plans_in_sequence(case):
+    """One plan over 2 stations x 3 leads, blocks leads outer and stations
+    inner, draws the same triplets, counts and generator state as one plan
+    per lead drawn lead after lead."""
+    fcst, obs = _rounded_two_stations(case, n_leads=3)
+    anchor_cycles = np.arange(0, 120, 3) if case == "anchor_cycles" else None
+    cfg = TrainConfig(t_half=0, k_pos=11)
+    stations, leads, cycles = ["S01", "S00"], [2, 0, 1], np.arange(120)
+    plan = training.plan_sampling(fcst, obs, stations, leads, cycles, cfg, anchor_cycles)
+    assert len(plan.blocks) == (6 if case == "anchor_cycles" else 3)
+    together = _sample_n(lambda: plan, n=2)
+    per_lead = [training.plan_sampling(fcst, obs, stations, [lead], cycles, cfg, anchor_cycles)
+                for lead in leads]
+    rng, stats = np.random.default_rng(11), SamplingStats()
+    calls = [sum((_tuples(sample_triplets(p, rng, stats)) for p in per_lead), [])
+             for _ in range(2)]
+    assert together == (calls, (stats.anchors_seen, stats.anchors_skipped),
+                        rng.bit_generator.state)
+    assert {o[2] for o in plan.origins.tolist()} == set(leads)

@@ -8,6 +8,7 @@ embeddings the old way. A diverging run must stop at the same iteration and
 save the same checkpoint.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_dropout_with_ties_and_flagged_anchors(tmp_path):
     fcst, obs = _rounded(SynthSpec(n_cycles=200, n_variables=3, seed=6), 1)
     obs.values[0, 1:200:40] = np.nextafter(obs.values[0, 0:200:40], np.inf)
     cfg = replace(BASE, dropout_rate=0.1)
-    plan = plan_sampling(fcst, obs, ["S00"], 0, np.arange(180), cfg)
+    plan = plan_sampling(fcst, obs, ["S00"], [0], np.arange(180), cfg)
     assert any(block.unsafe.size for block in plan.blocks)
     assert any(p > 0 for block in plan.blocks for p in block.past)  # ties at the k_pos cut
     _assert_same(tmp_path, fcst, obs, ["S00"], [0], cfg)
@@ -91,6 +92,28 @@ def test_resamples_and_stops_early(tmp_path, monkeypatch):
     best = min(rows, key=lambda row: float(row[2]))
     assert 0 < int(best[0]) < int(rows[-1][0]) < cfg.max_iterations
     assert len(calls) >= 2 * (2 + 3)  # both loops: validation, first pool and 3 resamples
+
+
+def test_two_leads_make_two_plans(monkeypatch):
+    """One plan for the validation pool and one for the training pool, each
+    over both leads; every pool and every resample is one draw from them."""
+    fcst, obs = _rounded(SynthSpec(n_cycles=60, n_leads=2, n_variables=3, seed=1), 1)
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("plan_sampling", "sample_triplets"):
+        monkeypatch.setattr(training, name, counting(name))
+    training.train(fcst, obs, ["S00"], [0, 1], np.arange(60),
+                   replace(BASE, batch_size=8, max_iterations=60))
+    assert calls["plan_sampling"] == 2
+    assert calls["sample_triplets"] >= 2 + 3  # validation, first pool and 3 resamples
 
 
 def test_divergence(tmp_path):

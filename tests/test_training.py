@@ -13,6 +13,7 @@ from analogkit.training import (
     evaluate_loss,
     init_adam_state,
     _pooled_norm,
+    plan_sampling,
     sample_triplets,
     train,
     triplet_loss,
@@ -26,6 +27,12 @@ def small_cfg(**overrides):
                 hidden_sizes=(3,), embed_dim=2, batch_size=4)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _sample(fcst, obs, stations, lead, cycles, cfg, rng, anchor_cycles=None, stats=None):
+    """``sample_triplets`` on a fresh plan over one lead."""
+    plan = plan_sampling(fcst, obs, stations, [lead], cycles, cfg, anchor_cycles)
+    return sample_triplets(plan, rng, stats)
 
 
 def triplet_from(rng, n_var=2, width=3):
@@ -57,7 +64,7 @@ class TestSampleTriplets:
         fcst, obs = self._archive([3.1, 10.0, 3.0, 7.0])
         negatives = set()
         for seed in range(40):
-            trips = sample_triplets(
+            trips = _sample(
                 fcst, obs, ["S00"], 0, np.arange(4), small_cfg(),
                 np.random.default_rng(seed), anchor_cycles=[0],
             )
@@ -76,23 +83,23 @@ class TestSampleTriplets:
         from analogkit.archive import ObservationArchive
 
         obs2 = ObservationArchive(obs.stations, obs.times, values)
-        trips = sample_triplets(fcst, obs2, ["S00"], 0, np.arange(4), small_cfg(),
-                                np.random.default_rng(0), anchor_cycles=[0])
+        trips = _sample(fcst, obs2, ["S00"], 0, np.arange(4), small_cfg(),
+                        np.random.default_rng(0), anchor_cycles=[0])
         assert len(trips) == 0
 
     def test_too_few_candidates_skips_anchor(self):
         fcst, obs = self._archive([1.0, 2.0])
-        trips = sample_triplets(fcst, obs, ["S00"], 0, np.arange(2),
-                                small_cfg(k_pos=1), np.random.default_rng(0))
+        trips = _sample(fcst, obs, ["S00"], 0, np.arange(2),
+                        small_cfg(k_pos=1), np.random.default_rng(0))
         assert len(trips) == 0  # every anchor has 1 candidate < k_pos + 1
 
     def test_same_seed_same_triplets(self):
         fcst, obs = self._archive(list(np.random.default_rng(5).standard_normal(30)))
         cfg = small_cfg(k_pos=3)
-        a = sample_triplets(fcst, obs, ["S00"], 0, np.arange(30), cfg,
-                            np.random.default_rng(123))
-        b = sample_triplets(fcst, obs, ["S00"], 0, np.arange(30), cfg,
-                            np.random.default_rng(123))
+        a = _sample(fcst, obs, ["S00"], 0, np.arange(30), cfg,
+                    np.random.default_rng(123))
+        b = _sample(fcst, obs, ["S00"], 0, np.arange(30), cfg,
+                    np.random.default_rng(123))
         key = lambda ts: ts.origins[ts.index].tolist()
         assert key(a) == key(b)
         assert len(a) == 30
@@ -101,8 +108,8 @@ class TestSampleTriplets:
         rng = np.random.default_rng(7)
         obs_values = list(rng.integers(0, 4, size=40).astype(float))  # heavy ties
         fcst, obs = self._archive(obs_values)
-        trips = sample_triplets(fcst, obs, ["S00"], 0, np.arange(40),
-                                small_cfg(k_pos=5), rng)
+        trips = _sample(fcst, obs, ["S00"], 0, np.arange(40),
+                        small_cfg(k_pos=5), rng)
         assert trips  # something must survive
         assert all(trips.obs_gap > 0)
 

@@ -3,8 +3,10 @@ in-place loop in ``training.train`` replaced.
 
 It is kept as the oracle that loop must match byte for byte: checkpoint,
 training log, and on divergence the saved checkpoint and the reported
-iteration. Every pool is sampled from scratch through
-``training.sample_triplets`` with no plan, every ADAM step clones the model
+iteration. Every pool is sampled from scratch, one fresh one-lead plan per
+lead, and the leads' triplets are joined by copying their rows
+(``concat``), where ``training.train`` draws every pool from one plan over
+all leads that it makes once. Every ADAM step clones the model
 and returns fresh moments, and the BPTT step splits the embeddings with
 ``np.split``, tiles each layer's dropout mask over the three roles and
 computes the hinge and the unit vectors from separate norms.
@@ -79,6 +81,18 @@ def adam_step(model, grad, state, cfg):
     return new_model, AdamState(m=m, v=v, step=t)
 
 
+def concat(parts):
+    """One set holding every part's rows and triplets, in order: the window
+    and origin rows copied, the index shifted."""
+    offsets = np.cumsum([0] + [len(p.windows) for p in parts[:-1]])
+    return Triplets(
+        np.concatenate([p.windows for p in parts]),
+        np.concatenate([p.origins for p in parts]),
+        np.concatenate([p.index + off for p, off in zip(parts, offsets)]),
+        np.concatenate([p.obs_gap for p in parts]),
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train(fcst, obs, stations, leads, cycles, cfg, on_divergence_save=None):
     cycles = np.unique(np.asarray(cycles, dtype=int))
@@ -94,9 +108,9 @@ def train(fcst, obs, stations, leads, cycles, cfg, on_divergence_save=None):
     train_cycles, val_cycles = cycles[:-n_val], cycles[-n_val:]
 
     def sample_pool(pool_cycles, anchor_cycles=None):
-        return Triplets.concat([
-            training.sample_triplets(fcst, obs, stations, lead, pool_cycles, cfg, rng,
-                                     anchor_cycles)
+        return concat([
+            training.sample_triplets(training.plan_sampling(
+                fcst, obs, stations, [lead], pool_cycles, cfg, anchor_cycles), rng)
             for lead in leads
         ])
 
