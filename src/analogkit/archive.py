@@ -22,7 +22,8 @@ cells without a value (absent rows or empty values) hold NaN. Index lists
 are the sorted distinct values found in the file. Archives are treated as
 immutable after load and are safe to read concurrently. Observations are
 read only through :meth:`ObservationArchive.values_for`, and every key
-search on a sorted axis goes through :func:`locate`.
+search on a sorted axis goes through :func:`locate`. Windows are read by
+:func:`window_block`, and one target's by :func:`extract_window`.
 
 Loader contract, one reader for all three kinds: the header is the first
 line that is neither blank nor ``#``, and blank and ``#`` lines are skipped.
@@ -571,6 +572,19 @@ def _require_window_fits(archive: ForecastArchive, lead: int, t_half: int) -> No
         )
 
 
+def _check_indices(archive: ForecastArchive, station: int, cycles, lead: int, t_half: int):
+    """Refuse a negative ``t_half``, then a station, cycle or lead index outside the archive."""
+    if t_half < 0:
+        raise ValueError("t_half must be nonnegative")
+    if not 0 <= station < archive.n_stations:
+        raise IndexError(f"station index {station} out of range")
+    outside = (cycles < 0) | (cycles >= archive.n_cycles)  # a bool or an array of them
+    if np.count_nonzero(outside):
+        raise IndexError(f"cycle index {np.extract(outside, cycles)[0]} out of range")
+    if not 0 <= lead < archive.n_leads:
+        raise IndexError(f"lead index {lead} out of range")
+
+
 def extract_window(
     archive: ForecastArchive, station: int, cycle: int, lead: int, t_half: int
 ) -> ForecastWindow:
@@ -579,14 +593,7 @@ def extract_window(
     Raises :class:`WindowUnavailable` when the window extends past the lead
     axis or contains any missing value.
     """
-    if t_half < 0:
-        raise ValueError("t_half must be nonnegative")
-    if not 0 <= station < archive.n_stations:
-        raise IndexError(f"station index {station} out of range")
-    if not 0 <= cycle < archive.n_cycles:
-        raise IndexError(f"cycle index {cycle} out of range")
-    if not 0 <= lead < archive.n_leads:
-        raise IndexError(f"lead index {lead} out of range")
+    _check_indices(archive, station, cycle, lead, t_half)
     _require_window_fits(archive, lead, t_half)
     data = archive.values[station, :, cycle, lead - t_half : lead + t_half + 1].copy()
     return ForecastWindow(data=data, origin=(station, cycle, lead))
@@ -599,20 +606,20 @@ def window_block(
     cycles: Sequence[int] | np.ndarray,
     t_half: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Windows for many cycles at once.
+    """Windows for many cycles at once, the one window reader of search,
+    embedding and triplet sampling, checked as :func:`extract_window` is.
 
     Returns ``(data, available)`` where ``data`` is
     [n_cycles, n_variables, 2*t_half+1] and ``available`` marks rows whose
-    window is complete. Raises :class:`WindowUnavailable` when the lead
-    slice itself is out of bounds (then no cycle has a window).
+    window is complete. Where the window leaves the lead axis every row is
+    NaN and none is available.
     """
     cycles = np.asarray(cycles, dtype=int)
-    _require_window_fits(archive, lead, t_half)
-    # [n_var, n_cycles, width] -> [n_cycles, n_var, width]
-    data = archive.values[station, :, :, lead - t_half : lead + t_half + 1][:, cycles, :]
-    data = np.transpose(data, (1, 0, 2))
-    available = ~np.isnan(data).any(axis=(1, 2))
-    return data, available
+    _check_indices(archive, station, cycles, lead, t_half)
+    data = np.full((len(cycles), archive.n_variables, 2 * t_half + 1), np.nan)
+    if window_fits(archive, lead, t_half):  # the indexed axes come first: [cycle, variable, lead]
+        data[:] = archive.values[station, :, cycles, lead - t_half : lead + t_half + 1]
+    return data, ~np.isnan(data).any(axis=(1, 2))
 
 
 def variable_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -635,13 +642,14 @@ def climatology_stats(
 ) -> ClimatologyStats:
     """Per-variable mean and population standard deviation at (station, lead).
 
-    Computed over the non-missing values at the given cycle indices.
-    Variables with fewer than two non-missing samples get sigma 0 and are
-    flagged; the result is invariant to the order of the cycle indices.
+    Computed over the non-missing values at the given cycle indices, checked
+    as in :func:`extract_window`; variables with fewer than two get sigma 0
+    and are flagged. The result is invariant to the order of the cycles.
     """
     cycles = np.asarray(cycles, dtype=int)
     if cycles.size == 0:
         raise ValueError("empty cycle range")
+    _check_indices(archive, station, cycles, lead, 0)
     counts, mean, sigma = variable_stats(archive.values[station, :, :, lead][:, cycles])
     return ClimatologyStats(
         mean=mean,

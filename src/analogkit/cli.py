@@ -133,15 +133,15 @@ def _train_model(
     divergence) and train_log.csv into ``out``.
 
     Stations are ``train_stations``, else ``stations``, else every station.
-    Leads are ``train_leads`` as given; otherwise ``leads`` (or every lead)
-    whose window fits ``t_half``.
+    Leads are ``train_leads``, else ``leads``, else every lead. An edge lead
+    draws nothing, but one in ``train_leads`` raises before training.
     """
     cfg.require("train_start", "train_end")
     stations = _stations(fcst, cfg.train_stations or cfg.stations)
     cycles = _cycles_in(fcst, cfg.train_start, cfg.train_end, "training")
     leads = _lead_indices(fcst, cfg.train_leads or cfg.leads)
-    if cfg.train_leads is None:
-        leads = [l for l in leads if ar.window_fits(fcst, l, cfg.t_half)]
+    for lead in (leads if cfg.train_leads else []):  # with extract_window's message
+        ar._require_window_fits(fcst, lead, cfg.t_half)
     path = out / "checkpoint.txt"
     model, log = train(
         fcst, obs, stations, leads, cycles, cfg.training, on_divergence_save=str(path)

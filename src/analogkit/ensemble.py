@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import (ForecastArchive, ObservationArchive, extract_window, locate, window_block,
-                      window_fits)
+from .archive import ForecastArchive, ObservationArchive, extract_window, locate, window_block
 from .errors import DataError, InsufficientAnalogs
 from .metric import MetricConfig, block_dissimilarity, pairwise_sum
 from .network import EmbeddingBlock
@@ -158,16 +157,12 @@ def classic_base(
     t_half: int,
 ) -> SearchBase:
     """The windows, members and eligibility of the search cycles at
-    (station, lead). Where the window leaves the lead axis no cycle has
-    one: the rows are NaN and no cycle is eligible, as in an embedding
-    block's masked rows."""
+    (station, lead), the candidates of search and of triplet sampling. The
+    rows are :func:`~analogkit.archive.window_block`'s: NaN, with no cycle
+    eligible, where the window leaves the lead axis."""
     search_cycles = np.asarray(search_cycles, dtype=int)
-    if window_fits(fcst, lead, t_half):
-        block, available = window_block(fcst, station, lead, search_cycles, t_half)
-        rows = np.ascontiguousarray(block.transpose(2, 1, 0))
-    else:
-        rows = np.broadcast_to(np.nan, (2 * t_half + 1, fcst.n_variables, len(search_cycles)))
-        available = np.zeros(len(search_cycles), dtype=bool)
+    block, available = window_block(fcst, station, lead, search_cycles, t_half)
+    rows = np.ascontiguousarray(block.transpose(2, 1, 0))
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
     members = obs.values_for(fcst.stations[station], times)
     return SearchBase((station, lead, t_half), search_cycles, rows, np.arange(len(search_cycles)),

@@ -55,7 +55,6 @@ from .archive import (
     read_settings,
     read_text,
     window_block,
-    window_fits,
 )
 from .errors import DataError, SchemaError
 
@@ -441,7 +440,8 @@ def embed_block(
     lead: int,
     cycles,
 ) -> EmbeddingBlock:
-    """Embeddings for every cycle in the range; unavailable windows are masked.
+    """Embeddings for every cycle in the range; a cycle whose
+    :func:`~analogkit.archive.window_block` row is unavailable is masked.
 
     Weights near the float limit may overflow inside the LSTM, where the
     gates saturate to their limits. An available embedding that is not
@@ -454,11 +454,8 @@ def embed_block(
             f"model variables {','.join(model.variables)}"
         )
     cycles = np.unique(np.asarray(cycles, dtype=int))
-    n = len(cycles)
-    vectors = np.zeros((n, model.embed_dim))
-    available = np.zeros(n, dtype=bool)  # where the window leaves the lead axis, no cycle has one
-    if window_fits(archive, lead, model.t_half):
-        data, available = window_block(archive, station, lead, cycles, model.t_half)
+    data, available = window_block(archive, station, lead, cycles, model.t_half)
+    vectors = np.zeros((len(cycles), model.embed_dim))
     if available.any():
         with np.errstate(over="ignore", invalid="ignore"):
             vectors[available] = embed_windows(model, data[available])

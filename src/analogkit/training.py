@@ -23,9 +23,8 @@ from .archive import (
     format_float,
     open_output,
     variable_stats,
-    window_block,
 )
-from .ensemble import rank_positions
+from .ensemble import classic_base, rank_positions
 from .errors import DataError, DivergenceError
 from .network import (
     ModelCheckpoint,
@@ -166,15 +165,16 @@ def plan_sampling(
     """The selection state of one triplet pool over a cycle range, one block
     per (lead, station), leads outer and stations inner.
 
-    In each block, an anchor is a cycle with a complete window and a
-    non-missing observation. All other such cycles are its candidates,
-    ordered by the absolute difference between their observation and the
-    anchor's, ties going to the earlier cycle. The positive is chosen by
-    roulette over the ``k_pos`` closest with fitness 1/rank, the negative
-    uniformly over the places beyond ``k_pos`` (restricted to strictly
-    larger observation distances, so the gap is always positive). Anchors
-    with fewer than ``k_pos + 1`` candidates, or with no candidate farther
-    than their positive, are skipped and counted.
+    In each block, an anchor is an eligible cycle of the block's
+    :func:`~analogkit.ensemble.classic_base` (an edge lead has none). All
+    other such cycles are its candidates, ordered by the absolute difference
+    between their observation and the anchor's, ties going to the earlier
+    cycle. The positive is chosen by roulette over the ``k_pos`` closest
+    with fitness 1/rank, the negative uniformly over the places beyond
+    ``k_pos`` (restricted to strictly larger observation distances, so the
+    gap is always positive). Anchors with fewer than ``k_pos + 1``
+    candidates, or with no candidate farther than their positive, are
+    skipped and counted.
 
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
     candidates always span the full range.
@@ -186,12 +186,10 @@ def plan_sampling(
     windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
     origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
     for lead in leads:
-        times = fcst.cycles[cycles] + int(fcst.leads[lead])
         for station in stations:
             s = fcst.station_index(station)
-            data, avail = window_block(fcst, s, lead, cycles, cfg.t_half)
-            obs_vals = obs.values_for(station, times)
-            elig_pos = np.nonzero(avail & np.isfinite(obs_vals))[0]
+            base = classic_base(fcst, obs, s, lead, cycles, cfg.t_half)
+            elig_pos = np.nonzero(base.eligible)[0]
             if anchor_cycles is None:
                 anchors = np.arange(elig_pos.size)
             else:
@@ -200,8 +198,8 @@ def plan_sampling(
             seen += anchors.size
             if elig_pos.size - 1 < k + 1:  # every eligible cycle but the anchor is a candidate
                 continue
-            blocks.append(BlockPlan.make(obs_vals[elig_pos], anchors, k, rows))
-            windows.append(data[elig_pos])
+            blocks.append(BlockPlan.make(base.members[elig_pos], anchors, k, rows))
+            windows.append(base.rows.T[elig_pos])
             origins.append(np.column_stack(
                 [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]))
             rows += elig_pos.size

@@ -45,3 +45,28 @@ def obs_matching(fcst: ForecastArchive, obs_grid):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# Indices outside a 2-station, 4-cycle, 3-lead archive (see index_archive),
+# as (station, cycles, lead, t_half), with the error and message of
+# extract_window that every archive reader gives them instead of wrapping.
+# Where several are wrong, the first of t_half, station, cycle and lead is named.
+BAD_INDICES = [
+    ((0, [0, 1], 1, -1), ValueError, "t_half must be nonnegative"),
+    ((-1, [0, 1], 1, 0), IndexError, "station index -1 out of range"),
+    ((2, [0, 1], 1, 0), IndexError, "station index 2 out of range"),
+    ((0, [0, -1], 1, 0), IndexError, "cycle index -1 out of range"),
+    ((0, [4, 0], 1, 0), IndexError, "cycle index 4 out of range"),
+    ((0, [0, 1], -1, 0), IndexError, "lead index -1 out of range"),
+    ((0, [0, 1], 3, 0), IndexError, "lead index 3 out of range"),
+    ((-1, [-2], -1, -1), ValueError, "t_half must be nonnegative"),
+    ((-1, [-2], -1, 0), IndexError, "station index -1 out of range"),
+    ((0, [-2, 9], -1, 0), IndexError, "cycle index -2 out of range"),
+]
+
+
+def index_archive():
+    """The archives BAD_INDICES refers to: 2 stations, 2 variables, 4 cycles,
+    3 leads, with an observation at every valid time."""
+    fcst = make_forecasts(np.arange(48.0).reshape(2, 2, 4, 3))
+    return fcst, obs_matching(fcst, np.arange(24.0).reshape(2, 4, 3))

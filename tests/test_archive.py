@@ -23,7 +23,7 @@ from analogkit.archive import (
 )
 from analogkit.errors import SchemaError, WindowUnavailable
 
-from conftest import make_forecasts, make_observations
+from conftest import BAD_INDICES, index_archive, make_forecasts, make_observations
 
 
 class TestTimeCodec:
@@ -276,6 +276,21 @@ class TestExtractWindow:
             else:
                 assert c == 2
 
+    def test_window_block_at_an_edge_lead(self, rng):
+        """Where the window leaves the lead axis, every row is NaN and no
+        cycle has a window."""
+        fcst = make_forecasts(rng.standard_normal((1, 2, 5, 3)))
+        for lead in (0, 2):
+            data, avail = window_block(fcst, 0, lead, [4, 0, 2], 1)
+            assert data.shape == (3, 2, 3) and np.isnan(data).all()
+            assert avail.tolist() == [False, False, False]
+
+    @pytest.mark.parametrize("where,error,message", BAD_INDICES)
+    def test_window_block_refuses_indices_outside_the_archive(self, where, error, message):
+        station, cycles, lead, t_half = where
+        with pytest.raises(error, match=message):
+            window_block(index_archive()[0], station, lead, cycles, t_half)
+
 
 class TestClimatology:
     def test_hand_computed_population_std(self):
@@ -308,6 +323,13 @@ class TestClimatology:
         fcst = make_forecasts(np.zeros((1, 1, 3, 1)))
         with pytest.raises(ValueError, match="empty"):
             climatology_stats(fcst, 0, 0, [])
+
+    @pytest.mark.parametrize("where,error,message",
+                             [case for case in BAD_INDICES if case[0][3] == 0])
+    def test_refuses_indices_outside_the_archive(self, where, error, message):
+        station, cycles, lead, _ = where
+        with pytest.raises(error, match=message):
+            climatology_stats(index_archive()[0], station, lead, cycles)
 
     def test_permutation_invariant(self, rng):
         values = rng.standard_normal((1, 3, 8, 1))

@@ -893,6 +893,21 @@ class TestMalformedInputs:
         argv = ["train", "--config", str(cfg), "--out", str(pipeline / "train")]
         self._run(capsys, argv, "data error", message)
 
+    @pytest.mark.parametrize("leads", ["0", "0,3600"])
+    def test_train_lead_without_window(self, tmp_path, capsys, leads):
+        """A train_leads entry whose window leaves the lead axis ends the run
+        before training with extract_window's message, even next to a lead
+        that trains, and no training output is written."""
+        cfg = write_config(tmp_path, drop=("t_half",),
+                           extra=f"t_half=1\nsynth_leads=3\ntrain_leads={leads}\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        out = tmp_path / "train"
+        self._run(capsys, ["train", "--config", str(cfg), "--out", str(out)],
+                  "data error: window out of bounds: lead 0 with t_half 1 "
+                  "exceeds lead axis [0, 3)")
+        for name in ("checkpoint.txt", "train_log.csv"):
+            assert not (out / name).exists()
+
     @pytest.mark.parametrize("setting", ["learning_rate=1e300", "alpha=1e308"])
     def test_divergent_training(self, fuzz_dir, tmp_path, capsys, setting):
         """Valid but huge settings overflow on the way to a non-finite loss,

@@ -10,6 +10,7 @@ from analogkit.ensemble import (
     AnalogQuery,
     Ranking,
     build_ensemble,
+    classic_base,
     latent_base,
     search_classic,
     search_latent,
@@ -18,7 +19,7 @@ from analogkit.errors import DataError, InsufficientAnalogs, WindowUnavailable
 from analogkit.metric import MetricConfig
 from analogkit.network import EmbeddingBlock, embed_block, init_model
 
-from conftest import make_forecasts, obs_matching
+from conftest import BAD_INDICES, index_archive, make_forecasts, obs_matching
 
 
 def three_candidate_setup():
@@ -98,6 +99,19 @@ class TestSearchClassic:
         tied = [c for c, s in zip(ranked.cycles.tolist(), ranked.scores.tolist())
                 if s == pytest.approx(0.5 * np.sqrt(5))]
         assert tied == [1, 3]
+
+    def test_negative_search_cycle_is_not_wrapped(self):
+        fcst, obs, cfg, _ = three_candidate_setup()
+        query = AnalogQuery(station=0, target_cycle=0, lead=1, t_half=1,
+                            search_cycles=np.array([-1, -2, 2, 3]), m=3)
+        with pytest.raises(IndexError, match="cycle index -1 out of range"):
+            search_classic(query, fcst, obs, cfg)
+
+    @pytest.mark.parametrize("where,error,message", BAD_INDICES)
+    def test_base_refuses_indices_outside_the_archive(self, where, error, message):
+        station, cycles, lead, t_half = where
+        with pytest.raises(error, match=message):
+            classic_base(*index_archive(), station, lead, cycles, t_half)
 
     def test_weight_scaling_preserves_rank_order(self, rng):
         values = rng.standard_normal((1, 3, 30, 3))

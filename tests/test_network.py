@@ -21,7 +21,7 @@ from analogkit.network import (
     save_checkpoint,
 )
 
-from conftest import make_forecasts
+from conftest import BAD_INDICES, index_archive, make_forecasts
 
 
 def scalar_layer(value: float) -> LstmLayerParams:
@@ -242,6 +242,15 @@ class TestEmbedBlock:
         model = init_model(list(fcst.variables), t_half=1, hidden_sizes=(4,), embed_dim=2, seed=5)
         block = embed_block(model, fcst, 0, 1, [])
         assert block.vectors.shape == (0, 2)
+
+    @pytest.mark.parametrize("where,error,message",
+                             [case for case in BAD_INDICES if case[0][3] == 0])
+    def test_refuses_indices_outside_the_archive(self, where, error, message):
+        station, cycles, lead, _ = where
+        fcst = index_archive()[0]
+        model = init_model(list(fcst.variables), t_half=0, hidden_sizes=(4,), embed_dim=2, seed=5)
+        with pytest.raises(error, match=message):
+            embed_block(model, fcst, station, lead, cycles)
 
     def test_variable_mismatch_rejected(self, rng):
         fcst = make_forecasts(rng.standard_normal((1, 2, 3, 3)))

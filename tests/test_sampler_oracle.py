@@ -320,3 +320,21 @@ def test_plan_over_leads_draws_as_per_lead_plans_in_sequence(case):
     assert together == (calls, (stats.anchors_seen, stats.anchors_skipped),
                         rng.bit_generator.state)
     assert {o[2] for o in plan.origins.tolist()} == set(leads)
+
+
+@pytest.mark.parametrize("case", ["anchor_cycles", "too_small"])
+def test_edge_leads_draw_nothing(case):
+    """At t_half 1, leads 0 and 2 of three have no window and no eligible
+    cycle: a plan over all three leads draws the same triplets, counts and
+    generator state as a plan over lead 1 alone."""
+    fcst, obs = _rounded_two_stations(case, n_leads=3)
+    anchor_cycles = np.arange(0, 120, 3) if case == "anchor_cycles" else None
+    cfg = TrainConfig(t_half=1, k_pos=11)
+
+    def plan(leads):
+        return lambda: training.plan_sampling(fcst, obs, ["S01", "S00"], leads, np.arange(120),
+                                              cfg, anchor_cycles)
+
+    with_edges = _sample_n(plan([0, 1, 2]), n=2)
+    assert with_edges == _sample_n(plan([1]), n=2)
+    assert all(with_edges[0])

@@ -245,9 +245,10 @@ def _counting(function, calls, key):
 
 def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
     """2 stations x 3 leads x 10 targets at t_half 1: only lead 1 has a
-    window, so classic search builds a window block for (station, 1) alone,
-    and latent search one base per (station, lead). Every ensemble equals the
-    reference search's, and the edge leads keep their skip reason."""
+    window, yet classic search reads one window block per (station, lead),
+    the edge leads' with no cycle available, and latent search builds one
+    base per (station, lead). Every ensemble equals the reference search's,
+    and the edge leads keep their skip reason."""
     fcst, obs = _archive(rng)
     search, test = np.arange(30), np.arange(30, 40)
     model = init_model(list(fcst.variables), t_half=1, hidden_sizes=(3,), embed_dim=2, seed=0)
@@ -280,7 +281,7 @@ def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
             assert row.ensemble.scores.tolist() == [c.score for c in want]
             assert row.ensemble.members.tolist() == [c.member for c in want]
 
-    assert windows == [(0, 1), (1, 1)]
+    assert windows == [(s, l) for s in (0, 1) for l in (0, 1, 2)]
     assert latent == [(s, l) for s in ("S00", "S01") for l in (0, 3600, 7200)]
 
 

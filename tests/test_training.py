@@ -19,7 +19,7 @@ from analogkit.training import (
     triplet_loss,
 )
 
-from conftest import make_forecasts, obs_matching
+from conftest import BAD_INDICES, index_archive, make_forecasts, obs_matching
 
 
 def small_cfg(**overrides):
@@ -112,6 +112,14 @@ class TestSampleTriplets:
                         small_cfg(k_pos=5), rng)
         assert trips  # something must survive
         assert all(trips.obs_gap > 0)
+
+    # stations are named, and TrainConfig refuses a negative t_half
+    @pytest.mark.parametrize("where,error,message",
+                             [case for case in BAD_INDICES if case[0][0] == case[0][3] == 0])
+    def test_plan_refuses_indices_outside_the_archive(self, where, error, message):
+        _, cycles, lead, _ = where
+        with pytest.raises(error, match=message):
+            plan_sampling(*index_archive(), ["S00"], [lead], cycles, small_cfg())
 
 
 class TestTripletLoss:
