@@ -156,16 +156,6 @@ def _train_model(
 # ---------------------------------------------------------------------------
 
 
-class PredictionRow:
-    __slots__ = ("station", "cycle", "lead", "ensemble")
-
-    def __init__(self, station: str, cycle: int, lead: int, ensemble: Ranking):
-        self.station = station
-        self.cycle = cycle
-        self.lead = lead
-        self.ensemble = ensemble
-
-
 def run_predictions(
     cfg: ExperimentConfig,
     method: str,
@@ -176,7 +166,7 @@ def run_predictions(
     search_ranges: list[np.ndarray],
     test_cycles: np.ndarray,
     model: ModelCheckpoint | None,
-) -> tuple[list[list[PredictionRow]], list[tuple[str, int, int, str]]]:
+) -> tuple[list[list[tuple[str, int, int, Ranking]]], list[tuple[str, int, int, str]]]:
     """Ensembles of ``method`` for every (station, test cycle, lead) with a
     target window, ranked against each range of ``search_ranges``;
     ``model`` is used by deep_anen only.
@@ -187,15 +177,16 @@ def run_predictions(
     base over the union of the ranges. Each target is scored against that
     base once, by :func:`~analogkit.ensemble.target_distances`; every range
     then ranks from those distances, classic ranges weighted by their own
-    climatology σ. Returns the prediction rows of each range and the
-    skipped targets, with reasons, of all ranges. Skips come target-major:
+    climatology σ. Returns each range's (station, cycle, lead, ensemble)
+    tuples and the (station, cycle, lead, reason) skips of all ranges, with
+    cycle and lead as archive indices. Skips come target-major:
     a target's skips in every range follow one another, and a target
     without a window or embedding is skipped in every range with one
     reason. ``predict`` passes one range, so its skipped.csv keeps the
     (station, lead, cycle) order.
     """
     t_half = model.t_half if method == "deep_anen" else cfg.t_half
-    rows: list[list[PredictionRow]] = [[] for _ in search_ranges]
+    rows: list[list[tuple[str, int, int, Ranking]]] = [[] for _ in search_ranges]
     skipped: list[tuple[str, int, int, str]] = []
     targets = sorted(int(x) for x in test_cycles)
     union = np.unique(np.concatenate(search_ranges))
@@ -240,27 +231,26 @@ def run_predictions(
                     except DataError as err:  # includes InsufficientAnalogs
                         skipped.append((station, c, lead, str(err)))
                         continue
-                    range_rows.append(PredictionRow(station, c, lead, ensemble))
+                    range_rows.append((station, c, lead, ensemble))
     return rows, skipped
 
 
 def write_predictions(
-    rows: list[PredictionRow],
+    rows: list[tuple[str, int, int, Ranking]],
     fcst: ar.ForecastArchive,
     cycle_times: list[str],
     path,
     header_lines: list[str],
 ) -> None:
-    """Write the members of ``rows``; ``cycle_times`` holds the formatted
-    time of every archive cycle."""
+    """Write the members of the (station, cycle, lead, ensemble) ``rows``;
+    ``cycle_times`` holds the formatted time of every archive cycle."""
     leads = fcst.leads.tolist()
     with ar.open_output(path) as fh:
         for line in header_lines:
             fh.write(line + "\n")
         fh.write(",".join(ar.PREDICTION_HEADER) + "\n")
-        for row in rows:
-            target = f"{row.station},{cycle_times[row.cycle]},{leads[row.lead]}"
-            ens = row.ensemble
+        for station, cycle, lead, ens in rows:
+            target = f"{station},{cycle_times[cycle]},{leads[lead]}"
             for rank, (member, src_cycle, score) in enumerate(
                 zip(ens.members.tolist(), ens.cycles.tolist(), ens.scores.tolist()), start=1
             ):
@@ -312,12 +302,12 @@ def pair_targets(targets, obs: ar.ObservationArchive) -> Pairing:
 
 
 def pairs_from_rows(
-    rows: list[PredictionRow], fcst: ar.ForecastArchive, obs: ar.ObservationArchive
+    rows: list[tuple], fcst: ar.ForecastArchive, obs: ar.ObservationArchive
 ) -> Pairing:
-    """Verification pairs for in-memory prediction rows."""
+    """Verification pairs for in-memory (station, cycle, lead, ensemble) rows."""
     cycles, leads = fcst.cycles.tolist(), fcst.leads.tolist()
     return pair_targets(
-        [((r.station, cycles[r.cycle], leads[r.lead]), r.ensemble.members) for r in rows], obs
+        [((s, cycles[c], leads[lead]), ens.members) for s, c, lead, ens in rows], obs
     )
 
 

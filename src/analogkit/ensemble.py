@@ -5,8 +5,9 @@ target forecast, under either the weighted-Euclidean window metric or
 Euclidean distance between precomputed embeddings. The observations paired
 with the best-ranked candidates become the ensemble members. A
 :class:`SearchBase` holds the candidates of one (station, lead) once for
-all of its targets; a target is scored against them once, and every search
-range drawn from them ranks from those distances.
+all of its targets, as positions fixed where it is built; a target is
+scored against them once, and every range drawn from them ranks from
+those distances.
 """
 
 from __future__ import annotations
@@ -72,32 +73,32 @@ class Ranking:
         return float(np.mean(self.members))
 
 
-def rank_positions(scores: np.ndarray, eligible: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """Ascending order of eligible positions; ties broken by earlier cycle.
+def rank_positions(scores: np.ndarray, candidates: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Ascending order of ``candidates`` (ascending positions) by score;
+    ties broken by earlier cycle.
 
-    The one ranking routine: analog search orders candidates by score with
-    it, and triplet sampling ranks with it the anchors whose rounded
+    The one ranking routine: analog search orders a base's ``candidates``
+    with it, and triplet sampling ranks with it the anchors whose rounded
     distances may tie (see :func:`analogkit.training._rounding_may_tie`).
     With ``limit`` only the first ``limit`` positions of that order are
-    returned. Every eligible score not above the limit-th smallest one is
+    returned. Every candidate score not above the limit-th smallest one is
     kept before the stable sort, so ties at the cut still go to the earlier
     cycle. The test ``~(s > kth)`` keeps NaN scores too, so they take the
     same last places as in the full ranking.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    # Method forms rather than np.nonzero/np.partition/np.argsort: search
-    # calls this once per target, and triplet sampling once per flagged
-    # anchor, where the dispatch cost shows.
-    pos = eligible.nonzero()[0]
-    s = scores[pos]
+    # Method forms rather than np.partition/np.argsort: search calls this
+    # once per target, and triplet sampling once per flagged anchor, where
+    # the dispatch cost shows.
+    pos, s = candidates, scores[candidates]
     if limit is not None and limit < len(pos):
         part = s.copy()
         part.partition(limit - 1)
         keep = ~(s > part[limit - 1])
         pos, s = pos[keep], s[keep]
-    # pos is in ascending cycle order already, so a stable sort on score
-    # resolves ties in favor of the earlier cycle.
+    # pos is ascending, so a stable sort on score resolves ties in favor of
+    # the earlier cycle.
     return pos[s.argsort(kind="stable")][:limit]
 
 
@@ -113,16 +114,18 @@ class SearchBase:
     candidate, with the bits of those sums (see
     :func:`~analogkit.metric.pairwise_sum`). The other fields follow the
     search cycles, in search-range order: ``positions`` is the column of
-    ``rows`` each one was scored in, ``members`` the observation at its
-    valid time, and ``eligible`` marks the cycles with a complete window
-    (an available embedding row) and an observation. ``source`` is what
-    the rows were built from: the (station, lead, t_half) of classic
-    search, the embedding block of latent search.
+    ``rows`` each one was scored in and ``members`` the observation at its
+    valid time. ``candidates``, fixed when the base is built, holds the
+    ascending positions of the cycles with a complete window (an available
+    embedding row) and an observation. ``source`` is what the rows were
+    built from: the (station, lead, t_half) of classic search, the
+    embedding block of latent search.
 
     :func:`classic_base` and :func:`latent_base` score exactly their search
     cycles. :meth:`subrange` gives the base of a range drawn from them, on
     the same rows, so a target's distances to those rows serve every such
-    range. A query for another source or range raises ``ValueError``.
+    range. A range that repeats a cycle, and a query for another source or
+    range, raise ``ValueError``.
     """
 
     source: tuple[int, int, int] | EmbeddingBlock
@@ -130,7 +133,13 @@ class SearchBase:
     rows: np.ndarray
     positions: np.ndarray
     members: np.ndarray
-    eligible: np.ndarray
+    candidates: np.ndarray
+
+    def __post_init__(self):
+        ordered = np.sort(self.search_cycles)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"cycle index {repeated[0]} repeats in the search range")
 
     def subrange(self, search_cycles) -> SearchBase:
         """The base of ``search_cycles``, in their order, on these rows.
@@ -145,7 +154,7 @@ class SearchBase:
                 f"cycle index {search_cycles[~known][0]} is not part of this search base")
         at = order[at]
         return SearchBase(self.source, search_cycles, self.rows, self.positions[at],
-                          self.members[at], self.eligible[at])
+                          self.members[at], np.flatnonzero(locate(self.candidates, at)[1]))
 
 
 def classic_base(
@@ -156,23 +165,23 @@ def classic_base(
     search_cycles: np.ndarray,
     t_half: int,
 ) -> SearchBase:
-    """The windows, members and eligibility of the search cycles at
+    """The windows, members and candidates of the search cycles at
     (station, lead), the candidates of search and of triplet sampling. The
-    rows are :func:`~analogkit.archive.window_block`'s: NaN, with no cycle
-    eligible, where the window leaves the lead axis."""
+    rows are :func:`~analogkit.archive.window_block`'s: NaN, with no
+    candidate, where the window leaves the lead axis."""
     search_cycles = np.asarray(search_cycles, dtype=int)
     block, available = window_block(fcst, station, lead, search_cycles, t_half)
     rows = np.ascontiguousarray(block.transpose(2, 1, 0))
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
     members = obs.values_for(fcst.stations[station], times)
     return SearchBase((station, lead, t_half), search_cycles, rows, np.arange(len(search_cycles)),
-                      members, available & np.isfinite(members))
+                      members, np.flatnonzero(available & np.isfinite(members)))
 
 
 def latent_base(
     embeddings: EmbeddingBlock, obs: ObservationArchive, search_cycles: np.ndarray
 ) -> SearchBase:
-    """The embedding rows, members and eligibility of the search cycles.
+    """The embedding rows, members and candidates of the search cycles.
 
     A search cycle the block does not cover raises ``KeyError``.
     """
@@ -182,9 +191,9 @@ def latent_base(
         raise KeyError(f"cycle index {search_cycles[~covered][0]} not covered by this block")
     members = obs.values_for(embeddings.station, embeddings.valid_times[positions])
     rows = np.take(embeddings.vectors.T, positions, axis=1)
-    eligible = embeddings.available[positions] & np.isfinite(members)
+    candidates = np.flatnonzero(embeddings.available[positions] & np.isfinite(members))
     return SearchBase(embeddings, search_cycles, rows, np.arange(len(search_cycles)), members,
-                      eligible)
+                      candidates)
 
 
 def target_embedding(embeddings: EmbeddingBlock, cycle: int) -> np.ndarray:
@@ -233,11 +242,11 @@ def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distanc
 
 
 def _ranking(base: SearchBase, scores: np.ndarray, limit: int | None) -> Ranking:
-    """The ranking of the base's eligible cycles by ``scores``; a base with
-    none raises :class:`DataError`."""
-    if not base.eligible.any():
+    """The ranking of the base's candidates by ``scores``; a base with none
+    raises :class:`DataError`."""
+    if not len(base.candidates):
         raise DataError("no analog candidates available for this target")
-    order = rank_positions(scores, base.eligible, limit)
+    order = rank_positions(scores, base.candidates, limit)
     return Ranking(base.search_cycles[order], scores[order], base.members[order])
 
 

@@ -189,7 +189,7 @@ def plan_sampling(
         for station in stations:
             s = fcst.station_index(station)
             base = classic_base(fcst, obs, s, lead, cycles, cfg.t_half)
-            elig_pos = np.nonzero(base.eligible)[0]
+            elig_pos = base.candidates
             if anchor_cycles is None:
                 anchors = np.arange(elig_pos.size)
             else:
@@ -322,9 +322,7 @@ class BlockPlan:
 
 def _exact_order(v: np.ndarray, a: int, m: int) -> np.ndarray:
     """The first m places of anchor position a's (distance, cycle) order, by a full ranking."""
-    others = np.ones(v.size, dtype=bool)
-    others[a] = False
-    return rank_positions(np.abs(v - v[a]), others, m)
+    return rank_positions(np.abs(v - v[a]), np.delete(np.arange(v.size), a), m)
 
 
 # A gap times 2**48 overflows only where no tie can be, and a distance that overflows is flagged.

@@ -8,9 +8,11 @@ They are kept as the oracle the base-backed searches must match candidate
 for candidate, score bit for score bit, and error for error: one call per
 search range, however many ranges share a base. The window kernel is
 inlined as it was before the base became feature-major: one sum along each
-candidate's [n_variables, width] window, in numpy's own order. Candidates
-are the per-member tuples that the searches returned before they returned
-arrays.
+candidate's [n_variables, width] window, in numpy's own order. The
+ranking is a full stable sort of the eligible scores, cut at ``limit``, so
+it shares no code with :func:`analogkit.ensemble.rank_positions`: NaN ranks
+last and ties go to the earlier cycle. Candidates are the per-member tuples
+that the searches returned before they returned arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from analogkit.archive import extract_window, window_block
-from analogkit.ensemble import rank_positions
 from analogkit.errors import DataError
 
 
@@ -42,7 +43,7 @@ def search_classic(query, fcst, obs, cfg, limit=None):
         raise DataError("no analog candidates available for this target")
     d = block - target.data[None]  # [n, n_variables, width]
     scores = np.sqrt(np.sum(d * d, axis=-1)) @ cfg.coefficients
-    return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
+    return _candidates(query, scores, obs_vals, rank(scores, eligible, limit))
 
 
 def search_latent(query, embeddings, obs, limit=None):
@@ -63,7 +64,14 @@ def search_latent(query, embeddings, obs, limit=None):
     diff -= embeddings.vectors[t_pos]
     diff *= diff
     scores = np.sqrt(np.sum(diff, axis=1))
-    return _candidates(query, scores, obs_vals, rank_positions(scores, eligible, limit))
+    return _candidates(query, scores, obs_vals, rank(scores, eligible, limit))
+
+
+def rank(scores, eligible, limit=None):
+    """The eligible positions by ascending score, the earlier first on a tie
+    and NaN last, cut after ``limit``."""
+    pos = eligible.nonzero()[0]
+    return pos[np.argsort(scores[pos], kind="stable")][:limit]
 
 
 def _candidates(query, scores, obs_vals, order):

@@ -116,7 +116,7 @@ class TestOracle:
                 assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub,
                                                        distances)) == want
         else:  # an edge lead: no cycle is eligible, and the target's window raises first
-            assert not base.eligible.any()
+            assert not len(base.candidates)
             assert want[0] is WindowUnavailable
 
     @ORACLE
@@ -236,6 +236,45 @@ class TestBaseMismatch:
             search_classic(query, fcst, obs, narrow, base=shorter)
 
 
+@pytest.mark.parametrize("kind", ["search_classic", "search_latent", "subrange"])
+def test_a_search_range_that_repeats_a_cycle_is_refused(rng, kind):
+    """One analog must not fill several members: every base, so every
+    search with or without ``base=``, refuses a range that repeats a cycle."""
+    fcst, obs = _archive(rng)
+    query = AnalogQuery(station=0, target_cycle=35, lead=1, t_half=0,
+                        search_cycles=np.array([5, 5, 5, 6, 7]), m=3)
+    model = init_model(list(fcst.variables), t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
+    cfg = MetricConfig(weights=np.ones(2), sigma=np.ones(2), t_half=0)
+    calls = {
+        "search_classic": lambda: search_classic(query, fcst, obs, cfg),
+        "search_latent": lambda: search_latent(
+            query, embed_block(model, fcst, 0, 1, np.arange(40)), obs),
+        "subrange": lambda: classic_base(fcst, obs, 0, 1, np.arange(30), 0).subrange([3, 3, 4]),
+    }
+    cycle = 3 if kind == "subrange" else 5
+    with pytest.raises(ValueError, match=f"cycle index {cycle} repeats in the search range"):
+        calls[kind]()
+
+
+SCORES = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.nan, np.inf, -np.inf]) | st.floats(-3, 3)
+
+
+@ORACLE
+@given(scores=st.lists(SCORES, min_size=1, max_size=30), data=st.data())
+def test_rank_positions_matches_a_full_stable_ranking(scores, data):
+    """``rank_positions`` over a base's candidate positions equals the
+    reference's full stable ranking of the eligible scores, cut at
+    ``limit``: tied scores, -0.0 beside 0.0, ±inf and NaN included, for
+    every limit from 1 to past the candidate count."""
+    scores = np.array(scores)
+    eligible = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                           max_size=len(scores))))
+    candidates = np.flatnonzero(eligible)
+    for limit in [None, *range(1, len(candidates) + 3)]:
+        got = ensemble.rank_positions(scores, candidates, limit)
+        assert got.tolist() == ref.rank(scores, eligible, limit).tolist()
+
+
 def _counting(function, calls, key):
     def wrapper(*args, **kwargs):
         calls.append(key(*args))
@@ -266,20 +305,20 @@ def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
         assert len(rows) == 2 * 10 and len(skipped) == 2 * 2 * 10
         assert all(reason.startswith("window out of bounds") or "no embedding" in reason
                    for *_, reason in skipped)
-        for row in rows:
-            s = fcst.station_index(row.station)
-            query = AnalogQuery(station=s, target_cycle=row.cycle, lead=row.lead, t_half=1,
+        for station, cycle, lead, ens in rows:
+            s = fcst.station_index(station)
+            query = AnalogQuery(station=s, target_cycle=cycle, lead=lead, t_half=1,
                                 search_cycles=search, m=4)
             if method == "deep_anen":
-                block = embed_block(model, fcst, s, row.lead, np.arange(40))
+                block = embed_block(model, fcst, s, lead, np.arange(40))
                 want = ref.search_latent(query, block, obs, limit=4)
             else:
-                sigma = climatology_stats(fcst, s, row.lead, search).sigma
+                sigma = climatology_stats(fcst, s, lead, search).sigma
                 metric = MetricConfig(weights=np.ones(2), sigma=sigma, t_half=1)
                 want = ref.search_classic(query, fcst, obs, metric, limit=4)
-            assert row.ensemble.cycles.tolist() == [c.cycle for c in want]
-            assert row.ensemble.scores.tolist() == [c.score for c in want]
-            assert row.ensemble.members.tolist() == [c.member for c in want]
+            assert ens.cycles.tolist() == [c.cycle for c in want]
+            assert ens.scores.tolist() == [c.score for c in want]
+            assert ens.members.tolist() == [c.member for c in want]
 
     assert windows == [(s, l) for s in (0, 1) for l in (0, 1, 2)]
     assert latent == [(s, l) for s in ("S00", "S01") for l in (0, 3600, 7200)]
@@ -300,8 +339,8 @@ def test_run_predictions_embeds_once_for_nested_ranges(monkeypatch, rng):
         cli.embed_block, embedded, lambda model, fcst, s, lead, cycles: (s, lead, len(cycles))))
 
     def outcome(rows):
-        return [(r.station, r.cycle, r.lead, r.ensemble.cycles.tolist(),
-                 r.ensemble.scores.tolist(), r.ensemble.members.tolist()) for r in rows]
+        return [(station, cycle, lead, ens.cycles.tolist(), ens.scores.tolist(),
+                 ens.members.tolist()) for station, cycle, lead, ens in rows]
 
     for method in ("anen_weighted", "deep_anen"):
         split_rows, skipped = cli.run_predictions(
@@ -405,8 +444,8 @@ def test_run_predictions_equals_one_reference_call_per_range(method, data):
                                               test, model)
     want_rows, want_skipped = _reference_run(cfg, method, fcst, obs, stations, leads, ranges,
                                              test, model)
-    got_rows = [[(r.station, r.cycle, r.lead, r.ensemble.cycles.tolist(),
-                  r.ensemble.scores.tobytes(), r.ensemble.members.tobytes()) for r in rows]
+    got_rows = [[(station, cycle, lead, ens.cycles.tolist(), ens.scores.tobytes(),
+                  ens.members.tobytes()) for station, cycle, lead, ens in rows]
                 for rows in split_rows]
     assert got_rows == want_rows
     assert sorted(skipped) == sorted(want_skipped)
