@@ -35,6 +35,7 @@ from .network import ModelCheckpoint, embed_block, load_checkpoint, save_checkpo
 from .synthetic import generate, write_manifest
 from .training import train, write_train_log
 from .verification import (
+    BRIER_QUANTILE,
     VerificationSet,
     build_report,
     error_interval_rmse,
@@ -227,7 +228,7 @@ def run_predictions(
                     )
                     try:
                         ranked = search(query, limit=cfg.m, base=range_base, distances=distances)
-                        ensemble = build_ensemble(ranked, query, allow_short=cfg.allow_short)
+                        ensemble = build_ensemble(ranked, query)
                     except DataError as err:  # includes InsufficientAnalogs
                         skipped.append((station, c, lead, str(err)))
                         continue
@@ -273,9 +274,10 @@ def pair_targets(targets, obs: ar.ObservationArchive) -> Pairing:
     """Pair each target's members with the observation at its valid time.
 
     ``targets`` is a list of ((station, cycle seconds, lead_s), members).
-    Short ensembles (under allow_short) are excluded, because the set
-    needs one member count, as are targets without an observation. The
-    observations are looked up once per station, over its valid times.
+    Ensembles shorter than the longest, which only a predictions file
+    written elsewhere holds, are excluded, because the set needs one member
+    count, as are targets without an observation. The observations are
+    looked up once per station, over its valid times.
     """
     full_m = max((len(members) for _, members in targets), default=0)
     full = [(key, members) for key, members in targets if len(members) == full_m]
@@ -311,16 +313,20 @@ def pairs_from_rows(
     )
 
 
-def _brier_threshold(cfg: ExperimentConfig, obs: ar.ObservationArchive, stations: list[str]) -> float:
-    """Configured quantile of the observed distribution (linear interpolation)."""
+def _brier_threshold(cfg: ExperimentConfig, obs: ar.ObservationArchive) -> float:
+    """The one Brier event threshold, of ``verify`` and the experiment alike:
+    the ``BRIER_QUANTILE`` (linear interpolation) of the observations of
+    ``stations``, else of every station of ``obs``, over the test range when
+    one is set, whichever targets were predicted or skipped."""
     times = obs.times
     if cfg.test_start is not None:
         times = times[(times >= cfg.test_start) & (times < cfg.test_end)]
+    stations = cfg.stations or obs.stations
     pooled = np.concatenate([np.empty(0)] + [obs.values_for(s, times) for s in stations])
     pooled = pooled[np.isfinite(pooled)]
     if pooled.size == 0:
         raise DataError("no observations available to compute the Brier threshold")
-    return float(np.quantile(pooled, cfg.brier_quantile))
+    return float(np.quantile(pooled, BRIER_QUANTILE))
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +422,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
     groups = read_predictions(out / "predictions.csv" if predictions_path is None
                               else predictions_path)
     vset, accepted, excluded_short, excluded_missing_obs = pair_targets(groups, obs)
-    stations_seen = list(dict.fromkeys(station for (station, _, _), _ in groups))
-    threshold = _brier_threshold(cfg, obs, stations_seen)
-    report = build_report(
-        vset, brier_threshold=threshold, n_spread_bins=cfg.spread_bins, seed=cfg.seed
-    )
+    threshold = _brier_threshold(cfg, obs)
+    report = build_report(vset, brier_threshold=threshold, seed=cfg.seed)
 
     extra = [
         f"brier_threshold={ar.format_float(threshold)}",
@@ -499,7 +502,7 @@ def cmd_experiment_search_length(cfg: ExperimentConfig, out: Path) -> int:
     methods = cfg.methods or [cfg.method]
     fcst, obs, stations, leads, test_cycles = _prediction_targets(cfg)
     splits = sorted(cfg.search_splits)
-    threshold = _brier_threshold(cfg, obs, stations)
+    threshold = _brier_threshold(cfg, obs)
     span = cfg.search_end - cfg.search_start
     starts = [cfg.search_end - span * split // splits[-1] for split in splits]
     ranges = [

@@ -4,7 +4,8 @@ One config file drives one run; every command echoes the full config into
 a provenance header of its outputs so results are reproducible from the
 artifact alone. Time ranges are half-open ``[start, end)`` ISO-8601 UTC
 pairs; the test range must be disjoint from both the search and training
-ranges.
+ranges. Values are ints, floats, times, strings or lists of them; settings
+no run varies are module constants (such as ``verification.SPREAD_BINS``).
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ from .archive import parse_decimal, parse_int, parse_time, read_settings, read_t
 from .errors import ConfigError, DataError, SchemaError
 from .synthetic import SynthSpec
 from .training import TrainConfig
+from .verification import check_edges
 
 METHODS = ("anen_equal", "anen_weighted", "deep_anen")
 
 # key -> (type tag, default). Dynamic `weight.<variable>` keys ride alongside.
 _SCHEMA = {
-    "forecast_csv": ("path", None),
-    "observation_csv": ("path", None),
-    "checkpoint": ("path", None),
+    "forecast_csv": ("str", None),
+    "observation_csv": ("str", None),
+    "checkpoint": ("str", None),
     "method": ("str", "anen_equal"),
     "methods": ("str_list", None),
     "m": ("int", 11),
-    "allow_short": ("bool", False),
     "stations": ("str_list", None),
     "train_stations": ("str_list", None),
     "leads": ("int_list", None),
@@ -39,8 +40,6 @@ _SCHEMA = {
     "test_start": ("time", None),
     "test_end": ("time", None),
     "search_splits": ("int_list", [1, 2, 4, 8]),
-    "brier_quantile": ("float", 0.75),
-    "spread_bins": ("int", 5),
     "error_intervals": ("float_list", None),
     "baseline_variable": ("str", None),
 }
@@ -57,9 +56,7 @@ _SCHEMA.update(
                     list(f.default) if type(f.default) is tuple else f.default))
     for cls, keys in ((TrainConfig, _TRAIN_KEYS), (SynthSpec, _SYNTH_KEYS)) for f in fields(cls)
 )
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_PARSERS = {"int": parse_int, "float": parse_decimal, "time": parse_time, "str": str, "path": str,
-            "bool": lambda raw: _BOOLS[raw.lower()]}  # KeyError on any other text
+_PARSERS = {"int": parse_int, "float": parse_decimal, "time": parse_time, "str": str}
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -70,7 +67,7 @@ def _convert(key: str, kind: str, raw: str):
                 raise ValueError(raw)
             return list(map(_PARSERS[kind[: -len("_list")]], items))
         return _PARSERS[kind](raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from None
 
 
@@ -157,17 +154,11 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("anen_weighted needs at least one positive weight.<variable> key")
     if cfg.m < 1:
         raise ConfigError("m must be >= 1")
-    if not 0 <= cfg.brier_quantile <= 1:  # NaN fails too
-        raise ConfigError(f"brier_quantile must be in [0, 1], got {cfg.brier_quantile}")
-    if cfg.spread_bins < 1:
-        raise ConfigError(f"spread_bins must be >= 1, got {cfg.spread_bins}")
-    edges = cfg.error_intervals
-    if edges is not None and not (
-        edges and all(map(math.isfinite, edges)) and all(a < b for a, b in zip(edges, edges[1:]))
-    ):
-        raise ConfigError(
-            f"error_intervals must be one or more finite, strictly increasing edges, got {edges}"
-        )
+    if cfg.error_intervals is not None:
+        try:
+            check_edges(cfg.error_intervals)
+        except ValueError as err:
+            raise ConfigError(f"error_intervals: {err}") from None
     if (cfg.error_intervals is None) != (cfg.baseline_variable is None):
         raise ConfigError("error_intervals and baseline_variable must be given together")
     for start_key, end_key in (

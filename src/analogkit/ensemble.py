@@ -47,13 +47,11 @@ class Ranking:
     """Ranked analogs, best first: the search cycle, score and paired
     observation of each, as three arrays of one length, scores
     non-decreasing. A search returns one, and so does
-    :func:`build_ensemble`, whose ``short`` flags an ensemble of fewer than
-    the requested members."""
+    :func:`build_ensemble`, with exactly the requested members."""
 
     cycles: np.ndarray
     scores: np.ndarray
     members: np.ndarray
-    short: bool = False
 
     def __post_init__(self):
         if (self.scores[1:] < self.scores[:-1]).any():
@@ -314,19 +312,15 @@ def search_latent(
     return _ranking(base, distances[base.positions], limit)
 
 
-def build_ensemble(ranked: Ranking, query: AnalogQuery, allow_short: bool = False) -> Ranking:
-    """Top-M members from a ranking.
-
-    With fewer than M candidates the ensemble is refused unless
-    ``allow_short`` is set, in which case all candidates are used and the
-    result is flagged short. A ranking that already is that ensemble, as a
-    search with ``limit=m`` gives, is returned as it is: that spares each
-    target a second :class:`Ranking` and its checks.
+def build_ensemble(ranked: Ranking, query: AnalogQuery) -> Ranking:
+    """The top ``query.m`` members of a ranking; fewer candidates raise
+    :class:`InsufficientAnalogs`. A ranking that already is that ensemble,
+    as a search with ``limit=m`` gives, is returned as it is: that spares
+    each target a second :class:`Ranking` and its checks.
     """
     m = query.m
-    short = len(ranked) < m
-    if short and not allow_short:
+    if len(ranked) < m:
         raise InsufficientAnalogs(available=len(ranked), requested=m)
-    if len(ranked) <= m and ranked.short == short:
+    if len(ranked) == m:
         return ranked
-    return Ranking(ranked.cycles[:m], ranked.scores[:m], ranked.members[:m], short)
+    return Ranking(ranked.cycles[:m], ranked.scores[:m], ranked.members[:m])

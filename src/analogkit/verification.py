@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DataError
 
 N_BOOT = 1000  # bootstrap resamples per spread-error bin
+SPREAD_BINS = 5  # spread-error bins of a report, fewer only with fewer pairs
+BRIER_QUANTILE = 0.75  # the Brier event: above this quantile of the observations
 
 
 @dataclass(frozen=True)
@@ -188,21 +190,28 @@ class IntervalStat:
     rmse: float | None
 
 
+def check_edges(edges) -> None:
+    """``ValueError`` unless ``edges`` are one or more finite, strictly
+    increasing numbers, as :func:`error_interval_rmse` and ``error_intervals`` need."""
+    e = np.asarray(edges, dtype=float)
+    if not (e.size and np.isfinite(e).all() and (np.diff(e) > 0).all()):
+        raise ValueError(f"edges must be one or more finite, strictly increasing, got {edges}")
+
+
 def error_interval_rmse(
     vset: VerificationSet, baseline_errors: np.ndarray, edges: list[float]
 ) -> tuple[list[IntervalStat], int]:
     """RMSE of the ensemble mean grouped by baseline error magnitude.
 
     ``edges`` define half-open intervals [e0, e1), [e1, e2), ..., with the
-    last interval open-ended. Pairs with missing (NaN) baseline error are
-    excluded; the exclusion count is returned alongside the groups. Empty
-    groups report count 0 and no rmse.
+    last interval open-ended; they must pass :func:`check_edges`. Pairs
+    with missing (NaN) baseline error are excluded; the exclusion count is
+    returned alongside the groups. Empty groups report count 0 and no rmse.
     """
     baseline_errors = np.asarray(baseline_errors, dtype=float)
     if baseline_errors.shape != (vset.n_pairs,):
         raise ValueError("one baseline error per pair required")
-    if len(edges) < 1:
-        raise ValueError("at least one interval edge required")
+    check_edges(edges)
     ok = np.isfinite(baseline_errors)
     excluded = int(np.sum(~ok))
     mag = np.abs(baseline_errors)
@@ -232,10 +241,10 @@ class VerificationReport:
 def build_report(
     vset: VerificationSet,
     brier_threshold: float,
-    n_spread_bins: int = 5,
     seed: int = 0,
 ) -> VerificationReport:
-    """Standard report: bias, rmse, crps, mre, brier per lead and overall."""
+    """Standard report: bias, rmse, crps, mre, brier per lead and overall,
+    the rank histogram and ``SPREAD_BINS`` spread-error bins (fewer pairs, fewer bins)."""
 
     def scores(subset: VerificationSet) -> tuple[dict[str, float], np.ndarray]:
         counts, mre = rank_histogram(subset, seed=seed)
@@ -251,12 +260,11 @@ def build_report(
     for lead in vset.leads():
         per_lead[int(lead)], _ = scores(vset.subset(vset.lead_s == lead))
     aggregate, counts = scores(vset)
-    n_bins = min(n_spread_bins, vset.n_pairs)
     return VerificationReport(
         per_lead=per_lead,
         aggregate=aggregate,
         rank_counts=counts,
-        spread_bins=spread_error(vset, n_bins, seed=seed),
+        spread_bins=spread_error(vset, min(SPREAD_BINS, vset.n_pairs), seed=seed),
         brier_threshold=brier_threshold,
         n_pairs=vset.n_pairs,
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from analogkit.archive import (
     ClimatologyStats,
+    ForecastArchive,
     ForecastWindow,
     ObservationArchive,
     climatology_stats,
@@ -358,3 +359,33 @@ class TestWindowType:
     def test_even_width_rejected(self):
         with pytest.raises(ValueError):
             ForecastWindow(data=np.zeros((1, 2)), origin=(0, 0, 0))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: make_forecasts(np.zeros((2, 1, 2, 1)), stations=["A", "A"]),
+     "station ids must be unique"),
+    (lambda: make_forecasts(np.zeros((1, 2, 2, 1)), variables=["v", "v"]),
+     "variable names must be unique"),
+    (lambda: make_forecasts(np.zeros((1, 1, 2, 1)), cycles=[86400, 0]),
+     "cycles must be strictly increasing"),
+    (lambda: make_forecasts(np.zeros((1, 1, 1, 2)), leads=[0, 0]),
+     "leads must be strictly increasing"),
+    (lambda: ForecastArchive(["A"], ["v"], np.array([0]), np.array([0]), np.zeros((1, 1, 2, 1))),
+     "values shape (1, 1, 2, 1) does not match index lists (1, 1, 1, 1)"),
+    (lambda: make_observations(np.zeros((2, 1)), [0], stations=["A", "A"]),
+     "station ids must be unique"),
+    (lambda: make_observations(np.zeros((1, 2)), [5, 5]), "times must be strictly increasing"),
+    (lambda: ObservationArchive(["A"], np.array([0]), np.zeros((1, 2))),
+     "values shape (1, 2) does not match index lists (1, 1)"),
+], ids=["forecast_station_repeats", "variable_repeats", "cycles_not_increasing",
+        "leads_not_increasing", "forecast_values_shape", "observation_station_repeats",
+        "times_not_increasing", "observation_values_shape"])
+def test_archive_refuses_inconsistent_axes(build, message):
+    with pytest.raises(SchemaError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_station_index_of_unknown_station():
+    with pytest.raises(KeyError, match="unknown station 'B'"):
+        make_forecasts(np.zeros((1, 1, 1, 1))).station_index("B")

@@ -133,13 +133,13 @@ class TestConfigValidation:
         cfg = write_config(tmp_path)
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 2
 
-    @pytest.mark.parametrize("text,value", [
-        ("yes", True), ("True", True), ("1", True), ("no", False), ("FALSE", False), ("0", False),
-    ])
-    def test_bool_spellings(self, tmp_path, text, value):
+    @pytest.mark.parametrize("name", ["_private", "no_such_key", "allow_short"])
+    def test_attribute_of_no_key(self, tmp_path, name):
+        """A private name or one outside the schema is no config value."""
         cfg = tmp_path / "config.txt"
-        cfg.write_text(f"allow_short={text}\n")
-        assert load_config(cfg).allow_short is value
+        cfg.write_text("m=3\n")
+        with pytest.raises(AttributeError, match=name):
+            getattr(load_config(cfg), name)
 
     def test_no_training_keys_give_the_train_config_defaults(self, tmp_path):
         cfg = tmp_path / "config.txt"
@@ -359,7 +359,7 @@ class TestVerify:
         pred = tmp_path / "predictions.csv"
         self._write_predictions(pred, pred_rows)
         cfg = tmp_path / "config.txt"
-        cfg.write_text(f"observation_csv={data_dir}/observations.csv\nbrier_quantile=0.75\n")
+        cfg.write_text(f"observation_csv={data_dir}/observations.csv\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--predictions", str(pred)]) == 0
@@ -393,6 +393,68 @@ class TestVerify:
         text = (out / "report.csv").read_text()
         assert "# excluded_missing_obs=4" in text
         assert "# pairs=1" in text
+
+    def test_short_ensemble_excluded_and_counted(self, tmp_path):
+        """Only a predictions file written elsewhere can hold an ensemble
+        shorter than its longest; verify leaves it out and counts it."""
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "observations.csv").write_text(
+            "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n"
+            "PSU,2011-01-02T00:00:00Z,6.0\n")
+        pred = tmp_path / "predictions.csv"
+        self._write_predictions(pred, [
+            f"PSU,2011-01-0{day}T00:00:00Z,0,{rank},{value},2010-01-01T00:00:00Z,0.1"
+            for day, rank, value in [(1, 1, 4.0), (1, 2, 5.0), (1, 3, 6.0), (2, 1, 6.0), (2, 2, 7.0)]
+        ])
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"observation_csv={data_dir}/observations.csv\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--predictions", str(pred)]) == 0
+        text = (out / "report.csv").read_text()
+        assert "# excluded_short_ensembles=1" in text
+        assert "# pairs=1" in text
+
+    def test_verify_and_the_experiment_share_one_brier_threshold(self, tmp_path):
+        """The Brier event does not depend on which targets were skipped:
+        with every test target of S01 skipped, verify of predict's output and
+        the experiment still pool the test-range observations of both
+        stations."""
+        from analogkit import archive as ar
+
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(
+            f"forecast_csv={tmp_path}/data/forecasts.csv\n"
+            f"observation_csv={tmp_path}/data/observations.csv\n"
+            "t_half=0\nm=5\nseed=4\nsynth_stations=2\nsynth_cycles=140\nsynth_variables=3\n"
+            "synth_g=linear\nsearch_splits=1\n"
+            "search_start=2011-01-01T00:00:00Z\nsearch_end=2011-05-01T00:00:00Z\n"
+            "test_start=2011-05-01T00:00:00Z\ntest_end=2011-05-21T00:00:00Z\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        forecasts = tmp_path / "data" / "forecasts.csv"
+        header, *rows = forecasts.read_text().splitlines()
+        # no S01 forecast over the test range (cycles 120-139), so its targets all skip
+        rows = [row.rsplit(",", 1)[0] + "," if row.startswith("S01,")
+                and row.split(",")[2] >= "2011-05-01" else row for row in rows]
+        forecasts.write_text("\n".join([header, *rows]) + "\n")
+        pred, exp = tmp_path / "pred", tmp_path / "exp"
+        assert main(["predict", "--config", str(cfg), "--out", str(pred)]) == 0
+        assert main(["verify", "--config", str(cfg), "--out", str(pred)]) == 0
+        assert main(["experiment-search-length", "--config", str(cfg), "--out", str(exp)]) == 0
+        skipped = (pred / "skipped.csv").read_text().splitlines()[1:]
+        assert len(skipped) == 20 and all(line.startswith("S01,") for line in skipped)
+
+        def threshold(path):
+            lines = path.read_text().splitlines()
+            return next(line for line in lines if line.startswith("# brier_threshold="))
+
+        obs = ar.load_observations(tmp_path / "data" / "observations.csv")
+        in_test = (obs.times >= ar.parse_time("2011-05-01T00:00:00Z")) & (
+            obs.times < ar.parse_time("2011-05-21T00:00:00Z"))
+        want = float(np.quantile(obs.values[:, in_test], 0.75))
+        assert threshold(pred / "report.csv") == f"# brier_threshold={ar.format_float(want)}"
+        assert threshold(exp / "search_length.csv") == threshold(pred / "report.csv")
 
     def test_targets_in_order_of_first_appearance(self, tmp_path):
         """The pair order feeds the rank-histogram tie draws and the spread
@@ -958,7 +1020,6 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("setting,drop,message", [
         ("m=abc", ("m",), "config key m: cannot parse 'abc' as int"),
-        ("allow_short=maybe", (), "config key allow_short: cannot parse 'maybe' as bool"),
         ("search_start 2011-01-01T00:00:00Z", (), "expected key=value"),
         ("m=5", (), "duplicate key m"),
         ("t_half=-2", ("t_half",), "t_half must be nonnegative"),
@@ -981,7 +1042,7 @@ class TestMalformedInputs:
         # an empty list item
         ("stations=S00,,S01", (), "config key stations: cannot parse 'S00,,S01' as str_list"),
         ("hidden_sizes=16,", ("hidden_sizes",), "config key hidden_sizes: cannot parse '16,'"),
-    ], ids=["unparsable_int", "unparsable_bool", "line_without_equals", "repeated_key",
+    ], ids=["unparsable_int", "line_without_equals", "repeated_key",
             "negative_t_half", "negative_m", "start_without_end", "start_after_end",
             "missing_required_keys", "underscore_int", "full_width_int", "underscore_float",
             "spaced_list_item", "unpadded_time", "full_width_year", "repeated_weight",
@@ -1112,6 +1173,17 @@ class TestMalformedInputs:
         cfg = write_config(pipeline, extra=f"brier_quantile={value}\n")
         argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
         self._run(capsys, argv, "config error", "brier_quantile", code=1)
+
+    @pytest.mark.parametrize("setting", ["allow_short=true", "spread_bins=5", "brier_quantile=0.75"],
+                             ids=lambda setting: setting.split("=")[0])
+    def test_fixed_setting_is_an_unknown_key(self, pipeline, capsys, setting):
+        """An ensemble always has m members, and the report's spread bins and
+        Brier quantile are constants of analogkit.verification: none is a key,
+        not even at its old default."""
+        cfg = write_config(pipeline, extra=f"{setting}\n")
+        argv = ["ingest", "--config", str(cfg), "--out", str(pipeline / "i")]
+        key = setting.split("=")[0]
+        self._run(capsys, argv, "config error: ", f"unknown key {key!r}", code=1)
 
     @pytest.mark.parametrize("command,key", [
         ("predict", "stations"),

@@ -203,7 +203,6 @@ class TestBuildEnsemble:
         assert ens.members.tolist() == [10.0]
         assert ens.cycles.tolist() == [0]
         assert ens.scores.tolist() == [0.0]
-        assert not ens.short
 
     def test_m_equal_to_list_length(self):
         query = AnalogQuery(station=0, target_cycle=99, lead=0, t_half=0,
@@ -216,9 +215,6 @@ class TestBuildEnsemble:
                             search_cycles=np.arange(10), m=11)
         with pytest.raises(InsufficientAnalogs, match="10"):
             build_ensemble(self._ranked(10), query)
-        ens = build_ensemble(self._ranked(10), query, allow_short=True)
-        assert ens.m == 10
-        assert ens.short
 
     def test_sources_must_be_sorted(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -388,3 +384,8 @@ def test_readme_quick_start_runs():
     exec(block, namespace)
     for name in ("ensemble", "deep"):
         assert isinstance(namespace[name], Ranking) and namespace[name].m == 11, name
+
+
+def test_query_needs_a_member():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        AnalogQuery(station=0, target_cycle=9, lead=0, t_half=0, search_cycles=np.arange(5), m=0)

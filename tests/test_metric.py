@@ -170,3 +170,18 @@ def test_pairwise_sum_has_the_bits_of_numpy_sum():
         want = np.sum(x, axis=-1)
         got = pairwise_sum(np.ascontiguousarray(x.T))
         assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: MetricConfig(weights=[1.0], sigma=[1.0], t_half=-1), "t_half must be nonnegative"),
+    (lambda: dissimilarity(ForecastWindow(data=np.zeros((1, 1)), origin=(0, 0, 0)),
+                           ForecastWindow(data=np.zeros((1, 3)), origin=(0, 0, 1)),
+                           MetricConfig(weights=[1.0], sigma=[1.0], t_half=0)),
+     "candidate window shape (1, 3), config expects (1, 1)"),
+    (lambda: block_dissimilarity(np.zeros((1, 1)), np.zeros((1, 2, 4))),
+     "candidate block shape (1, 2, 4) does not match target window shape (1, 1)"),
+], ids=["negative_t_half", "candidate_window_shape", "candidate_block_shape"])
+def test_metric_refuses_bad_shapes_and_t_half(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -1,12 +1,14 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from analogkit.archive import ForecastWindow
-from analogkit.errors import DataError
+from analogkit.errors import DataError, SchemaError
 from analogkit.network import (
+    EmbeddingBlock,
     LstmLayerParams,
     LstmState,
     ModelCheckpoint,
@@ -352,3 +354,53 @@ class TestCheckpointIO:
         save_checkpoint(model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _layer(columns=(2, 2, 2, 2), bias_lengths=(1, 1, 1, 1)):
+    """A one-unit layer whose gate matrices have ``columns`` columns."""
+    return LstmLayerParams(*(np.zeros((1, n)) for n in columns),
+                           *(np.zeros(n) for n in bias_lengths))
+
+
+def _small_model(variables=("v1",)):
+    return init_model(list(variables), t_half=0, hidden_sizes=(2,), embed_dim=1)
+
+
+def _checkpoint_with_t_half(path, value):
+    save_checkpoint(_small_model(), path)
+    path.write_text(path.read_text().replace("t_half=0\n", f"t_half={value}\n"))
+    return load_checkpoint(path)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda tmp: _layer(columns=(2, 3, 3, 3)), ValueError,
+     "gate weight matrices must share one shape"),
+    (lambda tmp: _layer(bias_lengths=(1, 1, 1, 2)), ValueError,
+     "gate biases must all have length hidden_size"),
+    (lambda tmp: _layer(columns=(1, 1, 1, 1)), ValueError,
+     "weight matrices must have hidden + input columns"),
+    (lambda tmp: LstmState(np.zeros((1, 2)), np.zeros((1, 2))), ValueError,
+     "state vectors must be equal-length 1-D arrays"),
+    (lambda tmp: LstmState(np.zeros(2), np.zeros(3)), ValueError,
+     "state vectors must be equal-length 1-D arrays"),
+    (lambda tmp: replace(_small_model(), layers=[]), ValueError,
+     "at least one LSTM layer required"),
+    (lambda tmp: replace(_small_model(), variables=["v1", "v2"]), ValueError,
+     "layer 0 input size 1 != 2 variables"),
+    (lambda tmp: replace(_small_model(), head_w=np.zeros((1, 3))), ValueError,
+     "head shape does not match top layer hidden size"),
+    (lambda tmp: EmbeddingBlock("S00", 0, np.array([1, 2]), np.array([10, 20]), np.zeros((2, 1)),
+                                np.ones(2, bool)).position(3), KeyError,
+     "cycle index 3 not covered by this block"),
+    *[(lambda tmp, name=name: save_checkpoint(_small_model([name]), tmp / "c.txt"), ValueError,
+       "cannot be stored in a checkpoint") for name in ("a,b", "a=b", "a\nb", " a", "a ")],
+    (lambda tmp: _checkpoint_with_t_half(tmp / "c.txt", -1), SchemaError,
+     "metadata value out of range"),
+], ids=["gate_shapes", "bias_length", "no_input_columns", "state_2d", "state_unequal",
+        "no_layer", "layer0_input_size", "head_shape", "uncovered_cycle", "name_comma",
+        "name_equals", "name_newline", "name_leading_space", "name_trailing_space",
+        "negative_t_half"])
+def test_network_guards(tmp_path, build, error, message):
+    with pytest.raises(error) as caught:
+        build(tmp_path)
+    assert message in str(caught.value)

@@ -398,7 +398,7 @@ def _reference_run(cfg, method, fcst, obs, stations, leads, ranges, test, model)
                             ranked = ref.search_latent(query, block, obs, limit=m)
                         else:
                             ranked = ref.search_classic(query, fcst, obs, metric, limit=m)
-                        if len(ranked) < m and not cfg.allow_short:
+                        if len(ranked) < m:
                             raise InsufficientAnalogs(available=len(ranked), requested=m)
                     except DataError as err:
                         skipped.append((station, c, lead, str(err)))
@@ -431,8 +431,7 @@ def test_run_predictions_equals_one_reference_call_per_range(method, data):
     obs = obs_matching(fcst, obs_grid)
     ranges = [_range(draw, pool, dead) for _ in range(draw(st.integers(1, 4)))]
     cfg = ExperimentConfig()
-    cfg.values.update(t_half=t_half, m=draw(st.sampled_from([1, 3, 5])),
-                      allow_short=draw(st.booleans()))
+    cfg.values.update(t_half=t_half, m=draw(st.sampled_from([1, 3, 5])))
     cfg.weights.update({f"v{i + 1}": draw(st.sampled_from([0.0, 0.5, 1.0]))
                         for i in range(n_var)})
     cfg.weights["v1"] += 0.0 if any(cfg.weights.values()) else 1.0

@@ -84,3 +84,8 @@ class TestOracleCeiling:
             errors.append(float(np.sqrt(np.mean(np.square(errs)))))
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[2] < 0.05
+
+
+def test_rule_needs_its_hidden_variables():
+    with pytest.raises(ValueError, match="g 'product_sin' needs at least 3 hidden variables"):
+        SynthSpec(g_name="product_sin", hidden=(0,))

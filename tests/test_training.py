@@ -8,6 +8,7 @@ from analogkit.network import init_model, named_parameters, save_checkpoint
 from analogkit.synthetic import SynthSpec, generate
 from analogkit.training import (
     TrainConfig,
+    Triplets,
     adam_step,
     backward,
     evaluate_loss,
@@ -349,3 +350,17 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,train_loss,val_loss"
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: TrainConfig(dropout_rate=1), "dropout_rate must be in [0, 1)"),
+    (lambda: TrainConfig(max_iterations=-1), "max_iterations must be nonnegative"),
+    (lambda: TrainConfig(batch_size=0), "batch_size must be positive"),
+    (lambda: Triplets(windows=np.zeros((3, 1, 1)), origins=np.zeros((3, 3), dtype=int),
+                      index=np.array([[0, 1, 2], [0, 2, 1]]), obs_gap=np.array([0.5, -0.5])),
+     "obs_gap must be positive, got -0.5"),
+], ids=["dropout_rate_one", "negative_max_iterations", "zero_batch_size", "obs_gap"])
+def test_training_guards(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -3,6 +3,7 @@ import pytest
 
 from analogkit.errors import DataError
 from analogkit.verification import (
+    SPREAD_BINS,
     VerificationSet,
     bias,
     brier,
@@ -273,11 +274,10 @@ class TestReport:
         members = rng.standard_normal((40, 5))
         obs = rng.standard_normal(40)
         leads = np.repeat([0, 3600], 20)
-        report = build_report(vset(members, obs, leads), brier_threshold=0.0,
-                              n_spread_bins=4, seed=0)
+        report = build_report(vset(members, obs, leads), brier_threshold=0.0, seed=0)
         assert set(report.per_lead) == {0, 3600}
         assert report.rank_counts.sum() == 40
-        assert len(report.spread_bins) == 4
+        assert len(report.spread_bins) == SPREAD_BINS
         for scores in report.per_lead.values():
             assert set(scores) == {"bias", "rmse", "crps", "mre", "brier"}
             assert all(np.isfinite(v) for v in scores.values())
@@ -304,3 +304,37 @@ def spread_error_loop(vs, n_bins, seed=0, n_boot=1000):
             count=len(chunk),
         ))
     return bins
+
+
+@pytest.mark.parametrize("edges", [[1.0, 0.5], [0.5, 0.5], [np.nan], [0.0, np.inf], []],
+                         ids=["decreasing", "repeated", "nan", "inf", "none"])
+def test_error_interval_edges_follow_the_config_rule(edges):
+    """The edges error_intervals refuses are refused here too, rather than
+    giving an empty [1.0, 0.5) interval or one with lo=nan."""
+    with pytest.raises(ValueError, match="edges must be one or more finite, strictly increasing"):
+        error_interval_rmse(vset(np.zeros((2, 2)), np.zeros(2)), np.array([0.1, 0.2]), edges)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: VerificationSet(np.zeros(3), np.zeros(3), np.zeros(3, np.int64)), ValueError,
+     "members must be [n_pairs, m]"),
+    (lambda: VerificationSet(np.zeros((3, 2)), np.zeros(2), np.zeros(3, np.int64)), ValueError,
+     "observations and lead_s must have one entry per pair"),
+    (lambda: VerificationSet(np.zeros((0, 2)), np.zeros(0), np.zeros(0, np.int64)), DataError,
+     "empty verification set"),
+    (lambda: vset(np.zeros((2, 2)), [0.0, np.nan]), ValueError,
+     "every pair needs a non-missing observation"),
+    (lambda: vset([[0.0, np.inf], [0.0, 0.0]], np.zeros(2)), ValueError,
+     "ensemble members must be finite"),
+    (lambda: spread_error(vset(np.zeros((2, 2)), np.zeros(2)), 0), ValueError,
+     "n_bins must be >= 1"),
+    (lambda: error_interval_rmse(vset(np.zeros((2, 2)), np.zeros(2)), np.zeros(3), [0.0]),
+     ValueError, "one baseline error per pair required"),
+    (lambda: error_interval_rmse(vset(np.zeros((2, 2)), np.zeros(2)), np.zeros(2), []),
+     ValueError, "edges must be one or more finite, strictly increasing, got []"),
+], ids=["members_1d", "observations_length", "empty", "missing_observation", "member_inf",
+        "no_spread_bins", "baseline_length", "no_edges"])
+def test_verification_guards(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
