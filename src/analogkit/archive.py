@@ -200,7 +200,8 @@ def locate(axis: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
     means nothing where ``found`` is False, and an empty axis finds nothing."""
     if not len(axis):
         return np.zeros(np.shape(keys), np.intp), np.zeros(np.shape(keys), bool)
-    positions = np.searchsorted(axis, keys).clip(max=len(axis) - 1)
+    # method forms: a search checks its target with one key, where dispatch shows
+    positions = np.minimum(axis.searchsorted(keys), len(axis) - 1)
     return positions, axis[positions] == keys
 
 
@@ -644,9 +645,9 @@ def climatology_stats(
 
     Computed over the non-missing values at the given cycle indices, checked
     as in :func:`extract_window`; variables with fewer than two get sigma 0
-    and are flagged. The result is invariant to the order of the cycles.
+    and are flagged. The cycles are sorted first: their order changes no bit.
     """
-    cycles = np.asarray(cycles, dtype=int)
+    cycles = np.sort(np.asarray(cycles, dtype=int))
     if cycles.size == 0:
         raise ValueError("empty cycle range")
     _check_indices(archive, station, cycles, lead, 0)

@@ -24,7 +24,8 @@ from .network import EmbeddingBlock
 
 @dataclass(frozen=True)
 class AnalogQuery:
-    """One analog search: which target, where to look, how many members."""
+    """One analog search: which target, where to look (a set of cycles in
+    any order, which its :class:`SearchBase` checks), how many members."""
 
     station: int  # forecast archive station index
     target_cycle: int
@@ -34,12 +35,9 @@ class AnalogQuery:
     m: int = 11
 
     def __post_init__(self):
-        search = np.asarray(self.search_cycles, dtype=int)
-        object.__setattr__(self, "search_cycles", search)
+        object.__setattr__(self, "search_cycles", np.asarray(self.search_cycles, dtype=int))
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.target_cycle in search:
-            raise ValueError("target cycle must not be part of the search range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +71,8 @@ class Ranking:
 
 def rank_positions(scores: np.ndarray, candidates: np.ndarray, limit: int | None = None) -> np.ndarray:
     """Ascending order of ``candidates`` (ascending positions) by score;
-    ties broken by earlier cycle.
+    ties broken by the earlier position. In a :class:`SearchBase`, whose
+    cycles ascend, that is the earlier cycle.
 
     The one ranking routine: analog search orders a base's ``candidates``
     with it, and triplet sampling ranks with it the anchors whose rounded
@@ -96,7 +95,7 @@ def rank_positions(scores: np.ndarray, candidates: np.ndarray, limit: int | None
         keep = ~(s > part[limit - 1])
         pos, s = pos[keep], s[keep]
     # pos is ascending, so a stable sort on score resolves ties in favor of
-    # the earlier cycle.
+    # the earlier position.
     return pos[s.argsort(kind="stable")][:limit]
 
 
@@ -110,20 +109,22 @@ class SearchBase:
     classic search, the embeddings as [embed_dim, n] for latent search.
     Scoring a target then adds vectors of length n, not one short sum per
     candidate, with the bits of those sums (see
-    :func:`~analogkit.metric.pairwise_sum`). The other fields follow the
-    search cycles, in search-range order: ``positions`` is the column of
-    ``rows`` each one was scored in and ``members`` the observation at its
+    :func:`~analogkit.metric.pairwise_sum`). ``search_cycles`` is the range
+    as a set, strictly ascending, so a tie in rank goes to the earlier
+    cycle. The other fields follow it: ``positions`` is the column of
+    ``rows`` each cycle was scored in and ``members`` the observation at its
     valid time. ``candidates``, fixed when the base is built, holds the
     ascending positions of the cycles with a complete window (an available
     embedding row) and an observation. ``source`` is what the rows were
     built from: the (station, lead, t_half) of classic search, the
     embedding block of latent search.
 
-    :func:`classic_base` and :func:`latent_base` score exactly their search
-    cycles. :meth:`subrange` gives the base of a range drawn from them, on
-    the same rows, so a target's distances to those rows serve every such
-    range. A range that repeats a cycle, and a query for another source or
-    range, raise ``ValueError``.
+    :func:`classic_base` and :func:`latent_base` sort a range given in any
+    order and score exactly its cycles. :meth:`subrange` gives the base of
+    a range drawn from them, on the same rows, so a target's distances to
+    those rows serve every such range. A range that repeats a cycle or is
+    not ascending, and a query for another source or range or whose target
+    is in the range, raise ``ValueError``.
     """
 
     source: tuple[int, int, int] | EmbeddingBlock
@@ -134,23 +135,23 @@ class SearchBase:
     candidates: np.ndarray
 
     def __post_init__(self):
-        ordered = np.sort(self.search_cycles)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        cycles = self.search_cycles
+        repeated = cycles[1:][cycles[1:] == cycles[:-1]]
         if repeated.size:
             raise ValueError(f"cycle index {repeated[0]} repeats in the search range")
+        if (cycles[1:] < cycles[:-1]).any():
+            raise ValueError("search cycles must be ascending")
 
     def subrange(self, search_cycles) -> SearchBase:
-        """The base of ``search_cycles``, in their order, on these rows.
+        """The base of ``search_cycles``, given in any order, on these rows.
 
         A cycle that is not one of this base's raises ``ValueError``.
         """
-        search_cycles = np.asarray(search_cycles, dtype=int)
-        order = self.search_cycles.argsort(kind="stable")
-        at, known = locate(self.search_cycles[order], search_cycles)
+        search_cycles = np.sort(np.asarray(search_cycles, dtype=int))
+        at, known = locate(self.search_cycles, search_cycles)
         if not known.all():
             raise ValueError(
                 f"cycle index {search_cycles[~known][0]} is not part of this search base")
-        at = order[at]
         return SearchBase(self.source, search_cycles, self.rows, self.positions[at],
                           self.members[at], np.flatnonzero(locate(self.candidates, at)[1]))
 
@@ -167,7 +168,7 @@ def classic_base(
     (station, lead), the candidates of search and of triplet sampling. The
     rows are :func:`~analogkit.archive.window_block`'s: NaN, with no
     candidate, where the window leaves the lead axis."""
-    search_cycles = np.asarray(search_cycles, dtype=int)
+    search_cycles = np.sort(np.asarray(search_cycles, dtype=int))
     block, available = window_block(fcst, station, lead, search_cycles, t_half)
     rows = np.ascontiguousarray(block.transpose(2, 1, 0))
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
@@ -183,7 +184,7 @@ def latent_base(
 
     A search cycle the block does not cover raises ``KeyError``.
     """
-    search_cycles = np.asarray(search_cycles, dtype=int)
+    search_cycles = np.sort(np.asarray(search_cycles, dtype=int))
     positions, covered = locate(embeddings.cycles, search_cycles)
     if not covered.all():
         raise KeyError(f"cycle index {search_cycles[~covered][0]} not covered by this block")
@@ -228,13 +229,16 @@ def target_distances(base: SearchBase, fcst: ForecastArchive | None, cycle: int)
 
 def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distances) -> None:
     """Raise ``ValueError`` unless ``base`` was built from ``source`` for the
-    query's search range and ``distances``, if given, cover its rows."""
+    query's search range, taken as a set, that range leaves out the query's
+    target, and ``distances``, if given, cover the base's rows."""
     if base.source != source:
         raise ValueError(f"search base was built for another {what}")
     if base.search_cycles is not query.search_cycles and not np.array_equal(
-        base.search_cycles, query.search_cycles
+        base.search_cycles, np.sort(query.search_cycles)
     ):
         raise ValueError("search base was built for another search range")
+    if locate(base.search_cycles, query.target_cycle)[1]:
+        raise ValueError("target cycle must not be part of the search range")
     if distances is not None and len(distances) != base.rows.shape[-1]:
         raise ValueError("distances were scored against other search base rows")
 

@@ -5,8 +5,7 @@ The score between a target window F and a candidate window A is
     sum_i (w_i / sigma_i) * sqrt(sum_j (F[i, j] - A[i, j])^2)
 
 summed over variables i and window positions j. Variables with sigma 0 are
-skipped (contribute 0); their count is exposed on the config so callers can
-report constant predictors.
+skipped (contribute 0).
 """
 
 from __future__ import annotations
@@ -51,11 +50,6 @@ class MetricConfig:
     @property
     def width(self) -> int:
         return 2 * self.t_half + 1
-
-    @property
-    def zero_sigma_count(self) -> int:
-        """Number of variables skipped because their sigma is zero."""
-        return int(np.sum(self.sigma == 0))
 
 
 def dissimilarity(target: ForecastWindow, candidate: ForecastWindow, cfg: MetricConfig) -> float:

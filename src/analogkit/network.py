@@ -149,11 +149,6 @@ class ModelCheckpoint:
     def hidden_sizes(self) -> tuple[int, ...]:
         return tuple(layer.hidden_size for layer in self.layers)
 
-    @property
-    def zero_sigma_variables(self) -> list[str]:
-        """Variables that standardize to 0 because their training sigma is 0."""
-        return [v for v, s in zip(self.variables, self.norm_sigma) if s <= 0]
-
     def clone(self) -> "ModelCheckpoint":
         """A copy sharing no memory with this model; ``theta`` is copied once."""
         new = copy.copy(self)

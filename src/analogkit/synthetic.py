@@ -39,7 +39,8 @@ LEAD_STEP = 3600  # hourly leads
 @dataclass(frozen=True)
 class SynthSpec:
     """Dimensions and latent rule of a synthetic dataset, on a fixed time grid:
-    daily cycles from 2011-01-01T00:00:00Z and hourly leads, at most 24."""
+    daily cycles from 2011-01-01T00:00:00Z and hourly leads, at most 24, all
+    before the year 10000."""
 
     n_stations: int = 1
     n_cycles: int = 100
@@ -65,6 +66,9 @@ class SynthSpec:
             )
         if self.n_leads > CYCLE_STEP // LEAD_STEP:  # valid times would collide
             raise ValueError("at most 24 leads: a 25th would reach the next cycle")
+        last = CYCLE_START + CYCLE_STEP * (self.n_cycles - 1) + LEAD_STEP * (self.n_leads - 1)
+        if last >= 253402300800:  # 10000-01-01T00:00:00Z: format_time's limit
+            raise ValueError(f"valid times pass the year 9999 at {self.n_cycles} cycles")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .archive import (
     variable_stats,
 )
 from .ensemble import classic_base, rank_positions
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .network import (
     ModelCheckpoint,
     backprop_stack,
@@ -149,7 +149,7 @@ class SamplingPlan:
     windows: np.ndarray  # float64 [n_rows, n_variables, 2*t_half + 1]
     origins: np.ndarray  # int [n_rows, 3]: (station index, cycle index, lead index)
     blocks: tuple[BlockPlan, ...]
-    edges: list[float]  # roulette edges over the k_pos nearest
+    edges: list[float]  # roulette edges over the k_pos nearest; empty with no block
     anchors_seen: int
 
 
@@ -181,8 +181,6 @@ def plan_sampling(
     """
     cycles = np.unique(np.asarray(cycles, dtype=int))
     k = cfg.k_pos
-    fitness = 1.0 / np.arange(1, k + 1)
-    edges = np.cumsum(fitness / fitness.sum()).tolist()
     windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
     origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
     for lead in leads:
@@ -203,6 +201,10 @@ def plan_sampling(
             origins.append(np.column_stack(
                 [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]))
             rows += elig_pos.size
+    edges = []
+    if blocks:  # a block holds k_pos + 2 cycles, so the data bound the edges
+        fitness = 1.0 / np.arange(1, k + 1)
+        edges = np.cumsum(fitness / fitness.sum()).tolist()
     return SamplingPlan(np.concatenate(windows), np.concatenate(origins), tuple(blocks),
                         edges, seen)
 
@@ -561,15 +563,13 @@ def train(
 
     s_indices = [fcst.station_index(st) for st in stations]
     norm_mean, norm_sigma = _pooled_norm(fcst, s_indices, cycles)
-    model = init_model(
-        variables=list(fcst.variables),
-        t_half=cfg.t_half,
-        hidden_sizes=cfg.hidden_sizes,
-        embed_dim=cfg.embed_dim,
-        seed=cfg.seed,
-        norm_mean=norm_mean,
-        norm_sigma=norm_sigma,
-    )
+    try:
+        model = init_model(list(fcst.variables), cfg.t_half, cfg.hidden_sizes, cfg.embed_dim,
+                           cfg.seed, norm_mean, norm_sigma)
+    except MemoryError:
+        sizes = ",".join(map(str, cfg.hidden_sizes))
+        raise ConfigError(f"hidden_sizes={sizes} and embed_dim={cfg.embed_dim} give a model "
+                          "too large to allocate") from None
 
     n_val = max(1, int(round(VAL_FRACTION * cycles.size)))
     train_cycles = cycles[:-n_val]

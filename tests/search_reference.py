@@ -11,7 +11,7 @@ inlined as it was before the base became feature-major: one sum along each
 candidate's [n_variables, width] window, in numpy's own order. The
 ranking is a full stable sort of the eligible scores, cut at ``limit``, so
 it shares no code with :func:`analogkit.ensemble.rank_positions`: NaN ranks
-last and ties go to the earlier cycle. Candidates are the per-member tuples
+last and ties go to the earlier cycle, in whatever order the range is given. Candidates are the per-member tuples
 that the searches returned before they returned arrays.
 """
 
@@ -43,7 +43,7 @@ def search_classic(query, fcst, obs, cfg, limit=None):
         raise DataError("no analog candidates available for this target")
     d = block - target.data[None]  # [n, n_variables, width]
     scores = np.sqrt(np.sum(d * d, axis=-1)) @ cfg.coefficients
-    return _candidates(query, scores, obs_vals, rank(scores, eligible, limit))
+    return _candidates(query, scores, obs_vals, rank(scores, eligible, query.search_cycles, limit))
 
 
 def search_latent(query, embeddings, obs, limit=None):
@@ -64,13 +64,15 @@ def search_latent(query, embeddings, obs, limit=None):
     diff -= embeddings.vectors[t_pos]
     diff *= diff
     scores = np.sqrt(np.sum(diff, axis=1))
-    return _candidates(query, scores, obs_vals, rank(scores, eligible, limit))
+    return _candidates(query, scores, obs_vals, rank(scores, eligible, query.search_cycles, limit))
 
 
-def rank(scores, eligible, limit=None):
-    """The eligible positions by ascending score, the earlier first on a tie
-    and NaN last, cut after ``limit``."""
+def rank(scores, eligible, cycles, limit=None):
+    """The eligible positions by ascending score, the one of the earlier of
+    ``cycles`` first on a tie and NaN last, cut after ``limit``. The range
+    may come in any order."""
     pos = eligible.nonzero()[0]
+    pos = pos[np.argsort(cycles[pos], kind="stable")]
     return pos[np.argsort(scores[pos], kind="stable")][:limit]
 
 

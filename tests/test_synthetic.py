@@ -89,3 +89,20 @@ class TestOracleCeiling:
 def test_rule_needs_its_hidden_variables():
     with pytest.raises(ValueError, match="g 'product_sin' needs at least 3 hidden variables"):
         SynthSpec(g_name="product_sin", hidden=(0,))
+
+
+@pytest.mark.parametrize("n_leads", [1, 24])
+def test_largest_grid_ends_on_the_last_day_of_9999(n_leads):
+    """Every valid time must be a timestamp the CSV writer can format, so the
+    grid ends in the year 9999: one cycle more is refused."""
+    from datetime import date
+
+    from analogkit.archive import format_time
+    from analogkit.synthetic import CYCLE_START, CYCLE_STEP, LEAD_STEP
+
+    largest = (date(9999, 12, 31) - date(2011, 1, 1)).days + 1
+    spec = SynthSpec(n_cycles=largest, n_leads=n_leads)
+    last = CYCLE_START + CYCLE_STEP * (spec.n_cycles - 1) + LEAD_STEP * (n_leads - 1)
+    assert format_time(last) == f"9999-12-31T{n_leads - 1:02d}:00:00Z"
+    with pytest.raises(ValueError, match=f"valid times pass the year 9999 at {largest + 1} cycles"):
+        SynthSpec(n_cycles=largest + 1, n_leads=n_leads)
