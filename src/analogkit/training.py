@@ -215,9 +215,13 @@ def sample_triplets(
     stats: SamplingStats | None = None,
 ) -> Triplets:
     """One triplet per kept anchor of ``plan`` (see :func:`plan_sampling`),
-    drawn block by block. Consumes ``rng`` deterministically: per anchor one
-    ``random()`` and, unless it is skipped, one ``integers()``. The result
-    shares the plan's window rows, so drawing again pays only for the draws.
+    drawn block by block. Consumes ``rng`` deterministically, anchor after
+    anchor: one ``random()`` to pick the positive, then, unless the anchor is
+    skipped, one ``integers(b)`` over the ``b`` places its negative may take;
+    ``integers(1)`` reads no bits. With a ``PCG64`` bit generator these draws
+    are read in bulk from its raw words (see :meth:`BlockPlan.draw`), leaving
+    the same ``bit_generator.state`` as the calls. The result shares the
+    plan's window rows, so drawing again pays only for the draws.
     """
     if stats is None:
         stats = SamplingStats()
@@ -254,6 +258,13 @@ class BlockPlan:
     negative is at place ``k`` for a positive nearer than the (k+1)-th
     candidate, that is of rank below ``ties``, and past every candidate as
     near, at place ``past``, for the others.
+
+    An anchor draws its positive's rank with ``random()`` and its negative
+    with ``integers(b)`` over the ``b`` places from the first allowed one
+    on. Where ``2 <= b < 2**32`` whatever the rank, a ``PCG64`` generator's
+    draws are read in bulk from its raw words (:meth:`_read_run`). The
+    others, ``stops``, take the scalar calls (:meth:`_draw_one`), as every
+    anchor does with another bit generator.
     """
 
     offset: int
@@ -265,8 +276,9 @@ class BlockPlan:
     skip: np.ndarray  # per anchor: its own entry of up[lo:]
     unsafe: np.ndarray  # anchors (indices into ``anchors``) ranked in full
     top: np.ndarray  # [n_anchors, k + 1] positions
-    ties: list[int]
-    past: list[int]
+    ties: np.ndarray
+    past: np.ndarray
+    stops: list[int]  # anchors (indices into ``anchors``) drawn by scalar calls, then len(anchors)
 
     @classmethod
     def make(cls, v: np.ndarray, anchors: np.ndarray, k: int, offset: int) -> BlockPlan:
@@ -294,24 +306,33 @@ class BlockPlan:
         cut, c, start = top_dist[tied, k], centre[tied], lo[tied]
         past[tied] = _within(sv, start, n - start, c, cut) + _within(dv, n - start, start, c, cut) - 1
         ties = np.count_nonzero(top_dist[:, :k] < top_dist[:, k:], axis=1)
-        return cls(offset, v, anchors, up, down, lo, skip, unsafe, top,
-                   ties.tolist(), past.tolist())
+        # A rank below ``ties`` leaves b = n - 1 - k places, any other rank
+        # n - 1 - past (none is where ties is k and past is 0). A stop is an
+        # anchor where some rank may leave b < 2 or b >= 2**32; past >= k.
+        stops = np.flatnonzero((past > n - 3) | (not 2 <= n - 1 - k < 2**32))
+        return cls(offset, v, anchors, up, down, lo, skip, unsafe, top, ties, past,
+                   stops.tolist() + [len(anchors)])
 
     def draw(self, edges: list[float], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """The [n, 3] (anchor, positive, negative) positions of the anchors
-        that keep a triplet, and their obs_gaps."""
-        v, k, n_cand = self.v, self.top.shape[1] - 1, self.v.size - 1
-        kept, picks, places = [], [], []
-        random, integers, scale = rng.random, rng.integers, edges[-1]
-        for i, (tie, past) in enumerate(zip(self.ties, self.past)):
-            r = min(bisect_right(edges, random() * scale), k - 1)
-            first = k if r < tie else past
-            if first == n_cand:
-                continue
-            kept.append(i)
-            picks.append(r)
-            places.append(first + int(integers(n_cand - first)))
-        kept, picks, places = (np.array(x, dtype=int) for x in (kept, picks, places))
+        that keep a triplet, and their obs_gaps. Anchor by anchor, the draws
+        are those of :meth:`_draw_one`; from a ``PCG64`` generator, each run
+        of anchors up to the next of ``stops`` is read in bulk instead."""
+        v, n_cand, n = self.v, self.v.size - 1, len(self.anchors)
+        picks, places = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        bulk = isinstance(rng.bit_generator, np.random.PCG64)
+        ends = iter(self.stops if bulk else range(n + 1))  # else every anchor is a stop
+        i, end = 0, next(ends)
+        while i < n:
+            while end < i:
+                end = next(ends)
+            if end > i:
+                i += self._draw_run(i, end, edges, rng.bit_generator, picks, places)
+            if i < n:  # a stop, or an anchor whose half may be rejected
+                picks[i], places[i] = self._draw_one(i, edges, rng)
+                i += 1
+        kept = np.flatnonzero(places < n_cand)
+        picks, places = picks[kept], places[kept]
         pos = self.top[kept, picks]
         neg = _merged_entry(v, self.up, self.down, self.lo[kept], self.skip[kept],
                             v[self.anchors[kept]], places)
@@ -320,6 +341,65 @@ class BlockPlan:
         a = self.anchors[kept]
         gap = np.abs(v[neg] - v[a]) - np.abs(v[pos] - v[a])
         return np.column_stack([a, pos, neg]), gap
+
+    def _draw_one(self, i: int, edges: list[float], rng: np.random.Generator) -> tuple[int, int]:
+        """Anchor i's positive rank and negative place, by scalar calls; the
+        place is ``v.size - 1`` (no candidate) where the anchor is skipped."""
+        k, n_cand = len(edges), len(self.v) - 1
+        r = min(bisect_right(edges, rng.random() * edges[-1]), k - 1)
+        first = k if r < self.ties[i] else int(self.past[i])
+        if first == n_cand:
+            return r, n_cand
+        return r, first + int(rng.integers(n_cand - first))
+
+    def _draw_run(self, start, end, edges, bits: np.random.PCG64, picks, places) -> int:
+        """Draws anchors ``start`` to ``end`` (exclusive), none of them a stop,
+        from the words of ``bits`` until one may need a second half; fills
+        their ``picks`` and ``places`` and returns how many it drew. ``bits``
+        is left as the scalar calls for those anchors would leave it."""
+        state = bits.state
+        n, buffered = end - start, state["has_uint32"]
+        words = bits.random_raw(n + (n + 1 - buffered) // 2)
+        pick, place, used, has_uint32, uinteger = self._read_run(
+            start, end, words, buffered, state["uinteger"], edges)
+        drawn = len(pick)
+        picks[start : start + drawn], places[start : start + drawn] = pick, place
+        # Back to the start, then on by the words the drawn anchors read.
+        bits.state = {**state, "has_uint32": has_uint32, "uinteger": uinteger}
+        bits.random_raw(used, output=False)
+        return drawn
+
+    def _read_run(self, start, end, words, has_uint32, uinteger, edges):
+        """Anchors ``start`` to ``end`` (exclusive), none of them a stop, as
+        drawn from PCG64's raw ``words`` after a state with ``has_uint32``
+        and ``uinteger``, up to the first whose half may be rejected.
+        Returns their picks and places, then how many words they read and
+        the ``has_uint32`` and ``uinteger`` they leave.
+
+        ``random()`` is ``(w >> 11) * 2**-53`` of a fresh word w.
+        ``integers(b)`` reads a 32-bit half x: the buffered high half if
+        ``has_uint32`` (which it clears, leaving ``uinteger``), else the low
+        half of a fresh word, whose high half it buffers. It is Lemire's
+        ``(x * b) >> 32`` unless ``(x * b) mod 2**32 < (2**32 - b) mod b``,
+        when it reads another half, so the run stops where that may hold:
+        at ``(x * b) mod 2**32 < b``.
+        """
+        k, n_cand = len(edges), len(self.v) - 1
+        j = np.arange(end - start)
+        fresh = (j + has_uint32) % 2 == 0  # the anchor's integers() reads a fresh word
+        read = j + 1 + np.cumsum(fresh)  # words read up to and including each anchor
+        high = np.append(np.uint64(uinteger), words >> 32)  # [0] is the buffered half
+        half = high[read - 1 + fresh]  # the high half buffered after each anchor
+        x = np.where(fresh, words[read - 1] & 0xFFFFFFFF, half)
+        u = (words[read - 1 - fresh] >> 11) * 2.0**-53
+        pick = np.minimum(np.searchsorted(edges, u * edges[-1], "right"), k - 1)
+        first = np.where(pick < self.ties[start:end], k, self.past[start:end])
+        bound = (n_cand - first).astype(np.uint64)
+        product = x * bound
+        n = int(np.append(product & 0xFFFFFFFF < bound, True).argmax())
+        return (pick[:n], first[:n] + (product[:n] >> 32).astype(int),
+                int(read[n - 1]) if n else 0, (has_uint32 + n) % 2,
+                int(half[n - 1]) if n else uinteger)
 
 
 def _exact_order(v: np.ndarray, a: int, m: int) -> np.ndarray:
@@ -549,11 +629,13 @@ def train(
     cycle time) are held out for validation and never anchor a training
     triplet. The validation pool and the training pool each have one
     :class:`SamplingPlan` over every lead, so a resample only draws. The
-    loop samples batches, backpropagates, applies ADAM to the model in
-    place, and evaluates the held-out loss every ``eval_interval``
-    iterations, cloning the model on a new best; it stops
-    at ``max_iterations`` or when ``early_stop_patience`` iterations pass
-    without a relative improvement of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
+    loop gathers each batch into one buffer, allocated before any sampling
+    (a ``batch_size`` too large to allocate is a :class:`ConfigError`),
+    backpropagates, applies ADAM to the model in place, and evaluates the
+    held-out loss every ``eval_interval`` iterations, cloning the model on
+    a new best; it stops at ``max_iterations`` or when
+    ``early_stop_patience`` iterations pass without a relative improvement
+    of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
     Returns the best-validation checkpoint and the evaluation log.
     """
     cycles = np.unique(np.asarray(cycles, dtype=int))
@@ -566,10 +648,17 @@ def train(
     try:
         model = init_model(list(fcst.variables), cfg.t_half, cfg.hidden_sizes, cfg.embed_dim,
                            cfg.seed, norm_mean, norm_sigma)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy's ValueError: "array is too big"
         sizes = ",".join(map(str, cfg.hidden_sizes))
         raise ConfigError(f"hidden_sizes={sizes} and embed_dim={cfg.embed_dim} give a model "
                           "too large to allocate") from None
+
+    if cfg.max_iterations > 0:  # one buffer that every batch is gathered into
+        try:
+            batch = np.empty((3, cfg.batch_size, fcst.n_variables, 2 * cfg.t_half + 1))
+        except (MemoryError, ValueError):
+            raise ConfigError(f"batch_size={cfg.batch_size} gives a batch too large to "
+                              "allocate") from None
 
     n_val = max(1, int(round(VAL_FRACTION * cycles.size)))
     train_cycles = cycles[:-n_val]
@@ -589,22 +678,22 @@ def train(
     cursor = 0
 
     def next_batch():
-        """Rows of the next batch_size triplets in ``order``, sampling a new
-        pool whenever the current one is used up."""
+        """Rows of the next batch_size triplets in ``order``, gathered into
+        ``batch``, sampling a new pool whenever the current one is used up."""
         nonlocal pool, order, cursor
-        parts, need = [], cfg.batch_size
-        while need:
+        filled = 0
+        while filled < cfg.batch_size:
             if cursor >= len(order):
                 pool = sample_triplets(train_plan, rng)
                 if not pool:
                     raise DataError("triplet pool dried up during training")
                 order = rng.permutation(len(pool))
                 cursor = 0
-            take = order[cursor : cursor + need]
-            parts.append(pool.roles(take))
+            take = order[cursor : cursor + cfg.batch_size - filled]
+            np.take(pool.windows, pool.index[take].T, axis=0,
+                    out=batch[:, filled : filled + len(take)])
             cursor += len(take)
-            need -= len(take)
-        batch = np.concatenate(parts, axis=1)
+            filled += len(take)
         return batch.reshape(-1, *batch.shape[2:])
 
     adam = init_adam_state(model)

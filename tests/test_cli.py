@@ -1150,12 +1150,21 @@ class TestMalformedInputs:
         ("k_pos=10000000000000", "data error: no training triplets could be sampled", 2),
         ("hidden_sizes=10000000", "config error: hidden_sizes=10000000 and embed_dim=4 give a "
          "model too large to allocate", 1),
-    ], ids=["k_pos", "hidden_sizes"])
+        ("hidden_sizes=10000000000", "config error: hidden_sizes=10000000000 and embed_dim=4 "
+         "give a model too large to allocate", 1),
+        ("batch_size=1000000000000000", "config error: batch_size=1000000000000000 gives a "
+         "batch too large to allocate", 1),
+        ("batch_size=1000000000000000000", "config error: batch_size=1000000000000000000 gives "
+         "a batch too large to allocate", 1),
+    ], ids=["k_pos", "hidden_sizes", "hidden_sizes_past_the_address_space", "batch_size",
+            "batch_size_past_the_address_space"])
     def test_sizes_that_cannot_be_allocated(self, pipeline, capsys, setting, message, code):
         """Sizes past any memory end in a named error, not a numpy
-        MemoryError: the roulette edges of k_pos are built only for a block
-        with k_pos + 2 cycles, and a model too large to allocate is refused.
-        numpy refuses either allocation at once, so no memory is touched."""
+        MemoryError or a hang: the roulette edges of k_pos are built only for
+        a block with k_pos + 2 cycles, and a model or a batch too large to
+        allocate is refused before any sampling. numpy refuses each
+        allocation at once, so no memory is touched: with a MemoryError, or
+        with a ValueError for a size past the address space."""
         cfg = write_config(pipeline, drop=(setting.split("=")[0],), extra=f"{setting}\n")
         out = pipeline / "train"
         self._run(capsys, ["train", "--config", str(cfg), "--out", str(out)], message, code=code)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from analogkit.errors import DataError
+from analogkit.errors import ConfigError, DataError
 from analogkit.network import init_model, named_parameters, save_checkpoint
 from analogkit.synthetic import SynthSpec, generate
 from analogkit.training import (
@@ -291,6 +291,18 @@ class TestTrain:
         assert len(log1) == 1  # the iteration-0 evaluation
         for (_, p1), (_, p2) in zip(named_parameters(m1), named_parameters(m2)):
             np.testing.assert_array_equal(p1, p2)
+
+    def test_batch_too_large_to_allocate(self):
+        """The batch buffer is allocated once, before sampling, only when
+        there are iterations to run: numpy refuses 10**15 triplets at once,
+        and 0 iterations need no batch."""
+        fcst, obs = easy_task()
+        cfg = small_cfg(max_iterations=1, k_pos=3, batch_size=10**15)
+        with pytest.raises(ConfigError, match="batch_size=1000000000000000 gives a batch too "
+                                              "large to allocate"):
+            train(fcst, obs, ["S00"], [0], np.arange(300), cfg)
+        model, log = train(fcst, obs, ["S00"], [0], np.arange(300), replace(cfg, max_iterations=0))
+        assert model.iterations == 0 and len(log) == 1
 
     def test_same_seed_bit_identical_checkpoints(self, tmp_path):
         fcst, obs = easy_task()
