@@ -32,16 +32,21 @@ of the first offending record in file order; within a record the column
 count, the key columns, the duplicate key and the value are checked in
 that order, and ``lead_s`` must fit int64.
 
-Cost: a clean file is checked in bulk. The lines are joined and split into
-fields once, and the column count of every record is checked on that split
-by where the record separators fall. Each key column is coded in one
-dictionary pass, and only its distinct strings are parsed, so timestamp
-parsing grows with the distinct times, not the rows. The value column is
-checked by one character test on its joined text and parsed by ``float()``
-inside numpy's array constructor, an empty field read as ``"nan"``.
-Duplicate keys are found by sorting the records' cells, so no array spans
-the product of the axes. Only when a bulk check fails is the file read
-again, record by record in file order, to name the first fault.
+Cost: a clean file is checked in bulk, one block of whole lines at a time
+(about 64 KiB), so a load holds one block's strings at a time and, beyond
+them, 8-byte codes and values for each record's key and value fields. In
+each block the lines are joined and split into fields once, and the
+column count of every record is checked on that split by where the record
+separators fall. Each key column is coded in one dictionary pass that
+persists across blocks, and only its distinct strings are parsed, once,
+after the last block, so timestamp parsing grows with the distinct times,
+not the rows. The value column is checked by one character test on its
+joined text and parsed by ``float()`` inside numpy's array constructor, an
+empty field read as ``"nan"``. Duplicate keys are found by sorting the
+records' cells, so no array spans the product of the axes. The whole file
+is read at once only to name a fault: when a bulk check or the block read
+fails, it is read again, record by record in file order, and the first
+fault is named.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Callable, NamedTuple, Sequence
+from functools import partial
+from itertools import chain, count, islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +75,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 # and its words for NaN and infinity, so one character test completes the rule.
 _DECIMAL_CHARS = b"0123456789+-.eEaAfFiInNtTyY"
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+# A CSV is read in blocks of this many bytes, so that a load's transient
+# strings stay bounded whatever the file's size (not a knob).
+_BLOCK_BYTES = 1 << 16
 
 
 def parse_int(text: str) -> int:
@@ -252,7 +262,8 @@ class ClimatologyStats:
 
 
 def read_text(path) -> str:
-    """The whole text of an input file (CSV, config, checkpoint), decoded as UTF-8.
+    """The whole text of a config or checkpoint file, decoded as UTF-8, or
+    of a CSV file whose block read failed, to name the fault.
 
     A file that cannot be read is a :class:`DataError` and a byte that is
     not UTF-8 a :class:`SchemaError`, both naming the file.
@@ -315,17 +326,6 @@ def open_output(path):
         raise DataError(f"{path}: cannot write: {err.strerror}") from None
 
 
-def _lines(path, header: list[str]) -> tuple[list[str], int]:
-    """The lines of a CSV file and the index of its header, checked against ``header``."""
-    lines = read_text(path).splitlines()
-    start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
-    if start is None:
-        raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
-    if lines[start].split(",") != header:
-        raise SchemaError(f"{path}: line {start + 1}: bad header {lines[start]!r}")
-    return lines, start
-
-
 class _Key(NamedTuple):
     label: str  # field name in "unparsable" messages
     parse: Callable[[list[str]], list]  # distinct strings -> keys, ValueError if one fails
@@ -348,18 +348,16 @@ _LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
 _RANK = _Key("member_rank", lambda texts: list(map(parse_int, texts)), False)
 
 
-def _codes(column: list[str], parse) -> tuple[list, np.ndarray]:
-    """Code a key column on the sorted axis of its distinct parsed keys.
+def _axis(parse, first: dict) -> tuple[list, np.ndarray]:
+    """The sorted axis of a key column's distinct parsed keys, and the axis
+    position of each distinct text, in the order ``first`` numbered them.
 
-    One dictionary pass numbers the distinct strings in order of first row,
-    and only they are parsed. Raises ValueError when one does not parse.
+    Only the distinct texts are parsed. Raises ValueError when one does not.
     """
-    first = defaultdict(count().__next__)
-    codes = np.fromiter(map(first.__getitem__, column), np.intp, len(column))
     keys = parse(list(first))  # in order of first row
     axis = sorted(set(keys))
     position = {key: i for i, key in enumerate(axis)}
-    return axis, np.array([position[key] for key in keys], np.intp)[codes]
+    return axis, np.array([position[key] for key in keys], np.intp)
 
 
 def _values(column: list[str], empty_is_missing: bool) -> np.ndarray:
@@ -389,13 +387,20 @@ def _value_problem(text: str, empty_is_missing: bool) -> str:
 
 
 def _first_fault(path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool):
-    """The :class:`SchemaError` of the first offending record of a CSV file.
+    """The :class:`SchemaError` of the first offending record of a CSV file,
+    read whole; a missing or bad header, an unreadable file and a byte that
+    is not UTF-8 are raised at once.
 
     Walks the records in file order and checks each one's column count, key
     columns, duplicate key and value in that order. Each key column's
     parser runs once per distinct text.
     """
-    lines, start = _lines(path, header)
+    lines = read_text(path).splitlines()
+    start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
+    if start is None:
+        raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
+    if lines[start].split(",") != header:
+        raise SchemaError(f"{path}: line {start + 1}: bad header {lines[start]!r}")
     parsed = [{} for _ in keys]  # per key column: text -> parsed key
     seen = set()
 
@@ -424,6 +429,39 @@ def _first_fault(path, header: list[str], keys: Sequence[_Key], empty_is_missing
     raise AssertionError(f"{path}: a bulk check failed, but no record fails its own checks")
 
 
+def _record_blocks(path, header: list[str]) -> Iterator[list[str]]:
+    """The record lines of a CSV file, one list per block of whole lines.
+
+    The file is read :data:`_BLOCK_BYTES` at a time and cut after the last
+    ``\\n`` of each read, the rest carried over (a longer line extends its
+    block). A cut after ``\\n`` splits no UTF-8 sequence and no ``\\r\\n``,
+    so the blocks decode and split into exactly the lines of the whole text.
+    Raises ValueError on a byte that is not UTF-8 or a missing or bad header.
+    """
+    found = False
+    pieces: list[bytes] = []  # the bytes read since the last "\n"
+    with open(path, "rb") as fh:
+        # a closing "\n" ends the last line; at most it adds a blank line
+        for data in chain(iter(partial(fh.read, _BLOCK_BYTES), b""), [b"\n"]):
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                pieces.append(data)
+                continue
+            pieces.append(data[:cut])
+            lines = b"".join(pieces).decode("utf-8").splitlines()
+            body = [line for line in lines if line.strip() and line[0] != "#"]
+            del lines  # the caller frees the line strings while this waits
+            pieces = [data[cut:]]
+            if body and not found:
+                if body[0].split(",") != header:
+                    raise ValueError("bad header")
+                found = True
+                del body[0]
+            yield body
+    if not found:
+        raise ValueError("no header")
+
+
 def _read_archive(
     path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool = True
 ) -> tuple[Sequence[list], np.ndarray, np.ndarray]:
@@ -433,35 +471,46 @@ def _read_archive(
     Returns the sorted axis of each key column, each record's cell (its flat
     index over the axes) and each record's value. An empty value is NaN
     where ``empty_is_missing`` and an error otherwise. The checks run in
-    bulk; when one fails, :func:`_first_fault` names the offending record.
+    bulk, block by block; when one fails, or the file cannot be read,
+    :func:`_first_fault` reads the whole file and names the fault.
     """
-    lines, start = _lines(path, header)
-    body = [line for line in islice(lines, start + 1, None) if line.strip() and line[0] != "#"]
-    del lines
-    # records are joined by a "\n" field, which no line holds: every record
-    # has len(header) fields exactly when each separator sits width apart
-    n_lines, width = len(body), len(header) + 1
-    joined = ",\n,".join(body)
-    del body  # the line strings go before the field strings arrive
-    fields = joined.split(",") if joined else []
-    del joined
+    width = len(header) + 1
+    # per key column: distinct text -> its number in order of first row
+    firsts = [defaultdict(count().__next__) for _ in keys]
+    codes: list[list[np.ndarray]] = [[] for _ in keys]
+    values: list[np.ndarray] = []
     try:  # each bulk check raises ValueError when it fails
-        if n_lines and not (
-            len(fields) == width * n_lines - 1
-            and fields[width - 1 :: width].count("\n") == n_lines - 1
-        ):
-            raise ValueError("a record has the wrong column count")
-        columns = [fields[i::width] for i in range(len(keys) + 1)]
-        del fields
-        axes, codes = zip(*(_codes(column, key.parse) for key, column in zip(keys, columns)))
-        cells = np.ravel_multi_index(codes, tuple(map(len, axes)))
+        for body in _record_blocks(path, header):
+            # records are joined by a "\n" field, which no line holds: every
+            # record has len(header) fields exactly when each separator sits
+            # width apart
+            n_lines = len(body)
+            joined = ",\n,".join(body)
+            del body  # the line strings go before the field strings arrive
+            fields = joined.split(",") if joined else []
+            del joined
+            if n_lines and not (
+                len(fields) == width * n_lines - 1
+                and fields[width - 1 :: width].count("\n") == n_lines - 1
+            ):
+                raise ValueError("a record has the wrong column count")
+            for i, (first, column) in enumerate(zip(firsts, codes)):
+                column.append(
+                    np.fromiter(map(first.__getitem__, fields[i::width]), np.intp, n_lines)
+                )
+            values.append(_values(fields[len(keys) :: width], empty_is_missing))
+            del fields
+        axes, positions = zip(*(_axis(key.parse, first) for key, first in zip(keys, firsts)))
+        # each column's block codes go as soon as the column is joined
+        columns = [p[np.concatenate(codes.pop(0))] for p in positions]
+        cells = np.ravel_multi_index(columns, tuple(map(len, axes)))
+        del columns
         ordered = np.sort(cells)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("a key is repeated")
-        values = _values(columns[len(keys)], empty_is_missing)
-    except ValueError:
+    except (OSError, ValueError):
         raise _first_fault(path, header, keys, empty_is_missing) from None
-    return axes, cells, values
+    return axes, cells, np.concatenate(values)
 
 
 def _read_dense(path, header: list[str], keys: Sequence[_Key]) -> tuple[Sequence, np.ndarray]:

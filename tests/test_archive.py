@@ -112,6 +112,24 @@ class TestLoadForecasts:
         with pytest.raises(SchemaError, match="line 5: duplicate key"):
             load_forecasts(path)
 
+    def test_a_load_needs_at_most_three_times_its_file(self, tmp_path, rng):
+        """A forecast CSV over 1 MB loads within 3x its size of traced memory,
+        the archive included: the reader holds one block's strings at a time."""
+        values = rng.standard_normal((2, 4, 400, 8)) / 3.0
+        path = tmp_path / "forecasts.csv"
+        write_forecasts(make_forecasts(values), path)
+        size = path.stat().st_size
+        assert size > 1e6
+        load_forecasts(path)  # what a first load caches is not the load's
+        tracemalloc.start()
+        try:
+            fcst = load_forecasts(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fcst.values.tobytes() == values.tobytes()
+        assert peak <= 3 * size, f"peak {peak / size:.2f}x the file"
+
     @pytest.mark.parametrize("text", ["", "\n# provenance\n\t\n"], ids=["empty", "comments_only"])
     def test_no_header_line(self, tmp_path, text):
         path = tmp_path / "f.csv"

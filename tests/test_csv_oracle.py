@@ -7,12 +7,14 @@ line and the order of the checks within one record.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import csv_reference as ref
+from analogkit import archive
 from analogkit.archive import (
     SchemaError,
     format_time,
@@ -22,6 +24,7 @@ from analogkit.archive import (
     parse_decimal,
     parse_int,
     parse_times,
+    read_text,
 )
 
 SETTINGS = settings(
@@ -517,3 +520,107 @@ def test_numbers_match_the_oracle_grammar(text):
         else:
             with pytest.raises(ValueError):
                 parse(text)
+
+
+
+# Every line break str.splitlines knows; \x85, \u2028 and \u2029 are more than one byte in UTF-8
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+# bytes that are not UTF-8: a stray continuation byte, a cut sequence, an encoded surrogate
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+LONG_COMMENT = "# " + "provenance " * 12  # longer than every patched block
+
+
+@st.composite
+def blocked_file(draw, kind):
+    """A valid, mutated or empty file as bytes: comment and blank lines above
+    the header, at times a record longer than 64 bytes, a random line break
+    after each line, at times no final break, and at times bytes that are
+    not UTF-8 inside some line."""
+    above = draw(st.lists(st.sampled_from(["", "\t", "#,,,,", LONG_COMMENT]), max_size=3))
+    text = draw(st.one_of(archive_text(kind), mutated_text(kind), st.just("")))
+    lines = above + text.splitlines()
+    records = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"][1:]
+    if records and draw(st.booleans()):  # a long station name
+        at = draw(st.sampled_from(records))
+        lines[at] = "station" * 12 + lines[at]
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    data = [(line + brk).encode() for line, brk in zip(lines, breaks)]
+    if data and draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data) - 1))
+        cut = draw(st.integers(0, len(data[at])))
+        data[at] = data[at][:cut] + draw(st.sampled_from(NOT_UTF8)) + data[at][cut:]
+    return b"".join(data)
+
+
+def expected_outcome(oracle, path):
+    """The oracle's outcome, or read_text's for a file that is not UTF-8."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return outcome(read_text, path)
+    return outcome(oracle, path)
+
+
+def assert_same_outcome(got, want, same):
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        same(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@SETTINGS
+@given(data=st.data())
+def test_any_block_size_loads_as_the_oracle_does(tmp_path, kind, data):
+    """Blocks of 1-64 bytes end inside lines, records, comments, \\r\\n pairs
+    and multi-byte characters; the loaders still give the oracle's archive
+    or message, as at the default block size, and a byte that is not UTF-8
+    gets read_text's message."""
+    load, oracle, same = LOADERS[kind]
+    path = tmp_path / "archive.csv"
+    path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
+    path.write_bytes(data.draw(blocked_file(kind)))
+    want = expected_outcome(oracle, path)
+    with mock.patch.object(archive, "_BLOCK_BYTES", data.draw(st.integers(1, 64))):
+        assert_same_outcome(outcome(load, path), want, same)
+    assert_same_outcome(outcome(load, path), want, same)
+
+
+def far_file(kind, fault):
+    """A comment over 64 KiB, then the header and 2,000 records (over 64 KiB
+    of forecasts) with \\r\\n line breaks and no final one, one of them
+    faulty five from the end, as bytes."""
+    faultless = fault in ("none", "not UTF-8")
+    records = clean_records(kind) if faultless else fault_near_the_end(kind, fault)
+    data = "\r\n".join(["# " + "x" * 70_000, "", HEADERS[kind], *records]).encode()
+    if fault == "not UTF-8":
+        at = data.rindex(records[-5].encode())
+        data = data[:at] + b"\xe2\x82" + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("kind,fault", [
+    (kind, fault)
+    for kind, faults in [
+        ("forecast", ["none", "columns", "timestamp", "lead", "duplicate", "value", "not UTF-8"]),
+        ("observation", ["none", "columns", "timestamp", "duplicate", "value", "not UTF-8"]),
+        ("prediction", ["none", "columns", "rank", "duplicate", "value", "not UTF-8"]),
+    ]
+    for fault in faults
+])
+def test_a_fault_past_the_first_block_is_named_at_its_line(tmp_path, kind, fault):
+    """At the default block size the header, the records and their fault lie
+    beyond the first block, and a duplicate's two records in different
+    blocks; the message is still the oracle's, or read_text's for a byte
+    that is not UTF-8."""
+    load, oracle, same = LOADERS[kind]
+    path = tmp_path / "archive.csv"
+    path.write_bytes(far_file(kind, fault))
+    assert path.stat().st_size > 2 * archive._BLOCK_BYTES
+    want = expected_outcome(oracle, path)
+    assert (want[0] == "ok") == (fault == "none")
+    assert_same_outcome(outcome(load, path), want, same)
