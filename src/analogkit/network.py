@@ -23,15 +23,19 @@ windows [B, n_variables, T] and runs step t of all B rows at once, so the
 cell works on z [B, hidden + input] and states [B, hidden];
 ``lstm_cell_step`` is the one-row case. The tape of a pass holds, per
 layer, its values stacked over time as [T, B, ...], and BPTT runs back over
-the same layout. A training batch of B triplets is 3B rows: anchors in rows
-[0, B), positives in [B, 2B) and negatives in [2B, 3B), with each triplet's
-dropout masks repeated on its three rows. Inference runs in chunks of 256
-rows.
+the same layout. The tape lives in a ``StepBuffers``, with every other array
+a pass and its BPTT write: ``run_stack`` and ``backprop_stack`` write into
+it in place, so a set bound once serves every step of a training run
+(``training.train`` binds one next to its batch buffer). A training batch
+of B triplets is 3B rows: anchors in rows [0, B), positives in [B, 2B) and
+negatives in [2B, 3B), with each triplet's dropout masks repeated on its
+three rows. Inference runs in chunks of 256 rows, each on fresh buffers.
 
 All trained parameters live in one float64 vector, ``ModelCheckpoint.theta``,
 in the order of ``named_parameters`` and of the checkpoint file. The gate
 matrices and biases of each ``LstmLayerParams`` and ``head_w``/``head_b`` are
-views of its slices, so each gate keeps its own matmul. Gradients and ADAM
+views of its slices; a layer's stacked ``w`` and ``b`` view its four gates,
+and each gate keeps its own matmul. Gradients and ADAM
 moments are vectors of the same layout; BPTT accumulates a gradient into the
 parameters of a twin model, whose ``theta`` is that vector.
 """
@@ -61,7 +65,13 @@ from .errors import DataError, SchemaError
 
 @dataclass
 class LstmLayerParams:
-    """Gate weight matrices [hidden, hidden + input] and bias vectors [hidden]."""
+    """Gate weight matrices [hidden, hidden + input] and bias vectors [hidden].
+
+    They are views of one block laid out as in ``theta``: per gate (u, f, o,
+    c), its weights, then its bias. ``w`` [4, hidden, hidden + input] and
+    ``b`` [4, hidden] view the four gates at once, so one matmul call runs
+    each gate's own matmul (stacked, not fused: the bits are the same).
+    """
 
     w_u: np.ndarray
     w_f: np.ndarray
@@ -81,6 +91,17 @@ class LstmLayerParams:
             raise ValueError("gate biases must all have length hidden_size")
         if self.w_u.shape[1] <= self.hidden_size:
             raise ValueError("weight matrices must have hidden + input columns")
+        gates = zip((self.w_u, self.w_f, self.w_o, self.w_c), (self.b_u, self.b_f, self.b_o, self.b_c))
+        self._bind(np.concatenate([part.ravel() for gate in gates for part in gate], dtype=float))
+
+    def _bind(self, block: np.ndarray) -> None:
+        """Rebind the gate parameters to views of ``block``, laid out as in ``theta``."""
+        h, width = self.w_u.shape
+        block = block.reshape(4, h * width + h)
+        self.w = block[:, : h * width].reshape(4, h, width)
+        self.b = block[:, h * width :]
+        self.w_u, self.w_f, self.w_o, self.w_c = self.w
+        self.b_u, self.b_f, self.b_o, self.b_c = self.b
 
     @property
     def hidden_size(self) -> int:
@@ -171,12 +192,13 @@ class ModelCheckpoint:
         """Rebind every parameter, on fresh layer objects, to a view of ``theta``."""
         self.theta = theta
         self._gradient = None
-        views = (view for _, view in named_parameters(self, theta))
+        *_, (_, self.head_w), (_, self.head_b) = named_parameters(self, theta)
         self.layers = [copy.copy(layer) for layer in self.layers]
-        for layer in self.layers:
-            for f in _LAYER_FIELDS:
-                setattr(layer, f, next(views))
-        self.head_w, self.head_b = views
+        start = 0
+        for layer in self.layers:  # a layer's parameters are one run of theta
+            end = start + 4 * (layer.w_u.size + layer.hidden_size)
+            layer._bind(theta[start:end])
+            start = end
 
 
 GATES = ("u", "f", "o", "c")
@@ -249,22 +271,23 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _cell(layer: LstmLayerParams, z: np.ndarray, c_prev: np.ndarray, gates=None):
-    """The cell equations on rows: z [B, hidden + input] is [a_prev; x] per
-    row, c_prev [B, hidden]. Writes g_u, g_f, g_o and c_tilde into ``gates``
-    [4, B, hidden] (a new array when None) and returns (gates, c, a). The
-    three sigmoids run as one call, in place; each is elementwise, so the
-    bits are those of three calls."""
-    if gates is None:
-        gates = np.empty((4,) + c_prev.shape)
-    weights = (layer.w_u, layer.w_f, layer.w_o, layer.w_c)
-    for pre, w, b in zip(gates, weights, (layer.b_u, layer.b_f, layer.b_o, layer.b_c)):
-        np.add(z @ w.T, b, out=pre)
+def _cell(layer: LstmLayerParams, lt: LayerTape, t: int) -> None:
+    """The cell equations at step t on every row of ``lt``: reads z[t] =
+    [a_prev; x] and c[t], and writes g_u, g_f, g_o and c_tilde into
+    gates[:, t], then c[t + 1], tanh_c[t] and a[t + 1]. The three sigmoids
+    run as one call, in place; each is elementwise, so the bits are those
+    of three calls."""
+    gates = lt.gates[:, t]
+    np.matmul(lt.z[t], layer.w.transpose(0, 2, 1), out=gates)
+    gates += layer.b[:, None]
     _sigmoid(gates[:3], out=gates[:3])
     np.tanh(gates[3], out=gates[3])
     g_u, g_f, g_o, c_tilde = gates
-    c = g_u * c_tilde + g_f * c_prev
-    return gates, c, g_o * np.tanh(c)
+    c, tanh_c = lt.c[t + 1], lt.tanh_c[t]
+    np.multiply(g_u, c_tilde, out=c)
+    c += np.multiply(g_f, lt.c[t], out=tanh_c)  # tanh_c holds g_f * c_prev until the next line
+    np.tanh(c, out=tanh_c)
+    np.multiply(g_o, tanh_c, out=lt.a[t + 1])
 
 
 def lstm_cell_step(layer: LstmLayerParams, x: np.ndarray, prev: LstmState) -> LstmState:
@@ -276,109 +299,175 @@ def lstm_cell_step(layer: LstmLayerParams, x: np.ndarray, prev: LstmState) -> Ls
         raise ValueError(
             f"state length {prev.a.shape[0]}, layer expects {layer.hidden_size}"
         )
-    _, c, a = _cell(layer, np.concatenate([prev.a, x])[None, :], prev.c[None, :])
-    return LstmState(a=a[0], c=c[0])
+    lt = LayerTape(layer, rows=1, steps=1)
+    lt.z[0, 0] = np.concatenate([prev.a, x])
+    lt.c[0, 0] = prev.c
+    _cell(layer, lt, 0)
+    return LstmState(a=lt.a[1, 0], c=lt.c[1, 0])
 
 
-def standardize(model: ModelCheckpoint, data: np.ndarray) -> np.ndarray:
-    """Per-variable (x - mean) / sigma over [..., n_variables, T]; variables
-    with sigma 0 map to 0."""
+def standardize(model: ModelCheckpoint, data: np.ndarray, out: np.ndarray | None = None):
+    """Per-variable (x - mean) / sigma over [..., n_variables, T], into ``out``
+    when given; variables with sigma 0 map to 0."""
     safe = np.where(model.norm_sigma > 0, model.norm_sigma, 1.0)
-    z = (data - model.norm_mean[:, None]) / safe[:, None]
+    z = np.subtract(data, model.norm_mean[:, None], out=out)
+    z /= safe[:, None]
     z[..., model.norm_sigma <= 0, :] = 0.0
     return z
 
 
-@dataclass
 class LayerTape:
-    """One layer's values over a batched pass, stacked over time [T, B, ...]."""
+    """One layer's values over a batched pass, stacked over time [T, B, ...],
+    and, for a training step, its BPTT buffers. Every pass rewrites them; the
+    zero initial states a[0] and c[0], and the zero a_prev half of z[0], are
+    never written."""
 
-    z: np.ndarray  # [T, B, hidden + input]: cell input [a_prev; x]
-    gates: np.ndarray  # [4, T, B, hidden]: g_u, g_f, g_o, c_tilde
-    c: np.ndarray  # [T + 1, B, hidden]; c[0] is the zero initial state
-    a: np.ndarray  # [T + 1, B, hidden]; a[0] is the zero initial state
-    mask: np.ndarray | None  # [B, hidden] dropout on the output, scaled by 1/keep
+    def __init__(self, layer: LstmLayerParams, rows: int, steps: int,
+                 out: np.ndarray | None = None, masked: bool = False, backprop: bool = False):
+        h, width = layer.hidden_size, layer.hidden_size + layer.input_size
+        self.z = np.zeros((steps, rows, width))  # cell input [a_prev; x]
+        self.gates = np.empty((4, steps, rows, h))  # g_u, g_f, g_o, c_tilde
+        self.c = np.zeros((steps + 1, rows, h))
+        self.a = np.zeros((steps + 1, rows, h))
+        self.tanh_c = np.empty((steps, rows, h))  # tanh(c[1:])
+        # dropout on the output [B, hidden], scaled by 1/keep
+        self.mask = np.empty((rows, h)) if masked else None
+        # the output as passed on, after dropout: a view of the x half of the
+        # layer above's z or, for the top layer, which feeds the head, its
+        # own array (a[1:] itself without dropout)
+        if out is None:
+            out = np.empty((steps, rows, h)) if masked else self.a[1:]
+        self.out = out
+        if backprop:
+            self.d_out = np.empty((steps, rows, h))  # gradient reaching the output, then da
+            self.d_gates = np.empty_like(self.gates)  # pre-activation gradients
+            self.dz = np.empty((rows, width))  # gradient of z[t]; its a_prev half is a[t]'s
+            self.dz_gates = np.empty((4, rows, width))  # dz's four terms
+            self.dc, self.dc_next, self.tmp = np.empty((3, rows, h))
+            self.one_minus = np.empty((3, rows, h))  # 1 - g of the three sigmoid gates
+            self.d_w = np.empty((4, h, width))
+            self.d_b = np.empty((4, h))
 
-    def output(self) -> np.ndarray:
-        """Activations [T, B, hidden] as passed on, after dropout."""
-        return self.a[1:] if self.mask is None else self.a[1:] * self.mask
+
+class StepBuffers:
+    """Every array of one batched pass over rows of one shape [B,
+    n_variables, T], bound once and rewritten by each pass: the tape and,
+    with ``backprop``, the BPTT buffers of every layer; the standardized
+    input ``x``, a view of the bottom layer's z; the ``embeddings``; with
+    ``masked``, the dropout ``draw`` [B/3, sum(hidden)] and each layer's
+    ``mask``; and with ``backprop``, ``d_embeddings``, the head's gradient
+    and the triplet loss's differences, norms and flags
+    (``training.backward`` fills them). A set serves one model shape."""
+
+    def __init__(self, model: ModelCheckpoint, shape, masked: bool = False,
+                 backprop: bool = False):
+        rows, _, steps = self.shape = tuple(shape)
+        self.masked = masked
+        layers, out = [], None
+        for layer in reversed(model.layers):  # each layer's output is the z of the one above
+            layers.append(LayerTape(layer, rows, steps, out, masked, backprop))
+            out = layers[-1].z[:, :, layer.hidden_size:]
+        self.layers = layers[::-1]
+        self.x = out.transpose(1, 2, 0)
+        self.embeddings = np.empty((rows, model.embed_dim))
+        n = rows // 3  # triplets
+        if masked:
+            self.draw = np.empty((n, sum(model.hidden_sizes)))
+        if backprop:
+            self.d_embeddings = np.empty_like(self.embeddings)
+            self.d_head_w = np.empty_like(model.head_w)
+            self.d_head_b = np.empty_like(model.head_b)
+            self.diff = np.empty((2, n, model.embed_dim))  # anchor - positive, anchor - negative
+            self.norms = np.empty((2, n))
+            self.hinge = np.empty(n)
+            self.active = np.empty(n, dtype=bool)
+            self.positive = np.empty((2, n), dtype=bool)
 
 
 def run_stack(
-    model: ModelCheckpoint, windows: np.ndarray, masks: list[np.ndarray] | None = None
-) -> tuple[np.ndarray, list[LayerTape]]:
-    """Embeddings [B, embed_dim] of raw windows [B, n_variables, T], with the tape.
+    model: ModelCheckpoint, windows: np.ndarray, step: StepBuffers | None = None
+) -> StepBuffers:
+    """One batched pass over raw windows [B, n_variables, T], written into
+    ``step`` (fresh buffers when None), which is returned: ``step.embeddings``
+    [B, embed_dim] and the tape ``step.layers``.
 
-    ``masks[k]`` [B, hidden_k] multiplies layer k's output before it feeds
-    layer k+1 (or the head, for the top layer): zero for dropped units and
-    1/keep for kept ones (inverted dropout).
+    When ``step`` is masked, layer k's output is multiplied by its ``mask``
+    [B, hidden_k] before it feeds layer k+1 (or the head, for the top
+    layer): zero for dropped units and 1/keep for kept ones (inverted dropout).
     """
-    x = standardize(model, windows).transpose(2, 0, 1)  # [T, B, n_variables]
-    T, B = x.shape[:2]
-    tape = []
-    for k, layer in enumerate(model.layers):
+    if step is None:
+        step = StepBuffers(model, np.shape(windows))
+    elif np.shape(windows) != step.shape:
+        raise ValueError(f"rows of shape {np.shape(windows)}, the step buffers "
+                         f"are bound to {step.shape}")
+    standardize(model, windows, out=step.x)
+    for layer, lt in zip(model.layers, step.layers):
         h = layer.hidden_size
-        lt = LayerTape(
-            z=np.empty((T, B, h + layer.input_size)),
-            gates=np.empty((4, T, B, h)),
-            c=np.zeros((T + 1, B, h)),
-            a=np.zeros((T + 1, B, h)),
-            mask=None if masks is None else masks[k],
-        )
-        for t in range(T):
-            lt.z[t, :, :h] = lt.a[t]
-            lt.z[t, :, h:] = x[t]
-            _, lt.c[t + 1], lt.a[t + 1] = _cell(layer, lt.z[t], lt.c[t], lt.gates[:, t])
-        tape.append(lt)
-        x = lt.output()
-    return x[-1] @ model.head_w.T + model.head_b, tape
+        for t in range(len(lt.z)):
+            if t:
+                lt.z[t, :, :h] = lt.a[t]
+            _cell(layer, lt, t)
+        if lt.mask is not None:
+            np.multiply(lt.a[1:], lt.mask, out=lt.out)
+        elif lt is not step.layers[-1]:
+            lt.out[...] = lt.a[1:]
+    np.matmul(step.layers[-1].out[-1], model.head_w.T, out=step.embeddings)
+    step.embeddings += model.head_b
+    return step
 
 
-def backprop_stack(
-    model: ModelCheckpoint,
-    tape: list[LayerTape],
-    d_embeddings: np.ndarray,
-    grad: ModelCheckpoint,
-) -> None:
-    """Accumulate gradients of sum(d_embeddings * embeddings) into the
-    parameters of ``grad``, a twin of ``model`` such as
-    :meth:`ModelCheckpoint.zeroed_gradient` gives, so into ``grad.theta``."""
-    grad.head_w += d_embeddings.T @ tape[-1].output()[-1]
-    grad.head_b += d_embeddings.sum(axis=0)
+def backprop_stack(model: ModelCheckpoint, step: StepBuffers, grad: ModelCheckpoint) -> None:
+    """Accumulate gradients of sum(step.d_embeddings * embeddings), through
+    the pass that :func:`run_stack` last wrote into ``step`` (bound with
+    ``backprop``), into the parameters of ``grad``, a twin of ``model`` such
+    as :meth:`ModelCheckpoint.zeroed_gradient` gives, so into ``grad.theta``.
+    Each product keeps the operand order of the plain expressions in the
+    comments, so the bits are theirs."""
+    top, d_embeddings = step.layers[-1], step.d_embeddings
+    grad.head_w += np.matmul(d_embeddings.T, top.out[-1], out=step.d_head_w)
+    grad.head_b += np.add.reduce(d_embeddings, axis=0, out=step.d_head_b)
     # d_out[t]: gradient reaching the layer's output at step t from the layer
     # above, or from the head for the top layer's last step.
-    d_out = np.zeros_like(tape[-1].a[1:])
-    d_out[-1] = d_embeddings @ model.head_w
+    top.d_out[:-1] = 0.0
+    np.matmul(d_embeddings, model.head_w, out=top.d_out[-1])
     for k in range(len(model.layers) - 1, -1, -1):
-        layer, lt, g = model.layers[k], tape[k], grad.layers[k]
+        layer, lt, g = model.layers[k], step.layers[k], grad.layers[k]
         h = layer.hidden_size
-        d_above = d_out if lt.mask is None else d_out * lt.mask
-        d_gates = np.empty_like(lt.gates)  # pre-activation gradients [4, T, B, h]
-        d_out = np.empty(lt.z.shape[:2] + (layer.input_size,))  # to the layer below
-        da_rec = np.zeros_like(d_above[0])
-        dc_next = np.zeros_like(d_above[0])
-        for t in range(len(d_above) - 1, -1, -1):
-            gu, gf, go, ct = lt.gates[:, t]
-            da = d_above[t] + da_rec
-            tc = np.tanh(lt.c[t + 1])
-            dz_o = da * tc * go * (1.0 - go)
-            dc = da * go * (1.0 - tc * tc) + dc_next
-            dz_u = dc * ct * gu * (1.0 - gu)
-            dz_c = dc * gu * (1.0 - ct * ct)
-            dz_f = dc * lt.c[t] * gf * (1.0 - gf)
-            dc_next = dc * gf
-            d_gates[:, t] = dz_u, dz_f, dz_o, dz_c
+        if lt.mask is not None:
+            lt.d_out *= lt.mask
+        da_rec, dc, dc_next, s = lt.dz[:, :h], lt.dc, lt.dc_next, lt.tmp
+        da_rec.fill(0.0)
+        dc_next.fill(0.0)
+        for t in range(len(lt.z) - 1, -1, -1):
+            gates, d_gates = lt.gates[:, t], lt.d_gates[:, t]
+            gu, gf, go, ct = gates
+            tc = lt.tanh_c[t]
+            da = lt.d_out[t]
+            da += da_rec  # da = d_out[t] + da_rec
+            np.multiply(da, tc, out=d_gates[2])  # dz_o = da * tc * ...
+            np.subtract(1.0, np.multiply(tc, tc, out=s), out=s)
+            np.multiply(da, go, out=dc)
+            dc *= s
+            dc += dc_next  # dc = da * go * (1 - tc * tc) + dc_next
+            np.multiply(dc, ct, out=d_gates[0])  # dz_u = dc * ct * ...
+            np.multiply(dc, lt.c[t], out=d_gates[1])  # dz_f = dc * c[t] * ...
+            # ... * g * (1 - g), for the sigmoid gates u, f and o at once
+            d_gates[:3] *= gates[:3]
+            d_gates[:3] *= np.subtract(1.0, gates[:3], out=lt.one_minus)
+            np.subtract(1.0, np.multiply(ct, ct, out=s), out=s)
+            np.multiply(dc, gu, out=d_gates[3])
+            d_gates[3] *= s  # dz_c = dc * gu * (1 - ct * ct)
+            np.multiply(dc, gf, out=dc_next)  # dc_next = dc * gf
             if k or t:  # the bottom layer's first step passes no gradient on
-                dz = dz_u @ layer.w_u + dz_f @ layer.w_f + dz_o @ layer.w_o + dz_c @ layer.w_c
-                da_rec = dz[:, :h]
-                d_out[t] = dz[:, h:]
+                # dz = dz_u @ w_u + dz_f @ w_f + dz_o @ w_o + dz_c @ w_c
+                np.add.reduce(np.matmul(d_gates, layer.w, out=lt.dz_gates), axis=0, out=lt.dz)
+                if k:
+                    step.layers[k - 1].d_out[t] = lt.dz[:, h:]
         # One stacked matmul and one sum for the four gates, each gate's own
         # matmul and sum as before: the same bits.
-        d_w = d_gates.reshape(4, -1, h).transpose(0, 2, 1) @ lt.z.reshape(-1, lt.z.shape[-1])
-        d_b = d_gates.sum(axis=(1, 2))
-        for i, (w, b) in enumerate(zip((g.w_u, g.w_f, g.w_o, g.w_c), (g.b_u, g.b_f, g.b_o, g.b_c))):
-            w += d_w[i]
-            b += d_b[i]
+        g.w += np.matmul(lt.d_gates.reshape(4, -1, h).transpose(0, 2, 1),
+                         lt.z.reshape(-1, lt.z.shape[-1]), out=lt.d_w)
+        g.b += np.add.reduce(lt.d_gates, axis=(1, 2), out=lt.d_b)
 
 
 # Inference runs in fixed-size row chunks so that the tape of a large block
@@ -387,10 +476,11 @@ _INFERENCE_ROWS = 256
 
 
 def embed_windows(model: ModelCheckpoint, windows: np.ndarray) -> np.ndarray:
-    """Embeddings [B, embed_dim] of raw windows [B, n_variables, T], dropout inactive."""
+    """Embeddings [B, embed_dim] of raw windows [B, n_variables, T], dropout
+    inactive; each chunk runs on fresh step buffers."""
     out = np.empty((len(windows), model.embed_dim))
     for i in range(0, len(windows), _INFERENCE_ROWS):
-        out[i : i + _INFERENCE_ROWS] = run_stack(model, windows[i : i + _INFERENCE_ROWS])[0]
+        out[i : i + _INFERENCE_ROWS] = run_stack(model, windows[i : i + _INFERENCE_ROWS]).embeddings
     return out
 
 

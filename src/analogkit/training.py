@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .ensemble import classic_base, rank_positions
 from .errors import ConfigError, DataError, DivergenceError
 from .network import (
     ModelCheckpoint,
+    StepBuffers,
     backprop_stack,
     embed_windows,
     init_model,
@@ -492,40 +492,36 @@ def triplet_loss(e_a: np.ndarray, e_p: np.ndarray, e_n: np.ndarray, alpha: float
     return max(0.0, d_ap - d_an + alpha)
 
 
-def _draw_masks(model: ModelCheckpoint, n: int, rate: float, rng: np.random.Generator):
+def _draw_masks(step: StepBuffers, rate: float, rng: np.random.Generator) -> None:
     """Per-triplet dropout masks for every layer's output (inter-layer plus
-    pre-head), scaled by 1/keep and repeated on the triplet's three rows:
-    [3n, hidden_k] per layer.
+    pre-head), scaled by 1/keep and repeated on the triplet's three rows,
+    into each layer's ``mask`` [3n, hidden_k] of ``step``.
 
     One [n, sum(hidden)] draw consumes ``rng`` exactly like n successive
     per-triplet, per-layer draws.
     """
     if rate <= 0:
-        return None
-    sizes = model.hidden_sizes
-    kept = (rng.random((n, sum(sizes))) >= rate) / (1.0 - rate)
-    masks = []
-    for end, size in zip(accumulate(sizes), sizes):
-        m = kept[:, end - size : end]
-        masks.append(np.concatenate((m, m, m)))
-    return masks
+        return
+    kept = rng.random(out=step.draw)
+    np.greater_equal(kept, rate, out=kept)  # 1.0 or 0.0, as the bools divide
+    kept /= 1.0 - rate
+    end = 0
+    for lt in step.layers:
+        size = lt.mask.shape[1]
+        lt.mask.reshape(3, len(kept), size)[...] = kept[:, end : end + size]
+        end += size
 
 
-def _distances(embeddings: np.ndarray):
-    """Anchor-positive and anchor-negative differences [B, embed_dim] and
-    their norms [B], of 3B embeddings laid out as anchors, positives, negatives.
-    Each norm is the sqrt of the row sum of squares, as ``np.linalg.norm``
-    computes it, so it has the same bits."""
-    n = len(embeddings) // 3
-    e_a = embeddings[:n]
-    d_ap, d_an = e_a - embeddings[n : 2 * n], e_a - embeddings[2 * n :]
-    return d_ap, d_an, np.sqrt((d_ap * d_ap).sum(axis=1)), np.sqrt((d_an * d_an).sum(axis=1))
-
-
-def _unit(diff: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Rows of diff scaled to unit length by their norms; zero rows stay zero."""
-    norm = norm[:, None]
-    return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0)
+def _distances(embeddings: np.ndarray, diff=None, squares=None, norms=None):
+    """Anchor-positive and anchor-negative differences [2, B, embed_dim] and
+    their norms [2, B], of 3B embeddings laid out as anchors, positives,
+    negatives, into the given arrays (new ones for None). Each norm is the
+    sqrt of the row sum of squares, as ``np.linalg.norm`` computes it, so it
+    has the same bits."""
+    e = embeddings.reshape(3, -1, embeddings.shape[-1])
+    diff = np.subtract(e[0], e[1:], out=diff)
+    norms = np.add.reduce(np.multiply(diff, diff, out=squares), axis=2, out=norms)
+    return diff, np.sqrt(norms, out=norms)
 
 
 def _batch_size(rows: np.ndarray) -> int:
@@ -539,6 +535,7 @@ def backward(
     rows: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
+    step: StepBuffers | None = None,
 ) -> tuple[np.ndarray, float]:
     """Mean hinge loss over a batch and its exact gradient, laid out as ``model.theta``.
 
@@ -548,19 +545,40 @@ def backward(
     model parameters and, when dropout is active, the same per-triplet
     masks. Triplets whose hinge is zero contribute zero gradient. Raises
     :class:`DivergenceError` when any loss or gradient comes out non-finite.
+
+    ``step`` holds every array the step writes: a :class:`StepBuffers` for
+    rows of this shape, masked when ``cfg.dropout_rate`` is positive and
+    bound with ``backprop``, as :func:`train` binds one per run. Without it,
+    a fresh set is bound for this call. The returned gradient is a copy.
     """
     n = _batch_size(rows)
+    masked = cfg.dropout_rate > 0
+    if step is None:
+        step = StepBuffers(model, np.shape(rows), masked=masked, backprop=True)
+    elif step.masked != masked:
+        raise ValueError(f"step buffers {'with' if step.masked else 'without'} dropout "
+                         f"masks, dropout_rate is {cfg.dropout_rate}")
     inv_n = 1.0 / n
-    masks = _draw_masks(model, n, cfg.dropout_rate, rng)
-    embeddings, tape = run_stack(model, rows, masks)
-    d_ap, d_an, n_ap, n_an = _distances(embeddings)
-    hinge = n_ap - n_an + cfg.alpha
-    active = ~(hinge <= 0)  # a NaN hinge stays in, so divergence is caught below
-    loss = float(np.sum(hinge[active])) * inv_n
-    u_ap = _unit(d_ap, n_ap) * active[:, None]
-    u_an = _unit(d_an, n_an) * active[:, None]
+    _draw_masks(step, cfg.dropout_rate, rng)
+    run_stack(model, rows, step)
+    d_embeddings = step.d_embeddings.reshape(3, n, -1)
+    units = d_embeddings[1:]  # u_ap and u_an; the squared differences until then
+    diff, norms = _distances(step.embeddings, step.diff, units, step.norms)
+    hinge = np.subtract(norms[0], norms[1], out=step.hinge)
+    hinge += cfg.alpha
+    # a NaN hinge stays in, so divergence is caught below
+    active = np.logical_not(np.less_equal(hinge, 0.0, out=step.active), out=step.active)
+    loss = float(np.add.reduce(hinge[active])) * inv_n
+    # Rows of diff scaled to unit length by their norms; zero rows stay zero.
+    units.fill(0.0)
+    np.divide(diff, norms[:, :, None], out=units,
+              where=np.greater(norms, 0.0, out=step.positive)[:, :, None])
+    units *= active[:, None]
+    np.subtract(units[0], units[1], out=d_embeddings[0])  # [u_ap - u_an, -u_ap, u_an] / n
+    np.negative(units[0], out=units[0])
+    d_embeddings *= inv_n
     grad = model.zeroed_gradient()
-    backprop_stack(model, tape, np.concatenate([u_ap - u_an, -u_ap, u_an]) * inv_n, grad)
+    backprop_stack(model, step, grad)
     if not np.isfinite(loss) or not np.isfinite(grad.theta).all():
         raise DivergenceError(iteration=-1)
     return grad.theta.copy(), loss
@@ -570,7 +588,7 @@ def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> flo
     """Mean hinge loss without dropout (evaluation mode), over triplet rows
     laid out as for :func:`backward`."""
     n = _batch_size(rows)
-    _, _, n_ap, n_an = _distances(embed_windows(model, rows))
+    _, (n_ap, n_an) = _distances(embed_windows(model, rows))
     return float(np.sum(np.maximum(n_ap - n_an + alpha, 0.0))) / n
 
 
@@ -629,9 +647,11 @@ def train(
     cycle time) are held out for validation and never anchor a training
     triplet. The validation pool and the training pool each have one
     :class:`SamplingPlan` over every lead, so a resample only draws. The
-    loop gathers each batch into one buffer, allocated before any sampling
-    (a ``batch_size`` too large to allocate is a :class:`ConfigError`),
-    backpropagates, applies ADAM to the model in place, and evaluates the
+    loop gathers each batch into one buffer and backpropagates through one
+    :class:`StepBuffers`, both allocated before any sampling (a
+    ``batch_size`` or ``hidden_sizes`` too large to allocate is a
+    :class:`ConfigError`), so an iteration allocates no array of batch size.
+    It applies ADAM to the model in place, and evaluates the
     held-out loss every ``eval_interval`` iterations, cloning the model on
     a new best; it stops at ``max_iterations`` or when
     ``early_stop_patience`` iterations pass without a relative improvement
@@ -645,20 +665,22 @@ def train(
 
     s_indices = [fcst.station_index(st) for st in stations]
     norm_mean, norm_sigma = _pooled_norm(fcst, s_indices, cycles)
+    sizes = ",".join(map(str, cfg.hidden_sizes))
     try:
         model = init_model(list(fcst.variables), cfg.t_half, cfg.hidden_sizes, cfg.embed_dim,
                            cfg.seed, norm_mean, norm_sigma)
     except (MemoryError, ValueError):  # numpy's ValueError: "array is too big"
-        sizes = ",".join(map(str, cfg.hidden_sizes))
         raise ConfigError(f"hidden_sizes={sizes} and embed_dim={cfg.embed_dim} give a model "
                           "too large to allocate") from None
 
-    if cfg.max_iterations > 0:  # one buffer that every batch is gathered into
+    if cfg.max_iterations > 0:  # the buffer every batch is gathered into, and the step's
         try:
             batch = np.empty((3, cfg.batch_size, fcst.n_variables, 2 * cfg.t_half + 1))
+            step = StepBuffers(model, (3 * cfg.batch_size,) + batch.shape[2:],
+                               masked=cfg.dropout_rate > 0, backprop=True)
         except (MemoryError, ValueError):
             raise ConfigError(f"batch_size={cfg.batch_size} gives a batch too large to "
-                              "allocate") from None
+                              f"allocate at hidden_sizes={sizes}") from None
 
     n_val = max(1, int(round(VAL_FRACTION * cycles.size)))
     train_cycles = cycles[:-n_val]
@@ -709,7 +731,7 @@ def train(
     try:
         while iteration < cfg.max_iterations:
             iteration += 1
-            grad, loss = backward(model, next_batch(), cfg, rng)
+            grad, loss = backward(model, next_batch(), cfg, rng, step)
             _adam_update(model.theta, grad, adam, cfg)
             interval_losses.append(loss)
             if iteration % cfg.eval_interval == 0 or iteration == cfg.max_iterations:

@@ -181,8 +181,7 @@ class TestInvariants:
             )
             width = 2 * model.t_half + 1
             w = ForecastWindow(data=3 * rng.standard_normal((n_var, width)), origin=(0, 0, 0))
-            _, tape = run_stack(model, w.data[None])
-            for lt in tape:
+            for lt in run_stack(model, w.data[None]).layers:
                 g_u, g_f, g_o, _ = lt.gates
                 for t in range(width):
                     assert np.all(g_u[t] > 0) and np.all(g_u[t] < 1)
@@ -296,6 +295,23 @@ class TestParameterVector:
                                       np.arange(model.theta.size))
         assert model.layers[1].w_o is dict(named)["layer1.w_o"]
         assert model.head_b[-1] == model.theta.size - 1
+
+    def test_stacked_gate_views_alias_the_gates(self):
+        """A layer's ``w`` and ``b`` stack its four gates' own views, in
+        u, f, o, c order, for a model's layers and for a layer built alone."""
+        model = self.model()
+        model.theta[:] = np.arange(model.theta.size)
+        alone = LstmLayerParams(*(np.full((2, 5), float(i)) for i in range(4)),
+                                *(np.full(2, 4.0 + i) for i in range(4)))
+        for layer in model.layers + [alone]:
+            assert layer.w.shape == (4,) + layer.w_u.shape and layer.b.shape == (4, layer.hidden_size)
+            for i, gate in enumerate("ufoc"):
+                for stacked, own in ((layer.w[i], getattr(layer, f"w_{gate}")),
+                                     (layer.b[i], getattr(layer, f"b_{gate}"))):
+                    assert own.base is not None and np.shares_memory(stacked, own)
+                    np.testing.assert_array_equal(stacked, own)
+        assert all(np.shares_memory(layer.w, model.theta) for layer in model.layers)
+        np.testing.assert_array_equal(alone.b[:, 0], [4.0, 5.0, 6.0, 7.0])
 
     def test_views_of_another_vector(self):
         model = self.model()

@@ -1,11 +1,12 @@
 """``training.train`` against the functional loop kept in ``train_reference``.
 
 The loop that makes each pool's sampling plan once, updates the model and
-the ADAM moments in place and takes the lean BPTT step must write the same
-checkpoint and training log bytes as the loop that samples every pool from
-scratch, clones the model on every ADAM step and splits and normalizes the
-embeddings the old way. A diverging run must stop at the same iteration and
-save the same checkpoint.
+the ADAM moments in place and takes the lean BPTT step on step buffers bound
+once must write the same checkpoint and training log bytes as the loop that
+samples every pool from scratch, clones the model on every ADAM step, splits
+and normalizes the embeddings the old way and runs the frozen kernel, which
+allocates its tape and gradient arrays on every call. A diverging run must
+stop at the same iteration and save the same checkpoint.
 """
 
 from collections import Counter
@@ -13,11 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import train_reference
 from analogkit import training
 from analogkit.errors import DivergenceError
-from analogkit.network import save_checkpoint
+from analogkit.network import StepBuffers, init_model, save_checkpoint
 from analogkit.synthetic import SynthSpec, generate
 from analogkit.training import TrainConfig, plan_sampling, write_train_log
 
@@ -121,3 +123,48 @@ def test_divergence(tmp_path):
     got = _assert_same(tmp_path, fcst, obs, ["S00"], [0],
                        replace(BASE, learning_rate=1e300, eval_interval=3))
     assert got[0] == "diverged" and got[1] >= 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hidden_sizes=st.lists(st.integers(1, 9), min_size=1, max_size=2).map(tuple),
+       t_half=st.integers(0, 2), batch=st.sampled_from([1, 2, 5, 16]),
+       dropout=st.sampled_from([0.0, 0.3]), alpha=st.sampled_from([0.0, 1.0, 4.0]),
+       zero_sigma=st.booleans(), seed=st.integers(0, 2**16))
+def test_bound_step_matches_the_frozen_kernel(hidden_sizes, t_half, batch, dropout, alpha,
+                                              zero_sigma, seed):
+    """Four consecutive ``backward`` calls on one bound buffer set give the
+    gradient bits and the loss of the frozen kernel, so nothing a call
+    leaves in the buffers (``d_out``, ``da_rec``, ``dc_next``, the masks)
+    reaches the next one. A zero-sigma variable standardizes to 0 in both."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.5, 2.0, 3)
+    if zero_sigma:
+        sigma[1] = 0.0
+    model = init_model(["a", "b", "c"], t_half, hidden_sizes, embed_dim=4, seed=seed,
+                       norm_mean=rng.standard_normal(3), norm_sigma=sigma)
+    cfg = TrainConfig(t_half=t_half, hidden_sizes=hidden_sizes, embed_dim=4,
+                      dropout_rate=dropout, alpha=alpha)
+    shape = (3 * batch, 3, 2 * t_half + 1)
+    step = StepBuffers(model, shape, masked=dropout > 0, backprop=True)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        rows = 2.0 * rng.standard_normal(shape)
+        grad, loss = training.backward(model, rows, cfg, got_rng, step)
+        want_grad, want_loss = train_reference.backward(model, rows, cfg, want_rng)
+        assert grad.tobytes() == want_grad.tobytes()
+        assert loss == want_loss
+        model.theta += 0.1 * rng.standard_normal(model.theta.size)  # as an ADAM step would
+
+
+def test_bound_step_refuses_other_rows():
+    """A buffer set serves rows of the shape it was bound to, and the dropout
+    setting it was bound with."""
+    model = init_model(["a", "b"], 1, (3, 2), embed_dim=2, seed=0)
+    cfg = TrainConfig(t_half=1, hidden_sizes=(3, 2), embed_dim=2, dropout_rate=0.1)
+    step = StepBuffers(model, (6, 2, 3), masked=True, backprop=True)
+    rng = np.random.default_rng(0)
+    for shape in [(9, 2, 3), (6, 2, 5), (6, 3, 3)]:
+        with pytest.raises(ValueError, match="bound to"):
+            training.backward(model, np.zeros(shape), cfg, rng, step)
+    with pytest.raises(ValueError, match="dropout"):
+        training.backward(model, np.zeros((6, 2, 3)), replace(cfg, dropout_rate=0.0), rng, step)

@@ -1,10 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from analogkit import training
 from analogkit.errors import ConfigError, DataError
-from analogkit.network import init_model, named_parameters, save_checkpoint
+from analogkit.network import StepBuffers, init_model, named_parameters, save_checkpoint
 from analogkit.synthetic import SynthSpec, generate
 from analogkit.training import (
     TrainConfig,
@@ -206,6 +208,37 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, np.empty((0, 1, 1)), small_cfg(), np.random.default_rng(0))
 
+    def test_bound_step_allocates_nothing_of_batch_size(self, rng):
+        """After a warm-up call, the traced peak of one ``backward`` call on
+        bound buffers grows by less than one [3B, embed_dim] array from
+        B = 32 to B = 128: an iteration allocates no array of batch size
+        (what is left is of model size, and the active hinges' values).
+
+        A ufunc on broadcast or strided operands copies them through
+        numpy's iterator buffers, up to ``np.getbufsize()`` elements (8,192
+        by default) per operand. That scratch is numpy's, not an array of
+        the step's, so the measured call runs at the smallest buffer size,
+        16 elements."""
+        cfg = small_cfg(t_half=1, hidden_sizes=(8, 6), embed_dim=8, dropout_rate=0.1)
+        model = init_model(["a", "b", "c"], t_half=1, hidden_sizes=(8, 6), embed_dim=8, seed=3)
+
+        def peak(n):
+            rows = rng.standard_normal((3 * n, 3, 3))
+            step = StepBuffers(model, rows.shape, masked=True, backprop=True)
+            backward(model, rows, cfg, np.random.default_rng(0), step)
+            bufsize = np.setbufsize(16)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                backward(model, rows, cfg, np.random.default_rng(1), step)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+                np.setbufsize(bufsize)
+
+        small, large = peak(32), peak(128)
+        assert large - small < 3 * 32 * cfg.embed_dim * 8, (small, large)
+
 
 class TestAdam:
     def test_single_step_closed_form(self):
@@ -303,6 +336,25 @@ class TestTrain:
             train(fcst, obs, ["S00"], [0], np.arange(300), cfg)
         model, log = train(fcst, obs, ["S00"], [0], np.arange(300), replace(cfg, max_iterations=0))
         assert model.iterations == 0 and len(log) == 1
+
+    def test_step_too_large_to_allocate(self, monkeypatch):
+        """The step buffers are allocated with the batch buffer, before any
+        triplet is sampled, and a failure names both settings."""
+        fcst, obs = easy_task()
+        calls = []
+
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(training, "StepBuffers", refuse)
+        for name in ("plan_sampling", "sample_triplets"):
+            monkeypatch.setattr(training, name, lambda *a, name=name, **k: calls.append(name))
+        cfg = small_cfg(max_iterations=1, k_pos=3, hidden_sizes=(3, 2))
+        with pytest.raises(ConfigError) as caught:
+            train(fcst, obs, ["S00"], [0], np.arange(300), cfg)
+        assert str(caught.value) == ("batch_size=4 gives a batch too large to allocate "
+                                     "at hidden_sizes=3,2")
+        assert calls == []
 
     def test_same_seed_bit_identical_checkpoints(self, tmp_path):
         fcst, obs = easy_task()

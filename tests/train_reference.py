@@ -10,15 +10,23 @@ all leads that it makes once. Every ADAM step clones the model
 and returns fresh moments, and the BPTT step splits the embeddings with
 ``np.split``, tiles each layer's dropout mask over the three roles and
 computes the hinge and the unit vectors from separate norms.
+
+The BPTT kernel itself is frozen here too, as it was before training bound
+its step buffers once per run: ``run_stack`` standardizes into a new array
+and builds a new tape per pass, and ``backprop_stack`` builds its gradient
+arrays per call. ``training.backward`` must match ``backward`` below bit for
+bit on any bound buffer set.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from analogkit import training
 from analogkit.errors import DataError, DivergenceError
-from analogkit.network import backprop_stack, init_model, run_stack, save_checkpoint
+from analogkit.network import LstmLayerParams, ModelCheckpoint, init_model, save_checkpoint
 from analogkit.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -28,9 +36,109 @@ from analogkit.training import (
     AdamState,
     TrainLogRow,
     Triplets,
-    evaluate_loss,
     init_adam_state,
 )
+
+
+def standardize(model: ModelCheckpoint, data: np.ndarray) -> np.ndarray:
+    """Per-variable (x - mean) / sigma over [..., n_variables, T]; variables
+    with sigma 0 map to 0."""
+    safe = np.where(model.norm_sigma > 0, model.norm_sigma, 1.0)
+    z = (data - model.norm_mean[:, None]) / safe[:, None]
+    z[..., model.norm_sigma <= 0, :] = 0.0
+    return z
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+def _cell(layer: LstmLayerParams, z: np.ndarray, c_prev: np.ndarray, gates=None):
+    if gates is None:
+        gates = np.empty((4,) + c_prev.shape)
+    weights = (layer.w_u, layer.w_f, layer.w_o, layer.w_c)
+    for pre, w, b in zip(gates, weights, (layer.b_u, layer.b_f, layer.b_o, layer.b_c)):
+        np.add(z @ w.T, b, out=pre)
+    _sigmoid(gates[:3], out=gates[:3])
+    np.tanh(gates[3], out=gates[3])
+    g_u, g_f, g_o, c_tilde = gates
+    c = g_u * c_tilde + g_f * c_prev
+    return gates, c, g_o * np.tanh(c)
+
+
+@dataclass
+class LayerTape:
+    z: np.ndarray  # [T, B, hidden + input]: cell input [a_prev; x]
+    gates: np.ndarray  # [4, T, B, hidden]: g_u, g_f, g_o, c_tilde
+    c: np.ndarray  # [T + 1, B, hidden]; c[0] is the zero initial state
+    a: np.ndarray  # [T + 1, B, hidden]; a[0] is the zero initial state
+    mask: np.ndarray | None  # [B, hidden] dropout on the output, scaled by 1/keep
+
+    def output(self) -> np.ndarray:
+        return self.a[1:] if self.mask is None else self.a[1:] * self.mask
+
+
+def run_stack(model, windows, masks=None):
+    """Embeddings [B, embed_dim] of raw windows [B, n_variables, T], with the tape."""
+    x = standardize(model, windows).transpose(2, 0, 1)  # [T, B, n_variables]
+    T, B = x.shape[:2]
+    tape = []
+    for k, layer in enumerate(model.layers):
+        h = layer.hidden_size
+        lt = LayerTape(
+            z=np.empty((T, B, h + layer.input_size)),
+            gates=np.empty((4, T, B, h)),
+            c=np.zeros((T + 1, B, h)),
+            a=np.zeros((T + 1, B, h)),
+            mask=None if masks is None else masks[k],
+        )
+        for t in range(T):
+            lt.z[t, :, :h] = lt.a[t]
+            lt.z[t, :, h:] = x[t]
+            _, lt.c[t + 1], lt.a[t + 1] = _cell(layer, lt.z[t], lt.c[t], lt.gates[:, t])
+        tape.append(lt)
+        x = lt.output()
+    return x[-1] @ model.head_w.T + model.head_b, tape
+
+
+def backprop_stack(model, tape, d_embeddings, grad):
+    """Accumulate gradients of sum(d_embeddings * embeddings) into ``grad``'s parameters."""
+    grad.head_w += d_embeddings.T @ tape[-1].output()[-1]
+    grad.head_b += d_embeddings.sum(axis=0)
+    d_out = np.zeros_like(tape[-1].a[1:])
+    d_out[-1] = d_embeddings @ model.head_w
+    for k in range(len(model.layers) - 1, -1, -1):
+        layer, lt, g = model.layers[k], tape[k], grad.layers[k]
+        h = layer.hidden_size
+        d_above = d_out if lt.mask is None else d_out * lt.mask
+        d_gates = np.empty_like(lt.gates)
+        d_out = np.empty(lt.z.shape[:2] + (layer.input_size,))
+        da_rec = np.zeros_like(d_above[0])
+        dc_next = np.zeros_like(d_above[0])
+        for t in range(len(d_above) - 1, -1, -1):
+            gu, gf, go, ct = lt.gates[:, t]
+            da = d_above[t] + da_rec
+            tc = np.tanh(lt.c[t + 1])
+            dz_o = da * tc * go * (1.0 - go)
+            dc = da * go * (1.0 - tc * tc) + dc_next
+            dz_u = dc * ct * gu * (1.0 - gu)
+            dz_c = dc * gu * (1.0 - ct * ct)
+            dz_f = dc * lt.c[t] * gf * (1.0 - gf)
+            dc_next = dc * gf
+            d_gates[:, t] = dz_u, dz_f, dz_o, dz_c
+            if k or t:
+                dz = dz_u @ layer.w_u + dz_f @ layer.w_f + dz_o @ layer.w_o + dz_c @ layer.w_c
+                da_rec = dz[:, :h]
+                d_out[t] = dz[:, h:]
+        d_w = d_gates.reshape(4, -1, h).transpose(0, 2, 1) @ lt.z.reshape(-1, lt.z.shape[-1])
+        d_b = d_gates.sum(axis=(1, 2))
+        for i, (w, b) in enumerate(zip((g.w_u, g.w_f, g.w_o, g.w_c), (g.b_u, g.b_f, g.b_o, g.b_c))):
+            w += d_w[i]
+            b += d_b[i]
 
 
 def draw_masks(model, n, rate, rng):
@@ -44,6 +152,12 @@ def draw_masks(model, n, rate, rng):
 
 def hinges(e_a, e_p, e_n, alpha):
     return np.linalg.norm(e_a - e_p, axis=1) - np.linalg.norm(e_a - e_n, axis=1) + alpha
+
+
+def evaluate_loss(model, rows, alpha):
+    """Mean hinge loss without dropout, embedding 256 rows at a time."""
+    emb = np.concatenate([run_stack(model, rows[i : i + 256])[0] for i in range(0, len(rows), 256)])
+    return float(np.sum(np.maximum(hinges(*np.split(emb, 3), alpha), 0.0))) / (len(rows) // 3)
 
 
 def unit(diff):
