@@ -30,23 +30,28 @@ line that is neither blank nor ``#``, and blank and ``#`` lines are skipped.
 A malformed file raises :class:`SchemaError` naming the file and the line
 of the first offending record in file order; within a record the column
 count, the key columns, the duplicate key and the value are checked in
-that order, and ``lead_s`` must fit int64.
+that order, and ``lead_s`` must fit int64. A forecast load of one variable
+selects the records whose variable field is that name: every record's
+column count is checked, the other checks, the axes and the values cover
+the selected records only, and a fault elsewhere goes unnamed.
 
 Cost: a clean file is checked in bulk, one block of whole lines at a time
 (about 64 KiB), so a load holds one block's strings at a time and, beyond
 them, 8-byte codes and values for each record's key and value fields. In
 each block the lines are joined and split into fields once, and the
 column count of every record is checked on that split by where the record
-separators fall. Each key column is coded in one dictionary pass that
-persists across blocks, and only its distinct strings are parsed, once,
-after the last block, so timestamp parsing grows with the distinct times,
-not the rows. The value column is checked by one character test on its
-joined text and parsed by ``float()`` inside numpy's array constructor, an
-empty field read as ``"nan"``. Duplicate keys are found by sorting the
-records' cells, so no array spans the product of the axes. The whole file
-is read at once only to name a fault: when a bulk check or the block read
-fails, it is read again, record by record in file order, and the first
-fault is named.
+separators fall. A load of one variable then keeps a block's records of
+it by one comparison pass over the variable column and one gather per
+column, so only they are coded and parsed. Each key column is coded in
+one dictionary pass that persists across blocks, and only its distinct
+strings are parsed, once, after the last block, so timestamp parsing
+grows with the distinct times, not the rows. The value column is checked
+by one character test on its joined text and parsed by ``float()``
+inside numpy's array constructor, an empty field read as ``"nan"``.
+Duplicate keys are found by sorting the records' cells, so no array spans
+the product of the axes. The whole file is read at once only to name a
+fault: when a bulk check or the block read fails, it is read again,
+record by record in file order, and the first fault is named.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, compress, count, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -215,6 +220,16 @@ def locate(axis: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
     return positions, axis[positions] == keys
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The sorted distinct entries of an array, as ``np.unique`` gives them,
+    by one sort and a neighbour test: numpy 2.4's ``np.unique`` imports
+    ``numpy.ma``, a module no command otherwise needs."""
+    ordered = np.sort(np.asarray(values), axis=None)
+    first = np.ones(len(ordered), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 @dataclass(frozen=True)
 class ForecastWindow:
     """Multivariate slice of one forecast around a lead time.
@@ -342,6 +357,9 @@ def _lead(text: str) -> int:
     return lead
 
 
+# (column, text): read only the records that hold ``text`` in that column
+_Where = tuple[int, str] | None
+
 _NAME = _Key("name", list, True)
 _TIME = _Key("timestamp", lambda texts: parse_times(texts).tolist(), True)
 _LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
@@ -386,14 +404,17 @@ def _value_problem(text: str, empty_is_missing: bool) -> str:
     return "" if math.isfinite(value) else f"non-finite value {text!r}"
 
 
-def _first_fault(path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool):
+def _first_fault(
+    path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool, where: _Where
+):
     """The :class:`SchemaError` of the first offending record of a CSV file,
     read whole; a missing or bad header, an unreadable file and a byte that
     is not UTF-8 are raised at once.
 
-    Walks the records in file order and checks each one's column count, key
-    columns, duplicate key and value in that order. Each key column's
-    parser runs once per distinct text.
+    Walks the records in file order and checks each one's column count, then
+    for each record that ``where`` selects its key columns, duplicate key
+    and value, in that order. Each key column's parser runs once per
+    distinct text.
     """
     lines = read_text(path).splitlines()
     start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
@@ -407,6 +428,8 @@ def _first_fault(path, header: list[str], keys: Sequence[_Key], empty_is_missing
     def problem(fields: list[str]) -> str:
         if len(fields) != len(header):
             return f"expected {len(header)} columns, got {len(fields)}"
+        if where is not None and fields[where[0]] != where[1]:
+            return ""
         try:
             cell = tuple(map(dict.__getitem__, parsed, fields))
         except KeyError:  # a key text met for the first time
@@ -463,28 +486,37 @@ def _record_blocks(path, header: list[str]) -> Iterator[list[str]]:
 
 
 def _read_archive(
-    path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool = True
-) -> tuple[Sequence[list], np.ndarray, np.ndarray]:
+    path,
+    header: list[str],
+    keys: Sequence[_Key],
+    empty_is_missing: bool = True,
+    where: _Where = None,
+) -> tuple[Sequence[list], np.ndarray, np.ndarray, int]:
     """Columnar read of a CSV of key columns, one value column and any
     further columns, which are counted but not parsed.
 
     Returns the sorted axis of each key column, each record's cell (its flat
-    index over the axes) and each record's value. An empty value is NaN
-    where ``empty_is_missing`` and an error otherwise. The checks run in
-    bulk, block by block; when one fails, or the file cannot be read,
-    :func:`_first_fault` reads the whole file and names the fault.
+    index over the axes) and value, and the number of records in the file.
+    An empty value is NaN where ``empty_is_missing`` and an error otherwise.
+    Every record's column count is checked; with ``where``, a (column, text)
+    pair, only the records holding that text in that column are checked
+    further and read. The checks run in bulk, block by block; when one
+    fails, or the file cannot be read, :func:`_first_fault` reads the whole
+    file and names the fault.
     """
     width = len(header) + 1
     # per key column: distinct text -> its number in order of first row
     firsts = [defaultdict(count().__next__) for _ in keys]
     codes: list[list[np.ndarray]] = [[] for _ in keys]
     values: list[np.ndarray] = []
+    records = 0
     try:  # each bulk check raises ValueError when it fails
         for body in _record_blocks(path, header):
             # records are joined by a "\n" field, which no line holds: every
             # record has len(header) fields exactly when each separator sits
             # width apart
             n_lines = len(body)
+            records += n_lines
             joined = ",\n,".join(body)
             del body  # the line strings go before the field strings arrive
             fields = joined.split(",") if joined else []
@@ -494,12 +526,17 @@ def _read_archive(
                 and fields[width - 1 :: width].count("\n") == n_lines - 1
             ):
                 raise ValueError("a record has the wrong column count")
-            for i, (first, column) in enumerate(zip(firsts, codes)):
-                column.append(
-                    np.fromiter(map(first.__getitem__, fields[i::width]), np.intp, n_lines)
-                )
-            values.append(_values(fields[len(keys) :: width], empty_is_missing))
+            columns = [fields[i::width] for i in range(len(keys) + 1)]
             del fields
+            if where is not None:
+                keep = list(map(where[1].__eq__, columns[where[0]]))
+                n_lines = keep.count(True)
+                columns = [list(compress(column, keep)) for column in columns]
+                del keep
+            for first, column, texts in zip(firsts, codes, columns):
+                column.append(np.fromiter(map(first.__getitem__, texts), np.intp, n_lines))
+            values.append(_values(columns[len(keys)], empty_is_missing))
+            del columns
         axes, positions = zip(*(_axis(key.parse, first) for key, first in zip(keys, firsts)))
         # each column's block codes go as soon as the column is joined
         columns = [p[np.concatenate(codes.pop(0))] for p in positions]
@@ -509,29 +546,40 @@ def _read_archive(
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("a key is repeated")
     except (OSError, ValueError):
-        raise _first_fault(path, header, keys, empty_is_missing) from None
-    return axes, cells, np.concatenate(values)
+        raise _first_fault(path, header, keys, empty_is_missing, where) from None
+    return axes, cells, np.concatenate(values), records
 
 
-def _read_dense(path, header: list[str], keys: Sequence[_Key]) -> tuple[Sequence, np.ndarray]:
-    """Key axes and dense values of an archive CSV, NaN where a cell has no value."""
-    axes, cells, values = _read_archive(path, header, keys)
-    if not cells.size:
+def _read_dense(
+    path, header: list[str], keys: Sequence[_Key], where: _Where = None
+) -> tuple[Sequence, np.ndarray]:
+    """Key axes and dense values of an archive CSV, NaN where a cell has no
+    value; a file without records is an error, and one whose records
+    ``where`` all passes over has empty axes."""
+    axes, cells, values, records = _read_archive(path, header, keys, where=where)
+    if not records:
         raise SchemaError(f"{path}: no records")
     dense = np.full(tuple(map(len, axes)), np.nan)
     dense.reshape(-1)[cells] = values
     return axes, dense
 
 
-def load_forecasts(path) -> ForecastArchive:
+def load_forecasts(path, variable: str | None = None) -> ForecastArchive:
     """Load a forecast CSV into a dense archive.
 
     Index lists are the sorted distinct values found in the file; cells not
     present in the file are missing. Duplicate (station, variable, cycle,
     lead) keys and malformed rows are errors naming the offending line.
+
+    With ``variable``, only that variable's records are read: the index
+    lists are those of its records, and ``variables`` is ``[variable]``, or
+    empty, with every axis, where the file holds records but none of it.
+    Every record's column count is still checked, but a fault in a record
+    of another variable is not looked for.
     """
     (stations, variables, cycles, leads), values = _read_dense(
-        path, FORECAST_HEADER, (_NAME, _NAME, _TIME, _LEAD)
+        path, FORECAST_HEADER, (_NAME, _NAME, _TIME, _LEAD),
+        None if variable is None else (1, variable),
     )
     return ForecastArchive(
         stations,
@@ -549,7 +597,7 @@ def load_predictions(path) -> list[tuple[tuple[str, int, int], np.ndarray]]:
     target, targets in order of first appearance. A file without records
     has no targets, and a repeated (target, member_rank) is a duplicate key.
     """
-    (stations, cycles, leads, ranks), cells, values = _read_archive(
+    (stations, cycles, leads, ranks), cells, values, _ = _read_archive(
         path, PREDICTION_HEADER, (_NAME, _TIME, _LEAD, _RANK), empty_is_missing=False
     )
     if not cells.size:

@@ -39,6 +39,7 @@ from .verification import (
     VerificationSet,
     build_report,
     error_interval_rmse,
+    quantile,
     rmse as vset_rmse,
     brier as vset_brier,
 )
@@ -190,9 +191,9 @@ def run_predictions(
     rows: list[list[tuple[str, int, int, Ranking]]] = [[] for _ in search_ranges]
     skipped: list[tuple[str, int, int, str]] = []
     targets = sorted(int(x) for x in test_cycles)
-    union = np.unique(np.concatenate(search_ranges))
+    union = ar.sorted_distinct(np.concatenate(search_ranges))
     if method == "deep_anen":
-        embedded = np.unique(np.concatenate([union, test_cycles]))
+        embedded = ar.sorted_distinct(np.concatenate([union, test_cycles]))
     else:
         weights = _effective_weights(cfg, method, fcst)
     for station in stations:
@@ -326,7 +327,7 @@ def _brier_threshold(cfg: ExperimentConfig, obs: ar.ObservationArchive) -> float
     pooled = pooled[np.isfinite(pooled)]
     if pooled.size == 0:
         raise DataError("no observations available to compute the Brier threshold")
-    return float(np.quantile(pooled, BRIER_QUANTILE))
+    return quantile(pooled, BRIER_QUANTILE)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +415,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
     fcst = None
     if cfg.error_intervals is not None:
         cfg.require("forecast_csv")
-        fcst = ar.load_forecasts(cfg.forecast_csv)
+        # the baseline's records alone: a fault in another variable's is not verify's to name
+        fcst = ar.load_forecasts(cfg.forecast_csv, cfg.baseline_variable)
         if cfg.baseline_variable not in fcst.variables:
             raise ConfigError(f"baseline_variable {cfg.baseline_variable} not in the archive")
     cfg.require("observation_csv")

@@ -58,6 +58,7 @@ from .archive import (
     parse_int,
     read_settings,
     read_text,
+    sorted_distinct,
     window_block,
 )
 from .errors import DataError, SchemaError
@@ -538,7 +539,7 @@ def embed_block(
             f"archive variables {','.join(archive.variables)} do not match "
             f"model variables {','.join(model.variables)}"
         )
-    cycles = np.unique(np.asarray(cycles, dtype=int))
+    cycles = sorted_distinct(np.asarray(cycles, dtype=int))
     data, available = window_block(archive, station, lead, cycles, model.t_half)
     vectors = np.zeros((len(cycles), model.embed_dim))
     if available.any():

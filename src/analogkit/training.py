@@ -21,6 +21,7 @@ from .archive import (
     ObservationArchive,
     format_float,
     open_output,
+    sorted_distinct,
     variable_stats,
 )
 from .ensemble import classic_base, rank_positions
@@ -179,7 +180,7 @@ def plan_sampling(
     ``anchor_cycles`` restricts which cycles may anchor a triplet; the
     candidates always span the full range.
     """
-    cycles = np.unique(np.asarray(cycles, dtype=int))
+    cycles = sorted_distinct(np.asarray(cycles, dtype=int))
     k = cfg.k_pos
     windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
     origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
@@ -658,7 +659,7 @@ def train(
     of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
     Returns the best-validation checkpoint and the evaluation log.
     """
-    cycles = np.unique(np.asarray(cycles, dtype=int))
+    cycles = sorted_distinct(np.asarray(cycles, dtype=int))
     if cycles.size < 2:
         raise DataError("training needs at least two cycles")
     rng = np.random.default_rng(cfg.seed)

@@ -8,15 +8,35 @@ computations can run per lead in parallel with deterministic aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .archive import sorted_distinct
 from .errors import DataError
 
 N_BOOT = 1000  # bootstrap resamples per spread-error bin
 SPREAD_BINS = 5  # spread-error bins of a report, fewer only with fewer pairs
 BRIER_QUANTILE = 0.75  # the Brier event: above this quantile of the observations
+
+
+def quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)``, linear interpolation, of a nonempty 1-D
+    float array, bit for bit: numpy's partition of a copy, then its lerp,
+    but not the plain ``np.unique`` through which numpy 2.4 imports
+    ``numpy.ma``."""
+    arr = np.array(values, dtype=float)
+    n = len(arr)
+    virtual = (n - 1) * q
+    lo = -1 if virtual >= n - 1 else math.floor(virtual)
+    hi = -1 if lo == -1 else lo + 1
+    arr.partition(sorted_distinct(np.array([0, -1, lo, hi])))
+    if np.isnan(arr[-1]):
+        return float(arr[-1])
+    a, b, t = float(arr[lo]), float(arr[hi]), virtual - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 @dataclass(frozen=True)
@@ -56,7 +76,7 @@ class VerificationSet:
         )
 
     def leads(self) -> np.ndarray:
-        return np.unique(self.lead_s)
+        return sorted_distinct(self.lead_s)
 
 
 def bias(vset: VerificationSet) -> float:
@@ -163,8 +183,8 @@ def spread_error(vset: VerificationSet, n_bins: int, seed: int = 0) -> list[Spre
             SpreadErrorBin(
                 mean_spread=float(np.mean(spread[chunk])),
                 rmse=point,
-                rmse_lo=float(np.percentile(boot, 5.0)),
-                rmse_hi=float(np.percentile(boot, 95.0)),
+                rmse_lo=quantile(boot, 0.05),
+                rmse_hi=quantile(boot, 0.95),
                 count=len(chunk),
             )
         )

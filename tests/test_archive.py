@@ -16,6 +16,7 @@ from analogkit.archive import (
     load_observations,
     load_predictions,
     locate,
+    sorted_distinct,
     parse_time,
     valid_time,
     window_block,
@@ -236,6 +237,13 @@ class TestPairingRule:
         assert locate(axis, 20) == (1, True)
         positions, found = locate(axis[:0], [5, 6])
         assert positions.tolist() == [0, 0] and not found.any()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-5, 5), max_size=12))
+    def test_sorted_distinct_is_np_unique(self, values):
+        values = np.array(values, dtype=np.int64)
+        got, want = sorted_distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestValidTime:

@@ -497,9 +497,11 @@ class TestVerify:
         assert excluded.split(",")[2] == str(len(records) // 5)  # m=5 members per target
 
     def test_baseline_errors_equal_a_per_pair_lookup(self, pipeline):
-        """The baseline errors, looked up in bulk, group as the errors of a
-        per-pair lookup of (station, cycle, lead) do. Three pairs are moved to
-        a cycle and lead the archive lacks, at the same valid time."""
+        """The baseline errors, looked up in bulk in the baseline variable's
+        records alone, group as the errors of a per-pair lookup of (station,
+        cycle, lead) in the whole archive do. Three pairs are moved to a
+        cycle and lead at the same valid time that only the other variables
+        have, and one pair's baseline cell is emptied."""
         from analogkit import archive as ar
         from analogkit.cli import _baseline_intervals, pair_targets
         from analogkit.verification import error_interval_rmse
@@ -509,11 +511,21 @@ class TestVerify:
                                              "baseline_variable=v2\n")
         assert main(["predict", "--config", str(path), "--out", str(pipeline / "pred")]) == 0
         cfg = load_config(path)
-        fcst, obs = ar.load_forecasts(cfg.forecast_csv), ar.load_observations(cfg.observation_csv)
         targets = ar.load_predictions(pipeline / "pred" / "predictions.csv")
-        targets += [((station, cycle + 1, lead - 1), members)
-                    for (station, cycle, lead), members in targets[:3]]
-        vset, keys, _, _ = pair_targets(targets, obs)
+        moved = [((station, cycle + 1, lead - 1), members)
+                 for (station, cycle, lead), members in targets[:3]]
+        lines = Path(cfg.forecast_csv).read_text().splitlines()
+        lines += [f"{station},{v},{ar.format_time(cycle)},{lead},1.5"
+                  for (station, cycle, lead), _ in moved for v in ("v1", "v3")]
+        (station, cycle, lead), _ = targets[-1]
+        emptied = f"{station},v2,{ar.format_time(cycle)},{lead},"
+        at = next(i for i, line in enumerate(lines) if line.startswith(emptied))
+        lines[at] = emptied
+        Path(cfg.forecast_csv).write_text("\n".join(lines) + "\n")
+        fcst, obs = ar.load_forecasts(cfg.forecast_csv), ar.load_observations(cfg.observation_csv)
+        selected = ar.load_forecasts(cfg.forecast_csv, "v2")
+        assert selected.variables == ["v2"] and len(selected.cycles) < len(fcst.cycles)
+        vset, keys, _, _ = pair_targets(targets + moved, obs)
         vi = fcst.variables.index("v2")
         cycles, leads = fcst.cycles.tolist(), fcst.leads.tolist()
         baseline = np.full(vset.n_pairs, np.nan)
@@ -522,10 +534,11 @@ class TestVerify:
                 f = fcst.values[fcst.stations.index(station), vi, cycles.index(cycle),
                                 leads.index(lead)]
                 baseline[i] = f - y
-        assert np.count_nonzero(np.isnan(baseline)) == 3
+        assert np.count_nonzero(np.isnan(baseline)) == 4
         want = error_interval_rmse(vset, baseline, edges)
+        assert _baseline_intervals(cfg, selected, vset, keys) == want
         assert _baseline_intervals(cfg, fcst, vset, keys) == want
-        assert sum(stat.count for stat in want[0]) == vset.n_pairs - 3
+        assert sum(stat.count for stat in want[0]) == vset.n_pairs - 4
 
     def test_verify_after_predict(self, pipeline):
         cfg = write_config(pipeline)
@@ -854,6 +867,36 @@ class TestMalformedInputs:
         argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
                 "--predictions", str(pred)]
         self._run(capsys, argv, str(pred), "line 4")
+
+    def test_verify_reads_only_the_baseline_variable(self, pipeline, capsys):
+        """A malformed record of another variable leaves verify's report as
+        it is, while ingest and predict refuse the file at that line; the
+        same fault in a baseline record is verify's to name."""
+        cfg = write_config(pipeline, extra="error_intervals=0.5,1\nbaseline_variable=v1\n")
+        out = pipeline / "pred"
+        verify = ["verify", "--config", str(cfg), "--out", str(out)]
+        assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(verify) == 0
+        report = (out / "report.csv").read_bytes()
+        path = pipeline / "data" / "forecasts.csv"
+        clean = path.read_text().splitlines()
+        for variable, verify_code in (("v2", 0), ("v1", 2)):
+            lines = list(clean)
+            at = next(i for i, line in enumerate(lines) if line.split(",")[1] == variable)
+            lines[at] = lines[at].rpartition(",")[0] + ",x"
+            path.write_text("\n".join(lines) + "\n")
+            named = (str(path), f"line {at + 1}", "unparsable value 'x'")
+            for command in ("ingest", "predict"):
+                argv = [command, "--config", str(cfg), "--out", str(pipeline / command)]
+                self._run(capsys, argv, *named)
+            (out / "report.csv").unlink()
+            if verify_code:
+                self._run(capsys, verify, *named)
+                assert not (out / "report.csv").exists()
+            else:
+                capsys.readouterr()
+                assert main(verify) == 0 and capsys.readouterr().err == ""
+                assert (out / "report.csv").read_bytes() == report
 
     def test_predictions_without_rows(self, tmp_path, capsys):
         (tmp_path / "observations.csv").write_text(
@@ -1400,8 +1443,8 @@ def run_fuzzed(argv):
 
 
 class TestFileFuzz:
-    """Mutated checkpoints and predictions files, each written new, run
-    through the CLI end in an exit code and at most one stderr line."""
+    """Mutated checkpoints, predictions and forecast files, each written
+    new, run through the CLI end in an exit code and at most one stderr line."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(data=st.data())
@@ -1428,6 +1471,21 @@ class TestFileFuzz:
         run_fuzzed(["verify", "--config", str(cfg), "--out", str(run_dir),
                     "--predictions", str(pred)])
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_forecasts(self, file_fuzz_dir, data):
+        """verify with error intervals reads the baseline variable's records
+        of a mutated forecast file."""
+        text = data.draw(mutated((file_fuzz_dir / "forecasts.csv").read_text(), ","))
+        run_dir = Path(tempfile.mkdtemp(dir=file_fuzz_dir))
+        (run_dir / "forecasts.csv").write_text(text)
+        cfg = run_dir / "config.txt"
+        cfg.write_text(FUZZ_CONFIG.format(d=file_fuzz_dir).replace(
+            f"forecast_csv={file_fuzz_dir}/", f"forecast_csv={run_dir}/")
+            + "error_intervals=0.1,1\nbaseline_variable=v1\n")
+        run_fuzzed(["verify", "--config", str(cfg), "--out", str(run_dir),
+                    "--predictions", str(file_fuzz_dir / "predictions.csv")])
+
 
 def test_huge_noise_scores_without_warnings(tmp_path):
     """Noise near the float64 limit overflows the verification scores, which
@@ -1443,7 +1501,7 @@ def test_huge_noise_scores_without_warnings(tmp_path):
 
 
 # Runs the pipeline with every scipy import refused; prints the exit codes and
-# the scipy modules loaded.
+# the scipy modules loaded, then the numpy.ma modules loaded.
 WITHOUT_SCIPY = """
 import sys
 
@@ -1457,20 +1515,35 @@ from analogkit.cli import main
 
 cfg, d = sys.argv[1:]
 codes = [main([command, "--config", cfg, "--out", f"{d}/{out}"]) for command, out in
-         [("synth", "data"), ("train", "train"), ("predict", "pred"), ("verify", "pred")]]
+         [("synth", "data"), ("ingest", "ingest"), ("train", "train"), ("predict", "pred"),
+          ("verify", "pred")]]
 print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
 
 
-def test_pipeline_runs_without_scipy(tmp_path):
-    """numpy is the only runtime dependency: synth, train, deep_anen predict
-    and verify succeed in a process that cannot import scipy."""
+@pytest.fixture(scope="module")
+def pipeline_process(tmp_path_factory):
+    """The WITHOUT_SCIPY pipeline, deep_anen with error intervals, run once in a new process."""
     import analogkit
 
-    cfg = write_config(tmp_path, method="deep_anen")
+    d = tmp_path_factory.mktemp("process")
+    cfg = write_config(d, method="deep_anen",
+                       extra="error_intervals=0.5,1\nbaseline_variable=v1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(analogkit.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(cfg), str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(cfg), str(d)],
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[0, 0, 0, 0] []"]
     assert run.stderr == ""
+    return run.stdout.splitlines()
+
+
+def test_pipeline_runs_without_scipy(pipeline_process):
+    """numpy is the only runtime dependency: synth, ingest, train, deep_anen
+    predict and verify succeed in a process that cannot import scipy."""
+    assert pipeline_process[0] == "[0, 0, 0, 0, 0] []"
+
+
+def test_pipeline_never_imports_numpy_ma(pipeline_process):
+    """No command makes numpy import numpy.ma, which plain np.unique does."""
+    assert pipeline_process[1] == "[]"

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import csv_reference as ref
 from analogkit import archive
 from analogkit.archive import (
+    ForecastArchive,
     SchemaError,
     format_time,
     load_forecasts,
@@ -624,3 +625,46 @@ def test_a_fault_past_the_first_block_is_named_at_its_line(tmp_path, kind, fault
     want = expected_outcome(oracle, path)
     assert (want[0] == "ok") == (fault == "none")
     assert_same_outcome(outcome(load, path), want, same)
+
+
+def only_variable(text, variable):
+    """``text`` with each five-field record of another variable made a '#'
+    line, which keeps the line numbers, and whether a record was."""
+    lines = text.splitlines()
+    header = next((i for i, line in enumerate(lines) if line.strip() and line[0] != "#"),
+                  len(lines))
+    dropped = False
+    for i in range(header + 1, len(lines)):
+        fields = lines[i].split(",")
+        if lines[i].strip() and lines[i][0] != "#" and len(fields) == 5 and fields[1] != variable:
+            lines[i], dropped = "#", True
+    return "\n".join(lines) + "\n", dropped
+
+
+NO_CELLS = ForecastArchive([], [], np.empty(0, np.int64), np.empty(0, np.int64),
+                           np.empty((0, 0, 0, 0)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_one_variable_loads_as_the_oracle_does_without_the_others(tmp_path, data):
+    """A load of one variable equals the oracle's load of the file with every
+    other variable's records commented out, at the default block size and at
+    1-64 bytes: the same archive or the same message. Where the file has
+    records but none of the variable, the archive has no cells."""
+    text = data.draw(st.one_of(archive_text("forecast"), mutated_text("forecast")))
+    variable = data.draw(st.sampled_from(["v1", "v2", "ghi"]))
+    path = tmp_path / "archive.csv"
+    path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
+    path.write_text(text, encoding="utf-8", newline="")
+    got = outcome(lambda p: load_forecasts(p, variable), path)
+    with mock.patch.object(archive, "_BLOCK_BYTES", data.draw(st.integers(1, 64))):
+        assert_same_outcome(outcome(lambda p: load_forecasts(p, variable), path), got,
+                            assert_same_forecasts)
+    reference, dropped = only_variable(text, variable)
+    path.unlink()
+    path.write_text(reference, encoding="utf-8", newline="")
+    want = outcome(ref.load_forecasts, path)
+    if dropped and want == (SchemaError, f"{path}: no records"):
+        want = ("ok", NO_CELLS)
+    assert_same_outcome(got, want, assert_same_forecasts)

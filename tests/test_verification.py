@@ -11,6 +11,7 @@ from analogkit.verification import (
     crps,
     crps_single,
     error_interval_rmse,
+    quantile,
     rank_histogram,
     rmse,
     spread_error,
@@ -338,3 +339,19 @@ def test_verification_guards(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_quantile_is_np_quantile_bit_for_bit():
+    """quantile equals np.quantile and np.percentile at every q verify uses,
+    and at the ends, on ties, signed zeros, infinities, NaN and overflow."""
+    rng = np.random.default_rng(3)
+    for n in [*range(1, 12), 100, 1001]:
+        for values in (rng.normal(size=n), rng.integers(-2, 2, n).astype(float),
+                       rng.choice([0.0, -0.0, 1.0], n), rng.choice([np.inf, -np.inf, 1.0], n),
+                       rng.choice([np.nan, 1.0, np.inf], n), rng.choice([1e308, -1e308], n)):
+            for percent in (0.0, 5.0, 50.0, 75.0, 95.0, 100.0):
+                q = percent / 100
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = [np.quantile(values, q), np.percentile(values, percent)]
+                got = quantile(values, q)  # Python float arithmetic: no numpy warning
+                assert {np.float64(x).tobytes() for x in [got, *want]} == {want[0].tobytes()}
