@@ -710,11 +710,14 @@ def window_block(
     Returns ``(data, available)`` where ``data`` is
     [n_cycles, n_variables, 2*t_half+1] and ``available`` marks rows whose
     window is complete. Where the window leaves the lead axis every row is
-    NaN and none is available.
+    NaN and none is available. A block too large to allocate is a :class:`DataError`.
     """
     cycles = np.asarray(cycles, dtype=int)
     _check_indices(archive, station, cycles, lead, t_half)
-    data = np.full((len(cycles), archive.n_variables, 2 * t_half + 1), np.nan)
+    try:
+        data = np.full((len(cycles), archive.n_variables, 2 * t_half + 1), np.nan)
+    except (MemoryError, ValueError):  # numpy's ValueError: "array is too big"
+        raise DataError(f"t_half={t_half} gives windows too wide to allocate") from None
     if window_fits(archive, lead, t_half):  # the indexed axes come first: [cycle, variable, lead]
         data[:] = archive.values[station, :, cycles, lead - t_half : lead + t_half + 1]
     return data, ~np.isnan(data).any(axis=(1, 2))

@@ -37,7 +37,8 @@ matrices and biases of each ``LstmLayerParams`` and ``head_w``/``head_b`` are
 views of its slices; a layer's stacked ``w`` and ``b`` view its four gates,
 and each gate keeps its own matmul. Gradients and ADAM
 moments are vectors of the same layout; BPTT accumulates a gradient into the
-parameters of a twin model, whose ``theta`` is that vector.
+parameters of the step's twin model, ``StepBuffers.grad``, whose ``theta``
+is that vector.
 """
 
 from __future__ import annotations
@@ -180,19 +181,9 @@ class ModelCheckpoint:
         new.variables = list(self.variables)
         return new
 
-    def zeroed_gradient(self) -> "ModelCheckpoint":
-        """This model's gradient buffer, zeroed: a twin whose parameters,
-        views of its ``theta``, take a gradient (see :func:`backprop_stack`).
-        It is made on the first call and reused, so its views are bound once."""
-        if self._gradient is None:
-            self._gradient = self.clone()
-        self._gradient.theta.fill(0.0)
-        return self._gradient
-
     def _bind(self, theta: np.ndarray) -> None:
         """Rebind every parameter, on fresh layer objects, to a view of ``theta``."""
         self.theta = theta
-        self._gradient = None
         *_, (_, self.head_w), (_, self.head_b) = named_parameters(self, theta)
         self.layers = [copy.copy(layer) for layer in self.layers]
         start = 0
@@ -356,8 +347,9 @@ class StepBuffers:
     with ``backprop``, the BPTT buffers of every layer; the standardized
     input ``x``, a view of the bottom layer's z; the ``embeddings``; with
     ``masked``, the dropout ``draw`` [B/3, sum(hidden)] and each layer's
-    ``mask``; and with ``backprop``, ``d_embeddings``, the head's gradient
-    and the triplet loss's differences, norms and flags
+    ``mask``; and with ``backprop``, ``d_embeddings``, the gradient ``grad``
+    (a twin of the model whose parameters view its ``theta``), the head's
+    gradient and the triplet loss's differences, norms and flags
     (``training.backward`` fills them). A set serves one model shape."""
 
     def __init__(self, model: ModelCheckpoint, shape, masked: bool = False,
@@ -375,6 +367,7 @@ class StepBuffers:
         if masked:
             self.draw = np.empty((n, sum(model.hidden_sizes)))
         if backprop:
+            self.grad = model.clone()
             self.d_embeddings = np.empty_like(self.embeddings)
             self.d_head_w = np.empty_like(model.head_w)
             self.d_head_b = np.empty_like(model.head_b)
@@ -417,14 +410,14 @@ def run_stack(
     return step
 
 
-def backprop_stack(model: ModelCheckpoint, step: StepBuffers, grad: ModelCheckpoint) -> None:
-    """Accumulate gradients of sum(step.d_embeddings * embeddings), through
-    the pass that :func:`run_stack` last wrote into ``step`` (bound with
-    ``backprop``), into the parameters of ``grad``, a twin of ``model`` such
-    as :meth:`ModelCheckpoint.zeroed_gradient` gives, so into ``grad.theta``.
-    Each product keeps the operand order of the plain expressions in the
-    comments, so the bits are theirs."""
-    top, d_embeddings = step.layers[-1], step.d_embeddings
+def backprop_stack(model: ModelCheckpoint, step: StepBuffers) -> None:
+    """The gradient of sum(step.d_embeddings * embeddings), through the pass
+    that :func:`run_stack` last wrote into ``step`` (bound with ``backprop``),
+    into ``step.grad``: its ``theta`` is zeroed, then each parameter's
+    gradient is added into its view. Each product keeps the operand order of
+    the plain expressions in the comments, so the bits are theirs."""
+    top, d_embeddings, grad = step.layers[-1], step.d_embeddings, step.grad
+    grad.theta.fill(0.0)
     grad.head_w += np.matmul(d_embeddings.T, top.out[-1], out=step.d_head_w)
     grad.head_b += np.add.reduce(d_embeddings, axis=0, out=step.d_head_b)
     # d_out[t]: gradient reaching the layer's output at step t from the layer
@@ -573,9 +566,15 @@ _MAGIC = "analogkit checkpoint v1"
 _META_KEYS = ("variables", "t_half", "seed", "iterations", "hidden_sizes", "embed_dim")
 
 
+def storable_name(name: str) -> bool:
+    """Whether a checkpoint's ``variables=`` line holds ``name`` as it is:
+    no ``,``, ``=`` or newline, and no space at either end (values are stripped)."""
+    return not any(ch in name for ch in ",=\n") and name == name.strip()
+
+
 def save_checkpoint(model: ModelCheckpoint, path) -> None:
     for v in model.variables:
-        if any(ch in v for ch in ",=\n") or v != v.strip():  # the reader strips values
+        if not storable_name(v):
             raise ValueError(f"variable name {v!r} cannot be stored in a checkpoint")
     with open_output(path) as fh:
         fh.write(_MAGIC + "\n")

@@ -34,6 +34,7 @@ from .network import (
     init_model,
     run_stack,
     save_checkpoint,
+    storable_name,
 )
 
 
@@ -547,10 +548,11 @@ def backward(
     masks. Triplets whose hinge is zero contribute zero gradient. Raises
     :class:`DivergenceError` when any loss or gradient comes out non-finite.
 
-    ``step`` holds every array the step writes: a :class:`StepBuffers` for
-    rows of this shape, masked when ``cfg.dropout_rate`` is positive and
-    bound with ``backprop``, as :func:`train` binds one per run. Without it,
-    a fresh set is bound for this call. The returned gradient is a copy.
+    ``step`` holds every array the step writes, the gradient ``step.grad``
+    included: a :class:`StepBuffers` for rows of this shape, masked when
+    ``cfg.dropout_rate`` is positive and bound with ``backprop``, as
+    :func:`train` binds one per run. Without it, a fresh set is bound for
+    this call. The returned gradient is a copy of ``step.grad.theta``.
     """
     n = _batch_size(rows)
     masked = cfg.dropout_rate > 0
@@ -578,11 +580,11 @@ def backward(
     np.subtract(units[0], units[1], out=d_embeddings[0])  # [u_ap - u_an, -u_ap, u_an] / n
     np.negative(units[0], out=units[0])
     d_embeddings *= inv_n
-    grad = model.zeroed_gradient()
-    backprop_stack(model, step, grad)
-    if not np.isfinite(loss) or not np.isfinite(grad.theta).all():
+    backprop_stack(model, step)
+    grad = step.grad.theta
+    if not np.isfinite(loss) or not np.isfinite(grad).all():
         raise DivergenceError(iteration=-1)
-    return grad.theta.copy(), loss
+    return grad.copy(), loss
 
 
 def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> float:
@@ -593,9 +595,15 @@ def evaluate_loss(model: ModelCheckpoint, rows: np.ndarray, alpha: float) -> flo
     return float(np.sum(np.maximum(n_ap - n_an + alpha, 0.0))) / n
 
 
-def _adam_update(theta: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
-    """One ADAM update of ``theta`` and ``state``, in place. ``m *= b1; m +=
-    (1 - b1) * grad`` rounds exactly as ``b1 * m + (1 - b1) * grad``."""
+def adam_step(
+    model: ModelCheckpoint, grad: np.ndarray, state: AdamState, cfg: TrainConfig
+) -> None:
+    """One ADAM update of ``model.theta`` and ``state``, in place; ``grad`` is
+    only read. ``m *= b1; m += (1 - b1) * grad`` rounds exactly as ``b1 * m +
+    (1 - b1) * grad``."""
+    if np.shape(grad) != model.theta.shape:
+        raise ValueError(f"gradient has shape {np.shape(grad)}, "
+                         f"the model has {model.theta.size} parameters")
     state.step += 1
     m, v = state.m, state.v
     m *= ADAM_BETA1
@@ -604,23 +612,7 @@ def _adam_update(theta: np.ndarray, grad: np.ndarray, state: AdamState, cfg: Tra
     v += (1.0 - ADAM_BETA2) * (grad * grad)
     m_hat = m / (1.0 - ADAM_BETA1**state.step)
     v_hat = v / (1.0 - ADAM_BETA2**state.step)
-    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-
-
-def adam_step(
-    model: ModelCheckpoint,
-    grad: np.ndarray,
-    state: AdamState,
-    cfg: TrainConfig,
-) -> tuple[ModelCheckpoint, AdamState]:
-    """One ADAM update of ``theta``; returns a new model and state, inputs untouched."""
-    if np.shape(grad) != model.theta.shape:
-        raise ValueError(f"gradient has shape {np.shape(grad)}, "
-                         f"the model has {model.theta.size} parameters")
-    new_model = model.clone()
-    new_state = AdamState(m=state.m.copy(), v=state.v.copy(), step=state.step)
-    _adam_update(new_model.theta, grad, new_state, cfg)
-    return new_model, new_state
+    model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass
@@ -649,16 +641,20 @@ def train(
     triplet. The validation pool and the training pool each have one
     :class:`SamplingPlan` over every lead, so a resample only draws. The
     loop gathers each batch into one buffer and backpropagates through one
-    :class:`StepBuffers`, both allocated before any sampling (a
-    ``batch_size`` or ``hidden_sizes`` too large to allocate is a
-    :class:`ConfigError`), so an iteration allocates no array of batch size.
-    It applies ADAM to the model in place, and evaluates the
-    held-out loss every ``eval_interval`` iterations, cloning the model on
-    a new best; it stops at ``max_iterations`` or when
-    ``early_stop_patience`` iterations pass without a relative improvement
-    of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
+    :class:`StepBuffers`, which holds the gradient too, both allocated
+    before any sampling (a ``batch_size`` or ``hidden_sizes`` too large to
+    allocate is a :class:`ConfigError`), so an iteration allocates no array
+    of batch size. Each iteration applies one :func:`adam_step` to the model
+    in place, and every ``eval_interval`` iterations the loop evaluates the
+    held-out loss, cloning the model on a new best; it stops at
+    ``max_iterations`` or when ``early_stop_patience`` iterations pass
+    without a relative improvement of ``EARLY_STOP_MIN_IMPROVEMENT`` (0.1%).
+    A variable name no checkpoint can store is a :class:`DataError` at once.
     Returns the best-validation checkpoint and the evaluation log.
     """
+    for name in fcst.variables:
+        if not storable_name(name):
+            raise DataError(f"variable name {name!r} cannot be stored in a checkpoint")
     cycles = sorted_distinct(np.asarray(cycles, dtype=int))
     if cycles.size < 2:
         raise DataError("training needs at least two cycles")
@@ -733,7 +729,7 @@ def train(
         while iteration < cfg.max_iterations:
             iteration += 1
             grad, loss = backward(model, next_batch(), cfg, rng, step)
-            _adam_update(model.theta, grad, adam, cfg)
+            adam_step(model, grad, adam, cfg)
             interval_losses.append(loss)
             if iteration % cfg.eval_interval == 0 or iteration == cfg.max_iterations:
                 val_loss = evaluate_loss(model, val_rows, cfg.alpha)

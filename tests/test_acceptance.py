@@ -236,7 +236,8 @@ def test_criterion_04_adam_single_step():
     """Unit gradient from fresh state: delta = -lr/(1+eps), exact to 1e-12."""
     model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
     cfg = TrainConfig(learning_rate=0.005, t_half=0, hidden_sizes=(3,), embed_dim=2)
-    new_model, state = adam_step(model, np.ones_like(model.theta), init_adam_state(model), cfg)
+    new_model, state = model.clone(), init_adam_state(model)
+    adam_step(new_model, np.ones_like(model.theta), state, cfg)
     expected = -cfg.learning_rate / (1.0 + 1e-8)  # ADAM's epsilon
     worst = max(
         float(np.max(np.abs((p1 - p0) - expected)))

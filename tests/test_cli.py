@@ -1213,6 +1213,45 @@ class TestMalformedInputs:
         self._run(capsys, ["train", "--config", str(cfg), "--out", str(out)], message, code=code)
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("command,method,setting", [
+        ("predict", "anen_equal", "t_half=1000000000000"),
+        ("predict", "deep_anen", ""),
+        ("train", "anen_equal", "t_half=1000000000000\nmax_iterations=0"),
+    ], ids=["anen_equal", "deep_anen_checkpoint", "train_without_iterations"])
+    def test_windows_too_wide_to_allocate(self, pipeline, capsys, command, method, setting):
+        """A t_half whose windows no memory holds ends in a data error naming
+        it, from the config or, for deep_anen, from the checkpoint; numpy
+        refuses the window block at once, so no memory is touched, and no
+        output is written."""
+        from analogkit.network import init_model, save_checkpoint
+
+        if method == "deep_anen":
+            path = pipeline / "train" / "checkpoint.txt"
+            path.parent.mkdir()
+            save_checkpoint(init_model(["v1", "v2", "v3"], 10**12, (8,), 4, seed=1), path)
+        drop = tuple(line.split("=")[0] for line in setting.splitlines())
+        cfg = write_config(pipeline, method=method, drop=drop, extra=f"{setting}\n")
+        out = pipeline / "out"
+        self._run(capsys, [command, "--config", str(cfg), "--out", str(out)],
+                  "data error: t_half=1000000000000 gives windows too wide to allocate")
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command,name", [
+        ("train", "v=2"),
+        ("experiment-search-length", " v2"),
+    ], ids=["train_equals_sign", "experiment_leading_space"])
+    def test_unstorable_variable_name(self, pipeline, capsys, command, name):
+        """A forecast variable whose name a checkpoint cannot hold ends the
+        run before training, as a data error naming it, with no output
+        written, where it used to fail only when the trained model was saved."""
+        forecasts = pipeline / "data" / "forecasts.csv"
+        forecasts.write_text(forecasts.read_text().replace(",v2,", f",{name},"))
+        cfg = write_config(pipeline, extra="methods=deep_anen\n")
+        out = pipeline / "out"
+        self._run(capsys, [command, "--config", str(cfg), "--out", str(out)],
+                  f"data error: variable name {name!r} cannot be stored in a checkpoint")
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("weight,message", [
         ("", "anen_weighted needs at least one positive weight.<variable> key"),
         ("weight.v9=1\n", "weight.v9: variable not in the archive"),

@@ -22,6 +22,7 @@ from analogkit.training import (
     triplet_loss,
 )
 
+import train_reference
 from conftest import BAD_INDICES, index_archive, make_forecasts, obs_matching
 
 
@@ -246,7 +247,8 @@ class TestAdam:
         -lr / (1 + eps), exactly."""
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
         cfg = small_cfg(learning_rate=0.005)
-        new_model, state = adam_step(model, np.ones_like(model.theta), init_adam_state(model), cfg)
+        new_model, state = model.clone(), init_adam_state(model)
+        adam_step(new_model, np.ones_like(model.theta), state, cfg)
         expected = -0.005 / (1.0 + 1e-8)
         for (k, p0), (_, p1) in zip(named_parameters(model), named_parameters(new_model)):
             np.testing.assert_allclose(p1 - p0, expected, rtol=0, atol=1e-12)
@@ -254,8 +256,8 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
-        new_model, state = adam_step(model, np.zeros_like(model.theta), init_adam_state(model),
-                                     small_cfg())
+        new_model, state = model.clone(), init_adam_state(model)
+        adam_step(new_model, np.zeros_like(model.theta), state, small_cfg())
         for (k, p0), (_, p1) in zip(named_parameters(model), named_parameters(new_model)):
             np.testing.assert_array_equal(p0, p1)
         assert state.step == 1
@@ -266,11 +268,13 @@ class TestAdam:
         cfg = small_cfg()
         g1 = rng.standard_normal(model.theta.size)
         g2 = rng.standard_normal(model.theta.size)
-        m_a, s_a = adam_step(model, g1, init_adam_state(model), cfg)
-        m_a, s_a = adam_step(m_a, g2, s_a, cfg)
+        m_a, s_a = model.clone(), init_adam_state(model)
+        adam_step(m_a, g1, s_a, cfg)
+        adam_step(m_a, g2, s_a, cfg)
 
-        m_b, s_b = adam_step(model, g1, init_adam_state(model), cfg)
-        m_b, s_b = adam_step(m_b, g2, s_b, cfg)
+        m_b, s_b = model.clone(), init_adam_state(model)
+        adam_step(m_b, g1, s_b, cfg)
+        adam_step(m_b, g2, s_b, cfg)
         for (_, pa), (_, pb) in zip(named_parameters(m_a), named_parameters(m_b)):
             np.testing.assert_array_equal(pa, pb)
         assert s_a.step == s_b.step == 2
@@ -283,15 +287,26 @@ class TestAdam:
         with pytest.raises(ValueError, match="gradient"):
             adam_step(model, grad, init_adam_state(model), small_cfg())
 
-    def test_inputs_not_mutated(self, rng):
+    def test_updates_model_and_state_in_place(self, rng):
+        """Over several steps, ``theta``, m and v advance bit for bit as the
+        functional reference update, in the arrays the caller holds, and the
+        gradient is only read."""
         model = init_model(["a"], t_half=0, hidden_sizes=(3,), embed_dim=2, seed=0)
-        before = [p.copy() for _, p in named_parameters(model)]
-        grad = rng.standard_normal(model.theta.size)
-        state = init_adam_state(model)
-        adam_step(model, grad, state, small_cfg())
-        for (k, p), b in zip(named_parameters(model), before):
-            np.testing.assert_array_equal(p, b)
-        assert state.step == 0
+        cfg = small_cfg()
+        theta, state = model.theta, init_adam_state(model)
+        m, v = state.m, state.v
+        want_model, want = model.clone(), init_adam_state(model)
+        for _ in range(4):
+            grad = rng.standard_normal(model.theta.size)
+            kept = grad.copy()
+            assert adam_step(model, grad, state, cfg) is None
+            want_model, want = train_reference.adam_step(want_model, kept, want, cfg)
+            np.testing.assert_array_equal(grad, kept)
+            assert model.theta is theta and state.m is m and state.v is v
+            np.testing.assert_array_equal(model.theta, want_model.theta)
+            np.testing.assert_array_equal(state.m, want.m)
+            np.testing.assert_array_equal(state.v, want.v)
+            assert state.step == want.step
 
 
 def easy_task():
@@ -367,6 +382,46 @@ class TestTrain:
             save_checkpoint(model, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_every_update_is_one_adam_step(self, tmp_path, monkeypatch):
+        """``train`` updates the model only through the public ``adam_step``,
+        once per iteration: a counting wrapper sees ``max_iterations`` calls,
+        and the checkpoint and log bytes equal those of an unwrapped run."""
+        from analogkit.training import write_train_log
+
+        fcst, obs = easy_task()
+        cfg = small_cfg(max_iterations=30, k_pos=3, seed=4, eval_interval=10,
+                        early_stop_patience=1000, batch_size=8, dropout_rate=0.05)
+
+        def run(name):
+            model, log = train(fcst, obs, ["S00"], [0], np.arange(300), cfg)
+            save_checkpoint(model, tmp_path / f"{name}.txt")
+            write_train_log(log, tmp_path / f"{name}.csv")
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("txt", "csv")]
+
+        plain = run("plain")
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return adam_step(*args)
+
+        monkeypatch.setattr(training, "adam_step", counting)
+        assert run("counted") == plain
+        assert len(calls) == cfg.max_iterations
+
+    @pytest.mark.parametrize("name", ["v=2", " v2", "v,2"])
+    def test_unstorable_variable_name_refused_before_sampling(self, monkeypatch, name):
+        """A variable name the checkpoint cannot store ends training before any
+        triplet is sampled, as a data error naming it."""
+        fcst, obs = easy_task()
+        fcst.variables[1] = name
+        calls = []
+        for step in ("plan_sampling", "sample_triplets"):
+            monkeypatch.setattr(training, step, lambda *a, step=step, **k: calls.append(step))
+        with pytest.raises(DataError, match=f"variable name {name!r} cannot be stored"):
+            train(fcst, obs, ["S00"], [0], np.arange(300), small_cfg(max_iterations=5, k_pos=3))
+        assert calls == []
 
     def test_easy_task_converges(self):
         """Validation hinge loss collapses on the separable task."""
