@@ -15,7 +15,9 @@ more ASCII digits): an integer is ``[+-]?D``; a decimal is
 ``[+-]?(D[.D?]|.D)([eE][+-]?D)?`` or one of float()'s words for NaN and
 infinity, which each reader refuses as non-finite; a timestamp is what
 :func:`format_time` writes, ``YYYY-MM-DDTHH:MM:SSZ`` in years 0001-9999;
-and :func:`read_settings` reads every key=value line.
+and :func:`read_settings` reads every key=value line. Timestamps are read
+by :func:`parse_times` and written by :func:`format_times`, whose
+one-element cases are :func:`parse_time` and :func:`format_time`.
 
 Archives are dense: every combination of the index lists owns a cell, and
 cells without a value (absent rows or empty values) hold NaN. Index lists
@@ -52,6 +54,12 @@ Duplicate keys are found by sorting the records' cells, so no array spans
 the product of the axes. The whole file is read at once only to name a
 fault: when a bulk check or the block read fails, it is read again,
 record by record in file order, and the first fault is named.
+
+Writer cost: archives and predictions are written by :func:`write_rows`,
+one ``%``-format per chunk of about 1,024 rows. A row's fixed text is a
+template with a ``%.17g`` slot per float, and ``'%.17g' % x`` is
+:func:`format_float`'s text, NaN and infinities included, so the bytes are
+those of one :func:`format_float` per value.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, islice
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,9 +89,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_CHARS = b"0123456789+-.eEaAfFiInNtTyY"
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
-# A CSV is read in blocks of this many bytes, so that a load's transient
-# strings stay bounded whatever the file's size (not a knob).
+# A CSV is read in blocks of this many bytes, and written in chunks of about
+# this many rows, so that a load's or a write's transient strings stay bounded
+# whatever the file's size (not knobs).
 _BLOCK_BYTES = 1 << 16
+_CHUNK_ROWS = 1024
 
 
 def parse_int(text: str) -> int:
@@ -118,11 +128,20 @@ def parse_time(text: str) -> int:
     return int(parse_times([text])[0])
 
 
+def format_times(seconds) -> list[str]:
+    """Integer seconds since epoch as timestamps; ValueError, naming the first
+    one, outside the years 0001-9999."""
+    seconds = np.asarray(seconds)
+    outside = (seconds < -62135596800) | (seconds >= 253402300800)
+    if np.count_nonzero(outside):
+        raise ValueError(f"{seconds[outside][0]} s since epoch is outside the years 0001-9999")
+    stamps = np.datetime_as_string(seconds.astype(np.int64).astype("datetime64[s]"))
+    return [f"{stamp}Z" for stamp in stamps.tolist()]
+
+
 def format_time(seconds: int) -> str:
-    """Integer seconds since epoch as a timestamp; ValueError outside the years 0001-9999."""
-    if not -62135596800 <= seconds < 253402300800:
-        raise ValueError(f"{seconds} s since epoch is outside the years 0001-9999")
-    return f"{np.datetime64(int(seconds), 's')}Z"
+    """One timestamp (see :func:`format_times`) of integer seconds since epoch."""
+    return format_times([seconds])[0]
 
 
 def format_float(x: float) -> str:
@@ -611,25 +630,51 @@ def load_predictions(path) -> list[tuple[tuple[str, int, int], np.ndarray]]:
     return [(keys[t], members[t]) for t in np.argsort(firsts).tolist()]
 
 
-def _value_text(v: float) -> str:
-    return "" if v != v else format_float(v)
+def write_rows(fh, groups: Iterable[tuple[str, list[str], list[float]]]) -> None:
+    """The one writer of archives and predictions: each group ``(head, pieces,
+    floats)`` is a row ``head + piece`` per piece, whose ``%.17g`` slots take
+    ``floats`` in order (heads and pieces hold no other ``%``: double it).
+    Groups are gathered into chunks of :data:`_CHUNK_ROWS` rows or more, and
+    each chunk is written with one ``%``-format."""
+    texts, values, rows = [], [], 0
+    for head, pieces, floats in groups:
+        if pieces:  # a group without pieces writes no row, not even its head
+            texts.append(head + head.join(pieces))
+            values += floats
+            rows += len(pieces)
+        if rows >= _CHUNK_ROWS:
+            fh.write("".join(texts) % tuple(values))
+            texts, values, rows = [], [], 0
+    fh.write("".join(texts) % tuple(values))
+
+
+def _archive_groups(heads: list[str], pieces: list[str], values: np.ndarray):
+    """The :func:`write_rows` groups of a dense archive: a row per piece under
+    each head, with that head's row of ``values`` in the slots. A missing
+    (NaN) value leaves its field empty, its piece without the slot."""
+    for head, row in zip(heads, values.reshape(len(heads), len(pieces))):
+        head = head.replace("%", "%%")
+        missing = np.isnan(row)
+        for start in range(0, len(pieces), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            chunk = pieces[start:stop]
+            gaps = np.flatnonzero(missing[start:stop]).tolist()
+            for i in gaps:
+                chunk[i] = chunk[i].replace("%.17g", "")
+            filled = row[start:stop]
+            yield head, chunk, (np.delete(filled, gaps) if gaps else filled).tolist()
 
 
 def write_forecasts(archive: ForecastArchive, path) -> None:
     """Write a forecast archive back to the CSV format (all cells, missing as empty)."""
-    times = [format_time(c) for c in archive.cycles.tolist()]
     leads = archive.leads.tolist()
     with open_output(path) as fh:
         fh.write(",".join(FORECAST_HEADER) + "\n")
-        for si, station in enumerate(archive.stations):
-            for vi, variable in enumerate(archive.variables):
-                for time, row in zip(times, archive.values[si, vi].tolist()):
-                    head = f"{station},{variable},{time},"
-                    fh.write(
-                        "".join(
-                            f"{head}{lead},{_value_text(v)}\n" for lead, v in zip(leads, row)
-                        )
-                    )
+        write_rows(fh, _archive_groups(
+            [f"{s},{v}," for s in archive.stations for v in archive.variables],
+            [f"{t},{l},%.17g\n" for t in format_times(archive.cycles) for l in leads],
+            archive.values,
+        ))
 
 
 def load_observations(path) -> ObservationArchive:
@@ -639,13 +684,14 @@ def load_observations(path) -> ObservationArchive:
 
 
 def write_observations(obs: ObservationArchive, path) -> None:
-    times = [format_time(t) for t in obs.times.tolist()]
+    """Write an observation archive to the CSV format (all cells, missing as empty)."""
     with open_output(path) as fh:
         fh.write(",".join(OBSERVATION_HEADER) + "\n")
-        for station, row in zip(obs.stations, obs.values.tolist()):
-            fh.write(
-                "".join(f"{station},{time},{_value_text(v)}\n" for time, v in zip(times, row))
-            )
+        write_rows(fh, _archive_groups(
+            [f"{s}," for s in obs.stations],
+            [f"{t},%.17g\n" for t in format_times(obs.times)],
+            obs.values,
+        ))
 
 
 def valid_time(archive: ForecastArchive, cycle: int, lead: int) -> int:

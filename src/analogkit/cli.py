@@ -251,15 +251,15 @@ def write_predictions(
         for line in header_lines:
             fh.write(line + "\n")
         fh.write(",".join(ar.PREDICTION_HEADER) + "\n")
-        for station, cycle, lead, ens in rows:
-            target = f"{station},{cycle_times[cycle]},{leads[lead]}"
-            for rank, (member, src_cycle, score) in enumerate(
-                zip(ens.members.tolist(), ens.cycles.tolist(), ens.scores.tolist()), start=1
-            ):
-                fh.write(
-                    f"{target},{rank},{ar.format_float(member)},"
-                    f"{cycle_times[src_cycle]},{ar.format_float(score)}\n"
-                )
+        ar.write_rows(fh, (
+            (
+                f"{station},{cycle_times[cycle]},{leads[lead]},".replace("%", "%%"),
+                [f"{rank},%.17g,{cycle_times[c]},%.17g\n"
+                 for rank, c in enumerate(ens.cycles.tolist(), start=1)],
+                np.column_stack((ens.members, ens.scores)).ravel().tolist(),
+            )
+            for station, cycle, lead, ens in rows
+        ))
 
 
 class Pairing(NamedTuple):
@@ -389,7 +389,7 @@ def cmd_predict(cfg: ExperimentConfig, out: Path) -> int:
     (rows,), skipped = run_predictions(
         cfg, cfg.method, fcst, obs, stations, leads, [search_cycles], test_cycles, model
     )
-    cycle_times = [ar.format_time(c) for c in fcst.cycles.tolist()]
+    cycle_times = ar.format_times(fcst.cycles)
     write_predictions(
         rows, fcst, cycle_times, out / "predictions.csv", _provenance(cfg, "predict", extra)
     )

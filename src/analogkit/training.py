@@ -183,8 +183,7 @@ def plan_sampling(
     """
     cycles = sorted_distinct(np.asarray(cycles, dtype=int))
     k = cfg.k_pos
-    windows = [np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1))]
-    origins, blocks, seen, rows = [np.empty((0, 3), dtype=int)], [], 0, 0
+    windows, origins, blocks, seen, rows = [], [np.empty((0, 3), dtype=int)], [], 0, 0
     for lead in leads:
         for station in stations:
             s = fcst.station_index(station)
@@ -207,6 +206,8 @@ def plan_sampling(
     if blocks:  # a block holds k_pos + 2 cycles, so the data bound the edges
         fitness = 1.0 / np.arange(1, k + 1)
         edges = np.cumsum(fitness / fitness.sum()).tolist()
+    # seeded after the blocks, so that a width no memory holds is window_block's data error
+    windows.append(np.empty((0, fcst.n_variables, 2 * cfg.t_half + 1)))
     return SamplingPlan(np.concatenate(windows), np.concatenate(origins), tuple(blocks),
                         edges, seen)
 
@@ -677,7 +678,7 @@ def train(
                                masked=cfg.dropout_rate > 0, backprop=True)
         except (MemoryError, ValueError):
             raise ConfigError(f"batch_size={cfg.batch_size} gives a batch too large to "
-                              f"allocate at hidden_sizes={sizes}") from None
+                              f"allocate at hidden_sizes={sizes} and t_half={cfg.t_half}") from None
 
     n_val = max(1, int(round(VAL_FRACTION * cycles.size)))
     train_cycles = cycles[:-n_val]

@@ -1,12 +1,14 @@
 """Row-wise CSV loaders and writers, kept as the oracle for the columnar ones.
 
 These are the loaders and writers ``analogkit.archive`` used before ingest
-became columnar: one ``strptime`` per row and one Python loop over the rows.
-The predictions loader is written the same way from the contract in the
-``analogkit.archive`` docstring, and the input grammar is stated here again,
-as regular expressions, rather than imported.
-The property tests compare the package against them, archive for archive,
-error message for error message and byte for byte.
+became columnar and its writers chunked: one ``strptime`` per row, one
+:func:`~analogkit.archive.format_float` per value and one Python loop over
+the rows. The predictions loader is written the same way from the contract
+in the ``analogkit.archive`` docstring, and the predictions writer is
+``analogkit.cli.write_predictions`` as it wrote one member at a time. The
+input grammar is stated here again, as regular expressions, rather than
+imported. The property tests compare the package against them, archive for
+archive, error message for error message and byte for byte.
 """
 
 from __future__ import annotations
@@ -200,3 +202,24 @@ def load_predictions(path) -> list[tuple[tuple[str, int, int], np.ndarray]]:
         (target, np.array([members[rank] for rank in sorted(members)]))
         for target, members in targets.items()
     ]
+
+
+def write_predictions(rows, fcst: ForecastArchive, cycle_times: list[str], path,
+                      header_lines: list[str]) -> None:
+    """Write the members of the (station, cycle, lead, ensemble) ``rows``,
+    one write per member; ``cycle_times`` holds the formatted time of every
+    archive cycle."""
+    leads = fcst.leads.tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(PREDICTION_HEADER) + "\n")
+        for station, cycle, lead, ens in rows:
+            target = f"{station},{cycle_times[cycle]},{leads[lead]}"
+            for rank, (member, src_cycle, score) in enumerate(
+                zip(ens.members.tolist(), ens.cycles.tolist(), ens.scores.tolist()), start=1
+            ):
+                fh.write(
+                    f"{target},{rank},{format_float(member)},"
+                    f"{cycle_times[src_cycle]},{format_float(score)}\n"
+                )

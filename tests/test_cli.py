@@ -1199,30 +1199,38 @@ class TestMalformedInputs:
          "batch too large to allocate", 1),
         ("batch_size=1000000000000000000", "config error: batch_size=1000000000000000000 gives "
          "a batch too large to allocate", 1),
+        ("t_half=1000000000000", "config error: batch_size=8 gives a batch too large to allocate "
+         "at hidden_sizes=8 and t_half=1000000000000", 1),
     ], ids=["k_pos", "hidden_sizes", "hidden_sizes_past_the_address_space", "batch_size",
-            "batch_size_past_the_address_space"])
+            "batch_size_past_the_address_space", "t_half"])
     def test_sizes_that_cannot_be_allocated(self, pipeline, capsys, setting, message, code):
         """Sizes past any memory end in a named error, not a numpy
         MemoryError or a hang: the roulette edges of k_pos are built only for
         a block with k_pos + 2 cycles, and a model or a batch too large to
-        allocate is refused before any sampling. numpy refuses each
-        allocation at once, so no memory is touched: with a MemoryError, or
-        with a ValueError for a size past the address space."""
+        allocate is refused before any sampling, naming the window width
+        (t_half) with the batch. numpy refuses each allocation at once, so no
+        memory is touched: with a MemoryError, or with a ValueError for a
+        size past the address space."""
         cfg = write_config(pipeline, drop=(setting.split("=")[0],), extra=f"{setting}\n")
         out = pipeline / "train"
         self._run(capsys, ["train", "--config", str(cfg), "--out", str(out)], message, code=code)
         assert not list(out.glob("*"))
 
-    @pytest.mark.parametrize("command,method,setting", [
-        ("predict", "anen_equal", "t_half=1000000000000"),
-        ("predict", "deep_anen", ""),
-        ("train", "anen_equal", "t_half=1000000000000\nmax_iterations=0"),
-    ], ids=["anen_equal", "deep_anen_checkpoint", "train_without_iterations"])
-    def test_windows_too_wide_to_allocate(self, pipeline, capsys, command, method, setting):
+    @pytest.mark.parametrize("command,method,setting,t_half", [
+        ("predict", "anen_equal", "t_half=1000000000000", 10**12),
+        ("predict", "deep_anen", "", 10**12),
+        ("train", "anen_equal", "t_half=1000000000000\nmax_iterations=0", 10**12),
+        ("train", "anen_equal", "t_half=1000000000000000000\nmax_iterations=0", 10**18),
+    ], ids=["anen_equal", "deep_anen_checkpoint", "train_without_iterations",
+            "train_without_iterations_past_the_address_space"])
+    def test_windows_too_wide_to_allocate(self, pipeline, capsys, command, method, setting,
+                                          t_half):
         """A t_half whose windows no memory holds ends in a data error naming
         it, from the config or, for deep_anen, from the checkpoint; numpy
         refuses the window block at once, so no memory is touched, and no
-        output is written."""
+        output is written. Past the address space even an empty block of
+        that width is refused, and triplet sampling builds none before the
+        window blocks."""
         from analogkit.network import init_model, save_checkpoint
 
         if method == "deep_anen":
@@ -1233,7 +1241,7 @@ class TestMalformedInputs:
         cfg = write_config(pipeline, method=method, drop=drop, extra=f"{setting}\n")
         out = pipeline / "out"
         self._run(capsys, [command, "--config", str(cfg), "--out", str(out)],
-                  "data error: t_half=1000000000000 gives windows too wide to allocate")
+                  f"data error: t_half={t_half} gives windows too wide to allocate")
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("command,name", [

@@ -1,9 +1,12 @@
-"""The columnar CSV loaders against the row-wise oracle in csv_reference.
+"""The columnar CSV loaders and the chunked writers against the row-wise
+oracle in csv_reference.
 
 Random archives, written with the spellings the format allows, must load
 to the same index lists and the same value bits. Mutated files must raise
 the same exception with the same message, which pins the first offending
-line and the order of the checks within one record.
+line and the order of the checks within one record. Archives and
+predictions of hard floats under odd names must be written to the same
+bytes.
 """
 
 import math
@@ -15,10 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import csv_reference as ref
 from analogkit import archive
+from analogkit.cli import write_predictions
+from analogkit.ensemble import Ranking
 from analogkit.archive import (
     ForecastArchive,
+    ObservationArchive,
     SchemaError,
     format_time,
+    format_times,
     load_forecasts,
     load_observations,
     load_predictions,
@@ -668,3 +675,140 @@ def test_one_variable_loads_as_the_oracle_does_without_the_others(tmp_path, data
     if dropped and want == (SchemaError, f"{path}: no records"):
         want = ("ok", NO_CELLS)
     assert_same_outcome(got, want, assert_same_forecasts)
+
+
+# floats whose text is hard to get right, and names the writers must not read
+# as %-format directives
+SPECIAL_FLOATS = [np.nan, -0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1e16, 2.2250738585072014e-308]
+NAMES = ["A", "%", "%s", "100%", "%%d", "Zürich", "気温", "v%.17g"]
+# cells per (station, variable) or station: on both sides of one and of two chunks
+CELL_COUNTS = [1, 2, 7, 1023, 1024, 1025, 2049]
+
+
+@st.composite
+def special_values(draw, shape):
+    """Floats of ``shape`` from a drawn seed, with the special floats, NaN
+    included, at drawn places."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    values[special] = rng.choice(SPECIAL_FLOATS, np.count_nonzero(special))
+    return values
+
+
+@st.composite
+def archives_to_write(draw, kind):
+    """A forecast or observation archive of special values under odd names,
+    with one or several leads."""
+    stations = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True))
+    n_cells = draw(st.sampled_from(CELL_COUNTS))
+    leads = [0] if n_cells % 3 else draw(st.sampled_from([[0], [-3600, 0, 86400]]))
+    start = draw(TIMES)
+    n_times = n_cells // len(leads)
+    times = np.minimum(start, 253402300799 - 3600 * n_times) + 3600 * np.arange(n_times)
+    if kind == "observation":
+        return ObservationArchive(stations, times, draw(special_values((len(stations), n_times))))
+    variables = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True))
+    shape = (len(stations), len(variables), n_times, len(leads))
+    return ForecastArchive(stations, variables, times, np.array(leads), draw(special_values(shape)))
+
+
+WRITERS = {
+    "forecast": (archive.write_forecasts, ref.write_forecasts),
+    "observation": (archive.write_observations, ref.write_observations),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_archive_writers_write_the_oracles_bytes(tmp_path, kind, data):
+    """The chunked writers give the row-wise oracle's bytes, at the default
+    chunk size and at 1-5 rows: missing cells empty, every other float as
+    format_float writes it, names holding '%' or non-ASCII text as they are."""
+    write, oracle = WRITERS[kind]
+    table = data.draw(archives_to_write(kind))
+    paths = [tmp_path / name for name in ("got.csv", "chunked.csv", "want.csv")]
+    for path in paths:
+        path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
+    write(table, paths[0])
+    with mock.patch.object(archive, "_CHUNK_ROWS", data.draw(st.integers(1, 5))):
+        write(table, paths[1])
+    oracle(table, paths[2])
+    want = paths[2].read_bytes()
+    assert paths[0].read_bytes() == want
+    assert paths[1].read_bytes() == want
+
+
+@st.composite
+def predictions_to_write(draw):
+    """(station, cycle, lead, Ranking) rows of special members and scores,
+    NaN and inf scores included, in any row and source-cycle order."""
+    n_cycles = draw(st.integers(1, 40))
+    cycles = 86400 * np.arange(n_cycles) + draw(TIMES) % 86400
+    leads = np.array(draw(st.lists(st.integers(-7200, 86400), min_size=1, max_size=3,
+                                   unique=True).map(sorted)))
+    m = draw(st.sampled_from([1, 5, 11]))
+    n_rows = draw(st.sampled_from([0, 1, 3, 1024 // m, 1024 // m + 1, 250]))
+    scores = np.sort(draw(special_values((n_rows, m))), axis=1)  # NaNs last
+    members = draw(special_values((n_rows, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = [
+        (draw(st.sampled_from(NAMES)), int(rng.integers(n_cycles)), int(rng.integers(len(leads))),
+         Ranking(rng.integers(n_cycles, size=m), scores[i], members[i]))
+        for i in range(n_rows)
+    ]
+    fcst = ForecastArchive(["A"], ["v"], cycles, leads, np.zeros((1, 1, n_cycles, len(leads))))
+    return rows, fcst
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_predictions_writer_writes_the_oracles_bytes(tmp_path, data):
+    """cli.write_predictions gives the per-member oracle's bytes, provenance
+    lines included, at the default chunk size and at 1-5 rows."""
+    rows, fcst = data.draw(predictions_to_write())
+    cycle_times = format_times(fcst.cycles)
+    header = ["# analogkit predict", "# station=%s"]
+    paths = [tmp_path / name for name in ("got.csv", "chunked.csv", "want.csv")]
+    for path in paths:
+        path.unlink(missing_ok=True)  # truncating a written file is far slower than a new one
+    write_predictions(rows, fcst, cycle_times, paths[0], header)
+    with mock.patch.object(archive, "_CHUNK_ROWS", data.draw(st.integers(1, 5))):
+        write_predictions(rows, fcst, cycle_times, paths[1], header)
+    ref.write_predictions(rows, fcst, cycle_times, paths[2], header)
+    want = paths[2].read_bytes()
+    assert paths[0].read_bytes() == want
+    assert paths[1].read_bytes() == want
+
+
+def time_outcome(seconds):
+    try:
+        return format_time(seconds)
+    except ValueError as err:
+        return str(err)
+
+
+@SETTINGS
+@given(seconds=st.lists(
+    st.one_of(TIMES, st.integers(-62135596801 - 5, -62135596801),
+              st.integers(253402300800, 253402300800 + 5), st.integers(-2**70, 2**70)),
+    max_size=8,
+))
+def test_format_times_matches_format_time_elementwise(seconds):
+    """format_times gives format_time's text of each element, from a list or
+    an int64 array, and outside the years 0001-9999 its message for the
+    first element there."""
+    want = [time_outcome(s) for s in seconds]
+    faults = [text for text in want if not text.endswith("Z")]
+    inputs = [seconds]
+    if all(-2**63 <= s < 2**63 for s in seconds):
+        inputs.append(np.array(seconds, dtype=np.int64))
+    for given_seconds in inputs:
+        if faults:
+            with pytest.raises(ValueError) as caught:
+                format_times(given_seconds)
+            assert str(caught.value) == faults[0]
+        else:
+            assert format_times(given_seconds) == want

@@ -368,7 +368,7 @@ class TestTrain:
         with pytest.raises(ConfigError) as caught:
             train(fcst, obs, ["S00"], [0], np.arange(300), cfg)
         assert str(caught.value) == ("batch_size=4 gives a batch too large to allocate "
-                                     "at hidden_sizes=3,2")
+                                     "at hidden_sizes=3,2 and t_half=0")
         assert calls == []
 
     def test_same_seed_bit_identical_checkpoints(self, tmp_path):
