@@ -47,7 +47,10 @@ it by one comparison pass over the variable column and one gather per
 column, so only they are coded and parsed. Each key column is coded in
 one dictionary pass that persists across blocks, and only its distinct
 strings are parsed, once, after the last block, so timestamp parsing
-grows with the distinct times, not the rows. The value column is checked
+grows with the distinct times, not the rows. The distinct timestamps are
+checked in one ``str.translate`` pass over their joined text and converted
+by numpy, and each key axis, with the position of every distinct text on
+it, comes from one ``np.unique``. The value column is checked
 by one character test on its joined text and parsed by ``float()``
 inside numpy's array constructor, an empty field read as ``"nan"``.
 Duplicate keys are found by sorting the records' cells, so no array spans
@@ -88,6 +91,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 # and its words for NaN and infinity, so one character test completes the rule.
 _DECIMAL_CHARS = b"0123456789+-.eEaAfFiInNtTyY"
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# a timestamp with its ASCII digits 1-9 read as 0; other digits stay as they are
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+_TIME_TEMPLATE = "0000-00-00T00:00:00Z"
 
 # A CSV is read in blocks of this many bytes, and written in chunks of about
 # this many rows, so that a load's or a write's transient strings stay bounded
@@ -115,11 +121,27 @@ def parse_decimal(text: str) -> float:
 
 
 def parse_times(texts: Sequence[str]) -> np.ndarray:
-    """Timestamps of the input grammar as int64 seconds since epoch; ValueError otherwise."""
-    for text in texts:
-        if not _TIMESTAMP.fullmatch(text) or text.startswith("0000"):
-            raise ValueError(f"not a timestamp: {text!r}")
-    # numpy refuses impossible dates and times, such as 02-30 or 24:00:00
+    """Timestamps of the input grammar as int64 seconds since epoch; ValueError,
+    naming the first text that is not one, otherwise.
+
+    The grammar is checked in one pass over the joined texts: each is 20
+    characters long (so the joined text cannot realign), reads as the
+    template once its ASCII digits are zeroed, and no year is 0000 (where the
+    template holds, only a year has four digits in a row). A failed check
+    falls back to one text at a time, to name the first bad one.
+    """
+    joined = "".join(texts)
+    if not (
+        set(map(len, texts)) <= {len(_TIME_TEMPLATE)}
+        and joined.translate(_DIGITS_TO_ZERO) == _TIME_TEMPLATE * len(texts)
+        and "0000" not in joined
+    ):
+        for text in texts:
+            if not _TIMESTAMP.fullmatch(text) or text.startswith("0000"):
+                raise ValueError(f"not a timestamp: {text!r}")
+    # numpy refuses impossible dates and times, such as 02-30 or 24:00:00; not
+    # from an S19 array, whose cast crashes numpy 2.4.6 on an impossible date
+    # among 1,000 or more
     return np.array([t[:19] for t in texts], dtype="datetime64[s]").astype(np.int64)
 
 
@@ -362,7 +384,10 @@ def open_output(path):
 
 class _Key(NamedTuple):
     label: str  # field name in "unparsable" messages
-    parse: Callable[[list[str]], list]  # distinct strings -> keys, ValueError if one fails
+    # distinct strings -> an array of keys, ValueError if one fails; names and
+    # ranks are objects, so np.unique orders them as sorted() does and keeps
+    # NUL characters and ranks beyond int64
+    parse: Callable[[list[str]], np.ndarray]
     as_written: bool  # a duplicate-key message shows the text, not the parsed key
 
 
@@ -379,10 +404,10 @@ def _lead(text: str) -> int:
 # (column, text): read only the records that hold ``text`` in that column
 _Where = tuple[int, str] | None
 
-_NAME = _Key("name", list, True)
-_TIME = _Key("timestamp", lambda texts: parse_times(texts).tolist(), True)
-_LEAD = _Key("lead_s", lambda texts: [_lead(t) for t in texts], False)
-_RANK = _Key("member_rank", lambda texts: list(map(parse_int, texts)), False)
+_NAME = _Key("name", partial(np.array, dtype=object), True)
+_TIME = _Key("timestamp", parse_times, True)
+_LEAD = _Key("lead_s", lambda texts: np.array([_lead(t) for t in texts], np.int64), False)
+_RANK = _Key("member_rank", lambda texts: np.array(list(map(parse_int, texts)), object), False)
 
 
 def _axis(parse, first: dict) -> tuple[list, np.ndarray]:
@@ -391,10 +416,10 @@ def _axis(parse, first: dict) -> tuple[list, np.ndarray]:
 
     Only the distinct texts are parsed. Raises ValueError when one does not.
     """
-    keys = parse(list(first))  # in order of first row
-    axis = sorted(set(keys))
-    position = {key: i for i, key in enumerate(axis)}
-    return axis, np.array([position[key] for key in keys], np.intp)
+    # with return_inverse, np.unique sorts, gives intp positions and does not
+    # import numpy.ma
+    axis, positions = np.unique(parse(list(first)), return_inverse=True)
+    return axis.tolist(), positions
 
 
 def _values(column: list[str], empty_is_missing: bool) -> np.ndarray:
@@ -630,6 +655,17 @@ def load_predictions(path) -> list[tuple[tuple[str, int, int], np.ndarray]]:
     return [(keys[t], members[t]) for t in np.argsort(firsts).tolist()]
 
 
+def require_writable(stations: Iterable[str], variables: Iterable[str] = ()) -> None:
+    """Refuse, by a ValueError naming it, a name that a CSV field would not
+    load back as it is: one holding ``,`` or a line break (any character
+    ``str.splitlines`` breaks on), or a station, a record's first field,
+    starting with ``#``, which makes the record a comment."""
+    for label, names, first in (("station", stations, True), ("variable", variables, False)):
+        for name in names:
+            if "," in name or "".join(name.splitlines()) != name or (first and name[:1] == "#"):
+                raise ValueError(f"{label} name {name!r} cannot be written to a CSV")
+
+
 def write_rows(fh, groups: Iterable[tuple[str, list[str], list[float]]]) -> None:
     """The one writer of archives and predictions: each group ``(head, pieces,
     floats)`` is a row ``head + piece`` per piece, whose ``%.17g`` slots take
@@ -666,7 +702,10 @@ def _archive_groups(heads: list[str], pieces: list[str], values: np.ndarray):
 
 
 def write_forecasts(archive: ForecastArchive, path) -> None:
-    """Write a forecast archive back to the CSV format (all cells, missing as empty)."""
+    """Write a forecast archive back to the CSV format (all cells, missing as
+    empty); a name the CSV would not load back is refused (see
+    :func:`require_writable`)."""
+    require_writable(archive.stations, archive.variables)
     leads = archive.leads.tolist()
     with open_output(path) as fh:
         fh.write(",".join(FORECAST_HEADER) + "\n")
@@ -684,7 +723,10 @@ def load_observations(path) -> ObservationArchive:
 
 
 def write_observations(obs: ObservationArchive, path) -> None:
-    """Write an observation archive to the CSV format (all cells, missing as empty)."""
+    """Write an observation archive to the CSV format (all cells, missing as
+    empty); a station the CSV would not load back is refused (see
+    :func:`require_writable`)."""
+    require_writable(obs.stations)
     with open_output(path) as fh:
         fh.write(",".join(OBSERVATION_HEADER) + "\n")
         write_rows(fh, _archive_groups(

@@ -245,7 +245,10 @@ def write_predictions(
     header_lines: list[str],
 ) -> None:
     """Write the members of the (station, cycle, lead, ensemble) ``rows``;
-    ``cycle_times`` holds the formatted time of every archive cycle."""
+    ``cycle_times`` holds the formatted time of every archive cycle. A
+    station the CSV would not load back is refused (see
+    :func:`analogkit.archive.require_writable`)."""
+    ar.require_writable(dict.fromkeys(station for station, *_ in rows))
     leads = fcst.leads.tolist()
     with ar.open_output(path) as fh:
         for line in header_lines:

@@ -7,8 +7,9 @@ the rows. The predictions loader is written the same way from the contract
 in the ``analogkit.archive`` docstring, and the predictions writer is
 ``analogkit.cli.write_predictions`` as it wrote one member at a time. The
 input grammar is stated here again, as regular expressions, rather than
-imported. The property tests compare the package against them, archive for
-archive, error message for error message and byte for byte.
+imported, and :func:`parse_times` keeps the package's check of one
+timestamp at a time. The property tests compare the package against them,
+archive for archive, error message for error message and byte for byte.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def parse_time(text: str) -> int:
         raise ValueError(f"not a timestamp: {text!r}")
     stamp = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
     return int(stamp.timestamp())
+
+
+def parse_times(texts: list[str]) -> np.ndarray:
+    """``analogkit.archive.parse_times`` as it was before its one-pass check:
+    one regular expression per text, the first failing text named, then
+    numpy's calendar check and conversion."""
+    for text in texts:
+        if not TIMESTAMP.fullmatch(text) or text.startswith("0000"):
+            raise ValueError(f"not a timestamp: {text!r}")
+    return np.array([t[:19] for t in texts], dtype="datetime64[s]").astype(np.int64)
 
 
 def _read_rows(path, header: list[str], require_records: bool = True):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from analogkit.archive import (
     climatology_stats,
     extract_window,
     format_time,
+    format_times,
     load_forecasts,
     load_observations,
     load_predictions,
@@ -23,6 +25,8 @@ from analogkit.archive import (
     write_forecasts,
     write_observations,
 )
+from analogkit.cli import write_predictions
+from analogkit.ensemble import Ranking
 from analogkit.errors import SchemaError, WindowUnavailable
 
 from conftest import BAD_INDICES, index_archive, make_forecasts, make_observations
@@ -196,6 +200,57 @@ class TestRoundTrip:
         assert again.stations == obs.stations
         assert np.array_equal(again.times, obs.times)
         assert np.array_equal(again.values, obs.values, equal_nan=True)
+
+    def test_odd_names_round_trip(self, tmp_path):
+        """Spaces, non-ASCII letters, NUL, a '#' inside a name or opening a
+        variable (not a record's first field) load back as written."""
+        fcst = make_forecasts(np.arange(8.0).reshape(2, 2, 2, 1),
+                              stations=["a b", "ü#\x00"], variables=["#v", "ü"])
+        write_forecasts(fcst, tmp_path / "f.csv")
+        again = load_forecasts(tmp_path / "f.csv")
+        assert (again.stations, again.variables) == (fcst.stations, fcst.variables)
+        assert np.array_equal(again.values, fcst.values)
+        obs = make_observations([[1.0], [2.0]], times=[0], stations=["a b", "ü"])
+        write_observations(obs, tmp_path / "o.csv")
+        assert load_observations(tmp_path / "o.csv").stations == obs.stations
+
+
+# every character str.splitlines breaks a line on
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _write_predictions_of(stations, path):
+    fcst = make_forecasts(np.zeros((1, 1, 2, 1)))
+    rows = [(s, 0, 0, Ranking(np.array([1]), np.array([0.5]), np.array([1.0]))) for s in stations]
+    write_predictions(rows, fcst, format_times(fcst.cycles), path, [])
+
+
+class TestUnwritableNames:
+    """A writer refuses a name its loader would not read back, before it
+    opens the file: a ',' or a line break anywhere, or a '#' opening a
+    record's first field, which makes the record a comment."""
+
+    @pytest.mark.parametrize("name", ["a,b", ","] + [f"a{b}b" for b in LINE_BREAKS] + ["a\n"])
+    @pytest.mark.parametrize("role", ["station", "variable"])
+    def test_forecasts(self, tmp_path, name, role):
+        names = {"stations": ["ok", name]} if role == "station" else {"variables": [name]}
+        with pytest.raises(ValueError, match=f"^{role} name {re.escape(repr(name))} cannot"):
+            write_forecasts(make_forecasts(np.zeros((2, 1, 1, 1)), **names), tmp_path / "f.csv")
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("name", ["#a", "#", "a,b", "a\rb", "\u2028"])
+    def test_observations_and_predictions(self, tmp_path, name):
+        obs = make_observations([[1.0], [2.0]], times=[0], stations=["ok", name])
+        for write in (lambda path: write_observations(obs, path),
+                      lambda path: _write_predictions_of(["ok", name], path)):
+            with pytest.raises(ValueError, match=f"^station name {re.escape(repr(name))} cannot"):
+                write(tmp_path / "out.csv")
+            assert not (tmp_path / "out.csv").exists()
+
+    def test_a_station_opening_with_hash_is_refused_where_it_would_vanish(self, tmp_path):
+        with pytest.raises(ValueError, match="^station name '#a' cannot"):
+            write_forecasts(make_forecasts(np.zeros((2, 1, 1, 1)), stations=["#a", "b"]),
+                            tmp_path / "f.csv")
 
 
 class TestPairingRule:

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import csv_reference as ref
 from analogkit import archive
@@ -508,6 +508,63 @@ def test_parse_times_matches_parse_time_elementwise(texts):
         got = parse_times(texts)
         assert got.dtype == np.int64
         assert got.tolist() == want
+
+
+# hard cases for a check of the joined texts: leap days (valid or not), the
+# edges of the years 0001-9999, impossible dates and times, foreign letters
+# and digits, texts one character short or long, and a pair that joins into
+# two valid-looking stamps
+HARD_TIMES = [
+    "0004-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z",
+    "2100-02-29T00:00:00Z", "9996-02-29T00:00:00Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "0000-06-15T12:00:00Z", "2011-02-30T00:00:00Z", "2011-01-01T24:00:00Z",
+    "2011-12-31T23:59:60Z", "2011-01-01T00:60:00Z", "2011-00-01T00:00:00Z",
+    "2011-13-01T00:00:00Z", "2011-01-00T00:00:00Z",
+    "2011-01-01t00:00:00Z", "2011-01-01T00:00:00z", "2011-01-01 00:00:00Z",
+    "２０１１-01-01T00:00:00Z", "٢٠١١-01-01T00:00:00Z",
+    "2011-01-01T00:00:0Z", "2011-01-01T00:00:00Z1", "011-01-01T00:00:00Z",
+]
+TIME_TEXTS = st.one_of(st.sampled_from(SPECIAL_TIMES + HARD_TIMES), TIMES.map(format_time))
+
+
+def parse_outcome(parse, texts):
+    """The int64 seconds that ``parse`` gives, or the type and message of its error."""
+    try:
+        got = parse(texts)
+    except ValueError as err:
+        return type(err), str(err)
+    assert got.dtype == np.int64
+    return got.tolist()
+
+
+def test_parse_times_matches_the_frozen_check_on_each_hard_text():
+    """Each hard text, alone, among valid stamps and last after 1,000 of them,
+    gives the one-text-at-a-time check's values, or its exception type and
+    message."""
+    stamps = format_times(1293840000 + 3600 * np.arange(1000))
+    for text in SPECIAL_TIMES + HARD_TIMES:
+        for texts in ([text], stamps[:2] + [text] + stamps[2:4], stamps + [text]):
+            want = parse_outcome(ref.parse_times, texts)
+            assert parse_outcome(parse_times, texts) == want, (text, len(texts))
+
+
+@SETTINGS
+@given(texts=st.one_of(
+    st.lists(TIME_TEXTS, max_size=8),
+    # 1,000 or more stamps, the last one drawn like any other, so often bad
+    st.builds(
+        lambda start, n, last: format_times(start + 3600 * np.arange(n)) + [last],
+        st.integers(0, 2145916799), st.integers(999, 1100), TIME_TEXTS,
+    ),
+))
+@example(texts=[])
+@example(texts=["2011-01-01T00:00:00Z1", "011-01-01T00:00:00Z"])
+def test_parse_times_matches_the_frozen_check(texts):
+    """Lists of hard texts and valid stamps give the one-text-at-a-time
+    check's values, or its exception type and message, the first bad text
+    named."""
+    assert parse_outcome(parse_times, texts) == parse_outcome(ref.parse_times, texts)
 
 
 @SETTINGS
