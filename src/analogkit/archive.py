@@ -35,14 +35,18 @@ count, the key columns, the duplicate key and the value are checked in
 that order, and ``lead_s`` must fit int64. A forecast load of one variable
 selects the records whose variable field is that name: every record's
 column count is checked, the other checks, the axes and the values cover
-the selected records only, and a fault elsewhere goes unnamed.
+the selected records only, and a fault elsewhere goes unnamed. In a file
+with no such fault, key axes spanning more cells than an array index can
+address, and a dense archive too large to allocate, are a
+:class:`DataError` naming the file.
 
 Cost: a clean file is checked in bulk, one block of whole lines at a time
 (about 64 KiB), so a load holds one block's strings at a time and, beyond
-them, 8-byte codes and values for each record's key and value fields. In
-each block the lines are joined and split into fields once, and the
-column count of every record is checked on that split by where the record
-separators fall. A load of one variable then keeps a block's records of
+them, for each record a 2-byte code per key field (4-byte once the column
+may pass 65,536 distinct texts) and an 8-byte value. In each block the
+lines are joined and split into fields once, and the column count of
+every record is checked on that split by where the record separators
+fall. A load of one variable then keeps a block's records of
 it by one comparison pass over the variable column and one gather per
 column, so only they are coded and parsed. Each key column is coded in
 one dictionary pass that persists across blocks, and only its distinct
@@ -50,8 +54,10 @@ strings are parsed, once, after the last block, so timestamp parsing
 grows with the distinct times, not the rows. The distinct timestamps are
 checked in one ``str.translate`` pass over their joined text and converted
 by numpy, and each key axis, with the position of every distinct text on
-it, comes from one ``np.unique``. The value column is checked
-by one character test on its joined text and parsed by ``float()``
+it, comes from one ``np.unique``. Each record's cell, its flat index over
+the axes, is then summed in place in one 8-byte array, one key column at a
+time, and each column's codes are freed once added. The value column is
+checked by one character test on its joined text and parsed by ``float()``
 inside numpy's array constructor, an empty field read as ``"nan"``.
 Duplicate keys are found by sorting the records' cells, so no array spans
 the product of the axes. The whole file is read at once only to name a
@@ -74,7 +80,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, islice
+from itertools import accumulate, chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -450,10 +456,10 @@ def _value_problem(text: str, empty_is_missing: bool) -> str:
 
 def _first_fault(
     path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool, where: _Where
-):
+) -> SchemaError | None:
     """The :class:`SchemaError` of the first offending record of a CSV file,
-    read whole; a missing or bad header, an unreadable file and a byte that
-    is not UTF-8 are raised at once.
+    read whole, or None when no record fails; a missing or bad header, an
+    unreadable file and a byte that is not UTF-8 are raised at once.
 
     Walks the records in file order and checks each one's column count, then
     for each record that ``where`` selects its key columns, duplicate key
@@ -493,7 +499,7 @@ def _first_fault(
     for number, line in enumerate(islice(lines, start + 1, None), start + 2):
         if line.strip() and line[0] != "#" and (message := problem(line.split(","))):
             return SchemaError(f"{path}: line {number}: {message}")
-    raise AssertionError(f"{path}: a bulk check failed, but no record fails its own checks")
+    return None
 
 
 def _record_blocks(path, header: list[str]) -> Iterator[list[str]]:
@@ -546,12 +552,13 @@ def _read_archive(
     pair, only the records holding that text in that column are checked
     further and read. The checks run in bulk, block by block; when one
     fails, or the file cannot be read, :func:`_first_fault` reads the whole
-    file and names the fault.
+    file and names the fault. Axes whose cells an array index cannot
+    address are a :class:`DataError` unless a record fails, which is named.
     """
     width = len(header) + 1
     # per key column: distinct text -> its number in order of first row
     firsts = [defaultdict(count().__next__) for _ in keys]
-    codes: list[list[np.ndarray]] = [[] for _ in keys]
+    codes: list[list[np.ndarray]] = [[] for _ in keys]  # per key column: its blocks' codes
     values: list[np.ndarray] = []
     records = 0
     try:  # each bulk check raises ValueError when it fails
@@ -578,19 +585,37 @@ def _read_archive(
                 columns = [list(compress(column, keep)) for column in columns]
                 del keep
             for first, column, texts in zip(firsts, codes, columns):
-                column.append(np.fromiter(map(first.__getitem__, texts), np.intp, n_lines))
+                # the narrowest type for every code the column can have after this
+                # block; no process holds 2**32 distinct texts as dict keys
+                kind = np.uint16 if len(first) + n_lines <= 1 << 16 else np.uint32
+                column.append(np.fromiter(map(first.__getitem__, texts), kind, n_lines))
             values.append(_values(columns[len(keys)], empty_is_missing))
             del columns
         axes, positions = zip(*(_axis(key.parse, first) for key, first in zip(keys, firsts)))
-        # each column's block codes go as soon as the column is joined
-        columns = [p[np.concatenate(codes.pop(0))] for p in positions]
-        cells = np.ravel_multi_index(columns, tuple(map(len, axes)))
-        del columns
+        shape = tuple(map(len, axes))
+        if math.prod(shape) > np.iinfo(np.intp).max:  # the in-place sums below would wrap
+            # a repeated key is still named at its line, as it is in any other file
+            raise _first_fault(path, header, keys, empty_is_missing, where) or DataError(
+                f"{path}: key axes of lengths {shape} span more cells than an index can address"
+            )
+        # each record's cell, its C-order flat index, is summed in place one key
+        # column at a time, block by block, and each column's codes go once added
+        cells = np.zeros(sum(map(len, values)), np.intp)
+        parts = np.split(cells, list(accumulate(len(v) for v in values[:-1])))
+        for length, axis_positions, blocks in zip(shape, positions, codes):
+            cells *= length
+            for part, block in zip(parts, blocks):
+                part += axis_positions[block]
+            blocks.clear()
         ordered = np.sort(cells)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("a key is repeated")
     except (OSError, ValueError):
-        raise _first_fault(path, header, keys, empty_is_missing, where) from None
+        fault = _first_fault(path, header, keys, empty_is_missing, where)
+        if fault is None:
+            raise AssertionError(
+                f"{path}: a bulk check failed, but no record fails its own checks")
+        raise fault from None
     return axes, cells, np.concatenate(values), records
 
 
@@ -599,11 +624,17 @@ def _read_dense(
 ) -> tuple[Sequence, np.ndarray]:
     """Key axes and dense values of an archive CSV, NaN where a cell has no
     value; a file without records is an error, and one whose records
-    ``where`` all passes over has empty axes."""
+    ``where`` all passes over has empty axes. Dense values too large to
+    allocate are a :class:`DataError`."""
     axes, cells, values, records = _read_archive(path, header, keys, where=where)
     if not records:
         raise SchemaError(f"{path}: no records")
-    dense = np.full(tuple(map(len, axes)), np.nan)
+    shape = tuple(map(len, axes))
+    try:
+        dense = np.full(shape, np.nan)
+    except (MemoryError, ValueError):  # numpy's ValueError: "array is too big"
+        raise DataError(
+            f"{path}: a dense grid of shape {shape} is too large to allocate") from None
     dense.reshape(-1)[cells] = values
     return axes, dense
 

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from analogkit.archive import (
+    _BLOCK_BYTES,
     ClimatologyStats,
     ForecastArchive,
     ForecastWindow,
@@ -117,15 +119,15 @@ class TestLoadForecasts:
         with pytest.raises(SchemaError, match="line 5: duplicate key"):
             load_forecasts(path)
 
-    def test_a_load_needs_at_most_three_times_its_file(self, tmp_path, rng):
-        """A forecast CSV over 1 MB loads within 3x its size of traced memory,
-        the archive included: the reader holds one block's strings at a time."""
-        values = rng.standard_normal((2, 4, 400, 8)) / 3.0
+    @staticmethod
+    def _traced_load(tmp_path, rng, shape):
+        """The size of a forecast CSV of random values of that shape, and the
+        traced peak of loading it a second time (what a first load caches is
+        not the load's)."""
+        values = rng.standard_normal(shape) / 3.0
         path = tmp_path / "forecasts.csv"
         write_forecasts(make_forecasts(values), path)
-        size = path.stat().st_size
-        assert size > 1e6
-        load_forecasts(path)  # what a first load caches is not the load's
+        load_forecasts(path)
         tracemalloc.start()
         try:
             fcst = load_forecasts(path)
@@ -133,7 +135,40 @@ class TestLoadForecasts:
         finally:
             tracemalloc.stop()
         assert fcst.values.tobytes() == values.tobytes()
+        return path.stat().st_size, peak
+
+    def test_a_load_needs_at_most_three_times_its_file(self, tmp_path, rng):
+        """A forecast CSV over 1 MB loads within 3x its size of traced memory,
+        the archive included: the reader holds one block's strings at a time."""
+        size, peak = self._traced_load(tmp_path, rng, (2, 4, 400, 8))
+        assert size > 1e6
         assert peak <= 3 * size, f"peak {peak / size:.2f}x the file"
+
+    def test_a_load_needs_at_most_40_bytes_a_record_beyond_its_archive(self, tmp_path, rng):
+        """Beyond the archive, a load of a 10 MB forecast CSV holds per record
+        at most a 4-byte code per key column, its 8-byte value, its 8-byte
+        cell and one 8-byte temporary, plus one block's strings: a str object
+        and its list slot cost about ten bytes per byte of the block, and
+        sixteen are allowed."""
+        shape = (4, 6, 1000, 8)
+        _, peak = self._traced_load(tmp_path, rng, shape)
+        records = math.prod(shape)
+        beyond = peak - 8 * records  # the archive: one float64 per record
+        assert beyond <= records * (4 * 4 + 8 + 8 + 8) + 16 * _BLOCK_BYTES, (
+            f"{beyond / records:.1f} bytes per record beyond the archive")
+
+    def test_a_key_column_past_65536_distinct_texts(self, tmp_path, rng):
+        """A key column with more distinct texts than a 2-byte code holds
+        loads exactly, with its records in any order."""
+        values = rng.standard_normal((1, 2, 70000, 1)) / 3.0
+        path = tmp_path / "forecasts.csv"
+        write_forecasts(make_forecasts(values), path)
+        header, *lines = path.read_text().splitlines()
+        rng.shuffle(lines)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        fcst = load_forecasts(path)
+        assert fcst.cycles.tolist() == (86400 * np.arange(70000)).tolist()
+        assert fcst.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("text", ["", "\n# provenance\n\t\n"], ids=["empty", "comments_only"])
     def test_no_header_line(self, tmp_path, text):

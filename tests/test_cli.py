@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import math
 import os
 import random
 import re
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from analogkit.archive import format_times
 from analogkit.cli import main
 from analogkit.config import load_config
 from analogkit.training import TrainConfig
@@ -932,6 +934,48 @@ class TestMalformedInputs:
         path.write_text("\n".join(lines) + "\n")
         argv = ["ingest", "--config", str(write_config(pipeline)), "--out", str(pipeline / "i")]
         self._run(capsys, argv, str(path), "line 2", "lead_s")
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["clean", "repeated_member"])
+    def test_key_space_past_an_index(self, tmp_path, capsys, repeat):
+        """Predictions whose key axes span more cells than an array index can
+        address end in a data error naming the file and the axis lengths, and
+        no report is written; a repeated member among them is named at its
+        line, as in any other file."""
+        n = math.isqrt(math.isqrt(np.iinfo(np.intp).max)) + 1  # the least n with n**4 past it
+        (tmp_path / "observations.csv").write_text(
+            "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n")
+        records = [f"S{i},{t},{60 * i},{i},0.5,,0.1\n"  # a station, cycle, lead and rank each
+                   for i, t in enumerate(format_times(86400 * np.arange(n)))]
+        pred = tmp_path / "predictions.csv"
+        pred.write_text(
+            "station,cycle_time,lead_s,member_rank,member_value,source_cycle_time,score\n"
+            + "".join(records + records[:1] * repeat))
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"observation_csv={tmp_path}/observations.csv\n")
+        out = tmp_path / "out"
+        argv = ["verify", "--config", str(cfg), "--out", str(out), "--predictions", str(pred)]
+        named = (f"line {n + 2}: duplicate key",) if repeat else (f"lengths {(n,) * 4}",)
+        self._run(capsys, argv, "data error:", str(pred), *named)
+        assert not (out / "report.csv").exists()
+
+    def test_dense_grid_too_large_to_allocate(self, tmp_path, capsys):
+        """A forecast grid whose cells an index addresses but whose bytes no
+        memory holds ends in a data error naming the file and the shape;
+        numpy refuses the grid by its size alone, so no memory is touched, and
+        no output is written."""
+        n = math.isqrt(math.isqrt(np.iinfo(np.intp).max // 8)) + 1  # least n with n**4 floats past it
+        path = tmp_path / "forecasts.csv"
+        path.write_text("station,variable,cycle_time,lead_s,value\n" + "".join(
+            f"S{i},v{i},{t},{60 * i},0.5\n"  # a station, variable, cycle and lead each
+            for i, t in enumerate(format_times(86400 * np.arange(n)))))
+        (tmp_path / "observations.csv").write_text(
+            "station,valid_time,value\nPSU,2011-01-01T00:00:00Z,5.0\n")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"forecast_csv={path}\nobservation_csv={tmp_path}/observations.csv\n")
+        out = tmp_path / "out"
+        argv = ["ingest", "--config", str(cfg), "--out", str(out)]
+        self._run(capsys, argv, "data error:", str(path), f"shape {(n,) * 4}")
+        assert not list(out.glob("*"))
 
     def test_non_utf8_byte_in_config(self, pipeline, capsys):
         path = write_config(pipeline)
