@@ -60,9 +60,11 @@ time, and each column's codes are freed once added. The value column is
 checked by one character test on its joined text and parsed by ``float()``
 inside numpy's array constructor, an empty field read as ``"nan"``.
 Duplicate keys are found by sorting the records' cells, so no array spans
-the product of the axes. The whole file is read at once only to name a
-fault: when a bulk check or the block read fails, it is read again,
-record by record in file order, and the first fault is named.
+the product of the axes. To name a fault, when a bulk check or the block
+read fails, the file is read twice more, block by block: once to decode
+it, so that a byte that is not UTF-8 is named first, then record by
+record in file order, and the first fault is named. Only the distinct
+key texts and the cells seen so far are held beyond one block.
 
 Writer cost: archives and predictions are written by :func:`write_rows`,
 one ``%``-format per chunk of about 1,024 rows. A row's fixed text is a
@@ -80,7 +82,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, chain, compress, count
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -324,8 +326,7 @@ class ClimatologyStats:
 
 
 def read_text(path) -> str:
-    """The whole text of a config or checkpoint file, decoded as UTF-8, or
-    of a CSV file whose block read failed, to name the fault.
+    """The whole text of a config or checkpoint file, decoded as UTF-8.
 
     A file that cannot be read is a :class:`DataError` and a byte that is
     not UTF-8 a :class:`SchemaError`, both naming the file.
@@ -454,24 +455,50 @@ def _value_problem(text: str, empty_is_missing: bool) -> str:
     return "" if math.isfinite(value) else f"non-finite value {text!r}"
 
 
+def _line_blocks(path) -> Iterator[list[str]]:
+    """Every line of a text file, blank and comment lines included, one list
+    per block of :func:`_byte_blocks`, with :func:`read_text`'s errors: a
+    file that cannot be read is a :class:`DataError` and a byte that is not
+    UTF-8 a :class:`SchemaError` at its line."""
+    before = 0  # lines in the blocks before this one, each ended by its break
+    try:
+        for data in _byte_blocks(path):
+            try:
+                lines = data.decode("utf-8").splitlines()
+            except UnicodeDecodeError as err:
+                line = before + len((data[: err.start].decode("utf-8") + "x").splitlines())
+                raise SchemaError(
+                    f"{path}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})"
+                ) from None
+            before += len(lines)
+            yield lines
+    except OSError as err:
+        raise DataError(f"{path}: cannot read: {err.strerror}") from None
+
+
 def _first_fault(
     path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool, where: _Where
 ) -> SchemaError | None:
     """The :class:`SchemaError` of the first offending record of a CSV file,
-    read whole, or None when no record fails; a missing or bad header, an
-    unreadable file and a byte that is not UTF-8 are raised at once.
+    or None when no record fails; a missing or bad header, an unreadable
+    file and a byte that is not UTF-8 are raised at once.
 
-    Walks the records in file order and checks each one's column count, then
-    for each record that ``where`` selects its key columns, duplicate key
-    and value, in that order. Each key column's parser runs once per
-    distinct text.
+    Reads the file twice, block by block (see :func:`_line_blocks`), so that
+    no more than one block of text is held: first only to decode it, so that
+    a byte that is not UTF-8 is named before any record; then to walk the
+    records in file order, checking each one's column count, then for each
+    record that ``where`` selects its key columns, duplicate key and value,
+    in that order. Each key column's parser runs once per distinct text.
     """
-    lines = read_text(path).splitlines()
-    start = next((n for n, line in enumerate(lines) if line.strip() and line[0] != "#"), None)
-    if start is None:
+    for _ in _line_blocks(path):
+        pass
+    lines = (line for block in _line_blocks(path) for line in block)
+    numbered = enumerate(lines, 1)
+    found = next(((n, line) for n, line in numbered if line.strip() and line[0] != "#"), None)
+    if found is None:
         raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
-    if lines[start].split(",") != header:
-        raise SchemaError(f"{path}: line {start + 1}: bad header {lines[start]!r}")
+    if found[1].split(",") != header:
+        raise SchemaError(f"{path}: line {found[0]}: bad header {found[1]!r}")
     parsed = [{} for _ in keys]  # per key column: text -> parsed key
     seen = set()
 
@@ -496,41 +523,49 @@ def _first_fault(
         seen.add(cell)
         return _value_problem(fields[len(keys)], empty_is_missing)
 
-    for number, line in enumerate(islice(lines, start + 1, None), start + 2):
+    for number, line in numbered:
         if line.strip() and line[0] != "#" and (message := problem(line.split(","))):
             return SchemaError(f"{path}: line {number}: {message}")
     return None
 
 
-def _record_blocks(path, header: list[str]) -> Iterator[list[str]]:
-    """The record lines of a CSV file, one list per block of whole lines.
+def _byte_blocks(path) -> Iterator[bytes]:
+    """The bytes of a file in blocks of whole lines.
 
     The file is read :data:`_BLOCK_BYTES` at a time and cut after the last
     ``\\n`` of each read, the rest carried over (a longer line extends its
     block). A cut after ``\\n`` splits no UTF-8 sequence and no ``\\r\\n``,
-    so the blocks decode and split into exactly the lines of the whole text.
-    Raises ValueError on a byte that is not UTF-8 or a missing or bad header.
+    so the blocks decode and split into exactly the lines of the whole text;
+    a closing ``\\n`` ends the last line, and at most adds a blank line.
     """
-    found = False
     pieces: list[bytes] = []  # the bytes read since the last "\n"
     with open(path, "rb") as fh:
-        # a closing "\n" ends the last line; at most it adds a blank line
         for data in chain(iter(partial(fh.read, _BLOCK_BYTES), b""), [b"\n"]):
             cut = data.rfind(b"\n") + 1
             if not cut:
                 pieces.append(data)
                 continue
             pieces.append(data[:cut])
-            lines = b"".join(pieces).decode("utf-8").splitlines()
-            body = [line for line in lines if line.strip() and line[0] != "#"]
-            del lines  # the caller frees the line strings while this waits
+            yield b"".join(pieces)
             pieces = [data[cut:]]
-            if body and not found:
-                if body[0].split(",") != header:
-                    raise ValueError("bad header")
-                found = True
-                del body[0]
-            yield body
+
+
+def _record_blocks(path, header: list[str]) -> Iterator[list[str]]:
+    """The record lines of a CSV file, one list per block of
+    :func:`_byte_blocks`. Raises ValueError on a byte that is not UTF-8 or
+    a missing or bad header.
+    """
+    found = False
+    for data in _byte_blocks(path):
+        lines = data.decode("utf-8").splitlines()
+        body = [line for line in lines if line.strip() and line[0] != "#"]
+        del lines  # the caller frees the line strings while this waits
+        if body and not found:
+            if body[0].split(",") != header:
+                raise ValueError("bad header")
+            found = True
+            del body[0]
+        yield body
     if not found:
         raise ValueError("no header")
 
@@ -551,8 +586,8 @@ def _read_archive(
     Every record's column count is checked; with ``where``, a (column, text)
     pair, only the records holding that text in that column are checked
     further and read. The checks run in bulk, block by block; when one
-    fails, or the file cannot be read, :func:`_first_fault` reads the whole
-    file and names the fault. Axes whose cells an array index cannot
+    fails, or the file cannot be read, :func:`_first_fault` reads the file
+    again, block by block, and names the fault. Axes whose cells an array index cannot
     address are a :class:`DataError` unless a record fails, which is named.
     """
     width = len(header) + 1

@@ -12,7 +12,7 @@ those distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,9 @@ def rank_positions(scores: np.ndarray, candidates: np.ndarray, limit: int | None
     # Method forms rather than np.partition/np.argsort: search calls this
     # once per target, and triplet sampling once per flagged anchor, where
     # the dispatch cost shows.
-    pos, s = candidates, scores[candidates]
+    # as many ascending positions as scores are all of them, so no gather
+    pos = candidates
+    s = scores if len(pos) == len(scores) else scores[pos]
     if limit is not None and limit < len(pos):
         part = s.copy()
         part.partition(limit - 1)
@@ -104,20 +106,26 @@ class SearchBase:
     """The candidates of one search range at one (station, lead), shared by
     every target.
 
-    ``rows`` holds the scored cycles feature-major, one contiguous row over
-    them per feature: the forecast windows as [width, n_variables, n] for
-    classic search, the embeddings as [embed_dim, n] for latent search.
-    Scoring a target then adds vectors of length n, not one short sum per
-    candidate, with the bits of those sums (see
-    :func:`~analogkit.metric.pairwise_sum`). ``search_cycles`` is the range
-    as a set, strictly ascending, so a tie in rank goes to the earlier
-    cycle. The other fields follow it: ``positions`` is the column of
-    ``rows`` each cycle was scored in and ``members`` the observation at its
-    valid time. ``candidates``, fixed when the base is built, holds the
-    ascending positions of the cycles with a complete window (an available
-    embedding row) and an observation. ``source`` is what the rows were
-    built from: the (station, lead, t_half) of classic search, the
-    embedding block of latent search.
+    ``rows`` holds the n scored cycles on its axis 1, in one contiguous
+    block per window position or feature: the forecast windows
+    position-major, [width, n, n_variables], for classic search, and the
+    embeddings feature-major, [embed_dim, n], for latent search. Scoring a
+    target then adds whole matrices or vectors over the n cycles, not one
+    short sum per candidate, with the bits of those sums (see
+    :func:`~analogkit.metric.pairwise_sum`), and the classic distances come
+    out as the [n, n_variables] matrix the ranking reads.
+    ``search_cycles`` is the range as a set, strictly ascending, so a tie in
+    rank goes to the earlier cycle. The other fields follow it:
+    ``positions`` is the row each cycle was scored in and ``members`` the
+    observation at its valid time. ``candidates``, fixed when the base is
+    built, holds the ascending positions of the cycles with a complete
+    window (an available embedding row) and an observation. ``source`` is
+    what the rows were built from: the (station, lead, t_half) of classic
+    search, the embedding block of latent search. ``span`` is
+    ``positions`` as a slice when they are one run of consecutive rows, as
+    a range of consecutive base cycles has (the whole base, or a suffix of
+    it), so that a search reads that range's distances as a view, and
+    ``positions`` itself otherwise, which gathers them.
 
     :func:`classic_base` and :func:`latent_base` sort a range given in any
     order and score exactly its cycles. :meth:`subrange` gives the base of
@@ -133,6 +141,7 @@ class SearchBase:
     positions: np.ndarray
     members: np.ndarray
     candidates: np.ndarray
+    span: slice | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cycles = self.search_cycles
@@ -141,6 +150,11 @@ class SearchBase:
             raise ValueError(f"cycle index {repeated[0]} repeats in the search range")
         if (cycles[1:] < cycles[:-1]).any():
             raise ValueError("search cycles must be ascending")
+        span, pos = slice(0, 0), self.positions
+        if len(pos):  # ascending with the cycles, so one run when its ends are len - 1 apart
+            run = pos[-1] - pos[0] == len(pos) - 1
+            span = slice(int(pos[0]), int(pos[-1]) + 1) if run else pos
+        object.__setattr__(self, "span", span)
 
     def subrange(self, search_cycles) -> SearchBase:
         """The base of ``search_cycles``, given in any order, on these rows.
@@ -170,7 +184,7 @@ def classic_base(
     candidate, where the window leaves the lead axis."""
     search_cycles = np.sort(np.asarray(search_cycles, dtype=int))
     block, available = window_block(fcst, station, lead, search_cycles, t_half)
-    rows = np.ascontiguousarray(block.transpose(2, 1, 0))
+    rows = np.ascontiguousarray(block.transpose(2, 0, 1))
     times = fcst.cycles[search_cycles] + int(fcst.leads[lead])
     members = obs.values_for(fcst.stations[station], times)
     return SearchBase((station, lead, t_half), search_cycles, rows, np.arange(len(search_cycles)),
@@ -205,10 +219,13 @@ def target_embedding(embeddings: EmbeddingBlock, cycle: int) -> np.ndarray:
 
 
 def latent_distances(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Euclidean distance from an embedding to each column of ``rows`` ([embed_dim, n])."""
+    """Euclidean distance from an embedding to each column of ``rows``
+    ([embed_dim, n]), summed and rooted in place: a view of the squares'
+    first row."""
     diff = rows - target[:, None]
     diff *= diff
-    return np.sqrt(pairwise_sum(diff))
+    total = pairwise_sum(diff, in_place=True)
+    return np.sqrt(total, out=total)
 
 
 def target_distances(base: SearchBase, fcst: ForecastArchive | None, cycle: int) -> np.ndarray:
@@ -239,7 +256,7 @@ def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distanc
         raise ValueError("search base was built for another search range")
     if locate(base.search_cycles, query.target_cycle)[1]:
         raise ValueError("target cycle must not be part of the search range")
-    if distances is not None and len(distances) != base.rows.shape[-1]:
+    if distances is not None and len(distances) != base.rows.shape[1]:
         raise ValueError("distances were scored against other search base rows")
 
 
@@ -280,14 +297,15 @@ def search_classic(
         base = classic_base(fcst, obs, query.station, query.lead, query.search_cycles, query.t_half)
     source = (query.station, query.lead, query.t_half)
     _check_base(base, source, query, "station, lead or t_half", distances)
-    if base.rows.shape[:2] != (cfg.width, cfg.n_variables):
-        raise ValueError(f"search base windows {base.rows.shape[1::-1]}, config expects "
+    if base.rows.shape[::2] != (cfg.width, cfg.n_variables):
+        raise ValueError(f"search base windows {base.rows.shape[::-2]}, config expects "
                          f"{(cfg.n_variables, cfg.width)}")
     if distances is None:
         distances = target_distances(base, fcst, query.target_cycle)
-    # gemv rounds by memory layout: take gives it a fresh C-contiguous
-    # [n, n_variables] operand, as when each range scored its own windows
-    return _ranking(base, distances.take(base.positions, axis=0) @ cfg.coefficients, limit)
+    # gemv rounds by memory layout: a run of rows is a C-contiguous
+    # [n, n_variables] view and other positions gather a C-contiguous copy, the
+    # operand of a range that scored its own windows
+    return _ranking(base, distances[base.span] @ cfg.coefficients, limit)
 
 
 def search_latent(
@@ -313,7 +331,7 @@ def search_latent(
     _check_base(base, embeddings, query, "embedding block", distances)
     if distances is None:
         distances = target_distances(base, None, query.target_cycle)
-    return _ranking(base, distances[base.positions], limit)
+    return _ranking(base, distances[base.span], limit)
 
 
 def build_ensemble(ranked: Ranking, query: AnalogQuery) -> Ranking:

@@ -72,24 +72,29 @@ def dissimilarity(target: ForecastWindow, candidate: ForecastWindow, cfg: Metric
 def block_dissimilarity(target: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Per-variable distances of many candidate windows to one target.
 
-    ``candidates`` is feature-major, [width, n_variables, n]: each (window
-    position, variable) holds one row over the n candidates, so every
-    operation here is a vector operation over the candidates. Returns the
-    distances sqrt(sum_j (F[i, j] - A[i, j])^2) as a C-contiguous
-    [n, n_variables] array, each with the bits of a sum along its window. No
-    weight or sigma enters them, so one target's distances serve every
-    config: its scores are ``distances @ cfg.coefficients``, with
-    :func:`dissimilarity`'s value.
+    ``candidates`` is position-major, [width, n, n_variables]: each window
+    position holds one C-contiguous [n, n_variables] matrix over the n
+    candidates, so every operation here is a vector operation over all of
+    them. Returns the distances sqrt(sum_j (F[i, j] - A[i, j])^2) as a
+    C-contiguous [n, n_variables] array, each with the bits of a sum along
+    its window; the squares are summed and rooted in place, so the result
+    is a view of the squares' first position. No weight or sigma enters
+    them, so one target's distances serve every config: its scores are
+    ``distances @ cfg.coefficients``, equal within rounding to
+    :func:`dissimilarity`'s (a matrix-vector product may round a sum over
+    two or more variables otherwise than a 1-D dot).
+    ``tests/search_reference.py`` pins the bits of the block path.
     """
-    if target.ndim != 2 or candidates.ndim != 3 or candidates.shape[:2] != target.T.shape:
+    if target.ndim != 2 or candidates.ndim != 3 or candidates.shape[::2] != target.T.shape:
         raise ValueError(f"candidate block shape {candidates.shape} does not match "
                          f"target window shape {target.shape}")
-    d = candidates - target.T[:, :, None]
+    d = candidates - target.T[:, None, :]
     d *= d
-    return np.sqrt(pairwise_sum(d)).T.copy()
+    total = pairwise_sum(d, in_place=True)
+    return np.sqrt(total, out=total)
 
 
-def pairwise_sum(terms: np.ndarray) -> np.ndarray:
+def pairwise_sum(terms: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Sum over the leading axis, in the order ``np.sum`` adds a contiguous row.
 
     numpy sums a row of fewer than 8 terms in sequence; up to 128 terms in 8
@@ -98,23 +103,32 @@ def pairwise_sum(terms: np.ndarray) -> np.ndarray:
     slices of ``terms`` in that order gives, element for element, the bits
     of ``np.sum`` along the last axis of the transposed array, with vector
     adds as long as the trailing axes. ``terms`` must not be empty.
+
+    ``in_place`` sums into ``terms[0]``, which is returned, and starts from
+    the first term where ``np.sum`` starts from 0.0: only a row of negative
+    zeros sums otherwise (to -0.0, not 0.0), and no sum of squares has one.
     """
     k = len(terms)
     # "+ 0.0" rather than a copy: np.sum starts from 0.0, which turns a sum
     # of negative zeros into 0.0
     if k < 8:
-        total = terms[0] + 0.0
+        total = terms[0] if in_place else terms[0] + 0.0
         for term in terms[1:]:
             total += term
         return total
     if k <= 128:
-        r = terms[:8] + 0.0
+        r = terms[:8] if in_place else terms[:8] + 0.0
         end = k - k % 8
         for i in range(8, end, 8):
             r += terms[i : i + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), into r[0]
+        for i, j in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[i] += r[j]
+        total = r[0]
         for term in terms[end:]:
             total += term
         return total
     half = k // 2 - (k // 2) % 8
-    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    total = pairwise_sum(terms[:half], in_place)
+    total += pairwise_sum(terms[half:], in_place)
+    return total

@@ -198,7 +198,7 @@ def plan_sampling(
             if elig_pos.size - 1 < k + 1:  # every eligible cycle but the anchor is a candidate
                 continue
             blocks.append(BlockPlan.make(base.members[elig_pos], anchors, k, rows))
-            windows.append(base.rows.T[elig_pos])
+            windows.append(base.rows.transpose(1, 2, 0)[elig_pos])  # [n, n_variables, width]
             origins.append(np.column_stack(
                 [np.full(elig_pos.size, s), cycles[elig_pos], np.full(elig_pos.size, lead)]))
             rows += elig_pos.size

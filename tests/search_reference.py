@@ -13,6 +13,12 @@ ranking is a full stable sort of the eligible scores, cut at ``limit``, so
 it shares no code with :func:`analogkit.ensemble.rank_positions`: NaN ranks
 last and ties go to the earlier cycle, in whatever order the range is given. Candidates are the per-member tuples
 that the searches returned before they returned arrays.
+
+``block_dissimilarity`` and ``latent_distances`` are the scoring kernels of
+a shared base as they were before they summed and rooted in place: a
+feature-major [width, n_variables, n] block, a ``pairwise_sum`` that starts
+from ``+ 0.0`` and a transposed copy of the roots. They are kept as the
+oracle of the in-place kernels, byte for byte.
 """
 
 from __future__ import annotations
@@ -83,3 +89,40 @@ def _candidates(query, scores, obs_vals, order):
             query.search_cycles[order].tolist(), scores[order].tolist(), obs_vals[order].tolist()
         )
     ]
+
+
+def block_dissimilarity(target, candidates):
+    if target.ndim != 2 or candidates.ndim != 3 or candidates.shape[:2] != target.T.shape:
+        raise ValueError(f"candidate block shape {candidates.shape} does not match "
+                         f"target window shape {target.shape}")
+    d = candidates - target.T[:, :, None]
+    d *= d
+    return np.sqrt(pairwise_sum(d)).T.copy()
+
+
+def latent_distances(target, rows):
+    diff = rows - target[:, None]
+    diff *= diff
+    return np.sqrt(pairwise_sum(diff))
+
+
+def pairwise_sum(terms):
+    k = len(terms)
+    # "+ 0.0" rather than a copy: np.sum starts from 0.0, which turns a sum
+    # of negative zeros into 0.0
+    if k < 8:
+        total = terms[0] + 0.0
+        for term in terms[1:]:
+            total += term
+        return total
+    if k <= 128:
+        r = terms[:8] + 0.0
+        end = k - k % 8
+        for i in range(8, end, 8):
+            r += terms[i : i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms[end:]:
+            total += term
+        return total
+    half = k // 2 - (k // 2) % 8
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])

@@ -122,8 +122,8 @@ class TestProperties:
         for c in (0.3, 2.0, 17.5):
             base = MetricConfig(weights=weights, sigma=sigma, t_half=1)
             scaled = MetricConfig(weights=c * weights, sigma=sigma, t_half=1)
-            s0 = block_dissimilarity(target, candidates.transpose(2, 1, 0)) @ base.coefficients
-            s1 = block_dissimilarity(target, candidates.transpose(2, 1, 0)) @ scaled.coefficients
+            s0 = block_dissimilarity(target, candidates.transpose(2, 0, 1)) @ base.coefficients
+            s1 = block_dissimilarity(target, candidates.transpose(2, 0, 1)) @ scaled.coefficients
             np.testing.assert_allclose(s1, c * s0, rtol=1e-12)
             assert np.array_equal(np.argsort(s0, kind="stable"),
                                   np.argsort(s1, kind="stable"))
@@ -150,7 +150,7 @@ class TestProperties:
         cfg = MetricConfig(weights=rng.random(3) + 0.1, sigma=rng.random(3) + 0.1, t_half=1)
         target = rng.standard_normal((3, 3))
         candidates = rng.standard_normal((20, 3, 3))
-        block = block_dissimilarity(target, candidates.transpose(2, 1, 0)) @ cfg.coefficients
+        block = block_dissimilarity(target, candidates.transpose(2, 0, 1)) @ cfg.coefficients
         for i in range(20):
             assert block[i] == pytest.approx(
                 dissimilarity(window(target), window(candidates[i]), cfg), rel=1e-12

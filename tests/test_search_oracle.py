@@ -4,9 +4,11 @@
 :class:`SearchBase` was shared by the targets of a (station, lead), and
 before one scoring pass per target served every search range. Every
 candidate must match in cycle, score bits and member, with a prebuilt base,
-a subrange of a wider one with or without shared distances, and without a
-base, and every error in type and message. ``run_predictions`` over several
-ranges must equal one reference search per range.
+a subrange of a wider one with or without shared distances (the whole
+base and a suffix, ranked on a view, and a range with gaps, on a gather),
+and without a base, and every error in type and message. ``run_predictions``
+over several ranges must equal one reference search per range, and the
+in-place scoring kernels the reference's copying ones, byte for byte.
 """
 
 import numpy as np
@@ -75,6 +77,20 @@ def _shuffled(draw, cycles):
     return np.array(draw(st.permutations(cycles.tolist())), dtype=int)
 
 
+def _view_ranges(draw, cycles):
+    """Ranges on a base over ``cycles`` (ascending), each with whether its
+    positions are one run of the base's rows: the whole base, a suffix (as
+    the sweep's splits are) and, with three cycles or more, one with gaps."""
+    ranges = [(cycles, True), (cycles[draw(st.integers(0, max(0, len(cycles) - 1))):], True)]
+    if len(cycles) >= 3:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(cycles),
+                                      max_size=len(cycles))))
+        keep[[0, -1]] = True
+        keep[draw(st.integers(1, len(cycles) - 2))] = False
+        ranges.append((cycles[keep], False))
+    return ranges
+
+
 HOLES = st.sampled_from(["none", "some", "all"])
 # None, 1, an ensemble size and past every range drawn here
 LIMITS = st.sampled_from([None, 1, 5, 40])
@@ -116,10 +132,19 @@ class TestOracle:
             wider = classic_base(fcst, obs, station, lead, others, t_half)
             sub = wider.subrange(search)
             assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub)) == want
+            distances = None
             if not isinstance(want, tuple):  # the target has a window
                 window = extract_window(fcst, station, target, lead, t_half)
                 distances = block_dissimilarity(window.data, wider.rows)
                 assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub,
+                                                       distances)) == want
+            for cycles, run in _view_ranges(draw, wider.search_cycles):
+                ranged = AnalogQuery(station=station, target_cycle=target, lead=lead,
+                                     t_half=t_half, search_cycles=cycles, m=5)
+                sub = wider.subrange(cycles)
+                assert isinstance(sub.span, slice) == run
+                want = _outcome(lambda: ref.search_classic(ranged, fcst, obs, cfg, limit))
+                assert _outcome(lambda: search_classic(ranged, fcst, obs, cfg, limit, sub,
                                                        distances)) == want
         else:  # an edge lead: no cycle is eligible, and the target's window raises first
             assert not len(base.candidates)
@@ -159,9 +184,18 @@ class TestOracle:
         wider = latent_base(block, obs, draw(st.permutations(np.delete(cycles, t))))
         sub = wider.subrange(search)
         assert _outcome(lambda: search_latent(query, block, obs, limit, sub)) == want
+        distances = None
         if available[t]:
             distances = latent_distances(target_embedding(block, cycles[t]), wider.rows)
             assert _outcome(lambda: search_latent(query, block, obs, limit, sub,
+                                                  distances)) == want
+        for ranged_cycles, run in _view_ranges(draw, wider.search_cycles):
+            ranged = AnalogQuery(station=0, target_cycle=int(cycles[t]), lead=0, t_half=0,
+                                 search_cycles=ranged_cycles, m=5)
+            sub = wider.subrange(ranged_cycles)
+            assert isinstance(sub.span, slice) == run
+            want = _outcome(lambda: ref.search_latent(ranged, block, obs, limit))
+            assert _outcome(lambda: search_latent(ranged, block, obs, limit, sub,
                                                   distances)) == want
 
 
@@ -344,6 +378,57 @@ def test_a_target_inside_its_search_range_is_refused(rng, kind):
                        search_cycles=np.array([5, 2, 1]), m=1)
     with pytest.raises(DataError, match="window"):
         _search(kind, edge, fcst, obs, model)
+
+
+def _kernel_values(draw, shape):
+    """Values of a drawn kind, NaN in drawn cells or everywhere: standard
+    normal, integers 0..2 (equal distances), signed zeros, or magnitudes
+    whose squares underflow (1e-170) or overflow (1e160)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integers", "zeros", "tiny", "huge"]))
+    if kind == "integers":
+        values = rng.integers(0, 3, shape).astype(float)
+    elif kind == "zeros":
+        values = rng.choice([0.0, -0.0], shape)
+    else:
+        values = rng.standard_normal(shape) * {"normal": 1.0, "tiny": 1e-170, "huge": 1e160}[kind]
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = np.nan
+    return values
+
+
+@ORACLE
+@given(data=st.data())
+def test_block_dissimilarity_has_the_bytes_of_the_reference_kernel(data):
+    """The in-place kernel on a position-major block gives the bytes of the
+    reference's feature-major one, C-contiguous: widths 1-5, 0-300
+    candidates, 1-8 variables, NaN, signed zeros, underflow and overflow."""
+    draw = data.draw
+    width, n, n_var = draw(st.integers(1, 5)), draw(st.integers(0, 300)), draw(st.integers(1, 8))
+    target = _kernel_values(draw, (n_var, width))
+    windows = _kernel_values(draw, (n, n_var, width))  # candidate-major, as window_block's
+    rows = np.ascontiguousarray(windows.transpose(2, 0, 1))
+    with np.errstate(over="ignore"):  # the squares of 1e160
+        got = block_dissimilarity(target, rows)
+        want = ref.block_dissimilarity(target, np.ascontiguousarray(windows.transpose(2, 1, 0)))
+    assert got.shape == (n, n_var) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert rows.tobytes() == np.ascontiguousarray(windows.transpose(2, 0, 1)).tobytes()
+
+
+@ORACLE
+@given(data=st.data())
+def test_latent_distances_have_the_bytes_of_the_reference_kernel(data):
+    """The in-place kernel gives the reference's bytes for embed_dim 1-9 and
+    130, which reach every branch of ``pairwise_sum``, over 0-300 rows."""
+    draw = data.draw
+    dim, n = draw(st.sampled_from([*range(1, 10), 130])), draw(st.integers(0, 300))
+    target, rows = _kernel_values(draw, (dim,)), _kernel_values(draw, (dim, n))
+    before = rows.tobytes()
+    with np.errstate(over="ignore"):  # the squares of 1e160
+        got = latent_distances(target, rows)
+        want = ref.latent_distances(target, rows)
+    assert got.tobytes() == want.tobytes()
+    assert rows.tobytes() == before
 
 
 SCORES = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.nan, np.inf, -np.inf]) | st.floats(-3, 3)
