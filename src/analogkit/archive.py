@@ -335,11 +335,21 @@ def read_text(path) -> str:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as err:
-        raise DataError(f"{path}: cannot read: {err.strerror}") from None
+        raise _unreadable(path, err) from None
+    return _decode(path, data)
+
+
+def _unreadable(path, err: OSError) -> DataError:
+    return DataError(f"{path}: cannot read: {err.strerror}")
+
+
+def _decode(path, data: bytes, before: int = 0) -> str:
+    """``data`` decoded as UTF-8, with ``before`` lines of the file ahead of
+    it; a byte that is not UTF-8 is a :class:`SchemaError` at its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        line = before + len((data[: err.start].decode("utf-8") + "x").splitlines())
         raise SchemaError(
             f"{path}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})"
         ) from None
@@ -463,17 +473,11 @@ def _line_blocks(path) -> Iterator[list[str]]:
     before = 0  # lines in the blocks before this one, each ended by its break
     try:
         for data in _byte_blocks(path):
-            try:
-                lines = data.decode("utf-8").splitlines()
-            except UnicodeDecodeError as err:
-                line = before + len((data[: err.start].decode("utf-8") + "x").splitlines())
-                raise SchemaError(
-                    f"{path}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})"
-                ) from None
+            lines = _decode(path, data, before).splitlines()
             before += len(lines)
             yield lines
     except OSError as err:
-        raise DataError(f"{path}: cannot read: {err.strerror}") from None
+        raise _unreadable(path, err) from None
 
 
 def _first_fault(

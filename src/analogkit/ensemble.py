@@ -150,10 +150,9 @@ class SearchBase:
             raise ValueError(f"cycle index {repeated[0]} repeats in the search range")
         if (cycles[1:] < cycles[:-1]).any():
             raise ValueError("search cycles must be ascending")
-        span, pos = slice(0, 0), self.positions
-        if len(pos):  # ascending with the cycles, so one run when its ends are len - 1 apart
-            run = pos[-1] - pos[0] == len(pos) - 1
-            span = slice(int(pos[0]), int(pos[-1]) + 1) if run else pos
+        span = pos = self.positions
+        if (np.diff(pos) == 1).all():  # one run of consecutive rows, or none
+            span = slice(int(pos[0]), int(pos[-1]) + 1) if len(pos) else slice(0, 0)
         object.__setattr__(self, "span", span)
 
     def subrange(self, search_cycles) -> SearchBase:
@@ -224,7 +223,7 @@ def latent_distances(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
     first row."""
     diff = rows - target[:, None]
     diff *= diff
-    total = pairwise_sum(diff, in_place=True)
+    total = pairwise_sum(diff)
     return np.sqrt(total, out=total)
 
 

@@ -90,34 +90,32 @@ def block_dissimilarity(target: np.ndarray, candidates: np.ndarray) -> np.ndarra
                          f"target window shape {target.shape}")
     d = candidates - target.T[:, None, :]
     d *= d
-    total = pairwise_sum(d, in_place=True)
+    total = pairwise_sum(d)
     return np.sqrt(total, out=total)
 
 
-def pairwise_sum(terms: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Sum over the leading axis, in the order ``np.sum`` adds a contiguous row.
+def pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis into ``terms[0]``, which is returned, in the
+    order ``np.sum`` adds a contiguous row.
 
     numpy sums a row of fewer than 8 terms in sequence; up to 128 terms in 8
     interleaved partial sums, combined pairwise, then the remainder in
     sequence; and a longer row in two halves, recursively. Adding whole
     slices of ``terms`` in that order gives, element for element, the bits
     of ``np.sum`` along the last axis of the transposed array, with vector
-    adds as long as the trailing axes. ``terms`` must not be empty.
-
-    ``in_place`` sums into ``terms[0]``, which is returned, and starts from
-    the first term where ``np.sum`` starts from 0.0: only a row of negative
-    zeros sums otherwise (to -0.0, not 0.0), and no sum of squares has one.
+    adds as long as the trailing axes, except that the sum starts from the
+    first term where ``np.sum`` starts from 0.0: a row of negative zeros
+    sums to -0.0, not 0.0. No sum of squares has one. ``terms`` must not be
+    empty.
     """
     k = len(terms)
-    # "+ 0.0" rather than a copy: np.sum starts from 0.0, which turns a sum
-    # of negative zeros into 0.0
     if k < 8:
-        total = terms[0] if in_place else terms[0] + 0.0
+        total = terms[0]
         for term in terms[1:]:
             total += term
         return total
     if k <= 128:
-        r = terms[:8] if in_place else terms[:8] + 0.0
+        r = terms[:8]
         end = k - k % 8
         for i in range(8, end, 8):
             r += terms[i : i + 8]
@@ -129,6 +127,6 @@ def pairwise_sum(terms: np.ndarray, in_place: bool = False) -> np.ndarray:
             total += term
         return total
     half = k // 2 - (k // 2) % 8
-    total = pairwise_sum(terms[:half], in_place)
-    total += pairwise_sum(terms[half:], in_place)
+    total = pairwise_sum(terms[:half])
+    total += pairwise_sum(terms[half:])
     return total

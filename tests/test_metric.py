@@ -4,6 +4,8 @@ import pytest
 from analogkit.archive import ForecastWindow
 from analogkit.metric import MetricConfig, block_dissimilarity, dissimilarity, pairwise_sum
 
+import search_reference as ref
+
 
 def naive_dissimilarity(target, candidate, weights, sigma):
     """Triple-loop reference: independent of the vectorized implementation."""
@@ -160,13 +162,18 @@ class TestProperties:
 def test_pairwise_sum_has_the_bits_of_numpy_sum():
     """Every branch of numpy's pairwise order: fewer than 8 terms, 8 to 128,
     and the recursive halves beyond; values across magnitudes so that any
-    other order rounds differently, plus rows of negative zeros and NaN."""
+    other order rounds differently, plus rows of negative zeros and NaN.
+    The in-place sum starts from the first term, so only its row of negative
+    zeros sums to -0.0; the copying oracle kernels' sum starts from 0.0, as
+    ``np.sum`` does."""
     rng = np.random.default_rng(7)
     for k in range(1, 301):
         x = rng.standard_normal((40, k)) * 10.0 ** rng.integers(-6, 7, (40, k))
         x[0] = -0.0
         x[1, k // 2] = np.nan
         want = np.sum(x, axis=-1)
+        assert ref.pairwise_sum(np.ascontiguousarray(x.T)).tobytes() == want.tobytes(), k
+        want[0] = -0.0
         got = pairwise_sum(np.ascontiguousarray(x.T))
         assert got.tobytes() == want.tobytes(), k
 

@@ -364,6 +364,23 @@ def test_a_base_refuses_a_range_that_is_not_ascending(rng):
                    base.members[::-1], base.candidates)
 
 
+@pytest.mark.parametrize("positions,run", [
+    ([1, 2, 3, 4], True), ([0, 2, 1, 3], False), ([0, 0, 2, 3], False), ([3, 2, 1, 0], False),
+])
+def test_a_base_reads_the_rows_its_positions_name(rng, positions, run):
+    """A base built directly may score its cycles in any rows: only
+    positions that step by one read them as a view, any other order or a
+    repeated row gathers them."""
+    fcst, obs = _archive(rng)
+    wider = classic_base(fcst, obs, 0, 1, range(10, 15), 0)
+    base = SearchBase(wider.source, np.arange(4), wider.rows, np.array(positions),
+                      wider.members[:4], np.arange(4))
+    assert isinstance(base.span, slice) == run
+    window = extract_window(fcst, 0, 0, 1, 0)
+    distances = block_dissimilarity(window.data, wider.rows)
+    assert distances[base.span].tobytes() == distances[positions].tobytes()
+
+
 @pytest.mark.parametrize("kind", SEARCH_KINDS)
 def test_a_target_inside_its_search_range_is_refused(rng, kind):
     """Both searches, with and without a base, refuse a range that holds
