@@ -158,6 +158,8 @@ def _train_model(
 # ---------------------------------------------------------------------------
 
 
+# a huge value's square overflows, and its score (inf or nan) ranks last, as in cmd_verify
+@np.errstate(over="ignore", invalid="ignore")
 def run_predictions(
     cfg: ExperimentConfig,
     method: str,

@@ -11,7 +11,6 @@ a hinged triplet loss, backpropagation through time, and ADAM updates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,12 +217,11 @@ def sample_triplets(
     stats: SamplingStats | None = None,
 ) -> Triplets:
     """One triplet per kept anchor of ``plan`` (see :func:`plan_sampling`),
-    drawn block by block. Consumes ``rng`` deterministically, anchor after
-    anchor: one ``random()`` to pick the positive, then, unless the anchor is
-    skipped, one ``integers(b)`` over the ``b`` places its negative may take;
-    ``integers(1)`` reads no bits. With a ``PCG64`` bit generator these draws
-    are read in bulk from its raw words (see :meth:`BlockPlan.draw`), leaving
-    the same ``bit_generator.state`` as the calls. The result shares the
+    drawn block by block with two calls each (:meth:`BlockPlan.draw`): one
+    ``random`` gives every anchor's positive, one ``integers`` gives the
+    negative of every anchor not skipped, over the places it may take. The
+    array calls draw what successive scalar calls draw, and a block with no
+    anchor kept, or a bound of 1, reads no bits. The result shares the
     plan's window rows, so drawing again pays only for the draws.
     """
     if stats is None:
@@ -262,12 +260,10 @@ class BlockPlan:
     candidate, that is of rank below ``ties``, and past every candidate as
     near, at place ``past``, for the others.
 
-    An anchor draws its positive's rank with ``random()`` and its negative
-    with ``integers(b)`` over the ``b`` places from the first allowed one
-    on. Where ``2 <= b < 2**32`` whatever the rank, a ``PCG64`` generator's
-    draws are read in bulk from its raw words (:meth:`_read_run`). The
-    others, ``stops``, take the scalar calls (:meth:`_draw_one`), as every
-    anchor does with another bit generator.
+    An anchor's positive rank is one ``random()`` and its negative one
+    ``integers(b)`` over the ``b`` places from the first allowed one on; an
+    anchor with no place left keeps no triplet. :meth:`draw` takes the
+    whole block's ranks first, then the kept anchors' places.
     """
 
     offset: int
@@ -281,7 +277,6 @@ class BlockPlan:
     top: np.ndarray  # [n_anchors, k + 1] positions
     ties: np.ndarray
     past: np.ndarray
-    stops: list[int]  # anchors (indices into ``anchors``) drawn by scalar calls, then len(anchors)
 
     @classmethod
     def make(cls, v: np.ndarray, anchors: np.ndarray, k: int, offset: int) -> BlockPlan:
@@ -309,33 +304,22 @@ class BlockPlan:
         cut, c, start = top_dist[tied, k], centre[tied], lo[tied]
         past[tied] = _within(sv, start, n - start, c, cut) + _within(dv, n - start, start, c, cut) - 1
         ties = np.count_nonzero(top_dist[:, :k] < top_dist[:, k:], axis=1)
-        # A rank below ``ties`` leaves b = n - 1 - k places, any other rank
-        # n - 1 - past (none is where ties is k and past is 0). A stop is an
-        # anchor where some rank may leave b < 2 or b >= 2**32; past >= k.
-        stops = np.flatnonzero((past > n - 3) | (not 2 <= n - 1 - k < 2**32))
-        return cls(offset, v, anchors, up, down, lo, skip, unsafe, top, ties, past,
-                   stops.tolist() + [len(anchors)])
+        return cls(offset, v, anchors, up, down, lo, skip, unsafe, top, ties, past)
 
     def draw(self, edges: list[float], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """The [n, 3] (anchor, positive, negative) positions of the anchors
-        that keep a triplet, and their obs_gaps. Anchor by anchor, the draws
-        are those of :meth:`_draw_one`; from a ``PCG64`` generator, each run
-        of anchors up to the next of ``stops`` is read in bulk instead."""
-        v, n_cand, n = self.v, self.v.size - 1, len(self.anchors)
-        picks, places = np.empty(n, dtype=int), np.empty(n, dtype=int)
-        bulk = isinstance(rng.bit_generator, np.random.PCG64)
-        ends = iter(self.stops if bulk else range(n + 1))  # else every anchor is a stop
-        i, end = 0, next(ends)
-        while i < n:
-            while end < i:
-                end = next(ends)
-            if end > i:
-                i += self._draw_run(i, end, edges, rng.bit_generator, picks, places)
-            if i < n:  # a stop, or an anchor whose half may be rejected
-                picks[i], places[i] = self._draw_one(i, edges, rng)
-                i += 1
-        kept = np.flatnonzero(places < n_cand)
-        picks, places = picks[kept], places[kept]
+        that keep a triplet, and their obs_gaps. Two calls draw the block:
+        ``random(len(anchors))`` gives every anchor's positive rank, then one
+        ``integers``, with one bound per anchor that keeps a triplet, gives
+        their negatives' places. Drawing per block, not per plan, keeps a
+        plan over several leads drawing what per-lead plans draw in turn."""
+        v, n_cand, k = self.v, self.v.size - 1, len(edges)
+        u = rng.random(len(self.anchors)) * edges[-1]
+        picks = np.minimum(np.searchsorted(edges, u, "right"), k - 1)
+        first = np.where(picks < self.ties, k, self.past)
+        kept = np.flatnonzero(first < n_cand)
+        picks, first = picks[kept], first[kept]
+        places = first + rng.integers(n_cand - first)
         pos = self.top[kept, picks]
         neg = _merged_entry(v, self.up, self.down, self.lo[kept], self.skip[kept],
                             v[self.anchors[kept]], places)
@@ -344,65 +328,6 @@ class BlockPlan:
         a = self.anchors[kept]
         gap = np.abs(v[neg] - v[a]) - np.abs(v[pos] - v[a])
         return np.column_stack([a, pos, neg]), gap
-
-    def _draw_one(self, i: int, edges: list[float], rng: np.random.Generator) -> tuple[int, int]:
-        """Anchor i's positive rank and negative place, by scalar calls; the
-        place is ``v.size - 1`` (no candidate) where the anchor is skipped."""
-        k, n_cand = len(edges), len(self.v) - 1
-        r = min(bisect_right(edges, rng.random() * edges[-1]), k - 1)
-        first = k if r < self.ties[i] else int(self.past[i])
-        if first == n_cand:
-            return r, n_cand
-        return r, first + int(rng.integers(n_cand - first))
-
-    def _draw_run(self, start, end, edges, bits: np.random.PCG64, picks, places) -> int:
-        """Draws anchors ``start`` to ``end`` (exclusive), none of them a stop,
-        from the words of ``bits`` until one may need a second half; fills
-        their ``picks`` and ``places`` and returns how many it drew. ``bits``
-        is left as the scalar calls for those anchors would leave it."""
-        state = bits.state
-        n, buffered = end - start, state["has_uint32"]
-        words = bits.random_raw(n + (n + 1 - buffered) // 2)
-        pick, place, used, has_uint32, uinteger = self._read_run(
-            start, end, words, buffered, state["uinteger"], edges)
-        drawn = len(pick)
-        picks[start : start + drawn], places[start : start + drawn] = pick, place
-        # Back to the start, then on by the words the drawn anchors read.
-        bits.state = {**state, "has_uint32": has_uint32, "uinteger": uinteger}
-        bits.random_raw(used, output=False)
-        return drawn
-
-    def _read_run(self, start, end, words, has_uint32, uinteger, edges):
-        """Anchors ``start`` to ``end`` (exclusive), none of them a stop, as
-        drawn from PCG64's raw ``words`` after a state with ``has_uint32``
-        and ``uinteger``, up to the first whose half may be rejected.
-        Returns their picks and places, then how many words they read and
-        the ``has_uint32`` and ``uinteger`` they leave.
-
-        ``random()`` is ``(w >> 11) * 2**-53`` of a fresh word w.
-        ``integers(b)`` reads a 32-bit half x: the buffered high half if
-        ``has_uint32`` (which it clears, leaving ``uinteger``), else the low
-        half of a fresh word, whose high half it buffers. It is Lemire's
-        ``(x * b) >> 32`` unless ``(x * b) mod 2**32 < (2**32 - b) mod b``,
-        when it reads another half, so the run stops where that may hold:
-        at ``(x * b) mod 2**32 < b``.
-        """
-        k, n_cand = len(edges), len(self.v) - 1
-        j = np.arange(end - start)
-        fresh = (j + has_uint32) % 2 == 0  # the anchor's integers() reads a fresh word
-        read = j + 1 + np.cumsum(fresh)  # words read up to and including each anchor
-        high = np.append(np.uint64(uinteger), words >> 32)  # [0] is the buffered half
-        half = high[read - 1 + fresh]  # the high half buffered after each anchor
-        x = np.where(fresh, words[read - 1] & 0xFFFFFFFF, half)
-        u = (words[read - 1 - fresh] >> 11) * 2.0**-53
-        pick = np.minimum(np.searchsorted(edges, u * edges[-1], "right"), k - 1)
-        first = np.where(pick < self.ties[start:end], k, self.past[start:end])
-        bound = (n_cand - first).astype(np.uint64)
-        product = x * bound
-        n = int(np.append(product & 0xFFFFFFFF < bound, True).argmax())
-        return (pick[:n], first[:n] + (product[:n] >> 32).astype(int),
-                int(read[n - 1]) if n else 0, (has_uint32 + n) % 2,
-                int(half[n - 1]) if n else uinteger)
 
 
 def _exact_order(v: np.ndarray, a: int, m: int) -> np.ndarray:

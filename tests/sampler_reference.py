@@ -2,8 +2,11 @@
 
 This is the sampler ``training.sample_triplets`` replaced. It is kept as the
 oracle the sort-once sampler must match triplet for triplet, count for count
-and draw for draw. It returns a list of :class:`Triplet` tuples, three
-window copies each, where the sampler returns index triplets.
+and draw for draw. In each station block it draws every anchor's positive
+(one ``random()`` each) before the negatives (one ``integers`` for each
+anchor that keeps a triplet), in anchor order both times. It returns a
+list of :class:`Triplet` tuples, three window copies each, where the
+sampler returns index triplets.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ def sample_triplets(
         obs_vals = obs.values_for(station, times)
         eligible = avail & np.isfinite(obs_vals)
         elig_pos = np.nonzero(eligible)[0]
+        kept = []  # every anchor's positive is drawn before any negative
         for ai in elig_pos:
             if anchor_set is not None and int(cycles[ai]) not in anchor_set:
                 continue
@@ -73,6 +77,8 @@ def sample_triplets(
             if rest.size == 0:
                 stats.anchors_skipped += 1
                 continue
+            kept.append((ai, cand, dists, pos_pick, rest))
+        for ai, cand, dists, pos_pick, rest in kept:
             neg_pick = rest[int(rng.integers(rest.size))]
             triplets.append(
                 Triplet(
@@ -87,7 +93,7 @@ def sample_triplets(
                         data=data[cand[neg_pick]].copy(),
                         origin=(s, int(cycles[cand[neg_pick]]), lead),
                     ),
-                    obs_gap=float(dists[neg_pick] - pos_dist),
+                    obs_gap=float(dists[neg_pick] - dists[pos_pick]),
                 )
             )
     return triplets

@@ -311,6 +311,35 @@ class TestPredict:
         assert len(skipped) - 1 == 20
         assert "insufficient analogs" in skipped[1]
 
+    def test_overflowing_square_ranks_last_without_a_warning(self, tmp_path):
+        """A v1 forecast of 1e160 at cycle 10 overflows its squared
+        difference and v1's σ: its score is NaN, it ranks last, and neither
+        predict nor the search-length experiment warns."""
+        cfg = write_config(
+            tmp_path,
+            drop=("synth_cycles", "search_start", "search_end", "train_start", "train_end",
+                  "test_start", "test_end"),
+            extra="synth_cycles=60\nsearch_splits=1,2\n"
+            "search_start=2011-01-01T00:00:00Z\nsearch_end=2011-02-15T00:00:00Z\n"
+            "test_start=2011-02-15T00:00:00Z\ntest_end=2011-03-02T00:00:00Z\n",
+        )
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        path = tmp_path / "data" / "forecasts.csv"
+        huge = "2011-01-11T00:00:00Z"  # cycle 10
+        records = [re.sub(rf"^(\w+,v1,{huge},\w+,).*", r"\g<1>1e160", record)
+                   for record in path.read_text().splitlines()]
+        assert sum(record.endswith(",1e160") for record in records) == 1
+        path.write_text("\n".join(records) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in ("predict", "experiment-search-length"):
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "predict" / "predictions.csv").read_text().splitlines()
+                if line[0] != "#"][1:]
+        assert len(rows) == 15 * 5
+        assert huge not in {row[5] for row in rows}
+
 
 class TestVerify:
     def _write_predictions(self, path, rows):

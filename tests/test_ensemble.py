@@ -210,6 +210,7 @@ class TestBuildEnsemble:
                             search_cycles=np.arange(4), m=4)
         ens = build_ensemble(self._ranked(4), query)
         assert ens.m == 4
+        assert ens.mean == 11.5  # of members 10, 11, 12 and 13
 
     def test_short_flag_semantics(self):
         query = AnalogQuery(station=0, target_cycle=99, lead=0, t_half=0,

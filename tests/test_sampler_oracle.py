@@ -6,8 +6,6 @@ in the same state, on ties, missing values, every ``k_pos`` edge and
 distinct observations whose rounded distances tie.
 """
 
-import bisect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,51 +340,6 @@ def test_edge_leads_draw_nothing(case):
     assert all(with_edges[0])
 
 
-# Bulk draws. With a PCG64 generator, BlockPlan.draw reads runs of anchors
-# from the raw word stream instead of calling random() and integers(). The
-# tests below compare the full bit_generator.state, uinteger included, and
-# hold numpy's stream to the rule the bulk pass assumes.
-
-MASK32 = 0xFFFFFFFF
-
-
-class _Stream:
-    """``random()`` and ``integers(b)`` of a PCG64 ``Generator`` as numpy
-    computes them, from a list of its raw 64-bit words: ``random()`` is
-    ``(w >> 11) * 2**-53`` of a fresh word; ``integers(b)``, ``1 < b <
-    2**32``, is Lemire's ``(x * b) >> 32`` of a 32-bit half x, drawing again
-    while ``(x * b) mod 2**32 < (2**32 - b) mod b``. A half is the buffered
-    high half if there is one, else the low half of a fresh word, whose high
-    half is buffered; taking the buffered half leaves ``uinteger`` as it is."""
-
-    def __init__(self, words, has_uint32=0, uinteger=0):
-        self.words, self.read = [int(w) for w in words], 0
-        self.has_uint32, self.uinteger = has_uint32, uinteger
-
-    def _word(self):
-        self.read += 1
-        return self.words[self.read - 1]
-
-    def half(self):
-        if self.has_uint32:
-            self.has_uint32 = 0
-            return self.uinteger
-        word = self._word()
-        self.has_uint32, self.uinteger = 1, word >> 32
-        return word & MASK32
-
-    def random(self):
-        return (self._word() >> 11) * 2.0**-53
-
-    def integers(self, b):
-        if b == 1:
-            return 0
-        m = self.half() * b
-        while m & MASK32 < (2**32 - b) % b:
-            m = self.half() * b
-        return m >> 32
-
-
 def _state(rng):
     """The full bit generator state, its arrays as lists, comparable with ==."""
     def plain(x):
@@ -407,109 +360,14 @@ def _entered(bits, entry):
     return rng
 
 
-@pytest.mark.parametrize("has_uint32", [0, 1])
-def test_numpy_pcg64_stream_follows_the_bulk_rule(has_uint32):
-    """random(), integers(1) and integers(b) on the installed numpy give the
-    values of ``_Stream`` over the same raw words, and leave the state of the
-    words read with the same buffered half. A bound just above 2**31 makes
-    about every second half a Lemire rejection."""
-    rng = np.random.default_rng(7)
-    if has_uint32:
-        rng.integers(5)
-    start = rng.bit_generator.state
-    words = np.random.Generator(np.random.PCG64()).bit_generator
-    words.state = start
-    stream = _Stream(words.random_raw(400), has_uint32, start["uinteger"])
-    bounds = [2, 3, 10, 1000, 1, 2**31 + 1, 2**32 - 1, 12345]
-    for i in range(120):
-        assert rng.random() == stream.random()
-        b = bounds[i % len(bounds)]
-        assert rng.integers(b) == stream.integers(b)
-    want = np.random.Generator(np.random.PCG64())
-    want.bit_generator.state = start
-    want.bit_generator.advance(stream.read)
-    want.bit_generator.state = {**want.bit_generator.state, "has_uint32": stream.has_uint32,
-                                "uinteger": stream.uinteger}
-    assert _state(rng) == _state(want)
-    assert stream.read < 400
-
-
-def test_numpy_rejects_a_zero_half():
-    """integers(b) on a buffered half of 0 draws again when 2**32 mod b is
-    not 0: it reads a fresh word, as ``_Stream`` does."""
-    rng = _entered(np.random.PCG64(3), "zero_half")
-    words = np.random.Generator(np.random.PCG64())
-    words.bit_generator.state = rng.bit_generator.state
-    stream = _Stream(words.bit_generator.random_raw(4), 1, 0)
-    assert rng.integers(1000) == stream.integers(1000)
-    assert stream.read == 1 and rng.bit_generator.state["has_uint32"] == 1
-
-
-def _distinct_block():
-    """A block of 40 distinct observations with k 5: no anchor is a stop."""
-    v = np.random.default_rng(5).uniform(-10, 10, 40)
-    block = training.BlockPlan.make(v, np.arange(40), 5, 0)
-    fitness = 1.0 / np.arange(1, 6)
-    assert block.stops == [40]
-    return block, np.cumsum(fitness / fitness.sum()).tolist()
-
-
-def _expected_run(block, start, end, words, has_uint32, uinteger, edges):
-    """What ``BlockPlan._read_run`` must return, anchor by anchor from ``_Stream``."""
-    stream, k, n_cand = _Stream(words, has_uint32, uinteger), len(edges), block.v.size - 1
-    picks, places = [], []
-    for i in range(start, end):
-        before = stream.read, stream.has_uint32, stream.uinteger
-        r = min(bisect.bisect_right(edges, stream.random() * edges[-1]), k - 1)
-        first = k if r < block.ties[i] else int(block.past[i])
-        b = n_cand - first
-        x = stream.half()
-        if x * b & MASK32 < b:
-            return picks, places, *before
-        picks.append(r)
-        places.append(first + (x * b >> 32))
-    return picks, places, stream.read, stream.has_uint32, stream.uinteger
-
-
-@pytest.mark.parametrize("has_uint32, words_at, half, drawn", [
-    (0, None, None, 6),
-    (0, 4, "low", 2),  # anchor 2 reads the low half of word 4 (anchor 0 read words 0-1, anchor 1 word 2)
-    (0, 4, "high", 3),  # anchor 3 reads the buffered high half of word 4
-    (0, 4, "one", 6),  # x = 1 leaves (x * b) mod 2**32 = b: no rejection is possible
-    (1, "entry", None, 0),  # anchor 0 reads the buffered half, 0
-    (1, 5, "low", 3),  # with a half buffered, anchors 1 and 3 read the low halves of words 2 and 5
-], ids=["no_rejection", "fresh_half", "buffered_half", "one", "entry_half", "entry_buffered"])
-def test_read_run_stops_where_a_half_may_be_rejected(has_uint32, words_at, half, drawn):
-    """Hand-made words: the run draws the anchors before the first whose
-    ``(x * b) mod 2**32`` is below its bound b and leaves the state of the
-    words they read; ``_Stream`` gives the same draws one by one."""
-    block, edges = _distinct_block()
-    words = np.random.default_rng(9).integers(0, 2**64, 9, dtype=np.uint64, endpoint=False)
-    uinteger = 0x9E3779B9
-    if words_at == "entry":
-        uinteger = 0
-    elif half == "low":
-        words[words_at] &= np.uint64(0xFFFFFFFF00000000)
-    elif half == "high":
-        words[words_at] &= np.uint64(MASK32)
-    elif half == "one":
-        words[words_at] = (words[words_at] & np.uint64(0xFFFFFFFF00000000)) | np.uint64(1)
-    got = block._read_run(10, 16, words, has_uint32, uinteger, edges)
-    picks, places, read, has, buffered = _expected_run(block, 10, 16, words, has_uint32,
-                                                       uinteger, edges)
-    assert len(picks) == drawn
-    assert (got[0].tolist(), got[1].tolist(), got[2:]) == (picks, places, (read, has, buffered))
-
-
 def _tied_stations():
     """Two stations, 21 cycles, k_pos 10, observations -1, 1, 0, -1, 1 in
     turn: eight each of -1 and 1, four of 0. An anchor at 0 has its 3 equals
     at distance 0 and every other candidate at distance 1 or more, so the
-    negative may have one place or none left: it is a stop. S00's 21st
-    observation is 3, so its 0-anchors have one place left
-    (``integers(1)``) after a positive at distance 1; S01's is missing, so
-    its 0-anchors are then skipped. The four anchors between two stops are
-    drawn in bulk."""
+    negative may have one place or none left. S00's 21st observation is 3,
+    so its 0-anchors have one place left (``integers(1)``, which reads no
+    bits) after a positive at distance 1; S01's is missing, so its 0-anchors
+    are then skipped."""
     values = np.append(np.tile([-1.0, 1.0, 0.0, -1.0, 1.0], 4), 3.0)
     fcst = make_forecasts(np.random.default_rng(0).standard_normal((2, 2, 21, 1)))
     obs = obs_matching(fcst, np.stack([values, np.append(values[:20], np.nan)])[:, :, None])
@@ -524,10 +382,7 @@ def _long_history():
 def test_tied_stations_have_stops_of_both_kinds():
     fcst, obs, stations, cycles, cfg = _tied_stations()
     plan = training.plan_sampling(fcst, obs, stations, [0], cycles, cfg)
-    places_left = []
-    for block in plan.blocks:
-        assert block.stops[:-1] == list(range(2, 20, 5))  # the 0-anchors
-        places_left.append(block.v.size - 1 - block.past.max())
+    places_left = [block.v.size - 1 - block.past.max() for block in plan.blocks]
     assert places_left == [1, 0]
 
 
@@ -548,11 +403,11 @@ BIT_GENERATORS = {"PCG64": np.random.PCG64, "MT19937": np.random.MT19937,
     if (bits, entry) != ("MT19937", "zero_half")])  # MT19937 buffers no half
 @pytest.mark.parametrize("case", [_long_history, _tied_stations], ids=["long", "tied"])
 def test_draws_match_the_oracle_from_any_entry_state(case, bits, entry):
-    """Four resamples from one plan equal the scalar oracle's in triplets,
-    counts and the full generator state: from a fresh generator, after an
-    ``integers(5)`` that leaves a buffered half, and from a buffered half of
-    0, which the first anchor's ``integers`` rejects. MT19937 and Philox
-    take the scalar calls for every anchor."""
+    """Four resamples from one plan equal the oracle's, which draws by one
+    call per anchor and draw, in triplets, counts and the full generator
+    state: from a fresh generator, after an ``integers(5)`` that leaves a
+    buffered half, and from a buffered half of 0, which the first
+    ``integers`` draw rejects."""
     fcst, obs, stations, cycles, cfg = case()
     plan = training.plan_sampling(fcst, obs, stations, [0], cycles, cfg)
 
