@@ -60,11 +60,12 @@ time, and each column's codes are freed once added. The value column is
 checked by one character test on its joined text and parsed by ``float()``
 inside numpy's array constructor, an empty field read as ``"nan"``.
 Duplicate keys are found by sorting the records' cells, so no array spans
-the product of the axes. To name a fault, when a bulk check or the block
-read fails, the file is read twice more, block by block: once to decode
-it, so that a byte that is not UTF-8 is named first, then record by
-record in file order, and the first fault is named. Only the distinct
-key texts and the cells seen so far are held beyond one block.
+the product of the axes. The bulk pass names an unreadable file and a
+byte that is not UTF-8 itself. When a bulk check fails it still reads to
+the end, so that such a byte anywhere is named first; then the file is
+read once more, record by record, up to the first fault, which is named.
+Only the distinct key texts and the cells seen so far are held beyond
+one block.
 
 Writer cost: archives and predictions are written by :func:`write_rows`,
 one ``%``-format per chunk of about 1,024 rows. A row's fixed text is a
@@ -98,7 +99,6 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 # Of text in these characters, float() reads exactly the grammar's decimals
 # and its words for NaN and infinity, so one character test completes the rule.
 _DECIMAL_CHARS = b"0123456789+-.eEaAfFiInNtTyY"
-_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 # a timestamp with its ASCII digits 1-9 read as 0; other digits stay as they are
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 _TIME_TEMPLATE = "0000-00-00T00:00:00Z"
@@ -136,7 +136,7 @@ def parse_times(texts: Sequence[str]) -> np.ndarray:
     characters long (so the joined text cannot realign), reads as the
     template once its ASCII digits are zeroed, and no year is 0000 (where the
     template holds, only a year has four digits in a row). A failed check
-    falls back to one text at a time, to name the first bad one.
+    falls back to the same rule one text at a time, to name the first bad one.
     """
     joined = "".join(texts)
     if not (
@@ -145,7 +145,7 @@ def parse_times(texts: Sequence[str]) -> np.ndarray:
         and "0000" not in joined
     ):
         for text in texts:
-            if not _TIMESTAMP.fullmatch(text) or text.startswith("0000"):
+            if text.translate(_DIGITS_TO_ZERO) != _TIME_TEMPLATE or text.startswith("0000"):
                 raise ValueError(f"not a timestamp: {text!r}")
     # numpy refuses impossible dates and times, such as 02-30 or 24:00:00; not
     # from an S19 array, whose cast crashes numpy 2.4.6 on an impossible date
@@ -332,15 +332,24 @@ def read_text(path) -> str:
     not UTF-8 a :class:`SchemaError`, both naming the file.
     """
     try:
-        with open(path, "rb") as fh:
+        with _open(path) as fh:
             data = fh.read()
     except OSError as err:
         raise _unreadable(path, err) from None
     return _decode(path, data)
 
 
-def _unreadable(path, err: OSError) -> DataError:
-    return DataError(f"{path}: cannot read: {err.strerror}")
+def _open(path):
+    """``path`` opened to read bytes; a path that cannot be opened, one
+    holding a NUL byte included, is :func:`_unreadable`."""
+    try:
+        return open(path, "rb")
+    except (OSError, ValueError) as err:  # open's ValueError: "embedded null byte"
+        raise _unreadable(path, err) from None
+
+
+def _unreadable(path, err: OSError | ValueError) -> DataError:
+    return DataError(f"{path}: cannot read: {getattr(err, 'strerror', err)}")
 
 
 def _decode(path, data: bytes, before: int = 0) -> str:
@@ -466,16 +475,30 @@ def _value_problem(text: str, empty_is_missing: bool) -> str:
 
 
 def _line_blocks(path) -> Iterator[list[str]]:
-    """Every line of a text file, blank and comment lines included, one list
-    per block of :func:`_byte_blocks`, with :func:`read_text`'s errors: a
-    file that cannot be read is a :class:`DataError` and a byte that is not
-    UTF-8 a :class:`SchemaError` at its line."""
+    """Every line of a text file, blank and comment lines included, in blocks
+    of whole lines: the one block reader of a CSV load and of :func:`_first_fault`.
+
+    The file is read :data:`_BLOCK_BYTES` at a time and cut after the last
+    ``\\n`` of each read, the rest carried over (a longer line extends its
+    block). A cut after ``\\n`` splits no UTF-8 sequence and no ``\\r\\n``,
+    so the blocks decode and split into exactly the lines of the whole text;
+    a closing ``\\n`` ends the last line, and at most adds a blank line.
+    Errors are :func:`read_text`'s, each raised where its block is reached.
+    """
     before = 0  # lines in the blocks before this one, each ended by its break
+    pieces: list[bytes] = []  # the bytes read since the last "\n"
     try:
-        for data in _byte_blocks(path):
-            lines = _decode(path, data, before).splitlines()
-            before += len(lines)
-            yield lines
+        with _open(path) as fh:
+            for data in chain(iter(partial(fh.read, _BLOCK_BYTES), b""), [b"\n"]):
+                cut = data.rfind(b"\n") + 1
+                if not cut:
+                    pieces.append(data)
+                    continue
+                pieces.append(data[:cut])
+                lines = _decode(path, b"".join(pieces), before).splitlines()
+                pieces = [data[cut:]]
+                before += len(lines)
+                yield lines
     except OSError as err:
         raise _unreadable(path, err) from None
 
@@ -484,20 +507,18 @@ def _first_fault(
     path, header: list[str], keys: Sequence[_Key], empty_is_missing: bool, where: _Where
 ) -> SchemaError | None:
     """The :class:`SchemaError` of the first offending record of a CSV file,
-    or None when no record fails; a missing or bad header, an unreadable
-    file and a byte that is not UTF-8 are raised at once.
+    or None when no record fails; a missing or bad header, and a file that
+    cannot be read, are raised at once.
 
-    Reads the file twice, block by block (see :func:`_line_blocks`), so that
-    no more than one block of text is held: first only to decode it, so that
-    a byte that is not UTF-8 is named before any record; then to walk the
-    records in file order, checking each one's column count, then for each
-    record that ``where`` selects its key columns, duplicate key and value,
-    in that order. Each key column's parser runs once per distinct text.
+    Walks the records in file order, block by block (see :func:`_line_blocks`),
+    so that no more than one block of text is held, and stops at the fault:
+    each record's column count is checked, then for each record that
+    ``where`` selects its key columns, duplicate key and value, in that
+    order. Each key column's parser runs once per distinct text. A byte
+    that is not UTF-8 is raised only where the walk reaches its block, so a
+    caller names such a byte anywhere in the file by reading to its end first.
     """
-    for _ in _line_blocks(path):
-        pass
-    lines = (line for block in _line_blocks(path) for line in block)
-    numbered = enumerate(lines, 1)
+    numbered = enumerate(chain.from_iterable(_line_blocks(path)), 1)
     found = next(((n, line) for n, line in numbered if line.strip() and line[0] != "#"), None)
     if found is None:
         raise SchemaError(f"{path}: no header line, expected {','.join(header)}")
@@ -533,47 +554,6 @@ def _first_fault(
     return None
 
 
-def _byte_blocks(path) -> Iterator[bytes]:
-    """The bytes of a file in blocks of whole lines.
-
-    The file is read :data:`_BLOCK_BYTES` at a time and cut after the last
-    ``\\n`` of each read, the rest carried over (a longer line extends its
-    block). A cut after ``\\n`` splits no UTF-8 sequence and no ``\\r\\n``,
-    so the blocks decode and split into exactly the lines of the whole text;
-    a closing ``\\n`` ends the last line, and at most adds a blank line.
-    """
-    pieces: list[bytes] = []  # the bytes read since the last "\n"
-    with open(path, "rb") as fh:
-        for data in chain(iter(partial(fh.read, _BLOCK_BYTES), b""), [b"\n"]):
-            cut = data.rfind(b"\n") + 1
-            if not cut:
-                pieces.append(data)
-                continue
-            pieces.append(data[:cut])
-            yield b"".join(pieces)
-            pieces = [data[cut:]]
-
-
-def _record_blocks(path, header: list[str]) -> Iterator[list[str]]:
-    """The record lines of a CSV file, one list per block of
-    :func:`_byte_blocks`. Raises ValueError on a byte that is not UTF-8 or
-    a missing or bad header.
-    """
-    found = False
-    for data in _byte_blocks(path):
-        lines = data.decode("utf-8").splitlines()
-        body = [line for line in lines if line.strip() and line[0] != "#"]
-        del lines  # the caller frees the line strings while this waits
-        if body and not found:
-            if body[0].split(",") != header:
-                raise ValueError("bad header")
-            found = True
-            del body[0]
-        yield body
-    if not found:
-        raise ValueError("no header")
-
-
 def _read_archive(
     path,
     header: list[str],
@@ -589,10 +569,11 @@ def _read_archive(
     An empty value is NaN where ``empty_is_missing`` and an error otherwise.
     Every record's column count is checked; with ``where``, a (column, text)
     pair, only the records holding that text in that column are checked
-    further and read. The checks run in bulk, block by block; when one
-    fails, or the file cannot be read, :func:`_first_fault` reads the file
-    again, block by block, and names the fault. Axes whose cells an array index cannot
-    address are a :class:`DataError` unless a record fails, which is named.
+    further and read. The checks run in bulk on :func:`_line_blocks`; when
+    one fails, the rest of the file is read, so that its errors come first,
+    and :func:`_first_fault` names the fault. Axes whose cells an array
+    index cannot address are a :class:`DataError` unless a record fails,
+    which is named.
     """
     width = len(header) + 1
     # per key column: distinct text -> its number in order of first row
@@ -600,15 +581,21 @@ def _read_archive(
     codes: list[list[np.ndarray]] = [[] for _ in keys]  # per key column: its blocks' codes
     values: list[np.ndarray] = []
     records = 0
+    head = None  # the header: the first line that is neither blank nor "#"
+    blocks = _line_blocks(path)
     try:  # each bulk check raises ValueError when it fails
-        for body in _record_blocks(path, header):
+        for lines in blocks:
+            body = [line for line in lines if line.strip() and line[0] != "#"]
+            if body and head is None:
+                head = body.pop(0)
+                if head.split(",") != header:
+                    raise ValueError("bad header")
             # records are joined by a "\n" field, which no line holds: every
             # record has len(header) fields exactly when each separator sits
             # width apart
             n_lines = len(body)
             records += n_lines
             joined = ",\n,".join(body)
-            del body  # the line strings go before the field strings arrive
             fields = joined.split(",") if joined else []
             del joined
             if n_lines and not (
@@ -630,6 +617,8 @@ def _read_archive(
                 column.append(np.fromiter(map(first.__getitem__, texts), kind, n_lines))
             values.append(_values(columns[len(keys)], empty_is_missing))
             del columns
+        if head is None:
+            raise ValueError("no header")
         axes, positions = zip(*(_axis(key.parse, first) for key, first in zip(keys, firsts)))
         shape = tuple(map(len, axes))
         if math.prod(shape) > np.iinfo(np.intp).max:  # the in-place sums below would wrap
@@ -649,7 +638,9 @@ def _read_archive(
         ordered = np.sort(cells)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("a key is repeated")
-    except (OSError, ValueError):
+    except ValueError:
+        for _ in blocks:  # decodes the rest, so that a byte that is not UTF-8 is named first
+            pass
         fault = _first_fault(path, header, keys, empty_is_missing, where)
         if fault is None:
             raise AssertionError(

@@ -117,15 +117,11 @@ def generate(spec: SynthSpec) -> tuple[ForecastArchive, ObservationArchive, Synt
     g = G_FUNCTIONS[spec.g_name][0]
     obs_grid = g(values[:, hidden, :, :].transpose(1, 0, 2, 3)) + noise  # [station, cycle, lead]
 
-    valid = cycles[:, None] + leads[None, :]  # [cycle, lead], collision-free by spec
-    times = np.sort(valid.ravel())
-    obs_values = np.empty((spec.n_stations, times.size))
-    flat_order = np.argsort(valid.ravel(), kind="stable")
-    for s in range(spec.n_stations):
-        obs_values[s] = obs_grid[s].ravel()[flat_order]
+    # [cycle, lead]; no lead reaches the next cycle (SynthSpec), so it ascends in C order
+    valid = cycles[:, None] + leads[None, :]
 
     fcst = ForecastArchive(stations, variables, cycles, leads, values)
-    obs = ObservationArchive(stations, times, obs_values)
+    obs = ObservationArchive(stations, valid.ravel(), obs_grid.reshape(spec.n_stations, -1))
     manifest = SynthManifest(
         g_name=spec.g_name,
         g_formula=G_FUNCTIONS[spec.g_name][1],

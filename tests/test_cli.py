@@ -1026,6 +1026,17 @@ class TestMalformedInputs:
         argv = ["predict", "--config", str(cfg), "--out", str(pipeline / "pred")]
         self._run(capsys, argv, str(pipeline / "data"), "cannot read")
 
+    @pytest.mark.parametrize("key,command", [
+        ("forecast_csv", "ingest"), ("observation_csv", "ingest"), ("checkpoint", "predict"),
+    ])
+    def test_nul_byte_in_an_input_path(self, pipeline, capsys, key, command):
+        """open refuses such a path with a ValueError, which is read as a path
+        that cannot be read, not a traceback."""
+        cfg = write_config(pipeline, method="deep_anen", drop=(key,),
+                           extra=f"{key}={pipeline}/a\x00b\n")
+        argv = [command, "--config", str(cfg), "--out", str(pipeline / "out")]
+        self._run(capsys, argv, "data error:", f"{pipeline}/a\x00b: cannot read")
+
     @pytest.mark.parametrize("key,value", [
         ("eval_interval", "0"),
         ("eval_interval", "-5"),

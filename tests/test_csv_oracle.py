@@ -691,6 +691,45 @@ def test_a_fault_past_the_first_block_is_named_at_its_line(tmp_path, kind, fault
     assert_same_outcome(outcome(load, path), want, same)
 
 
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("fault", ["none", "columns", "duplicate", "value", "not UTF-8"])
+def test_a_load_opens_its_file_once_and_once_more_to_name_a_record(tmp_path, kind, fault):
+    """The bulk pass reads the file once, to its end; only a faulty record
+    makes one more read, the walk that names it. A byte that is not UTF-8
+    is named by the bulk pass alone."""
+    path = tmp_path / "archive.csv"
+    path.write_bytes(far_file(kind, fault))
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    with mock.patch.object(archive, "open", counted, create=True):
+        outcome(LOADERS[kind][0], path)
+    assert opened == [path] * (1 if fault in ("none", "not UTF-8") else 2)
+
+
+@pytest.mark.parametrize("case", ["not UTF-8", "not UTF-8 past a faulty record", "directory"])
+def test_the_bulk_pass_names_a_byte_that_is_not_utf8_and_an_unreadable_path(tmp_path, case):
+    """With the walk that names a record made to fail, a byte that is not
+    UTF-8, even in a block past a faulty record, and a directory given as
+    the path still get read_text's message."""
+    path = tmp_path / "archive.csv"
+    if case == "directory":
+        path.mkdir()
+    else:
+        data = far_file("forecast", "not UTF-8")
+        if case != "not UTF-8":  # a record of one field right below the header
+            head = HEADERS["forecast"].encode() + b"\r\n"
+            data = data.replace(head, head + b"x\r\n")
+        path.write_bytes(data)
+    want = outcome(read_text, path)
+    assert want[0] in (SchemaError, archive.DataError), want
+    with mock.patch.object(archive, "_first_fault", side_effect=AssertionError("walked")):
+        assert outcome(load_forecasts, path) == want
+
+
 def only_variable(text, variable):
     """``text`` with each five-field record of another variable made a '#'
     line, which keeps the line numbers, and whether a record was."""
