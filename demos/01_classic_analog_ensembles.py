@@ -43,8 +43,8 @@ print(f"\ntarget window shape: {target.data.shape} (variables x window positions
 # Weights are per variable; sigmas come from the search-period climatology
 # at this station and lead, so every variable is compared in its own units.
 search_cycles = np.arange(330)
-stats = climatology_stats(fcst, station, lead, search_cycles)
-cfg = MetricConfig(weights=np.ones(fcst.n_variables), sigma=stats.sigma, t_half=t_half)
+sigma = climatology_stats(fcst, station, lead, search_cycles)
+cfg = MetricConfig(weights=np.ones(fcst.n_variables), sigma=sigma, t_half=t_half)
 candidate = extract_window(fcst, station, 100, lead, t_half)
 print(f"dissimilarity(target, cycle 100) = {dissimilarity(target, candidate, cfg):.4f}")
 print(f"dissimilarity(target, target)    = {dissimilarity(target, target, cfg):.4f}")

@@ -57,8 +57,8 @@ for row in log:
 print(f"best checkpoint from iteration {model.iterations}")
 
 # --- search in the latent space ----------------------------------------------
-stats = climatology_stats(fcst, 0, 0, search_cycles)
-classic_cfg = MetricConfig(weights=np.ones(6), sigma=stats.sigma, t_half=0)
+sigma = climatology_stats(fcst, 0, 0, search_cycles)
+classic_cfg = MetricConfig(weights=np.ones(6), sigma=sigma, t_half=0)
 block = embed_block(model, fcst, 0, 0, np.arange(1200))
 
 errors = {"equal-weight": [], "learned": []}

@@ -9,7 +9,6 @@ toolkit; the ``analogkit`` command runs full experiments from config files.
 """
 
 from .archive import (
-    ClimatologyStats,
     ForecastArchive,
     ForecastWindow,
     ObservationArchive,

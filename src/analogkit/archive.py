@@ -306,25 +306,6 @@ class ForecastWindow:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class ClimatologyStats:
-    """Per-variable mean and population standard deviation over a cycle range.
-
-    ``flagged`` marks variables whose sigma is zero, either because the
-    series is constant or because fewer than two non-missing samples were
-    available. ``population`` is the smallest per-variable sample count.
-    """
-
-    mean: np.ndarray
-    sigma: np.ndarray
-    population: int
-    flagged: np.ndarray  # bool per variable
-
-    def __post_init__(self):
-        if np.any(self.sigma < 0):
-            raise ValueError("sigma must be nonnegative")
-
-
 def read_text(path) -> str:
     """The whole text of a config or checkpoint file, decoded as UTF-8.
 
@@ -889,21 +870,15 @@ def variable_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def climatology_stats(
     archive: ForecastArchive, station: int, lead: int, cycles: Sequence[int] | np.ndarray
-) -> ClimatologyStats:
-    """Per-variable mean and population standard deviation at (station, lead).
+) -> np.ndarray:
+    """Per-variable population standard deviation σ at (station, lead).
 
     Computed over the non-missing values at the given cycle indices, checked
-    as in :func:`extract_window`; variables with fewer than two get sigma 0
-    and are flagged. The cycles are sorted first: their order changes no bit.
+    as in :func:`extract_window`; a variable with fewer than two gets σ 0.
+    The cycles are sorted first: their order changes no bit.
     """
     cycles = np.sort(np.asarray(cycles, dtype=int))
     if cycles.size == 0:
         raise ValueError("empty cycle range")
     _check_indices(archive, station, cycles, lead, 0)
-    counts, mean, sigma = variable_stats(archive.values[station, :, :, lead][:, cycles])
-    return ClimatologyStats(
-        mean=mean,
-        sigma=sigma,
-        population=int(counts.min()),
-        flagged=(sigma == 0) | (counts < 2),
-    )
+    return variable_stats(archive.values[station, :, :, lead][:, cycles])[2]

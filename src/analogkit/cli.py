@@ -209,8 +209,8 @@ def run_predictions(
                 base = classic_base(fcst, obs, s, lead, union, t_half)
                 searches = [
                     partial(search_classic, fcst=fcst, obs=obs, cfg=MetricConfig(
-                        weights=weights, sigma=ar.climatology_stats(
-                            fcst, s, lead, search_cycles).sigma, t_half=t_half))
+                        weights=weights, sigma=ar.climatology_stats(fcst, s, lead, search_cycles),
+                        t_half=t_half))
                     for search_cycles in search_ranges
                 ]
             range_bases = [base.subrange(search_cycles) for search_cycles in search_ranges]
@@ -230,7 +230,7 @@ def run_predictions(
                         m=cfg.m,
                     )
                     try:
-                        ranked = search(query, limit=cfg.m, base=range_base, distances=distances)
+                        ranked = search(query, base=range_base, distances=distances)
                         ensemble = build_ensemble(ranked, query)
                     except DataError as err:  # includes InsufficientAnalogs
                         skipped.append((station, c, lead, str(err)))
@@ -434,7 +434,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, predictions_path=None) -> int:
 
     extra = [
         f"brier_threshold={ar.format_float(threshold)}",
-        f"pairs={report.n_pairs}",
+        f"pairs={vset.n_pairs}",
         f"excluded_missing_obs={excluded_missing_obs}",
         f"excluded_short_ensembles={excluded_short}",
     ]

@@ -69,29 +69,26 @@ class Ranking:
         return float(np.mean(self.members))
 
 
-def rank_positions(scores: np.ndarray, candidates: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """Ascending order of ``candidates`` (ascending positions) by score;
-    ties broken by the earlier position. In a :class:`SearchBase`, whose
-    cycles ascend, that is the earlier cycle.
+def rank_positions(scores: np.ndarray, candidates: np.ndarray, limit: int) -> np.ndarray:
+    """The first ``limit`` of ``candidates`` (ascending positions) in
+    ascending order of score; ties broken by the earlier position. In a
+    :class:`SearchBase`, whose cycles ascend, that is the earlier cycle.
 
     The one ranking routine: analog search orders a base's ``candidates``
     with it, and triplet sampling ranks with it the anchors whose rounded
     distances may tie (see :func:`analogkit.training._rounding_may_tie`).
-    With ``limit`` only the first ``limit`` positions of that order are
-    returned. Every candidate score not above the limit-th smallest one is
-    kept before the stable sort, so ties at the cut still go to the earlier
+    Every candidate score not above the limit-th smallest one is kept
+    before the stable sort, so ties at the cut still go to the earlier
     cycle. The test ``~(s > kth)`` keeps NaN scores too, so they take the
-    same last places as in the full ranking.
+    same last places as in a full ranking.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
     # Method forms rather than np.partition/np.argsort: search calls this
     # once per target, and triplet sampling once per flagged anchor, where
     # the dispatch cost shows.
     # as many ascending positions as scores are all of them, so no gather
     pos = candidates
     s = scores if len(pos) == len(scores) else scores[pos]
-    if limit is not None and limit < len(pos):
+    if limit < len(pos):
         part = s.copy()
         part.partition(limit - 1)
         keep = ~(s > part[limit - 1])
@@ -259,12 +256,12 @@ def _check_base(base: SearchBase, source, query: AnalogQuery, what: str, distanc
         raise ValueError("distances were scored against other search base rows")
 
 
-def _ranking(base: SearchBase, scores: np.ndarray, limit: int | None) -> Ranking:
-    """The ranking of the base's candidates by ``scores``; a base with none
-    raises :class:`DataError`."""
+def _ranking(base: SearchBase, scores: np.ndarray, m: int) -> Ranking:
+    """The first ``m`` of the base's candidates ranked by ``scores``; a base
+    with none raises :class:`DataError`."""
     if not len(base.candidates):
         raise DataError("no analog candidates available for this target")
-    order = rank_positions(scores, base.candidates, limit)
+    order = rank_positions(scores, base.candidates, m)
     return Ranking(base.search_cycles[order], scores[order], base.members[order])
 
 
@@ -273,7 +270,6 @@ def search_classic(
     fcst: ForecastArchive,
     obs: ObservationArchive,
     cfg: MetricConfig,
-    limit: int | None = None,
     base: SearchBase | None = None,
     distances: np.ndarray | None = None,
 ) -> Ranking:
@@ -281,10 +277,10 @@ def search_classic(
 
     Candidates need a complete window and a non-missing observation at the
     member valid time. Raises when the target window is unavailable or no
-    candidate survives. With ``limit`` the result is the first ``limit``
-    candidates of the full ranking. ``base`` is the query's
-    :func:`classic_base`, or a :meth:`~SearchBase.subrange` of one; without
-    it the search builds its own. ``distances`` is the target's
+    candidate survives. The result is the first ``query.m`` candidates of
+    that ranking, or all of them where fewer are eligible. ``base`` is the
+    query's :func:`classic_base`, or a :meth:`~SearchBase.subrange` of one;
+    without it the search builds its own. ``distances`` is the target's
     :func:`target_distances` against ``base.rows``, which no σ enters, so it
     serves every range on those rows; without it the search scores the
     target itself. Only the weighting by ``cfg``, whose σ is the range's
@@ -304,20 +300,19 @@ def search_classic(
     # gemv rounds by memory layout: a run of rows is a C-contiguous
     # [n, n_variables] view and other positions gather a C-contiguous copy, the
     # operand of a range that scored its own windows
-    return _ranking(base, distances[base.span] @ cfg.coefficients, limit)
+    return _ranking(base, distances[base.span] @ cfg.coefficients, query.m)
 
 
 def search_latent(
     query: AnalogQuery,
     embeddings: EmbeddingBlock,
     obs: ObservationArchive,
-    limit: int | None = None,
     base: SearchBase | None = None,
     distances: np.ndarray | None = None,
 ) -> Ranking:
     """Rank search-range cycles by Euclidean distance in embedding space.
 
-    Same eligibility, ordering, tie, ``limit``, ``base`` and ``distances``
+    Same eligibility, ordering, tie, length, ``base`` and ``distances``
     rules as :func:`search_classic`, with :func:`latent_base` as the base,
     whose distances depend on no range at all; candidates with a masked
     embedding row are excluded. A target or search cycle the block does not
@@ -330,14 +325,15 @@ def search_latent(
     _check_base(base, embeddings, query, "embedding block", distances)
     if distances is None:
         distances = target_distances(base, None, query.target_cycle)
-    return _ranking(base, distances[base.span], limit)
+    return _ranking(base, distances[base.span], query.m)
 
 
 def build_ensemble(ranked: Ranking, query: AnalogQuery) -> Ranking:
     """The top ``query.m`` members of a ranking; fewer candidates raise
-    :class:`InsufficientAnalogs`. A ranking that already is that ensemble,
-    as a search with ``limit=m`` gives, is returned as it is: that spares
-    each target a second :class:`Ranking` and its checks.
+    :class:`InsufficientAnalogs`. A search's ranking for the query already
+    is that ensemble, or is short, and is returned as it is: that spares
+    each target a second :class:`Ranking` and its checks. A ranking built
+    elsewhere may be longer and is cut to ``query.m``.
     """
     m = query.m
     if len(ranked) < m:

@@ -126,8 +126,9 @@ def rank_histogram(vset: VerificationSet, seed: int = 0) -> tuple[np.ndarray, fl
     Rank r (1-based) means the observation falls between sorted members
     r-1 and r; rank 1 is below all members, rank M+1 above all. Ties
     between the observation and members are placed uniformly at random
-    among the tied positions with a seeded generator. The missing rate
-    error compares envelope misses with the exchangeable expectation:
+    among the tied positions with a seeded generator, one draw per pair
+    with a tie, in pair order. The missing rate error compares envelope
+    misses with the exchangeable expectation:
 
         MRE = (count[1] + count[M+1]) / N - 2 / (M + 1)
 
@@ -135,12 +136,12 @@ def rank_histogram(vset: VerificationSet, seed: int = 0) -> tuple[np.ndarray, fl
     """
     rng = np.random.default_rng(seed)
     m = vset.m
-    counts = np.zeros(m + 1, dtype=np.int64)
-    n_less = np.sum(vset.members < vset.observations[:, None], axis=1)
-    n_tied = np.sum(vset.members == vset.observations[:, None], axis=1)
-    for lo, ties in zip(n_less, n_tied):
-        rank = int(lo) + 1 if ties == 0 else int(lo) + 1 + int(rng.integers(int(ties) + 1))
-        counts[rank - 1] += 1
+    rank = np.sum(vset.members < vset.observations[:, None], axis=1)  # 0-based
+    ties = np.sum(vset.members == vset.observations[:, None], axis=1)
+    tied = ties > 0
+    # one bound per element draws what successive scalar calls draw
+    rank[tied] += rng.integers(ties[tied] + 1)
+    counts = np.bincount(rank, minlength=m + 1)
     mre = float((counts[0] + counts[-1]) / vset.n_pairs - 2.0 / (m + 1))
     return counts, mre
 
@@ -254,8 +255,6 @@ class VerificationReport:
     aggregate: dict[str, float]
     rank_counts: np.ndarray
     spread_bins: list[SpreadErrorBin]
-    brier_threshold: float
-    n_pairs: int
 
 
 def build_report(
@@ -285,6 +284,4 @@ def build_report(
         aggregate=aggregate,
         rank_counts=counts,
         spread_bins=spread_error(vset, min(SPREAD_BINS, vset.n_pairs), seed=seed),
-        brier_threshold=brier_threshold,
-        n_pairs=vset.n_pairs,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -251,8 +252,6 @@ class TestSearchProperties:
             for search in (
                 lambda q: search_classic(q, fcst, obs, cfg),
                 lambda q: search_latent(q, block, obs),
-                lambda q: search_classic(q, fcst, obs, cfg, limit=m),
-                lambda q: search_latent(q, block, obs, limit=m),
             ):
                 s_small = search(q_small).scores
                 s_large = search(q_large).scores
@@ -283,17 +282,21 @@ def _ranking(ranked, k=None):
             ranked.members[:k].tolist())
 
 
-def _assert_limits_truncate(search):
-    """search(limit=k) is the first k of the full ranking, for k at and past the edges."""
+def _assert_limits_truncate(search, query):
+    """search(query) with ``query.m`` = k is the first k of the full ranking,
+    which a huge ``m`` gives, for k at and past the edges."""
+    def ranked(m):
+        return search(dataclasses.replace(query, m=m))
+
     try:
-        full = search(None)
+        full = ranked(10**6)
     except DataError:
         with pytest.raises(DataError):
-            search(1)
+            ranked(1)
         return
     n = len(full)
     for k in sorted({1, 2, max(1, n // 2), max(1, n - 1), n, n + 1, n + 7}):
-        assert _ranking(search(k)) == _ranking(full, k)
+        assert _ranking(ranked(k)) == _ranking(full, k)
 
 
 def _grid(draw, shape, missing):
@@ -306,7 +309,7 @@ def _grid(draw, shape, missing):
 
 
 class TestTopM:
-    """Searches with a limit return the head of the full ranking, ties included."""
+    """A search returns the first ``query.m`` of the full ranking, ties included."""
 
     @TOP_M
     @given(data=st.data())
@@ -326,7 +329,7 @@ class TestTopM:
         cfg = MetricConfig(weights=weights, sigma=np.ones(n_var), t_half=t_half)
         query = AnalogQuery(station=0, target_cycle=n_cycles - 1, lead=t_half, t_half=t_half,
                             search_cycles=np.arange(n_cycles - 1), m=1)
-        _assert_limits_truncate(lambda k: search_classic(query, fcst, obs, cfg, limit=k))
+        _assert_limits_truncate(lambda q: search_classic(q, fcst, obs, cfg), query)
 
     @TOP_M
     @given(data=st.data())
@@ -351,12 +354,7 @@ class TestTopM:
                                                     max_size=n - 1)), dtype=bool)]
         query = AnalogQuery(station=0, target_cycle=int(cycles[target]), lead=0, t_half=0,
                             search_cycles=search, m=1)
-        _assert_limits_truncate(lambda k: search_latent(query, block, obs, limit=k))
-
-    def test_limit_below_one_rejected(self):
-        fcst, obs, cfg, query = three_candidate_setup()
-        with pytest.raises(ValueError):
-            search_classic(query, fcst, obs, cfg, limit=0)
+        _assert_limits_truncate(lambda q: search_latent(q, block, obs), query)
 
     def test_uncovered_search_cycle_raises_key_error(self):
         cycles = np.array([0, 2, 4, 6])
@@ -367,7 +365,7 @@ class TestTopM:
             query = AnalogQuery(station=0, target_cycle=0, lead=0, t_half=0,
                                 search_cycles=np.array([2, missing, 4]), m=1)
             with pytest.raises(KeyError, match=str(missing)):
-                search_latent(query, block, obs, limit=1)
+                search_latent(query, block, obs)
             with pytest.raises(KeyError, match=str(missing)):
                 latent_base(block, obs, query.search_cycles)
 

@@ -92,7 +92,8 @@ def _view_ranges(draw, cycles):
 
 
 HOLES = st.sampled_from(["none", "some", "all"])
-# None, 1, an ensemble size and past every range drawn here
+# the reference's limit: None (the full ranking), 1, an ensemble size and
+# past every range drawn here; a search's query asks for as many, or 10**6
 LIMITS = st.sampled_from([None, 1, 5, 40])
 
 
@@ -118,33 +119,34 @@ class TestOracle:
         sigma = np.array(draw(st.lists(st.sampled_from([0.0, 0.7, 2.0]),
                                        min_size=n_var, max_size=n_var)))
         cfg = MetricConfig(weights=weights, sigma=sigma, t_half=t_half)
-        query = AnalogQuery(station=station, target_cycle=target, lead=lead, t_half=t_half,
-                            search_cycles=search, m=5)
         limit = draw(LIMITS)
+        m = 10**6 if limit is None else limit
+        query = AnalogQuery(station=station, target_cycle=target, lead=lead, t_half=t_half,
+                            search_cycles=search, m=m)
 
         want = _outcome(lambda: ref.search_classic(query, fcst, obs, cfg, limit))
-        assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit)) == want
+        assert _outcome(lambda: search_classic(query, fcst, obs, cfg)) == want
         base = classic_base(fcst, obs, station, lead, search, t_half)
-        assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, base)) == want
+        assert _outcome(lambda: search_classic(query, fcst, obs, cfg, base)) == want
         if window_fits(fcst, lead, t_half):
             # the range within a base over every other cycle, in drawn order
             others = draw(st.permutations([c for c in range(n_cycles) if c != target]))
             wider = classic_base(fcst, obs, station, lead, others, t_half)
             sub = wider.subrange(search)
-            assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub)) == want
+            assert _outcome(lambda: search_classic(query, fcst, obs, cfg, sub)) == want
             distances = None
             if not isinstance(want, tuple):  # the target has a window
                 window = extract_window(fcst, station, target, lead, t_half)
                 distances = block_dissimilarity(window.data, wider.rows)
-                assert _outcome(lambda: search_classic(query, fcst, obs, cfg, limit, sub,
+                assert _outcome(lambda: search_classic(query, fcst, obs, cfg, sub,
                                                        distances)) == want
             for cycles, run in _view_ranges(draw, wider.search_cycles):
                 ranged = AnalogQuery(station=station, target_cycle=target, lead=lead,
-                                     t_half=t_half, search_cycles=cycles, m=5)
+                                     t_half=t_half, search_cycles=cycles, m=m)
                 sub = wider.subrange(cycles)
                 assert isinstance(sub.span, slice) == run
                 want = _outcome(lambda: ref.search_classic(ranged, fcst, obs, cfg, limit))
-                assert _outcome(lambda: search_classic(ranged, fcst, obs, cfg, limit, sub,
+                assert _outcome(lambda: search_classic(ranged, fcst, obs, cfg, sub,
                                                        distances)) == want
         else:  # an edge lead: no cycle is eligible, and the target's window raises first
             assert not len(base.candidates)
@@ -170,32 +172,33 @@ class TestOracle:
         uncovered = draw(st.booleans())
         if uncovered:  # cycle 0 precedes the block's first cycle
             search = np.insert(search, 0, 0)
-        query = AnalogQuery(station=0, target_cycle=int(cycles[t]), lead=0, t_half=0,
-                            search_cycles=search, m=5)
         limit = draw(LIMITS)
+        m = 10**6 if limit is None else limit
+        query = AnalogQuery(station=0, target_cycle=int(cycles[t]), lead=0, t_half=0,
+                            search_cycles=search, m=m)
 
         want = _outcome(lambda: ref.search_latent(query, block, obs, limit))
-        assert _outcome(lambda: search_latent(query, block, obs, limit)) == want
+        assert _outcome(lambda: search_latent(query, block, obs)) == want
         if uncovered:  # no base covers the range; a masked target is reported first
             assert want[0] is (KeyError if available[t] else DataError)
             return
         base = latent_base(block, obs, search)
-        assert _outcome(lambda: search_latent(query, block, obs, limit, base)) == want
+        assert _outcome(lambda: search_latent(query, block, obs, base)) == want
         wider = latent_base(block, obs, draw(st.permutations(np.delete(cycles, t))))
         sub = wider.subrange(search)
-        assert _outcome(lambda: search_latent(query, block, obs, limit, sub)) == want
+        assert _outcome(lambda: search_latent(query, block, obs, sub)) == want
         distances = None
         if available[t]:
             distances = latent_distances(target_embedding(block, cycles[t]), wider.rows)
-            assert _outcome(lambda: search_latent(query, block, obs, limit, sub,
+            assert _outcome(lambda: search_latent(query, block, obs, sub,
                                                   distances)) == want
         for ranged_cycles, run in _view_ranges(draw, wider.search_cycles):
             ranged = AnalogQuery(station=0, target_cycle=int(cycles[t]), lead=0, t_half=0,
-                                 search_cycles=ranged_cycles, m=5)
+                                 search_cycles=ranged_cycles, m=m)
             sub = wider.subrange(ranged_cycles)
             assert isinstance(sub.span, slice) == run
             want = _outcome(lambda: ref.search_latent(ranged, block, obs, limit))
-            assert _outcome(lambda: search_latent(ranged, block, obs, limit, sub,
+            assert _outcome(lambda: search_latent(ranged, block, obs, sub,
                                                   distances)) == want
 
 
@@ -313,11 +316,11 @@ SEARCH_KINDS = ["classic", "classic_base", "latent", "latent_base"]
 
 
 def _search(kind, query, fcst, obs, model):
-    """The full ranking of ``query`` by one search, with or without a base
-    built for its range."""
+    """The first ``query.m`` of ``query``'s ranking by one search, with or
+    without a base built for its range."""
     station, lead, search = query.station, query.lead, query.search_cycles
     if kind.startswith("classic"):
-        sigma = climatology_stats(fcst, station, lead, search).sigma
+        sigma = climatology_stats(fcst, station, lead, search)
         cfg = MetricConfig(np.ones(fcst.n_variables), sigma, query.t_half)
         base = classic_base(fcst, obs, station, lead, search, query.t_half) if kind.endswith(
             "base") else None
@@ -462,7 +465,7 @@ def test_rank_positions_matches_a_full_stable_ranking(scores, data):
     eligible = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
                                            max_size=len(scores))))
     candidates = np.flatnonzero(eligible)
-    for limit in [None, *range(1, len(candidates) + 3)]:
+    for limit in range(1, len(candidates) + 3):
         got = ensemble.rank_positions(scores, candidates, limit)
         assert got.tolist() == ref.rank(scores, eligible, np.arange(len(scores)), limit).tolist()
 
@@ -505,7 +508,7 @@ def test_run_predictions_builds_one_base_per_station_and_lead(monkeypatch, rng):
                 block = embed_block(model, fcst, s, lead, np.arange(40))
                 want = ref.search_latent(query, block, obs, limit=4)
             else:
-                sigma = climatology_stats(fcst, s, lead, search).sigma
+                sigma = climatology_stats(fcst, s, lead, search)
                 metric = MetricConfig(weights=np.ones(2), sigma=sigma, t_half=1)
                 want = ref.search_classic(query, fcst, obs, metric, limit=4)
             assert ens.cycles.tolist() == [c.cycle for c in want]
@@ -580,7 +583,7 @@ def _reference_run(cfg, method, fcst, obs, stations, leads, ranges, test, model)
                 if method == "deep_anen":
                     block = embed_block(model, fcst, s, lead, embedded)
                 else:
-                    sigma = climatology_stats(fcst, s, lead, search).sigma
+                    sigma = climatology_stats(fcst, s, lead, search)
                     metric = MetricConfig(cli._effective_weights(cfg, method, fcst), sigma, t_half)
                 for c in sorted(test.tolist()):
                     query = AnalogQuery(station=s, target_cycle=c, lead=lead, t_half=t_half,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from analogkit.errors import DataError
 from analogkit.verification import (
@@ -282,6 +283,35 @@ class TestReport:
         for scores in report.per_lead.values():
             assert set(scores) == {"bias", "rmse", "crps", "mre", "brier"}
             assert all(np.isfinite(v) for v in scores.values())
+
+
+def rank_histogram_loop(vs, seed=0):
+    """One scalar draw per pair with a tie: the reference for rank_histogram."""
+    rng = np.random.default_rng(seed)
+    m = vs.m
+    counts = np.zeros(m + 1, dtype=np.int64)
+    n_less = np.sum(vs.members < vs.observations[:, None], axis=1)
+    n_tied = np.sum(vs.members == vs.observations[:, None], axis=1)
+    for lo, ties in zip(n_less, n_tied):
+        rank = int(lo) + 1 if ties == 0 else int(lo) + 1 + int(rng.integers(int(ties) + 1))
+        counts[rank - 1] += 1
+    mre = float((counts[0] + counts[-1]) / vs.n_pairs - 2.0 / (m + 1))
+    return counts, mre
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 59), m=st.integers(1, 14), tied=st.booleans(),
+       data_seed=st.integers(0, 2**32 - 1), seed=st.sampled_from([0, 7]))
+def test_rank_histogram_matches_the_per_pair_loop(n, m, tied, data_seed, seed):
+    """Counts and MRE equal the per-pair loop's, bit for bit, on integer
+    values 0..3 (ties in most pairs) and on continuous ones."""
+    rng = np.random.default_rng(data_seed)
+    draws = rng.integers(0, 4, (n, m + 1)).astype(float) if tied else rng.standard_normal((n, m + 1))
+    vs = vset(draws[:, :m], draws[:, m])
+    counts, mre = rank_histogram(vs, seed=seed)
+    want_counts, want_mre = rank_histogram_loop(vs, seed=seed)
+    assert counts.tolist() == want_counts.tolist()
+    assert np.float64(mre).tobytes() == np.float64(want_mre).tobytes()
 
 
 def spread_error_loop(vs, n_bins, seed=0, n_boot=1000):
